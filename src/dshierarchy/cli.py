@@ -22,7 +22,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -45,13 +45,16 @@ class ConfigError(ValueError):
     pass
 
 
+DEFAULT_FLOWS = ((1, 0), (1, 1))
+
+
 @dataclass
 class RunConfig:
     """Resolved run parameters (flags over config file over defaults)."""
 
     type: str = "a1_1"
     vertex: int = 0
-    flows: list = field(default_factory=lambda: [(1, 0), (1, 1)])
+    flows: list | None = None  # unset: DEFAULT_FLOWS, or every label for verify
     eps_order: int = 4
     jet_depth: int = 8
     lambda_window: tuple | None = None
@@ -126,12 +129,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _flows(cfg: RunConfig) -> list:
+    return list(DEFAULT_FLOWS) if cfg.flows is None else cfg.flows
+
+
 def _build_hierarchy(cfg: RunConfig) -> DSHierarchy:
-    max_flow_k = max([k for (_, k) in cfg.flows], default=0)
+    max_flow_k = max([k for (_, k) in _flows(cfg)], default=0)
     max_flow_k = max(max_flow_k, cfg.max_k)
     h = DSHierarchy(cfg.type, cfg.vertex, max_flow_k=max_flow_k,
                     omega_max_k=cfg.max_k)
-    for (a, k) in cfg.flows:
+    for (a, k) in _flows(cfg):
         if not (1 <= a <= h.real.n):
             raise ConfigError(
                 f"flow family {a} out of range 1..{h.real.n} for {h.real.name}")
@@ -165,7 +172,7 @@ def _flow_obj(h: DSHierarchy, label, eps_order: int) -> dict:
 
 def cmd_derive(cfg: RunConfig) -> int:
     h = _build_hierarchy(cfg)
-    flows = [_flow_obj(h, l, cfg.eps_order) for l in cfg.flows]
+    flows = [_flow_obj(h, l, cfg.eps_order) for l in _flows(cfg)]
     if cfg.format == "text":
         lines = []
         for fo in flows:
@@ -216,10 +223,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     h = _build_hierarchy(cfg)
     real = h.real
     max_a = cfg.max_a or real.n
-    labels = cfg.flows or [(a, k) for a in range(1, max_a + 1)
-                           for k in range(0, cfg.max_k + 1)]
-    flows = h.flows(labels)
     table = h.omega_table(max_a, cfg.max_k)
+    labels = cfg.flows or table.labels()
+    flows = h.flows(labels)
     if cfg.self_test_corrupt:
         key = sorted(table.entries)[0]
         table.entries[key] = table.entries[key] + DiffPoly.var(1, 1)
@@ -252,20 +258,12 @@ def cmd_verify(cfg: RunConfig) -> int:
             })
     checks.extend(table.symmetry_report())
     checks.extend(verify_tau_symmetry(flows, table))
-    budget = None if real.twist_order == 1 else 16
-    checks.extend(verify_gauge_invariance(h, table, weight_budget=budget))
+    checks.extend(verify_gauge_invariance(h, table))
     checks.extend(verify_integrability(list(flows.values())))
-    if real.twist_order == 1:
-        covered = [l for l in labels if l != (1, 0) and l[1] <= cfg.max_k]
-        rec = tau_coordinate_check(
-            h, table, eps_order=min(cfg.eps_order, cfg.max_k + 1),
-            jet_depth=cfg.jet_depth,
-            check_labels=covered[:1] or [(1, 0)])
-        checks.append(rec)
-    else:
-        checks.append({"check": "tau_coordinates", "skipped":
-                       "reconstruction is exercised at the untwisted special vertex",
-                       "residual_zero": True})
+    covered = [l for l in labels if l != (1, 0) and l[1] <= cfg.max_k]
+    checks.append(tau_coordinate_check(
+        h, table, eps_order=min(cfg.eps_order, cfg.max_k + 1),
+        jet_depth=cfg.jet_depth, check_labels=covered[:1] or [(1, 0)]))
     all_pass = all(c.get("residual_zero", False) for c in checks)
     payload = {"algebra": real.name, "all_pass": all_pass, "checks": checks}
     if cfg.format == "text":
@@ -289,7 +287,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     h = _build_hierarchy(cfg)
     constants = cfg.bgw or [Fraction(1)] * h.real.ell
     initial = gbgw_initial(h.real, constants)
-    flows = [h.flow(tuple(l)) for l in cfg.flows]
+    flows = [h.flow(tuple(l)) for l in _flows(cfg)]
     commut = verify_integrability(flows)
     if not all(r["residual_zero"] for r in commut):
         sys.stderr.write("flows do not commute; refusing to integrate\n")

@@ -620,35 +620,43 @@ class EpsSeries:
         return render_series(self)
 
 
-def apply_poly_derivation(chars: Sequence[DiffPoly], p: DiffPoly,
-                          _cache: dict | None = None) -> DiffPoly:
-    """Apply the evolutionary derivation with characteristic ``chars`` to p.
+class JetMap:
+    """The jet images (alpha, m) -> d^m(images[alpha-1]), each computed once.
+
+    Images may be DiffPoly or EpsSeries values.  The map is a callable, so it
+    can be handed to ``substitute`` as the images of a ring homomorphism; it
+    raises ArityMismatchError for a component beyond ``len(images)``.
+    """
+
+    __slots__ = ("images", "_jets")
+
+    def __init__(self, images: Sequence):
+        self.images = tuple(images)
+        self._jets: dict[JetVar, object] = {}
+
+    def __call__(self, alpha: int, m: int):
+        got = self._jets.get((alpha, m))
+        if got is None:
+            if not 0 < alpha <= len(self.images):
+                raise ArityMismatchError(
+                    f"component {alpha} outside arity {len(self.images)}")
+            got = self.images[alpha - 1] if m == 0 else self(alpha, m - 1).dx()
+            self._jets[(alpha, m)] = got
+        return got
+
+
+def apply_poly_derivation(jets: JetMap, p: DiffPoly) -> DiffPoly:
+    """Apply the evolutionary derivation with characteristic ``jets.images``.
 
     D(p) = sum_{a,m} d^m(W_a) * dp/du_{a,m}.  Raises ArityMismatchError when
-    p involves a component beyond len(chars).
+    p involves a component beyond the arity of the characteristic.
     """
-    ell = len(chars)
-    cache = _cache if _cache is not None else {}
     acc: dict[Monomial, Coeff] = {}
     for (alpha, order) in sorted(p.variables()):
-        if alpha > ell:
-            raise ArityMismatchError(
-                f"component {alpha} outside derivation arity {ell}")
         if order < 0:
             raise ValueError("evolutionary derivations need orders >= 0")
-        key = (alpha, order)
-        w = cache.get(key)
-        if w is None:
-            base = cache.get((alpha, 0), chars[alpha - 1])
-            cache[(alpha, 0)] = base
-            w = base
-            for m in range(1, order + 1):
-                nxt = cache.get((alpha, m))
-                if nxt is None:
-                    nxt = w.dx()
-                    cache[(alpha, m)] = nxt
-                w = nxt
-        for m, cc in (w * p.partial((alpha, order))).terms.items():
+        term = jets(alpha, order) * p.partial((alpha, order))
+        for m, cc in term.terms.items():
             s = acc.get(m)
             if s is None:
                 acc[m] = cc
@@ -669,7 +677,7 @@ class Derivation:
     derivation commutes with the total derivative.
     """
 
-    __slots__ = ("chars", "order", "arity", "_dx_cache")
+    __slots__ = ("chars", "order", "arity", "char_dx")
 
     def __init__(self, chars: Sequence[EpsSeries]):
         chars = tuple(chars)
@@ -682,7 +690,7 @@ class Derivation:
         self.chars = chars
         self.order = order
         self.arity = len(chars)
-        self._dx_cache: dict[tuple[int, int], EpsSeries] = {}
+        self.char_dx = JetMap(chars)
 
     @classmethod
     def from_polys(cls, polys: Sequence[DiffPoly], order: int = 0) -> "Derivation":
@@ -693,17 +701,6 @@ class Derivation:
         """The total derivative as a derivation (characteristic u_{a,1})."""
         return cls([EpsSeries.var(a, order, 1) for a in range(1, arity + 1)])
 
-    def char_dx(self, alpha: int, m: int) -> EpsSeries:
-        key = (alpha, m)
-        got = self._dx_cache.get(key)
-        if got is None:
-            if m == 0:
-                got = self.chars[alpha - 1]
-            else:
-                got = self.char_dx(alpha, m - 1).dx()
-            self._dx_cache[key] = got
-        return got
-
     def __call__(self, p: DiffPoly | EpsSeries) -> EpsSeries:
         if isinstance(p, DiffPoly):
             p = EpsSeries.of_poly(p, self.order)
@@ -711,9 +708,6 @@ class Derivation:
             raise ValueError("eps truncation mismatch between derivation and argument")
         out = EpsSeries.zero(self.order)
         for (alpha, m) in sorted(p.variables()):
-            if alpha > self.arity:
-                raise ArityMismatchError(
-                    f"component {alpha} outside derivation arity {self.arity}")
             out = out + self.char_dx(alpha, m) * p.partial((alpha, m))
         return out
 

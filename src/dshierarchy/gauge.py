@@ -12,18 +12,21 @@ ordered Borel frame [V-basis | [e, p_j]-basis].
 
 The gauge homomorphism f sends each generator q_i to the corresponding
 entry of Q computed with fresh indeterminates S_1..S_{dim n}; an element is
-a gauge invariant when f fixes it.  Gauge invariants rewrite as differential
-polynomials in the canonical coordinates u_1..u_ell by the substitution that
-sends the V-components of q to the u-generators and the complementary
-components to zero; the rewrite is certified by substituting the canonical
-coordinate expressions back.
+a gauge invariant when f fixes it.  The canonical coordinates u_1..u_ell
+generate the ring of gauge invariants (Drinfeld-Sokolov), and f is a
+differential ring map, so a polynomial in the u-jets is certified invariant
+once f fixes each jet d^m u_a(q) it uses; ``CanonicalForm.jets`` holds those
+jets in the q-ring.  Gauge invariants rewrite as differential polynomials in
+the u-jets by the substitution that sends the V-components of q to the
+u-generators and the complementary components to zero; the rewrite is
+certified by substituting the canonical coordinate expressions back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffalg import DiffPoly
+from .diffalg import DiffPoly, JetMap
 from .kacmoody import LoopElement, LoopRealization
 from .linalg import InconsistentSystemError, LinearSolver
 from .resolvent import LaxOperator
@@ -130,6 +133,7 @@ class CanonicalForm:
         if any(not c.is_zero() for c in coords[frame.ell:]):
             raise ValueError("canonical form is not V-valued")
         self.u_exprs = list(coords[: frame.ell])
+        self.jets = JetMap(self.u_exprs)
         self.s_coeffs = frame.nilpotent_coords(s_can)
 
     def lax_can(self) -> LoopElement:
@@ -178,23 +182,12 @@ class GaugeHomomorphism:
         self.s_generic = s
         q_full = _gauge_q(lax, s)
         self.images = real.borel_coords(q_full.vector_at(0))
-        self._jet_cache: dict[tuple[int, int], DiffPoly] = {}
-
-    def _jet_image(self, alpha: int, m: int) -> DiffPoly:
-        key = (alpha, m)
-        got = self._jet_cache.get(key)
-        if got is None:
-            if alpha > self.n_q:      # S-variables are fixed by f
-                got = DiffPoly.var(alpha, m)
-            elif m == 0:
-                got = self.images[alpha - 1]
-            else:
-                got = self._jet_image(alpha, m - 1).dx()
-            self._jet_cache[key] = got
-        return got
+        # the S-generators are fixed by f
+        self.jets = JetMap(list(self.images) + [
+            DiffPoly.var(self.n_q + j + 1) for j in range(frame.dim_n)])
 
     def apply(self, w: DiffPoly) -> DiffPoly:
-        return w.substitute(lambda a, m: self._jet_image(a, m))
+        return w.substitute(self.jets)
 
     def is_invariant(self, w: DiffPoly) -> bool:
         return self.apply(w) == w
@@ -229,20 +222,6 @@ def to_invariant_coordinates(cf: CanonicalForm, w: DiffPoly,
         return DiffPoly.zero()
 
     p = w.substitute(section)
-    if check:
-        cache: dict[tuple[int, int], DiffPoly] = {}
-
-        def embed(alpha: int, m: int) -> DiffPoly:
-            key = (alpha, m)
-            got = cache.get(key)
-            if got is None:
-                if m == 0:
-                    got = cf.u_exprs[alpha - 1]
-                else:
-                    got = embed(alpha, m - 1).dx()
-                cache[key] = got
-            return got
-
-        if p.substitute(embed) != w:
-            raise NotGaugeInvariantError("not a gauge invariant")
+    if check and p.substitute(cf.jets) != w:
+        raise NotGaugeInvariantError("not a gauge invariant")
     return p

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
+from .diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries, JetMap
 from .linalg import LinearSolver
 
 
@@ -62,6 +62,7 @@ class MiuraTuple:
         self.values = values
         self.arity = len(values)
         self.order = order
+        self.jets = JetMap(values)
 
     def jacobian(self) -> list[list[DiffPoly]]:
         return [[v.component(0).partial((beta, 0)) for beta in range(1, self.arity + 1)]
@@ -85,19 +86,7 @@ def forward_map(tup: MiuraTuple, p: DiffPoly | EpsSeries) -> EpsSeries:
     """phi_V: substitute v_{a,m} -> d^m(V_a); input lives in the v-jets."""
     if isinstance(p, DiffPoly):
         p = EpsSeries.of_poly(p, tup.order)
-    cache: dict[tuple[int, int], EpsSeries] = {}
-
-    def image(alpha: int, m: int) -> EpsSeries:
-        if alpha > tup.arity:
-            raise ArityMismatchError(f"component {alpha} outside arity {tup.arity}")
-        key = (alpha, m)
-        got = cache.get(key)
-        if got is None:
-            got = tup.values[alpha - 1] if m == 0 else image(alpha, m - 1).dx()
-            cache[key] = got
-        return got
-
-    return p.substitute(image)
+    return p.substitute(tup.jets)
 
 
 class MiuraPair:
@@ -115,32 +104,17 @@ class MiuraPair:
         self.arity = forward.arity
         self.order = forward.order
         self.jet_depth = jet_depth
-        self._phi_cache: dict[tuple[int, int], EpsSeries] = {}
-        self._psi_cache: dict[tuple[int, int], EpsSeries] = {}
+        self._inverse_jets = JetMap(self.inverse)
 
     def phi(self, p: DiffPoly | EpsSeries) -> EpsSeries:
         """v-jet ring -> u-jet ring."""
-        return self._substitute(p, self.forward.values, self._phi_cache)
+        return forward_map(self.forward, p)
 
     def psi(self, p: DiffPoly | EpsSeries) -> EpsSeries:
         """u-jet ring -> v-jet ring."""
-        return self._substitute(p, self.inverse, self._psi_cache)
-
-    def _substitute(self, p, images, cache) -> EpsSeries:
         if isinstance(p, DiffPoly):
             p = EpsSeries.of_poly(p, self.order)
-
-        def image(alpha: int, m: int) -> EpsSeries:
-            if alpha > self.arity:
-                raise ArityMismatchError(f"component {alpha} outside arity {self.arity}")
-            key = (alpha, m)
-            got = cache.get(key)
-            if got is None:
-                got = images[alpha - 1] if m == 0 else image(alpha, m - 1).dx()
-                cache[key] = got
-            return got
-
-        return p.substitute(image)
+        return p.substitute(self._inverse_jets)
 
 
 def invert_miura(tup: MiuraTuple, jet_depth: int | None = None) -> MiuraPair:

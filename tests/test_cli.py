@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -178,10 +179,33 @@ def test_solve_wrong_bgw_count(capsys):
 
 
 def test_twisted_verify_reports_skips(capsys):
+    # nothing is skipped at the twisted vertex; tau-coordinates are checked
     code, out, _ = run(capsys, "verify", "--type", "a2_2", "--max-k", "0",
                        "--flows", "1:0")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
-    skipped = [c for c in payload["checks"] if "skipped" in c]
-    assert any(c["check"] == "tau_coordinates" for c in skipped)
+    assert not any("skipped" in c for c in payload["checks"])
+    tau = [c for c in payload["checks"] if c["check"] == "tau_coordinates"]
+    assert len(tau) == 1 and tau[0]["miura_type"]
+    assert tau[0]["reconstruction_matches"] == {"[1, 0]": True}
+
+
+def test_verify_checks_every_label_without_flows(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "a1_1", "--max-k", "2")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    triples = [c["triple"] for c in checks if c["check"] == "tau_symmetry"]
+    assert len(triples) == 27
+    assert triples[0] == [[1, 0], [1, 0], [1, 0]]
+    assert triples[-1] == [[1, 2], [1, 2], [1, 2]]
+
+
+def test_verify_a2_1_golden(capsys):
+    # the benchmark's verify job; the file holds its exact stdout
+    code, out, _ = run(capsys, "verify", "--type", "a2_1", "--max-k", "1",
+                       "--max-a", "2", "--flows", "1:0,1:1,2:0,2:1",
+                       "--eps-order", "4", "--jet-depth", "8")
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "verify-a2_1.json"
+    assert out.encode() == golden.read_bytes()

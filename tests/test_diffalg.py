@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_poly
 from dshierarchy.diffalg import (ArityMismatchError, DegreeUndefinedError,
-                                 Derivation, DiffPoly, EpsSeries,
+                                 Derivation, DiffPoly, EpsSeries, JetMap,
                                  apply_derivation, commutator, degree,
                                  is_zero, partial_derivative,
                                  total_derivative)
@@ -135,6 +135,17 @@ def test_arity_mismatch():
     d = Derivation.from_polys([u(1, 1)], 0)
     with pytest.raises(ArityMismatchError):
         d(u(2))
+
+
+def test_jet_map(rng):
+    images = [random_poly(rng) for _ in range(3)]
+    jets = JetMap(images)
+    for a in range(1, 4):
+        for m in range(4):
+            assert jets(a, m) == images[a - 1].dx_n(m)
+    assert jets(2, 3) is jets(2, 3)
+    with pytest.raises(ArityMismatchError):
+        jets(4, 0)
 
 
 def test_eps_series_zero_checks():

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, \
+from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
 from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
                                    tau_coordinate_check, verify_gauge_invariance,
@@ -34,11 +35,10 @@ def test_pre_flow_commutes_with_gauge_homomorphism(sl2):
     # f(D^pre(q_i)) = D^pre(f(q_i)) with D^pre extended by D^pre(S_j) = 0
     hom = sl2.gauge_homomorphism()
     chars = sl2.pre_flow_chars((1, 1))
-    ext = list(chars) + [DiffPoly.zero()] * sl2.frame.dim_n
-    cache = {}
+    ext = JetMap(list(chars) + [DiffPoly.zero()] * sl2.frame.dim_n)
     for i in range(sl2.lax_q.arity):
         lhs = hom.apply(chars[i])
-        rhs = apply_poly_derivation(ext, hom.images[i], cache)
+        rhs = apply_poly_derivation(ext, hom.images[i])
         assert lhs == rhs
 
 
@@ -239,12 +239,46 @@ def test_gauge_invariance_of_omega(sl2):
 
 
 def test_gauge_invariance_weight_budget(a22):
+    # the twisted table is checked in full: every entry, none skipped
     table = a22.omega_table(2, 1)
-    rep = verify_gauge_invariance(a22, table, weight_budget=10)
-    skipped = [r for r in rep if "skipped" in r]
-    checked = [r for r in rep if "skipped" not in r]
-    assert skipped and checked
-    assert all(r["residual_zero"] for r in checked)
+    rep = verify_gauge_invariance(a22, table)
+    assert len(rep) == len(table.entries) == 16
+    assert not any("skipped" in r for r in rep)
+    assert all(r["residual_zero"] for r in rep)
+
+
+def test_gauge_invariance_matches_q_expansion_route(sl2):
+    # reference route: embed each entry in the q-ring and expand f of it
+    table = sl2.omega_table(1, 2)
+    hom = sl2.gauge_homomorphism()
+    expected = [{
+        "check": "omega_gauge_invariance",
+        "pair": [list(i), list(j)],
+        "residual_zero": hom.is_invariant(val.substitute(sl2.canform.jets)),
+    } for (i, j), val in sorted(table.entries.items())]
+    assert verify_gauge_invariance(sl2, table) == expected
+
+
+def test_gauge_invariance_rejects_non_invariant_coordinate(sl3):
+    # stand-in canonical form whose u_1 is q_2, which f does not fix
+    table = sl3.omega_table(2, 1)
+    hom = sl3.gauge_homomorphism()
+    q2 = u(2)
+    assert not hom.is_invariant(q2)
+    stand_in = SimpleNamespace(
+        canform=SimpleNamespace(jets=JetMap([q2] + sl3.canform.u_exprs[1:])),
+        gauge_homomorphism=sl3.gauge_homomorphism)
+    rep = verify_gauge_invariance(stand_in, table)
+    assert len(rep) == len(table.entries)
+    uses_u1 = 0
+    for r in rep:
+        i, j = (tuple(x) for x in r["pair"])
+        if any(a == 1 for a, _ in table.entry(i, j).variables()):
+            uses_u1 += 1
+            assert r["residual_zero"] is False
+        else:
+            assert r["residual_zero"] is True
+    assert 0 < uses_u1 < len(rep)
 
 
 def test_corrupted_omega_fails_tau_symmetry(sl2):
@@ -275,6 +309,14 @@ def test_tau_coordinates_sl3(sl3):
     det = sl3.omega_table(2, 1)
     # 2x2 dispersionless Jacobian is a nonzero constant here
     assert rep["jacobian_det"] == "4/9"
+
+
+def test_tau_coordinates_twisted(a22):
+    table = a22.omega_table(2, 1)
+    rep = tau_coordinate_check(a22, table, eps_order=2, jet_depth=8)
+    assert rep["miura_type"]
+    assert rep["reconstruction_matches"] == {"[1, 1]": True}
+    assert rep["residual_zero"]
 
 
 def test_flow_commutators_survive_tau_coordinates(sl2, sl3):
