@@ -22,7 +22,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
@@ -227,8 +227,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     labels = cfg.flows or table.labels()
     flows = h.flows(labels)
     if cfg.self_test_corrupt:
+        # a corrupted copy: the table cached in the hierarchy stays intact
         key = sorted(table.entries)[0]
-        table.entries[key] = table.entries[key] + DiffPoly.var(1, 1)
+        table = replace(table, entries={
+            **table.entries, key: table.entries[key] + DiffPoly.var(1, 1)})
     checks: list[dict] = []
     # translation flow
     f10 = h.flow((1, 0))

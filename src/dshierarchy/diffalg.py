@@ -2,10 +2,20 @@
 
 A jet variable ``u_{a,m}`` stands for the m-th x-derivative of the a-th
 dependent variable (``a`` is 1-based, ``m >= 0``).  A :class:`DiffPoly` is a
-sparse polynomial in jet variables with rational coefficients, stored as a
-map from canonical monomials to ``fractions.Fraction``.  The total derivative
-sends ``u_{a,m}`` to ``u_{a,m+1}`` and extends by the Leibniz rule, so the
-pair (ring, total derivative) is a differential algebra.
+sparse polynomial in jet variables with rational coefficients.  The total
+derivative sends ``u_{a,m}`` to ``u_{a,m+1}`` and extends by the Leibniz rule,
+so the pair (ring, total derivative) is a differential algebra.
+
+Storage: a polynomial is one ``int`` denominator over a map from monomials to
+``int`` numerators, in normal form after every operation (the denominator is
+positive, its gcd with all the numerators is 1, no numerator is zero).  A
+monomial is one packed ``int``: each jet variable owns a fixed field of
+``_BITS`` bits, assigned on first use, that holds its exponent, so a monomial
+product is one integer addition (Monagan & Pearce, CASC 2007).  The top bit of
+every field is a guard; an exponent that would reach it raises
+:class:`ExponentOverflowError` instead of carrying into the next field.  The
+``terms`` view and ``sorted_terms`` present the same polynomial with
+canonical tuple monomials and ``fractions.Fraction`` coefficients.
 
 Truncated series in a formal parameter ``eps`` over this ring are provided by
 :class:`EpsSeries`; a series is *graded* when its eps^q coefficient is
@@ -24,16 +34,27 @@ negative orders.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Callable, Sequence
 
-Coeff = Fraction
 JetVar = tuple[int, int]  # (alpha, order)
 Monomial = tuple[tuple[JetVar, int], ...]  # sorted by variable, exponents > 0
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_EMPTY: Monomial = ()
+_BITS = 16                              # width of one packed exponent field
+_FIELD_MASK = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1   # the top bit of a field is its guard
+
+# The packed layout, shared by every polynomial and grown on first use.  It is
+# append-only, and no value depends on the order in which fields were assigned:
+# equality compares packed ints of one layout, and presentation decodes them.
+_FIELD: dict[JetVar, int] = {}          # jet variable -> field index
+_VARS: list[JetVar] = []                # field index -> jet variable
+_UNIT: list[int] = []                   # field index -> packed monomial of the variable
+_GUARD = 0                              # the guard bits of every assigned field
 
 
 class DegreeUndefinedError(ValueError):
@@ -42,6 +63,10 @@ class DegreeUndefinedError(ValueError):
 
 class ArityMismatchError(ValueError):
     """Raised when a value uses variables outside the declared arity."""
+
+
+class ExponentOverflowError(OverflowError):
+    """Raised when an exponent would exceed MAX_EXPONENT (its packed field)."""
 
 
 def jet(alpha: int, order: int = 0) -> JetVar:
@@ -60,119 +85,216 @@ def shift_var(alpha: int, order: int) -> JetVar:
     return (alpha, order)
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+def _unit(v: JetVar) -> int:
+    """The packed monomial of the variable v; assigns its field on first use."""
+    f = _FIELD.get(v)
+    if f is None:
+        global _GUARD
+        f = len(_VARS)
+        _FIELD[v] = f
+        _VARS.append(v)
+        _UNIT.append(1 << (f * _BITS))
+        _GUARD |= 1 << (f * _BITS + _BITS - 1)
+    return _UNIT[f]
+
+
+def _factors(m: int) -> list[tuple[int, int]]:
+    """(field index, exponent) of each variable of a packed monomial."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    while m:
+        f = ((m & -m).bit_length() - 1) // _BITS
+        e = (m >> (f * _BITS)) & _FIELD_MASK
+        out.append((f, e))
+        m -= e << (f * _BITS)
+    return out
+
+
+def _monomial(m: int) -> Monomial:
+    return tuple(sorted((_VARS[f], e) for f, e in _factors(m)))
+
+
+def _degree(m: int) -> int:
+    return sum(_VARS[f][1] * e for f, e in _factors(m))
+
+
+def _overflow(m: int) -> ExponentOverflowError:
+    """The error for a monomial sum whose guard bits are set."""
+    f = ((m & _GUARD).bit_length() - 1) // _BITS
+    return ExponentOverflowError(
+        f"exponent of u_{_VARS[f]} would exceed MAX_EXPONENT = {MAX_EXPONENT}")
+
+
+def _pack(mono) -> int:
+    exps: dict[JetVar, int] = {}
+    for v, e in mono:
+        exps[v] = exps.get(v, 0) + e
+    m = 0
+    for v, e in exps.items():
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of u_{v}")
+        if e > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"exponent {e} of u_{v} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        m += e * _unit(v)
+    return m
+
+
+def _new(num: dict[int, int], den: int) -> "DiffPoly":
+    """A DiffPoly from parts already in normal form."""
+    p = object.__new__(DiffPoly)
+    p._num = num
+    p._den = den
+    return p
+
+
+def _normal(num: dict[int, int], den: int) -> "DiffPoly":
+    """num/den in normal form: zero numerators dropped, one gcd pass."""
+    if 0 in num.values():
+        num = {m: c for m, c in num.items() if c}
+    if not num:
+        return _new(num, 1)
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return _new(num, den)
+
+
+def _add_into(acc: dict[int, int], den: int, p: "DiffPoly", k: int = 1) -> int:
+    """acc/den += k*p, in place over numerators; returns the new denominator."""
+    d = p._den
+    if den % d:
+        new = lcm(den, d)
+        f = new // den
+        for m in acc:
+            acc[m] *= f
+        den = new
+    k *= den // d
+    get = acc.get
+    for m, c in p._num.items():
+        acc[m] = get(m, 0) + c * k
+    return den
+
+
+class _TermsView(Mapping):
+    """Read-only view of a DiffPoly: tuple monomial -> Fraction coefficient."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "DiffPoly"):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p._num)
+
+    def __iter__(self):
+        return (_monomial(m) for m in self._p._num)
+
+    def items(self) -> list[tuple[Monomial, Fraction]]:
+        den = self._p._den
+        return [(_monomial(m), Fraction(c, den)) for m, c in self._p._num.items()]
+
+    def __getitem__(self, mono) -> Fraction:
+        c = self._p._num.get(_pack(mono))
+        if c is None:
+            raise KeyError(mono)
+        return Fraction(c, self._p._den)
 
 
 class DiffPoly:
-    """Sparse differential polynomial with Fraction coefficients."""
+    """Sparse differential polynomial: int numerators over one int denominator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
-        if terms is None:
-            self.terms = {}
-        else:
-            clean: dict[Monomial, Coeff] = {}
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[tuple(sorted(mono))] = c
-            self.terms = clean
-
-    # -- fast internal constructor: assumes canonical input -----------------
-    @classmethod
-    def _raw(cls, terms: dict[Monomial, Coeff]) -> "DiffPoly":
-        p = object.__new__(cls)
-        p.terms = terms
-        return p
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+        coeffs: dict[int, Fraction] = {}
+        for mono, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                m = _pack(mono)
+                coeffs[m] = coeffs.get(m, 0) + c
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        p = _normal({m: c.numerator * (den // c.denominator)
+                     for m, c in coeffs.items()}, den)
+        self._num, self._den = p._num, p._den
 
     @classmethod
     def zero(cls) -> "DiffPoly":
-        return cls._raw({})
+        return _new({}, 1)
 
     @classmethod
     def const(cls, c) -> "DiffPoly":
         c = Fraction(c)
-        return cls._raw({_EMPTY: c} if c else {})
+        return _new({0: c.numerator}, c.denominator) if c else _new({}, 1)
 
     @classmethod
     def var(cls, alpha: int, order: int = 0) -> "DiffPoly":
-        return cls._raw({((jet(alpha, order), 1),): _ONE})
+        return _new({_unit(jet(alpha, order)): 1}, 1)
 
     @classmethod
     def dvar(cls, alpha: int, order: int) -> "DiffPoly":
         """Difference-ring generator with order allowed in Z."""
-        return cls._raw({((shift_var(alpha, order), 1),): _ONE})
+        return _new({_unit(shift_var(alpha, order)): 1}, 1)
+
+    @property
+    def terms(self) -> _TermsView:
+        """The terms as a read-only map: tuple monomial -> Fraction."""
+        return _TermsView(self)
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(m == _EMPTY for m in self.terms)
+        return all(m == 0 for m in self._num)
 
-    def constant_term(self) -> Coeff:
-        return self.terms.get(_EMPTY, _ZERO)
+    def constant_term(self) -> Fraction:
+        return Fraction(self._num.get(0, 0), self._den)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffPoly):
-            return self.terms == other.terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == DiffPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
+
+    def __reduce__(self):
+        # packed monomials mean something only in this process's layout
+        return (DiffPoly, (dict(self.terms.items()),))
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other) -> "DiffPoly":
-        if isinstance(other, (int, Fraction)):
-            other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
-            return NotImplemented
-        if not self.terms:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = DiffPoly.const(other)
+        a, b = self._num, other._num
+        if not a:
             return other
-        if not other.terms:
+        if not b:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return DiffPoly._raw(out)
+        da, db = self._den, other._den
+        if len(a) < len(b):
+            a, b, da, db = b, a, db, da
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = a.copy() if fa == 1 else {m: c * fa for m, c in a.items()}
+        get = out.get
+        for m, c in b.items():
+            out[m] = get(m, 0) + c * fb
+        return _normal(out, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly._raw({m: -c for m, c in self.terms.items()})
+        return _new({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "DiffPoly":
         return self + (-other if isinstance(other, DiffPoly) else DiffPoly.const(-Fraction(other)))
@@ -180,30 +302,44 @@ class DiffPoly:
     def __rsub__(self, other) -> "DiffPoly":
         return (-self) + other
 
+    def _scale(self, n: int, d: int) -> "DiffPoly":
+        """self * n/d for a reduced fraction with d > 0."""
+        num = self._num
+        if not n or not num:
+            return _new({}, 1)
+        g = gcd(self._den, n)
+        den, n = self._den // g, n // g
+        if d != 1:
+            g = gcd(d, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                d //= g
+        return _new({m: c * n for m, c in num.items()}, den * d)
+
     def __mul__(self, other) -> "DiffPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return DiffPoly.zero()
-            return DiffPoly._raw({m: cc * c for m, cc in self.terms.items()})
         if not isinstance(other, DiffPoly):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
             return NotImplemented
-        if not self.terms or not other.terms:
-            return DiffPoly.zero()
-        out: dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mul_monomials(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return DiffPoly._raw(out)
+        a, b = self._num, other._num
+        if not a or not b:
+            return _new({}, 1)
+        if len(a) > len(b):
+            a, b = b, a
+        if (reduce(or_, a) + reduce(or_, b)) & _GUARD:
+            # some field may overflow: find a product that does
+            for m1 in a:
+                for m2 in b:
+                    if (m1 + m2) & _GUARD:
+                        raise _overflow(m1 + m2)
+        out: dict[int, int] = {}
+        get = out.get
+        b_items = b.items()
+        for m1, c1 in a.items():
+            for m2, c2 in b_items:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return _normal(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -222,42 +358,31 @@ class DiffPoly:
     # -- calculus ------------------------------------------------------------
     def partial(self, v: JetVar) -> "DiffPoly":
         """Partial derivative with respect to a single jet variable."""
-        out: dict[Monomial, Coeff] = {}
-        for mono, c in self.terms.items():
-            for idx, (w, e) in enumerate(mono):
-                if w == v:
-                    if e == 1:
-                        new = mono[:idx] + mono[idx + 1:]
-                    else:
-                        new = mono[:idx] + ((w, e - 1),) + mono[idx + 1:]
-                    s = out.get(new, _ZERO) + c * e
-                    if s:
-                        out[new] = s
-                    else:
-                        out.pop(new, None)
-                    break
-        return DiffPoly._raw(out)
+        f = _FIELD.get(v)
+        if f is None:
+            return _new({}, 1)
+        shift, unit = f * _BITS, _UNIT[f]
+        out = {}
+        for m, c in self._num.items():
+            e = (m >> shift) & _FIELD_MASK
+            if e:
+                out[m - unit] = c * e
+        return _normal(out, self._den)
 
     def dx(self) -> "DiffPoly":
         """Total derivative: u_{a,m} -> u_{a,m+1}, extended by Leibniz."""
-        out: dict[Monomial, Coeff] = {}
-        for mono, c in self.terms.items():
-            for idx, ((alpha, order), e) in enumerate(mono):
+        out: dict[int, int] = {}
+        get = out.get
+        for m, c in self._num.items():
+            for f, e in _factors(m):
+                alpha, order = _VARS[f]
                 if order < 0:
                     raise ValueError("total derivative needs orders >= 0")
-                bumped = (alpha, order + 1)
-                rest = list(mono)
-                if e == 1:
-                    del rest[idx]
-                else:
-                    rest[idx] = ((alpha, order), e - 1)
-                new = _mul_monomials(tuple(rest), ((bumped, 1),))
-                s = out.get(new, _ZERO) + c * e
-                if s:
-                    out[new] = s
-                else:
-                    out.pop(new, None)
-        return DiffPoly._raw(out)
+                new = m - _UNIT[f] + _unit((alpha, order + 1))
+                if new & _GUARD:
+                    raise _overflow(new)
+                out[new] = get(new, 0) + c * e
+        return _normal(out, self._den)
 
     def dx_n(self, n: int) -> "DiffPoly":
         p = self
@@ -268,7 +393,7 @@ class DiffPoly:
     # -- grading ---------------------------------------------------------
     def degrees(self) -> frozenset[int]:
         """Set of differential degrees of the monomials (deg u_{a,m} = m)."""
-        return frozenset(sum(order * e for ((_, order), e) in m) for m in self.terms)
+        return frozenset(_degree(m) for m in self._num)
 
     def degree(self):
         """Common degree if homogeneous, else the frozenset of degrees.
@@ -283,32 +408,23 @@ class DiffPoly:
         return degs
 
     def degree_component(self, d: int) -> "DiffPoly":
-        out = {
-            m: c
-            for m, c in self.terms.items()
-            if sum(order * e for ((_, order), e) in m) == d
-        }
-        return DiffPoly._raw(out)
+        return self.degree_decomposition().get(d, DiffPoly.zero())
 
     def degree_decomposition(self) -> dict[int, "DiffPoly"]:
-        buckets: dict[int, dict[Monomial, Coeff]] = {}
-        for m, c in self.terms.items():
-            d = sum(order * e for ((_, order), e) in m)
-            buckets.setdefault(d, {})[m] = c
-        return {d: DiffPoly._raw(t) for d, t in buckets.items()}
+        buckets: dict[int, dict[int, int]] = {}
+        for m, c in self._num.items():
+            buckets.setdefault(_degree(m), {})[m] = c
+        return {d: _normal(t, self._den) for d, t in buckets.items()}
 
     # -- structure queries -----------------------------------------------
     def variables(self) -> set[JetVar]:
-        out: set[JetVar] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
+        return {_VARS[f] for f, _ in _factors(reduce(or_, self._num, 0))}
 
     def max_alpha(self) -> int:
-        return max((v[0] for m in self.terms for v, _ in m), default=0)
+        return max((v[0] for v in self.variables()), default=0)
 
     def max_order(self) -> int:
-        return max((v[1] for m in self.terms for v, _ in m), default=0)
+        return max((v[1] for v in self.variables()), default=0)
 
     def check_arity(self, ell: int) -> "DiffPoly":
         if self.max_alpha() > ell:
@@ -324,55 +440,45 @@ class DiffPoly:
         result type follows the images.  Images and their powers are cached,
         and plain-polynomial results are accumulated in place.
         """
-        img_cache: dict[JetVar, object] = {}
-        pow_cache: dict[tuple[JetVar, int], object] = {}
+        img_cache: dict[int, object] = {}
+        pow_cache: dict[tuple[int, int], object] = {}
 
-        def power(v: JetVar, e: int):
-            got = pow_cache.get((v, e))
+        def power(f: int, e: int):
+            got = pow_cache.get((f, e))
             if got is None:
-                img = img_cache.get(v)
+                img = img_cache.get(f)
                 if img is None:
-                    img = image(v[0], v[1])
-                    img_cache[v] = img
+                    img = image(*_VARS[f])
+                    img_cache[f] = img
                 got = img ** e
-                pow_cache[(v, e)] = got
+                pow_cache[(f, e)] = got
             return got
 
-        acc: dict[Monomial, Coeff] | None = {}
+        acc: dict[int, int] | None = {}
+        acc_den = 1
         series_result = None
-        for mono, c in self.terms.items():
+        for m, c in self._num.items():
             term = None
-            for v, e in mono:
-                factor = power(v, e)
+            for f, e in _factors(m):
+                factor = power(f, e)
                 term = factor if term is None else term * factor
             if term is None:
-                term = DiffPoly.const(c)
-            else:
-                term = term * c
+                term = DiffPoly.const(1)
             if isinstance(term, DiffPoly) and acc is not None:
-                for m, cc in term.terms.items():
-                    s = acc.get(m)
-                    if s is None:
-                        acc[m] = cc
-                    else:
-                        s = s + cc
-                        if s:
-                            acc[m] = s
-                        else:
-                            del acc[m]
-            else:
-                # an image was an EpsSeries; fall back to series accumulation
-                if acc:
-                    carried = DiffPoly._raw(acc)
-                    term = term + carried
-                acc = None
-                series_result = term if series_result is None else series_result + term
+                acc_den = _add_into(acc, acc_den, term, c)
+                continue
+            # an image was an EpsSeries; fall back to series accumulation
+            term = term * Fraction(c, self._den)
+            if acc:
+                term = term + _normal(acc, acc_den * self._den)
+            acc = None
+            series_result = term if series_result is None else series_result + term
         if series_result is not None:
             return series_result
-        return DiffPoly._raw(acc if acc else {})
+        return _normal(acc, acc_den * self._den)
 
     # -- presentation ------------------------------------------------------
-    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0])
 
     def __repr__(self) -> str:
@@ -651,22 +757,13 @@ def apply_poly_derivation(jets: JetMap, p: DiffPoly) -> DiffPoly:
     D(p) = sum_{a,m} d^m(W_a) * dp/du_{a,m}.  Raises ArityMismatchError when
     p involves a component beyond the arity of the characteristic.
     """
-    acc: dict[Monomial, Coeff] = {}
+    acc: dict[int, int] = {}
+    den = 1
     for (alpha, order) in sorted(p.variables()):
         if order < 0:
             raise ValueError("evolutionary derivations need orders >= 0")
-        term = jets(alpha, order) * p.partial((alpha, order))
-        for m, cc in term.terms.items():
-            s = acc.get(m)
-            if s is None:
-                acc[m] = cc
-            else:
-                s = s + cc
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-    return DiffPoly._raw(acc)
+        den = _add_into(acc, den, jets(alpha, order) * p.partial((alpha, order)))
+    return _normal(acc, den)
 
 
 class Derivation:

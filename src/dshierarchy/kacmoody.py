@@ -68,6 +68,11 @@ def _frac_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _integral(c: Fraction) -> int | Fraction:
+    """c as an int when it is one, so that a product with it is an integer scaling."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _mat_mul(a, b):
     n = len(a)
     return tuple(
@@ -102,7 +107,7 @@ class SimpleLieAlgebra:
         self._coords = LinearSolver(rows)
         self._size = size
         # Structure constants from matrix brackets.
-        self.bracket_table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         for i in range(self.dim):
             for j in range(self.dim):
                 if i == j:
@@ -110,12 +115,12 @@ class SimpleLieAlgebra:
                 br = _mat_sub(_mat_mul(self.matrices[i], self.matrices[j]),
                               _mat_mul(self.matrices[j], self.matrices[i]))
                 coords = self.coordinates_of_matrix(br)
-                entries = tuple((k, c) for k, c in enumerate(coords) if c)
+                entries = tuple((k, _integral(c)) for k, c in enumerate(coords) if c)
                 if entries:
                     self.bracket_table[(i, j)] = entries
         # Normalized invariant form: trace form in the defining representation.
         self.gram = [
-            [_mat_trace(_mat_mul(self.matrices[i], self.matrices[j]))
+            [_integral(_mat_trace(_mat_mul(self.matrices[i], self.matrices[j])))
              for j in range(self.dim)]
             for i in range(self.dim)
         ]

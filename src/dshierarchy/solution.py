@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .diffalg import DiffPoly, EpsSeries
+from .diffalg import DiffPoly, EpsSeries, JetMap
 from .hierarchy import Flow, FlowLabel, OmegaTable, verify_integrability
 from .ratfunc import RatFunc
 
@@ -251,36 +251,35 @@ def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
                 new.append(cand)
         indices.extend(new)
 
-    dcache: dict[tuple[int, int], RatFunc] = {}
-
-    def jet(alpha: int, m: int) -> RatFunc:
-        key = (alpha, m)
-        got = dcache.get(key)
-        if got is None:
-            got = initial[alpha - 1] if m == 0 else jet(alpha, m - 1).dx()
-            dcache[key] = got
-        return got
-
+    jet = JetMap(initial)
     coeffs = {}
     for (alpha, exps), s in polys.items():
         coeffs[(alpha, exps)] = _evaluate_series(s, jet)
     return FormalSolution(labels, t_degree, eps_order, tuple(initial), coeffs)
 
 
-def evaluate_on_solution(entry: DiffPoly, sol: FormalSolution,
-                         _jet_cache: dict | None = None) -> TSeries:
-    """Two-point value: evaluate a graded entry along the solution."""
-    series = EpsSeries.regrade(entry, sol.K, shift=0)
-    cache = _jet_cache if _jet_cache is not None else {}
+class SolutionJets:
+    """Powers of the jets d^m u_alpha along a solution, each computed once."""
 
-    def jet(alpha: int, m: int) -> TSeries:
-        key = (alpha, m)
-        got = cache.get(key)
+    def __init__(self, sol: FormalSolution):
+        self.jets = JetMap([sol.series(a) for a in range(1, len(sol.initial) + 1)])
+        self._powers: dict[tuple[int, int, int], TSeries] = {}
+
+    def power(self, alpha: int, m: int, e: int) -> TSeries:
+        key = (alpha, m, e)
+        got = self._powers.get(key)
         if got is None:
-            got = sol.series(alpha) if m == 0 else jet(alpha, m - 1).dx()
-            cache[key] = got
+            got = self.jets(alpha, m) ** e
+            self._powers[key] = got
         return got
 
+
+def _evaluate_graded(p: DiffPoly, sol: FormalSolution, shift: int,
+                     jets: SolutionJets | None) -> TSeries:
+    """Evaluate p along the solution, its degree-d part placed at eps^(d+shift)."""
+    if jets is None:
+        jets = SolutionJets(sol)
+    series = EpsSeries.regrade(p, sol.K, shift=shift)
     nl = len(sol.labels)
     out = TSeries(nl, sol.T, sol.K)
     for q, comp in enumerate(series.components):
@@ -290,10 +289,22 @@ def evaluate_on_solution(entry: DiffPoly, sol: FormalSolution,
         for mono, c in comp.terms.items():
             term = TSeries.const(nl, sol.T, sol.K, RatFunc.const(c))
             for (alpha, m), e in mono:
-                term = term * (jet(alpha, m) ** e)
+                term = term * jets.power(alpha, m, e)
             val = val + term
         out = out + val.eps_shift(q)
     return out
+
+
+def evaluate_on_solution(entry: DiffPoly, sol: FormalSolution,
+                         jets: SolutionJets | None = None) -> TSeries:
+    """Two-point value: evaluate a graded entry along the solution."""
+    return _evaluate_graded(entry, sol, 0, jets)
+
+
+def evaluate_flow_char(char: DiffPoly, sol: FormalSolution,
+                       jets: SolutionJets | None = None) -> TSeries:
+    """Evaluate a flow characteristic (graded with dispersionless at eps^0)."""
+    return _evaluate_graded(char, sol, -1, jets)
 
 
 def two_point_functions(sol: FormalSolution, omega: OmegaTable,
@@ -305,11 +316,11 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
     closedness needed for the second log-derivatives to integrate to a
     tau-function.  Also re-checks the flow equations on the coefficients.
     """
-    jet_cache: dict = {}
+    jets = SolutionJets(sol)
     values: dict[tuple[FlowLabel, FlowLabel], TSeries] = {}
     for i in sol.labels:
         for j in sol.labels:
-            values[(i, j)] = evaluate_on_solution(omega.entry(i, j), sol, jet_cache)
+            values[(i, j)] = evaluate_on_solution(omega.entry(i, j), sol, jets)
     report = []
     tcut = sol.T - 1
     for a, i in enumerate(sol.labels):
@@ -327,49 +338,20 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
 def flow_equation_report(sol: FormalSolution, flows: Sequence[Flow]) -> list[dict]:
     """d u / d t_j equals the flow characteristic along the solution (to T-1)."""
     by_label = {f.label: f for f in flows}
-    jet_cache: dict = {}
+    jets = SolutionJets(sol)
     out = []
     tcut = sol.T - 1
     for b, j in enumerate(sol.labels):
         f = by_label[j]
         for alpha in range(1, len(sol.initial) + 1):
             lhs = sol.series(alpha).dt(b).truncate_t(tcut)
-            rhs = evaluate_flow_char(f.chars[alpha - 1], sol, jet_cache).truncate_t(tcut)
+            rhs = evaluate_flow_char(f.chars[alpha - 1], sol, jets).truncate_t(tcut)
             out.append({
                 "check": "flow_equation",
                 "label": list(j),
                 "component": alpha,
                 "residual_zero": (lhs - rhs).is_zero(),
             })
-    return out
-
-
-def evaluate_flow_char(char: DiffPoly, sol: FormalSolution,
-                       _jet_cache: dict | None = None) -> TSeries:
-    """Evaluate a flow characteristic (graded with dispersionless at eps^0)."""
-    series = EpsSeries.regrade(char, sol.K, shift=-1)
-    cache = _jet_cache if _jet_cache is not None else {}
-
-    def jet(alpha: int, m: int) -> TSeries:
-        key = (alpha, m)
-        got = cache.get(key)
-        if got is None:
-            got = sol.series(alpha) if m == 0 else jet(alpha, m - 1).dx()
-            cache[key] = got
-        return got
-
-    nl = len(sol.labels)
-    out = TSeries(nl, sol.T, sol.K)
-    for q, comp in enumerate(series.components):
-        if comp.is_zero():
-            continue
-        val = TSeries(nl, sol.T, sol.K)
-        for mono, c in comp.terms.items():
-            term = TSeries.const(nl, sol.T, sol.K, RatFunc.const(c))
-            for (alpha, m), e in mono:
-                term = term * (jet(alpha, m) ** e)
-            val = val + term
-        out = out + val.eps_shift(q)
     return out
 
 

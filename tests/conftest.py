@@ -1,9 +1,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.hierarchy import DSHierarchy
+
+# Property tests draw the same examples on every run and have no deadline,
+# so the suite is reproducible and a loaded machine cannot fail it.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

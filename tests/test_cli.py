@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from dshierarchy import cli
 from dshierarchy.cli import main
+from dshierarchy.hierarchy import DSHierarchy
 
 
 def run(capsys, *argv):
@@ -63,6 +65,26 @@ def test_verify_negative_control(capsys):
     failed = [c["check"] for c in payload["checks"]
               if not c.get("residual_zero", True)]
     assert "tau_symmetry" in failed
+
+
+def test_verify_corrupts_a_copy_of_the_cached_table(capsys, monkeypatch):
+    built = []
+
+    def build(cfg):
+        built.append(real_build(cfg))
+        return built[-1]
+
+    real_build = cli._build_hierarchy
+    monkeypatch.setattr(cli, "_build_hierarchy", build)
+    code, out, _ = run(capsys, "verify", "--type", "a1_1", "--max-k", "1",
+                       "--self-test-corrupt")
+    assert code == 1
+    failed = {c["check"] for c in json.loads(out)["checks"]
+              if not c["residual_zero"]}
+    assert "tau_symmetry" in failed
+    (cached,) = built[0]._omega.values()
+    fresh = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1).omega_table(1, 1)
+    assert cached.entries == fresh.entries
 
 
 def test_solve_t_zero_echo(capsys):
@@ -208,4 +230,26 @@ def test_verify_a2_1_golden(capsys):
                        "--eps-order", "4", "--jet-depth", "8")
     assert code == 0
     golden = Path(__file__).parent / "data" / "verify-a2_1.json"
+    assert out.encode() == golden.read_bytes()
+
+
+# The other benchmark jobs; each file holds the job's exact stdout.
+BENCH_GOLDENS = {
+    "derive-a2_1": ("derive", "--type", "a2_1", "--flows", "1:0,2:0,1:1,2:1",
+                    "--max-k", "1", "--eps-order", "4"),
+    "omega-a2_2": ("omega", "--type", "a2_2", "--max-k", "1", "--max-a", "2",
+                   "--flows", "1:0,1:1"),
+    "solve-a1_1": ("solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2",
+                   "--t-degree", "2", "--eps-order", "2", "--max-k", "1",
+                   "--bgw", "1"),
+    "discrete-seed1": ("discrete", "--eps-order", "4", "--t-degree", "2",
+                       "--samples", "100", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDENS))
+def test_bench_job_golden(capsys, name):
+    code, out, _ = run(capsys, *BENCH_GOLDENS[name])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"{name}.json"
     assert out.encode() == golden.read_bytes()

@@ -1,0 +1,188 @@
+"""Property tests of the DiffPoly kernel, with sympy as an independent oracle."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dshierarchy.diffalg import (MAX_EXPONENT, DiffPoly, ExponentOverflowError,
+                                 JetMap)
+
+u = DiffPoly.var
+v = DiffPoly.dvar
+
+coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def poly_strategy(orders=st.integers(0, 3), max_exp=3, max_terms=5):
+    variables = st.tuples(st.integers(1, 2), orders)
+    monomials = st.dictionaries(variables, st.integers(1, max_exp), max_size=3).map(
+        lambda exps: tuple(sorted(exps.items())))
+    return st.dictionaries(monomials, coeffs, max_size=max_terms).map(DiffPoly)
+
+
+polys = poly_strategy()
+small_polys = poly_strategy(st.integers(0, 2), max_exp=2, max_terms=3)
+shift_polys = poly_strategy(st.integers(-3, 3))
+jet_vars = st.tuples(st.integers(1, 2), st.integers(0, 4))
+
+
+def assert_normal(p: DiffPoly):
+    """The stored form: positive denominator, coprime to the numerators, no zeros."""
+    num, den = p._num, p._den
+    assert den > 0
+    assert 0 not in num.values()
+    assert gcd(den, *num.values()) == 1
+    if not num:
+        assert den == 1
+
+
+def to_sympy(p: DiffPoly):
+    expr = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for (alpha, order), e in mono:
+            term *= sympy.Symbol(f"u_{alpha}_{order}") ** e
+        expr += term
+    return sympy.expand(expr)
+
+
+def sympy_dx(expr):
+    out = sympy.Integer(0)
+    for sym in expr.free_symbols:
+        _, alpha, order = sym.name.split("_")
+        out += sympy.Symbol(f"u_{alpha}_{int(order) + 1}") * sympy.diff(expr, sym)
+    return sympy.expand(out)
+
+
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    zero, one = DiffPoly.zero(), DiffPoly.const(1)
+    assert p + q == q + p
+    assert (p + q) + r == p + (q + r)
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p
+    assert (p - p).is_zero() and (p * zero).is_zero()
+    assert hash(p * q) == hash(q * p)
+
+
+@given(polys, polys, coeffs)
+def test_results_are_normalised(p, q, c):
+    for result in (p, q, p + q, p - q, p * q, p * c, p.dx(), p.partial((1, 0)),
+                   *p.degree_decomposition().values()):
+        assert_normal(result)
+        assert DiffPoly(result.terms) == result
+
+
+@given(polys, polys)
+def test_leibniz_rule(p, q):
+    assert (p * q).dx() == p.dx() * q + p * q.dx()
+    assert (p + q).dx() == p.dx() + q.dx()
+
+
+@given(polys, jet_vars)
+def test_partial_of_total_derivative(p, var):
+    # d/du_{a,m} (d p) = d (d/du_{a,m} p) + d/du_{a,m-1} p
+    alpha, m = var
+    lower = p.partial((alpha, m - 1)) if m > 0 else DiffPoly.zero()
+    assert p.dx().partial(var) == p.partial(var).dx() + lower
+
+
+@given(small_polys, small_polys, st.lists(small_polys, min_size=2, max_size=2))
+def test_substitute_is_a_ring_homomorphism(p, q, images):
+    jets = JetMap(images)
+    assert (p * q).substitute(jets) == p.substitute(jets) * q.substitute(jets)
+    assert (p + q).substitute(jets) == p.substitute(jets) + q.substitute(jets)
+    # a homomorphism built from jets of images commutes with d
+    assert p.dx().substitute(jets) == p.substitute(jets).dx()
+
+
+@given(polys, polys, coeffs)
+def test_sympy_oracle(p, q, c):
+    sp, sq = to_sympy(p), to_sympy(q)
+    assert to_sympy(p * c) == sympy.expand(sp * sympy.Rational(c.numerator, c.denominator))
+    assert to_sympy(p + q) == sympy.expand(sp + sq)
+    assert to_sympy(p - q) == sympy.expand(sp - sq)
+    assert to_sympy(p * q) == sympy.expand(sp * sq)
+    assert to_sympy(p.dx()) == sympy_dx(sp)
+
+
+@given(polys)
+def test_terms_view_matches_sorted_terms(p):
+    assert sorted(p.terms.items()) == p.sorted_terms()
+    assert len(p.terms) == len(p.sorted_terms())
+    for mono, c in p.sorted_terms():
+        assert p.terms[mono] == c
+        assert all(e > 0 for _, e in mono)
+        assert list(mono) == sorted(mono)
+
+
+@given(shift_polys, shift_polys, shift_polys)
+def test_negative_shift_orders(p, q, r):
+    assert p * (q + r) == p * q + p * r
+    assert (p * q).partial((1, -1)) == p.partial((1, -1)) * q + p * q.partial((1, -1))
+    shift = lambda alpha, m: v(alpha, m + 1)
+    assert (p * q).substitute(shift) == p.substitute(shift) * q.substitute(shift)
+    assert to_sympy(p * q) == sympy.expand(to_sympy(p) * to_sympy(q))
+    for result in (p + q, p * q):
+        assert_normal(result)
+
+
+def test_negative_orders_reject_total_derivative():
+    p = v(1, -2) * v(1, 0) + Fraction(1, 3) * v(2, -1)
+    assert p.variables() == {(1, -2), (1, 0), (2, -1)}
+    assert p.max_order() == 0
+    assert [m for m, _ in p.sorted_terms()] == [(((1, -2), 1), ((1, 0), 1)),
+                                                (((2, -1), 1),)]
+    with pytest.raises(ValueError):
+        p.dx()
+
+
+def test_exponent_overflow_is_named_and_raised_before_carry():
+    top = u(1) ** MAX_EXPONENT
+    assert top.sorted_terms() == [((((1, 0), MAX_EXPONENT),), Fraction(1))]
+    with pytest.raises(ExponentOverflowError, match=r"\(1, 0\)"):
+        top * u(1)
+    with pytest.raises(ExponentOverflowError):
+        u(1, 1) * u(1, 2) ** MAX_EXPONENT * u(1, 2)
+    with pytest.raises(ExponentOverflowError):
+        (u(1) * u(1, 1) ** MAX_EXPONENT).dx()
+    with pytest.raises(ExponentOverflowError):
+        DiffPoly({(((1, 0), MAX_EXPONENT + 1),): 1})
+    # a sum close to the limit that does not pass it is exact
+    half = 1 << 14
+    p = (u(1) ** half + u(1)) * u(1) ** (MAX_EXPONENT - half)
+    assert p == u(1) ** MAX_EXPONENT + u(1) ** (MAX_EXPONENT - half + 1)
+
+
+def test_one_denominator_per_polynomial():
+    p = Fraction(1, 6) * u(1) + Fraction(3, 4) * u(2)
+    assert (p._den, sorted(p._num.values())) == (12, [2, 9])
+    assert (p * 12)._den == 1
+    assert ((p * 12) * Fraction(1, 3)) == 4 * p
+    assert_normal(p * Fraction(4, 3))
+
+
+def test_pickle_carries_tuple_monomials_across_processes():
+    p = Fraction(2, 3) * u(2, 1) ** 2 * u(1) - v(1, -1)
+    assert pickle.loads(pickle.dumps(p)) == p
+    # another process assigns its packed fields in another order
+    script = ("import pickle, sys\n"
+              "from dshierarchy.diffalg import DiffPoly\n"
+              "DiffPoly.var(3, 5) * DiffPoly.dvar(1, -1)\n"
+              "print(pickle.loads(sys.stdin.buffer.read()).sorted_terms())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(p),
+                         capture_output=True, env=env, check=True).stdout
+    assert out.decode().strip() == repr(p.sorted_terms())
