@@ -8,7 +8,9 @@ of nilpotent-valued elements S:
 with the convention [S, d] = -d(S).  The canonical form is the unique pair
 (S_can, Q_can) with Q_can valued in the gauge subspace V; it is found degree
 by degree through the splitting b = V (+) [e, n], which is immediate in the
-ordered Borel frame [V-basis | [e, p_j]-basis].
+ordered Borel frame [V-basis | [e, p_j]-basis].  The same recursion,
+``GaugeFrame.v_valued``, solves for the n-valued compensator of each
+hierarchy flow.
 
 The gauge homomorphism f sends each generator q_i to the corresponding
 entry of Q computed with fresh indeterminates S_1..S_{dim n}; an element is
@@ -29,42 +31,11 @@ from fractions import Fraction
 from .diffalg import DiffPoly, JetMap
 from .kacmoody import LoopElement, LoopRealization
 from .linalg import InconsistentSystemError, LinearSolver
-from .resolvent import LaxOperator
+from .resolvent import LaxOperator, ad_exp_series
 
 
 class NotGaugeInvariantError(ValueError):
     pass
-
-
-_MAX_NILPOTENCY = 64
-
-
-def _exp_ad_nilpotent(s: LoopElement, x: LoopElement) -> LoopElement:
-    """e^{ad s}(x) for s of strictly negative principal degree (finite sum)."""
-    out = x
-    term = x
-    fact = 1
-    for m in range(1, _MAX_NILPOTENCY + 1):
-        term = s.bracket(term)
-        if term.is_zero():
-            return out
-        fact *= m
-        out = out + term.scale(Fraction(1, fact))
-    raise RuntimeError("ad S failed to nilpotate; S is not strictly triangular")
-
-
-def _phi_ad_nilpotent(s: LoopElement, x: LoopElement) -> LoopElement:
-    """phi(ad s)(x), phi(z) = (e^z-1)/z, for nilpotent ad s."""
-    out = x
-    term = x
-    fact = 1
-    for m in range(1, _MAX_NILPOTENCY + 1):
-        term = s.bracket(term)
-        if term.is_zero():
-            return out
-        fact *= (m + 1)
-        out = out + term.scale(Fraction(1, fact))
-    raise RuntimeError("ad S failed to nilpotate; S is not strictly triangular")
 
 
 class GaugeFrame:
@@ -100,6 +71,23 @@ class GaugeFrame:
         except InconsistentSystemError as exc:
             raise ValueError("element is not nilpotent-valued") from exc
 
+    def v_valued(self, residual) -> LoopElement:
+        """The n-valued x that makes residual(x) V-valued, degree by degree.
+
+        ``residual`` must be triangular: the principal-degree -(k+1) part of x
+        moves the degree -k slice of residual(x) by [x, e] and touches no
+        higher slice.  So the [e, n] coordinates of slice -k, read in the
+        Borel frame, give that part of x, for k = 0, 1, ... in turn.
+        """
+        real = self.real
+        x = LoopElement.zero(real)
+        for k in range(0, -min(real.pdeg) + 1):
+            m = residual(x).pdeg_slice(-k)
+            if not m.is_zero():
+                coords = real.borel_coords(m.vector_at(0))
+                x = x + self.nilpotent_element(coords[self.ell:])
+        return x
+
     def generic_s(self, offset: int) -> LoopElement:
         """S = sum S_j p_j with S_j fresh generators starting at offset+1."""
         return self.nilpotent_element(
@@ -114,8 +102,8 @@ def gauge_transform(lax: LaxOperator, s: LoopElement) -> LoopElement:
 
 
 def _gauge_q(lax: LaxOperator, s: LoopElement) -> LoopElement:
-    conj = _exp_ad_nilpotent(s, lax.lam_plus_q)
-    correction = _phi_ad_nilpotent(s, s.dx())
+    conj = ad_exp_series(s, lax.lam_plus_q)
+    correction = ad_exp_series(s, s.dx(), shift=1)
     return conj - correction - lax.real.cyclic
 
 
@@ -145,20 +133,9 @@ class CanonicalForm:
 
 def canonical_form(lax: LaxOperator, frame: GaugeFrame | None = None) -> CanonicalForm:
     """Solve for (S_can, Q_can) degree by degree in the Borel frame."""
-    real = lax.real
     if frame is None:
-        frame = GaugeFrame(real)
-    max_depth = -min(real.pdeg[i] for i in range(real.alg.dim))
-    s = LoopElement.zero(real)
-    for k in range(0, max_depth + 1):
-        t = _gauge_q(lax, s)
-        m = t.pdeg_slice(-k)
-        if m.is_zero():
-            continue
-        coords = real.borel_coords(m.vector_at(0))
-        s_new = frame.nilpotent_element(coords[frame.ell:])
-        if not s_new.is_zero():
-            s = s + s_new
+        frame = GaugeFrame(lax.real)
+    s = frame.v_valued(lambda s: _gauge_q(lax, s))
     q_can = _gauge_q(lax, s)
     cf = CanonicalForm(lax, frame, s, q_can)
     if not cf.residual().is_zero():

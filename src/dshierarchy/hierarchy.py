@@ -1,26 +1,29 @@
 """Drinfeld-Sokolov flows, tau-structure table, and structural verification.
 
-The pre-gauge flows act on the Borel-coordinate ring by
+Flows and the tau-structure are both computed on the canonical-form operator
+L_can = d + Lambda + q_u, whose generators are the canonical coordinates
+u_1..u_ell.  The flow D_{a,k} acts by
 
-    D^pre_{a,k}(q) = [(lambda^{k N} R_{m_a})_+ , L],
+    D_{a,k}(L_can) = [(lambda^{k N} R_{m_a})_+ + theta, L_can],
 
-which is Borel-valued at lambda^0; the reduced flows act on the gauge
-invariants through the canonical form and are rewritten as evolutionary
-derivations in the u-jets.  The tau-structure entries Omega_{a,k1;b,k2} come
-from the expansion of the two-variable resolvent pairing against
-1/(lambda-mu)^2 in the region |mu| < |lambda|; the rational counterterm that
-normalizes the diagonal never survives the projection to negative powers of
-the congruence class -1 mod N, but its contribution is subtracted literally.
-The extraction reads
+with R_{m_a} the basic resolvent of L_can and theta the unique n-valued
+compensator that makes the right-hand side V-valued (Drinfeld-Sokolov);
+theta is solved one principal degree at a time by ``GaugeFrame.v_valued``,
+and the V-coordinates of the right-hand side are the characteristics,
+already in the u-jets.  For D_{1,0} the recursion gives theta = q_u - b and
+the right-hand side -d(q_u), so D_{1,0} = -d.  The tau-structure entries
+Omega_{a,k1;b,k2} come from the expansion of the two-variable resolvent
+pairing against 1/(lambda-mu)^2 in the region |mu| < |lambda|; the rational
+counterterm that normalizes the diagonal never survives the projection to
+negative powers of the congruence class -1 mod N, but its contribution is
+subtracted literally.  The extraction reads
 
     Omega_{a,k1;b,k2} = sum_{p >= 1-k1 N} (p + k1 N) *
                         (R_a[p] | R_b[-p-(k1+k2)N])  -  counterterm coeff.
 
-Entries can be computed in two ways that must agree: from the Borel-variable
-Lax operator followed by the gauge-invariant rewrite, or directly from the
-canonical-form Lax operator whose generators are the u-coordinates (the
-rewrite substitution intertwines the two computations; resolvents are unique,
-so the results coincide).  The deep tables use the canonical route.
+Resolvents are gauge covariant, so the Borel-variable operator followed by
+the certified rewrite to the u-jets gives the same flows and entries; that
+route is kept in the tests as a reference.
 
 Verification helpers check flow commutativity, the tau-symmetry identities,
 the gauge invariance of every table entry, the translation flow D_{1,0} = -d
@@ -37,11 +40,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
-from .gauge import (CanonicalForm, GaugeFrame, GaugeHomomorphism,
-                    _exp_ad_nilpotent, _phi_ad_nilpotent, canonical_form,
-                    to_invariant_coordinates)
+from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism, \
+    canonical_form
 from .kacmoody import LoopElement, LoopRealization, build_algebra, \
     default_window_for_depth
+from .linalg import InconsistentSystemError
 from .miura import MiuraTuple, check_miura, invert_miura, \
     reconstruct_flows
 from .resolvent import DepthError, LaxOperator, flow_depth, omega_depth
@@ -85,7 +88,6 @@ class OmegaTable:
     entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly]
     max_a: int
     max_k: int
-    variables: str
     depth: int
 
     def entry(self, i: FlowLabel, j: FlowLabel) -> DiffPoly:
@@ -145,9 +147,10 @@ def _counterterm_coefficient(real: LoopRealization, a: int, b: int,
 class DSHierarchy:
     """A Drinfeld-Sokolov hierarchy for one affine type and marked vertex.
 
-    Builds the loop realization, the Borel-variable and canonical-form Lax
-    operators, and the canonical gauge data; computes flows and tau-structure
-    tables on demand with depths sized from the requested index bounds.
+    Builds the loop realization, the canonical-form Lax operator that flows
+    and tau-structure tables are computed from (on demand, with depths sized
+    from the requested index bounds), and the Borel-variable operator with
+    its canonical gauge data, which the gauge-invariance check uses.
     """
 
     def __init__(self, type_name: str, vertex: int = 0,
@@ -168,7 +171,6 @@ class DSHierarchy:
         self.frame = GaugeFrame(self.real)
         self.canform: CanonicalForm = canonical_form(self.lax_q, self.frame)
         self._hom: GaugeHomomorphism | None = None
-        self._pre_flows: dict[FlowLabel, list[DiffPoly]] = {}
         self._flows: dict[FlowLabel, Flow] = {}
         self._omega: dict[tuple, OmegaTable] = {}
 
@@ -181,141 +183,94 @@ class DSHierarchy:
             self._hom = GaugeHomomorphism(self.lax_q, self.frame)
         return self._hom
 
-    # -- pre-gauge flows --------------------------------------------------
-    def pre_flow_chars(self, label: FlowLabel) -> list[DiffPoly]:
-        """Characteristic of D^pre_{a,k} on the Borel-coordinate generators."""
-        label = _check_label(self.real, label)
-        got = self._pre_flows.get(label)
-        if got is not None:
-            return got
-        a, k = label
-        depth = flow_depth(self.real, a, k) + 1
-        r = self.lax_q.resolvent(a, depth)
-        xp = r.shifted_plus(k)
-        res = xp.bracket(self.lax_q.lam_plus_q) - xp.dx()
-        if res.truncated:
-            raise RuntimeError("window too small for the pre-flow bracket")
-        if any(p != 0 for p in res.lambda_powers()):
-            raise RuntimeError("pre-flow bracket left the lambda^0 slice")
-        coords = self.real.borel_coords(res.vector_at(0))
-        self._pre_flows[label] = coords
-        return coords
-
-    def pre_flow_derivation(self, label: FlowLabel, eps_order: int = 0) -> Derivation:
-        return Derivation.from_polys(self.pre_flow_chars(label), eps_order)
-
-    # -- reduced flows ------------------------------------------------------
+    # -- flows -------------------------------------------------------------
     def flow(self, label: FlowLabel) -> Flow:
-        """The reduced flow on the gauge invariants, in u-jet coordinates."""
+        """The flow D_{a,k} on the canonical coordinates, in u-jets."""
         label = _check_label(self.real, label)
         got = self._flows.get(label)
         if got is not None:
             return got
         a, k = label
         depth = flow_depth(self.real, a, k) + 1
-        r = self.lax_q.resolvent(a, depth)
-        s_can = self.canform.s_can
-        conj = _exp_ad_nilpotent(s_can, r.element())
-        shifted = conj.lambda_shift(k * self.real.twist_order)
-        xplus = shifted.project_plus()
-        dpre = JetMap(self.pre_flow_chars(label))
-        dpre_s = s_can.map_coeffs(lambda p: apply_poly_derivation(dpre, p))
-        corr = _phi_ad_nilpotent(s_can, dpre_s)
-        x = xplus + corr
-        lcan = self.real.cyclic + self.canform.q_can
-        res = x.bracket(lcan) - x.dx()
-        if res.truncated:
-            raise RuntimeError("window too small for the flow bracket")
-        if any(p != 0 for p in res.lambda_powers()):
-            raise RuntimeError("flow bracket left the lambda^0 slice")
-        coords = self.real.borel_coords(res.vector_at(0))
-        if any(not c.is_zero() for c in coords[self.frame.ell:]):
-            raise RuntimeError(
-                "flow is not V-valued; gauge invariance broken upstream")
-        chars = tuple(to_invariant_coordinates(self.canform, c)
-                      for c in coords[: self.frame.ell])
-        flow = Flow(label, chars)
+        x = self.lax_u.resolvent(a, depth).shifted_plus(k)
+        flow = Flow(label, self._compensate(label, x)[2])
         self._flows[label] = flow
         return flow
 
     def flows(self, labels: Iterable[FlowLabel]) -> dict[FlowLabel, Flow]:
         return {tuple(l): self.flow(tuple(l)) for l in labels}
 
+    def _compensate(self, label: FlowLabel, x: LoopElement):
+        """(theta, psi, chars): psi = [x + theta, L_can] - d(x + theta) is V-valued.
+
+        theta is the unique n-valued compensator and chars are the
+        V-coordinates of psi.  psi must be a Borel-valued lambda^0 element; the
+        error names the flow label and the identity when it is not.
+        """
+        lu = self.lax_u.lam_plus_q
+        phi = x.bracket(lu) - x.dx()
+
+        def residual(theta: LoopElement) -> LoopElement:
+            return phi + theta.bracket(lu) - theta.dx()
+
+        theta = self.frame.v_valued(residual)
+        psi = residual(theta)
+        where = f"flow {label}: [X + theta, L_can] - d(X + theta)"
+        if psi.truncated:
+            raise RuntimeError(f"{where} left the lambda window")
+        if any(p != 0 for p in psi.lambda_powers()):
+            raise RuntimeError(
+                f"{where} has lambda powers {psi.lambda_powers()}, not only 0")
+        try:
+            coords = self.real.borel_coords(psi.vector_at(0))
+        except InconsistentSystemError as exc:
+            raise RuntimeError(f"{where} is not Borel-valued") from exc
+        if any(not c.is_zero() for c in coords[self.frame.ell:]):
+            raise RuntimeError(f"{where} is not V-valued")
+        return theta, psi, tuple(coords[: self.frame.ell])
+
     # -- the unique-solution recursion behind D_{1,0} = -d -------------------
     def d10_unique_solve(self) -> tuple[LoopElement, LoopElement]:
-        """Solve psi = [Lambda + b + theta, L_can] for V-valued psi, n-valued theta.
+        """The (psi, theta) of the flow (1, 0): psi = -d(q_u), theta = q_u - b.
 
-        b is read off from (e^{ad S_can} R_1)_+ = Lambda + b.  The recursion
-        of increasing principal codegree determines (psi, theta) uniquely; the
-        result is asserted to be (-d(Q_can), Q_can - b).
+        Here q_u is the V-valued part of L_can, in the u-generators, and b is
+        read off from (R_1^u)_+ = Lambda + b; the compensator recursion
+        determines (psi, theta) uniquely, so D_{1,0} = -d.
         """
         real = self.real
         depth = flow_depth(real, 1, 0) + 1
-        r1 = self.lax_q.resolvent(1, depth)
-        conj = _exp_ad_nilpotent(self.canform.s_can, r1.element())
-        plus = conj.project_plus()
+        plus = self.lax_u.resolvent(1, depth).shifted_plus(0)
         b_elt = plus - real.cyclic
         if any(p != 0 for p in b_elt.lambda_powers()):
-            raise RuntimeError("(e^{ad S} R_1)_+ - Lambda is not lambda-free")
-        real.borel_coords(b_elt.vector_at(0))  # must be Borel-valued
-        q_can = self.canform.q_can
-        lam_tail = LoopElement(real, {1: real.cyclic.vector_at(1)})
-        if not lam_tail.bracket(q_can - b_elt).is_zero():
-            raise RuntimeError("Q_can - b does not commute with the lambda tail")
-        e_elt = LoopElement(real, {0: real.poly_vector(real.e_nil)})
-        phi = e_elt.bracket(q_can) - b_elt.dx() + b_elt.bracket(e_elt + q_can)
-        max_depth = -min(real.pdeg)
-        theta = LoopElement.zero(real)
-        psi = LoopElement.zero(real)
-        for k in range(0, max_depth + 1):
-            rhs = phi.pdeg_slice(-k) - theta.pdeg_slice(-k).dx()
-            for h in range(1, k + 1):
-                rhs = rhs + theta.pdeg_slice(-h).bracket(q_can.pdeg_slice(h - k))
-            if rhs.is_zero():
-                continue
-            coords = real.borel_coords(rhs.vector_at(0))
-            psi = psi + LoopElement(real, {0: self._v_combo(coords[: self.frame.ell])})
-            theta_new = self.frame.nilpotent_element(coords[self.frame.ell:])
-            theta = theta + theta_new
-        if not (psi - (-q_can.dx())).is_zero():
-            raise RuntimeError("unique solution differs from -d(Q_can)")
-        if not (theta - (q_can - b_elt)).is_zero():
-            raise RuntimeError("unique solution differs from Q_can - b")
+            raise RuntimeError("(R_1^u)_+ - Lambda is not lambda-free")
+        theta, psi, _ = self._compensate((1, 0), plus)
+        q_u = self.lax_u.q
+        if not (psi + q_u.dx()).is_zero():
+            raise RuntimeError("unique solution psi differs from -d(q_u)")
+        if not (theta - (q_u - b_elt)).is_zero():
+            raise RuntimeError("unique solution theta differs from q_u - b")
         return psi, theta
 
-    def _v_combo(self, coeffs: Sequence[DiffPoly]):
-        real = self.real
-        vec = [DiffPoly.zero()] * real.alg.dim
-        for c, v in zip(coeffs, real.v_basis):
-            for t, vc in enumerate(v):
-                if vc:
-                    vec[t] = vec[t] + c * vc
-        return tuple(vec)
-
     # -- tau-structure ---------------------------------------------------
-    def omega_table(self, max_a: int | None = None, max_k: int | None = None,
-                    variables: str = "u") -> OmegaTable:
+    def omega_table(self, max_a: int | None = None,
+                    max_k: int | None = None) -> OmegaTable:
         """Tau-structure table for labels (a, k), a <= max_a, k <= max_k.
 
-        variables="u": resolvents of the canonical-form operator, entries
-        directly in u-jets.  variables="q": resolvents of the Borel-variable
-        operator, entries rewritten through the gauge invariants (certified);
-        this is the slower reference route.
+        Read off the resolvents of the canonical-form operator, so the
+        entries come out directly in u-jets.
         """
         real = self.real
         if max_a is None:
             max_a = real.n
         if max_k is None:
             max_k = self.omega_max_k
-        if variables not in ("u", "q"):
-            raise ValueError("variables must be 'u' or 'q'")
-        key = (max_a, max_k, variables)
+        key = (max_a, max_k)
         got = self._omega.get(key)
         if got is not None:
             return got
-        lax = self.lax_u if variables == "u" else self.lax_q
         depth = omega_depth(real, max_a, max_k) + 1
-        resolvents = {a: lax.resolvent(a, depth) for a in range(1, max_a + 1)}
+        resolvents = {a: self.lax_u.resolvent(a, depth)
+                      for a in range(1, max_a + 1)}
         n_tw = real.twist_order
         entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
         for a in range(1, max_a + 1):
@@ -339,22 +294,20 @@ class DSHierarchy:
                         ct = _counterterm_coefficient(real, a, b, k1, k2)
                         if ct:
                             val = val - DiffPoly.const(ct)
-                        if variables == "q":
-                            val = to_invariant_coordinates(self.canform, val)
                         entries[((a, k1), (b, k2))] = val
         for (i, j), val in entries.items():
             if val != entries[(j, i)]:
                 raise RuntimeError(
                     f"tau-structure symmetry broken at {(i, j)}; engine bug")
-        table = OmegaTable(entries, max_a, max_k, "u", depth)
+        table = OmegaTable(entries, max_a, max_k, depth)
         if not table.has_nonconstant_entry():
             raise RuntimeError(
                 "tau-structure is degenerate: every entry is constant")
         self._omega[key] = table
         return table
 
-    def omega_entry_opposite_expansion(self, i: FlowLabel, j: FlowLabel,
-                                       variables: str = "u") -> DiffPoly:
+    def omega_entry_opposite_expansion(self, i: FlowLabel,
+                                       j: FlowLabel) -> DiffPoly:
         """The (i, j) entry computed with 1/(lambda-mu)^2 expanded in lambda/mu.
 
         Used to confirm that the extracted coefficients do not depend on the
@@ -363,14 +316,13 @@ class DSHierarchy:
         """
         (a, k1), (b, k2) = i, j
         real = self.real
-        lax = self.lax_u if variables == "u" else self.lax_q
         n_tw = real.twist_order
         sigma = (k1 + k2) * n_tw
         pmax_a = max(real.heisenberg_element(real.exponents[a - 1]).lambda_powers())
         pmax_b = max(real.heisenberg_element(real.exponents[b - 1]).lambda_powers())
         depth = omega_depth(real, max(a, b), max(k1, k2)) + 1
-        ra = lax.resolvent(a, depth)
-        rb = lax.resolvent(b, depth)
+        ra = self.lax_u.resolvent(a, depth)
+        rb = self.lax_u.resolvent(b, depth)
         val = DiffPoly.zero()
         for p in range(-pmax_b - sigma, -k1 * n_tw):
             weight = -k1 * n_tw - p
@@ -380,8 +332,6 @@ class DSHierarchy:
         ct = _counterterm_coefficient(real, a, b, k1, k2)
         if ct:
             val = val - DiffPoly.const(ct)
-        if variables == "q":
-            val = to_invariant_coordinates(self.canform, val)
         return val
 
 

@@ -22,6 +22,8 @@ residuals through the computed depth.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 from .diffalg import DiffPoly
 from .kacmoody import LoopElement, LoopRealization
@@ -204,8 +206,9 @@ class Dressing:
         """
         real = self.lax.real
         u = self.u_element()
-        total = exp_ad(u, self.lax.lam_plus_q, floor=-(self.depth - 1))
-        du_series = exp_ad_phi(u, u.dx(), floor=-(self.depth - 1))
+        floor = -(self.depth - 1)
+        total = ad_exp_series(u, self.lax.lam_plus_q, floor=floor)
+        du_series = ad_exp_series(u, u.dx(), shift=1, floor=floor)
         total = total - du_series
         target = real.cyclic + self.h_element()
         diff = total - target
@@ -216,41 +219,31 @@ class Dressing:
         return out
 
 
-def exp_ad(u: LoopElement, x: LoopElement, floor: int) -> LoopElement:
-    """e^{ad u}(x), truncated below principal degree ``floor``."""
+_MAX_NILPOTENCY = 64
+
+
+def ad_exp_series(u: LoopElement, x: LoopElement, shift: int = 0,
+                  floor: int | None = None) -> LoopElement:
+    """sum_{m >= 0} (ad u)^m (x) / (m + shift)! for shift 0 or 1.
+
+    shift 0 gives e^{ad u}(x); shift 1 gives phi(ad u)(x) with
+    phi(z) = (e^z - 1)/z.  With ``floor`` every term is truncated below that
+    principal degree, so the series ends for any u of negative degree;
+    without it, ad u must be nilpotent and the series must end within
+    ``_MAX_NILPOTENCY`` terms.
+    """
     out = x
     term = x
-    m = 1
-    while True:
+    for m in count(1):
         term = u.bracket(term)
-        term = _truncate_floor(term, floor)
+        if floor is not None:
+            term = _truncate_floor(term, floor)
         if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, _fact(m)))
-        m += 1
-    return out
-
-
-def exp_ad_phi(u: LoopElement, x: LoopElement, floor: int) -> LoopElement:
-    """phi(ad u)(x) with phi(z) = (e^z - 1)/z = sum z^m/(m+1)!."""
-    out = x
-    term = x
-    m = 1
-    while True:
-        term = u.bracket(term)
-        term = _truncate_floor(term, floor)
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, _fact(m + 1)))
-        m += 1
-    return out
-
-
-def _fact(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
+            return out
+        if floor is None and m > _MAX_NILPOTENCY:
+            raise RuntimeError(
+                "ad u failed to nilpotate; u is not strictly triangular")
+        out = out + term.scale(Fraction(1, factorial(m + shift)))
 
 
 def _truncate_floor(x: LoopElement, floor: int) -> LoopElement:
@@ -297,7 +290,7 @@ class _ResolventState:
             while m <= j:
                 term = self._B_at(m, d)
                 if not term.is_zero():
-                    out = out + term.scale(Fraction((-1) ** m, _fact(m)))
+                    out = out + term.scale(Fraction((-1) ** m, factorial(m)))
                 m += 1
             self.slices[d] = out
         self.depth_done = max(self.depth_done, depth)

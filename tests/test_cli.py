@@ -253,3 +253,22 @@ def test_bench_job_golden(capsys, name):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"{name}.json"
     assert out.encode() == golden.read_bytes()
+
+
+def test_traced_run_spans_resolve(monkeypatch):
+    # the benchmark's traced run wraps each SPANS entry, looked up exactly as
+    # its install() does; a renamed or deleted entry point must fail here
+    import importlib.util
+    import sys
+    path = Path(__file__).parents[1] / "perfbench" / "traced_job.py"
+    spec = importlib.util.spec_from_file_location("traced_job", path)
+    traced_job = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(traced_job)
+    assert traced_job.SPANS
+    for mod_name, attr_path, _ in traced_job.SPANS:
+        owner = sys.modules[f"dshierarchy.{mod_name}"]
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), f"{mod_name}.{attr_path}"

@@ -5,12 +5,12 @@ import pytest
 from conftest import random_poly
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.gauge import (GaugeFrame, GaugeHomomorphism,
-                               NotGaugeInvariantError, _exp_ad_nilpotent,
+                               NotGaugeInvariantError,
                                canonical_form, gauge_invariance_check,
                                gauge_transform, invariants_as_coordinates,
                                to_invariant_coordinates)
 from dshierarchy.kacmoody import LoopElement, build_algebra
-from dshierarchy.resolvent import LaxOperator
+from dshierarchy.resolvent import LaxOperator, ad_exp_series
 
 q1, q2 = DiffPoly.var(1), DiffPoly.var(2)
 
@@ -107,7 +107,7 @@ def test_f_of_resolvent_is_gauged_resolvent(ctx):
     r = lax.resolvent(1, depth)
     hom = GaugeHomomorphism(lax, frame)
     lhs = hom.apply_loop(r.element())
-    rhs = _exp_ad_nilpotent(hom.s_generic, r.element())
+    rhs = ad_exp_series(hom.s_generic, r.element())
     diff = lhs - rhs
     for d, sl in diff.pdeg_slices().items():
         if d >= r.m_a - depth:

@@ -3,13 +3,16 @@ from types import SimpleNamespace
 
 import pytest
 
+import borel_route
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
 from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
                                    tau_coordinate_check, verify_gauge_invariance,
                                    verify_integrability, verify_tau_symmetry)
+from dshierarchy.kacmoody import LoopElement
 from dshierarchy.miura import invert_miura, MiuraTuple, induce_derivation
 from dshierarchy.render import default_names, render_series
+from dshierarchy.resolvent import Resolvent, flow_depth
 
 u = DiffPoly.var
 
@@ -18,23 +21,23 @@ def _at_zero(p: DiffPoly) -> DiffPoly:
     return p.substitute(lambda a, m: DiffPoly.zero())
 
 
-# -- pre-gauge flows -----------------------------------------------------
+# -- pre-gauge flows (the Borel-variable reference route) -----------------
 
 def test_pre_flow_vacuum_fixed_point(sl2):
-    chars = sl2.pre_flow_chars((1, 0))
+    chars = borel_route.pre_flow_chars(sl2, (1, 0))
     assert all(_at_zero(c).is_zero() for c in chars)
 
 
 def test_pre_flow_is_borel_valued(sl3):
     # construction validates the lambda^0 Borel property; smoke the surface
-    chars = sl3.pre_flow_chars((1, 0))
+    chars = borel_route.pre_flow_chars(sl3, (1, 0))
     assert len(chars) == sl3.lax_q.arity
 
 
 def test_pre_flow_commutes_with_gauge_homomorphism(sl2):
     # f(D^pre(q_i)) = D^pre(f(q_i)) with D^pre extended by D^pre(S_j) = 0
     hom = sl2.gauge_homomorphism()
-    chars = sl2.pre_flow_chars((1, 1))
+    chars = borel_route.pre_flow_chars(sl2, (1, 1))
     ext = JetMap(list(chars) + [DiffPoly.zero()] * sl2.frame.dim_n)
     for i in range(sl2.lax_q.arity):
         lhs = hom.apply(chars[i])
@@ -43,6 +46,35 @@ def test_pre_flow_commutes_with_gauge_homomorphism(sl2):
 
 
 # -- reduced flows -------------------------------------------------------
+
+@pytest.mark.parametrize("name, max_k", [("sl2", 2), ("sl3", 1), ("a22", 1)])
+def test_flows_match_borel_route(request, name, max_k):
+    h = request.getfixturevalue(name)
+    for a in range(1, h.real.n + 1):
+        for k in range(max_k + 1):
+            assert h.flow((a, k)).chars == borel_route.flow_chars(h, (a, k))
+
+
+def test_flow_error_names_label_off_lambda_zero(monkeypatch):
+    # negative control: X plus a lambda^1 element leaves the lambda^0 slice
+    h = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1)
+    plain = Resolvent.shifted_plus
+    extra = LoopElement.from_vector(h.real, 1, h.real.cyclic.vector_at(0))
+    monkeypatch.setattr(Resolvent, "shifted_plus",
+                        lambda r, k: plain(r, k) + extra)
+    with pytest.raises(RuntimeError, match=r"flow \(1, 1\): .* lambda powers"):
+        h.flow((1, 1))
+
+
+def test_flow_error_names_label_off_v(monkeypatch):
+    # negative control: without the compensator the flow is not V-valued
+    h = DSHierarchy("a2_1", max_flow_k=1, omega_max_k=1)
+    monkeypatch.setattr(h.frame, "v_valued",
+                        lambda residual: LoopElement.zero(h.real))
+    with pytest.raises(RuntimeError,
+                       match=r"flow \(2, 1\): .* is not V-valued"):
+        h.flow((2, 1))
+
 
 def test_translation_flow_everywhere(sl2, sl3, a22):
     for h in (sl2, sl3, a22):
@@ -95,8 +127,18 @@ def test_translation_commutes_with_all_computed_flows(sl2):
 def test_d10_unique_solve(sl2, sl3, a22):
     for h in (sl2, sl3, a22):
         psi, theta = h.d10_unique_solve()
-        assert psi == -h.canform.q_can.dx()
-    # vacuum: psi vanishes at q = 0
+        q_u = h.lax_u.q
+        r1 = h.lax_u.resolvent(1, flow_depth(h.real, 1, 0) + 1)
+        b = r1.shifted_plus(0) - h.real.cyclic
+        assert b.lambda_powers() == [0]
+        assert psi == -q_u.dx()
+        assert theta == q_u - b
+        h.frame.nilpotent_coords(theta)  # raises unless theta is n-valued
+        # q-side: substituting u(q) gives back -d(Q_can)
+        jets = h.canform.jets
+        assert psi.map_coeffs(lambda p: p.substitute(jets)) \
+            == -h.canform.q_can.dx()
+    # vacuum: psi vanishes at u = 0
     psi0 = psi.map_coeffs(_at_zero)
     assert psi0.is_zero()
 
@@ -187,24 +229,18 @@ def test_omega_matches_literal_double_laurent_projection(sl2):
 
 
 def test_omega_q_route_matches_canonical_route(sl2):
-    direct = sl2.omega_table(1, 1, variables="u")
-    rewritten = sl2.omega_table(1, 1, variables="q")
-    for key in direct.entries:
-        assert direct.entries[key] == rewritten.entries[key]
+    direct = sl2.omega_table(1, 1)
+    assert direct.entries == borel_route.omega_entries(sl2, 1, 1)
 
 
 def test_omega_q_route_matches_canonical_route_sl3_k0(sl3):
-    direct = sl3.omega_table(2, 0, variables="u")
-    rewritten = sl3.omega_table(2, 0, variables="q")
-    for key in direct.entries:
-        assert direct.entries[key] == rewritten.entries[key]
+    direct = sl3.omega_table(2, 0)
+    assert direct.entries == borel_route.omega_entries(sl3, 2, 0)
 
 
 def test_omega_q_route_matches_canonical_route_twisted_k0(a22):
-    direct = a22.omega_table(2, 0, variables="u")
-    rewritten = a22.omega_table(2, 0, variables="q")
-    for key in direct.entries:
-        assert direct.entries[key] == rewritten.entries[key]
+    direct = a22.omega_table(2, 0)
+    assert direct.entries == borel_route.omega_entries(a22, 2, 0)
 
 
 def test_omega_missing_entry_reports_depth(sl2):
