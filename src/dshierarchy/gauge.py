@@ -173,16 +173,6 @@ class GaugeHomomorphism:
         return x.map_coeffs(self.apply)
 
 
-def gauge_invariance_check(w: DiffPoly, hom: GaugeHomomorphism) -> bool:
-    """True when f(w) = w identically in the extended (q, S) ring."""
-    return hom.is_invariant(w)
-
-
-def invariants_as_coordinates(cf: CanonicalForm) -> list[DiffPoly]:
-    """The canonical coordinates u_1..u_ell as elements of the q-ring."""
-    return list(cf.u_exprs)
-
-
 def to_invariant_coordinates(cf: CanonicalForm, w: DiffPoly,
                              check: bool = True) -> DiffPoly:
     """Rewrite a gauge invariant as a polynomial in the u-jets.

@@ -1,142 +1,194 @@
 """Exact univariate rational functions of x over Q.
 
-Just enough arithmetic for formal-in-time solutions: ring operations,
-differentiation, normalization (monic denominator, gcd-reduced), and exact
-equality.  Polynomials are dense coefficient tuples in ascending powers.
+Ring operations, integer powers (negative ones too), d/dx and exact equality,
+for formal-in-time solutions.  A value is a numerator over a denominator, each
+a tuple of ``int`` coefficients in ascending powers of x, in one normal form:
+coprime, integer content 1, positive leading denominator coefficient; zero is
+``((), (1,))``.  The form is unique, so equality and hashing compare tuples.
+The gcd is a primitive-part Euclid over Z (W. S. Brown, J. ACM 18, 1971), so
+by Gauss's lemma both parts divide by it exactly.  The constructor clears the
+denominators of ``Fraction`` inputs with one ``lcm``; the ``num``/``den`` views
+give ``Fraction`` coefficients over a monic denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 
 
-def _trim(p: Sequence[Fraction]) -> Poly:
-    p = list(p)
+def _trim(p: list[int]) -> Poly:
     while p and not p[-1]:
         p.pop()
     return tuple(p)
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
     return _trim(out)
 
 
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _trim(a):
-        a = list(_trim(a))
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-    return _trim(q), _trim(a)
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = tuple(x * inv for x in a)
-    return a
+def _pmul(a: Poly, b: Poly) -> Poly:
+    """Product; over Z the leading coefficients never cancel."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _pdx(a: Poly) -> Poly:
-    return _trim([a[i] * i for i in range(1, len(a))])
+    return tuple(i * a[i] for i in range(1, len(a)))
+
+
+def _primitive(a: Poly) -> Poly:
+    c = gcd(*a)
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Primitive part of a pseudo-remainder of a by b, for deg a >= deg b."""
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    while len(r) >= nb:
+        g = gcd(r[-1], lb)
+        m, c = lb // g, r[-1] // g
+        if m != 1:
+            r = [x * m for x in r]
+        s = len(r) - nb
+        for i, y in enumerate(b):
+            r[s + i] -= c * y
+        r.pop()                      # its coefficient is now zero
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(tuple(r)) if r else ()
+
+
+def _pgcd(a: Poly, b: Poly) -> Poly:
+    """gcd of two nonzero polynomials, primitive, up to sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        a, b = b, _prem(a, b)
+    return a if not b else (1,)
+
+
+def _pquo(a: Poly, g: Poly) -> Poly:
+    """a / g for a primitive g that divides a; by Gauss's lemma it is integral."""
+    r = list(a)
+    lg, ng = g[-1], len(g)
+    q = [0] * (len(a) - ng + 1)
+    for s in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[s + ng - 1], lg)
+        assert not rem, "inexact polynomial division"
+        q[s] = c
+        if c:
+            for i, y in enumerate(g):
+                r[s + i] -= c * y
+    assert not any(r), "inexact polynomial division"
+    return tuple(q)
+
+
+def _new(n: Poly, d: Poly) -> RatFunc:
+    """The value n/d, with gcd(n, d) = 1 already: divide out content and sign."""
+    if not n:
+        return _ZERO
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
+    out = object.__new__(RatFunc)
+    out._n, out._d = n, d
+    return out
+
+
+def _reduced(n: Poly, d: Poly) -> RatFunc:
+    """The value n/d in normal form, for d != 0."""
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            n, d = _pquo(n, g), _pquo(d, g)
+    return _new(n, d)
 
 
 class RatFunc:
-    """num/den with monic reduced denominator."""
+    """num/den in the normal form of the module docstring."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num: Sequence, den: Sequence = (1,)):
-        num = _trim([Fraction(x) for x in num])
-        den = _trim([Fraction(x) for x in den])
-        if not den:
+        num = [Fraction(x) for x in num]
+        den = [Fraction(x) for x in den]
+        scale = lcm(*(c.denominator for c in num + den))
+        n = _trim([c.numerator * (scale // c.denominator) for c in num])
+        d = _trim([c.numerator * (scale // c.denominator) for c in den])
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = tuple(x * inv for x in num)
-            den = tuple(x * inv for x in den)
-        self.num = num
-        self.den = den
+        out = _reduced(n, d)
+        self._n, self._d = out._n, out._d
+
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._n)
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._d)
 
     @classmethod
     def const(cls, c) -> "RatFunc":
-        return cls((Fraction(c),))
+        c = Fraction(c)
+        return _new((c.numerator,), (c.denominator,)) if c else _ZERO
 
     @classmethod
     def x(cls) -> "RatFunc":
-        return cls((0, 1))
+        return _new((0, 1), (1,))
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def has_pole_at_zero(self) -> bool:
-        return not self.den[0]
+        return not self._d[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def __add__(self, other) -> "RatFunc":
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFunc(num, _pmul(self.den, other.den))
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        g = _pgcd(d1, d2)
+        e1, e2 = (_pquo(d1, g), _pquo(d2, g)) if len(g) > 1 else (d1, d2)
+        # over the lcm d1 * e2 = d2 * e1
+        return _reduced(_padd(_pmul(n1, e2), _pmul(n2, e1)), _pmul(d1, e2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         out = object.__new__(RatFunc)
-        out.num = _pneg(self.num)
-        out.den = self.den
+        out._n, out._d = tuple(-c for c in self._n), self._d
         return out
 
     def __sub__(self, other) -> "RatFunc":
@@ -149,14 +201,22 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         if isinstance(other, (int, Fraction)):
-            return RatFunc(tuple(x * Fraction(other) for x in self.num), self.den)
-        return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
+            c = Fraction(other)
+            if not c:
+                return _ZERO
+            return _new(tuple(x * c.numerator for x in self._n),
+                        tuple(x * c.denominator for x in self._d))
+        return _reduced(_pmul(self._n, other._n), _pmul(self._d, other._d))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatFunc":
-        out = RatFunc.const(1)
         base = self
+        if n < 0:
+            if not self._n:
+                raise ZeroDivisionError("zero to a negative power")
+            base, n = _new(self._d, self._n), -n
+        out = _ONE
         while n:
             if n & 1:
                 out = out * base
@@ -165,18 +225,17 @@ class RatFunc:
         return out
 
     def dx(self) -> "RatFunc":
-        num = _padd(_pmul(_pdx(self.num), self.den),
-                    _pneg(_pmul(self.num, _pdx(self.den))))
-        return RatFunc(num, _pmul(self.den, self.den))
+        n, d = self._n, self._d
+        num = _padd(_pmul(_pdx(n), d), tuple(-c for c in _pmul(n, _pdx(d))))
+        return _reduced(num, _pmul(d, d))
 
     def eval_at_zero(self) -> Fraction:
         if self.has_pole_at_zero():
             raise ZeroDivisionError("pole at the expansion point x = 0")
-        num0 = self.num[0] if self.num else Fraction(0)
-        return num0 / self.den[0]
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def __repr__(self) -> str:
-        def fmt(p: Poly) -> str:
+        def fmt(p: tuple[Fraction, ...]) -> str:
             if not p:
                 return "0"
             parts = []
@@ -191,6 +250,11 @@ class RatFunc:
                     parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
             return " + ".join(parts)
 
-        if self.den == (Fraction(1),):
+        if len(self._d) == 1:
             return fmt(self.num)
         return f"({fmt(self.num)})/({fmt(self.den)})"
+
+
+_ZERO = object.__new__(RatFunc)
+_ZERO._n, _ZERO._d = (), (1,)
+_ONE = _new((1,), (1,))

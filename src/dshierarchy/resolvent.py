@@ -343,7 +343,9 @@ class Resolvent:
         return tuple(out)
 
     def shifted_plus(self, k: int) -> LoopElement:
-        """(lambda^{k N} R)_+ in the standard gradation."""
+        """(lambda^{k N} R)_+ in the standard gradation, for k >= 0."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         real = self.real
         shift = k * real.twist_order
         need = -shift
@@ -397,12 +399,6 @@ class Resolvent:
         if is_dual and target_power >= lo and target_power not in pairing:
             out[target_power] = DiffPoly.const(-real.h)
         return out
-
-
-def shifted_resolvent_plus(resolvent: Resolvent, k: int) -> LoopElement:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return resolvent.shifted_plus(k)
 
 
 def flow_depth(real: LoopRealization, a: int, k: int) -> int:

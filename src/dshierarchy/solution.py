@@ -112,6 +112,8 @@ class TSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TSeries":
+        if n < 0:
+            raise ValueError("a truncated series has no negative powers")
         out = TSeries.const(self.nlabels, self.T, self.K, RatFunc.const(1))
         base = self
         while n:
@@ -361,20 +363,9 @@ def gbgw_initial(real, constants: Sequence[Fraction]) -> list[RatFunc]:
     out = []
     if len(constants) != real.ell:
         raise ValueError(f"need {real.ell} constants, got {len(constants)}")
+    one_minus_x = 1 - RatFunc.x()
     for alpha, v in enumerate(real.v_basis):
         elt = LoopElement.from_vector(real, 0, real.poly_vector(v))
         m_a = -elt.principal_degree()
-        one_minus_x = (Fraction(1), Fraction(-1))
-        den = (Fraction(1),)
-        for _ in range(m_a + 1):
-            den = tuple(_conv(den, one_minus_x))
-        out.append(RatFunc((Fraction(constants[alpha]),), den))
-    return out
-
-
-def _conv(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        out.append(Fraction(constants[alpha]) * one_minus_x ** -(m_a + 1))
     return out

@@ -6,8 +6,7 @@ import pytest
 
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
-from dshierarchy.resolvent import (DepthError, LaxOperator, flow_depth,
-                                   shifted_resolvent_plus)
+from dshierarchy.resolvent import DepthError, LaxOperator, flow_depth
 
 
 @pytest.fixture(scope="module")
@@ -96,23 +95,23 @@ def test_resolvent_coefficients_and_depth_error(lax):
 def test_shifted_resolvent_plus(lax):
     real = lax.real
     r = lax.resolvent(1, 6)
-    plus = shifted_resolvent_plus(r, 0)
+    plus = r.shifted_plus(0)
     tail = plus - real.cyclic
     # (R_1)_+ = Lambda + Borel-valued lambda^0 tail
     assert tail.lambda_powers() == [0]
     real.borel_coords(tail.vector_at(0))
     # vacuum: (lambda^{kN} R)_+ at q = 0 is the shifted Heisenberg plus part
-    vac = _at_q_zero(shifted_resolvent_plus(r, 1))
+    vac = _at_q_zero(r.shifted_plus(1))
     expect = real.heisenberg_element(1).lambda_shift(1).project_plus()
     assert vac == expect
     with pytest.raises(ValueError):
-        shifted_resolvent_plus(r, -1)
+        r.shifted_plus(-1)
 
 
 def test_pre_flow_bracket_is_borel_at_lambda_zero(lax):
     real = lax.real
     r = lax.resolvent(1, flow_depth(real, 1, 1) + 1)
-    xp = shifted_resolvent_plus(r, 1)
+    xp = r.shifted_plus(1)
     res = xp.bracket(lax.lam_plus_q) - xp.dx()
     assert res.lambda_powers() == [0]
     real.borel_coords(res.vector_at(0))  # raises if outside the Borel span

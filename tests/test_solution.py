@@ -19,8 +19,7 @@ def test_ratfunc_basics():
     x = RatFunc.x()
     one = RatFunc.const(1)
     q = RatFunc((1,), (1, -2, 1))          # 1/(1-x)^2
-    assert q == one * (one - x) ** -1 * (one - x) ** -1 \
-        if hasattr(RatFunc, "__invert__") else True
+    assert q == (one - x) ** -2
     # d/dx 1/(1-x)^2 = 2/(1-x)^3
     assert q.dx() == RatFunc((2,), (1, -3, 3, -1))
     assert (q - q).is_zero()
@@ -103,3 +102,10 @@ def test_tseries_dt_and_truncation():
     dt0 = s.dt(0)
     assert dt0.coefficient((0, 1), 0) == RatFunc.const(4)
     assert s.truncate_t(1).is_zero()
+
+
+def test_tseries_rejects_negative_powers():
+    s = TSeries(1, 2, 0, {((1,), 0): RatFunc.const(2)})
+    assert s ** 0 == TSeries.const(1, 2, 0, RatFunc.const(1))
+    with pytest.raises(ValueError):
+        s ** -1
