@@ -407,9 +407,6 @@ class DiffPoly:
             return next(iter(degs))
         return degs
 
-    def degree_component(self, d: int) -> "DiffPoly":
-        return self.degree_decomposition().get(d, DiffPoly.zero())
-
     def degree_decomposition(self) -> dict[int, "DiffPoly"]:
         buckets: dict[int, dict[int, int]] = {}
         for m, c in self._num.items():
@@ -425,12 +422,6 @@ class DiffPoly:
 
     def max_order(self) -> int:
         return max((v[1] for v in self.variables()), default=0)
-
-    def check_arity(self, ell: int) -> "DiffPoly":
-        if self.max_alpha() > ell:
-            raise ArityMismatchError(
-                f"polynomial uses component {self.max_alpha()} > arity {ell}")
-        return self
 
     # -- substitution ------------------------------------------------------
     def substitute(self, image: Callable[[int, int], "DiffPoly | EpsSeries"]):

@@ -27,15 +27,39 @@ certified by substituting the canonical coordinate expressions back.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 from .diffalg import DiffPoly, JetMap
 from .kacmoody import LoopElement, LoopRealization
 from .linalg import InconsistentSystemError, LinearSolver
-from .resolvent import LaxOperator, ad_exp_series
+from .resolvent import LaxOperator
 
 
 class NotGaugeInvariantError(ValueError):
     pass
+
+
+_MAX_NILPOTENCY = 64
+
+
+def ad_exp_series(u: LoopElement, x: LoopElement, shift: int = 0) -> LoopElement:
+    """sum_{m >= 0} (ad u)^m (x) / (m + shift)! for shift 0 or 1.
+
+    shift 0 gives e^{ad u}(x); shift 1 gives phi(ad u)(x) with
+    phi(z) = (e^z - 1)/z.  ad u must be nilpotent: the series must end
+    within ``_MAX_NILPOTENCY`` terms.
+    """
+    out = x
+    term = x
+    for m in count(1):
+        term = u.bracket(term)
+        if term.is_zero():
+            return out
+        if m > _MAX_NILPOTENCY:
+            raise RuntimeError(
+                "ad u failed to nilpotate; u is not strictly triangular")
+        out = out + term.scale(Fraction(1, factorial(m + shift)))
 
 
 class GaugeFrame:

@@ -42,8 +42,8 @@ from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
 from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism, \
     canonical_form
-from .kacmoody import LoopElement, LoopRealization, build_algebra, \
-    default_window_for_depth
+from .kacmoody import LoopElement, LoopRealization, TableShape, \
+    build_algebra, default_window_for_depth, load_table
 from .linalg import InconsistentSystemError
 from .miura import MiuraTuple, check_miura, invert_miura, \
     reconstruct_flows
@@ -155,13 +155,14 @@ class DSHierarchy:
 
     def __init__(self, type_name: str, vertex: int = 0,
                  max_flow_k: int = 2, omega_max_k: int = 2):
-        probe = build_algebra(type_name, vertex, depth_hint=6)
+        shape = TableShape.of(load_table(type_name))
+        n = len(shape.exponents)
         depth = 4
-        for a in range(1, probe.n + 1):
-            depth = max(depth, flow_depth(probe, a, max_flow_k) + 2)
-        depth = max(depth, omega_depth(probe, probe.n, omega_max_k) + 2)
-        headroom = max_flow_k * probe.twist_order + 2
-        window = default_window_for_depth(probe, depth, k_headroom=headroom)
+        for a in range(1, n + 1):
+            depth = max(depth, flow_depth(shape, a, max_flow_k) + 2)
+        depth = max(depth, omega_depth(shape, n, omega_max_k) + 2)
+        headroom = max_flow_k * shape.twist_order + 2
+        window = default_window_for_depth(shape, depth, k_headroom=headroom)
         self.real = build_algebra(type_name, vertex, window=window)
         self.max_flow_k = max_flow_k
         self.omega_max_k = omega_max_k
@@ -275,10 +276,10 @@ class DSHierarchy:
         entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
         for a in range(1, max_a + 1):
             ra = resolvents[a]
-            pmax_a = max(real.heisenberg_element(ra.m_a).lambda_powers())
+            pmax_a = real.heisenberg_top[ra.m_a]
             for b in range(1, max_a + 1):
                 rb = resolvents[b]
-                pmax_b = max(real.heisenberg_element(rb.m_a).lambda_powers())
+                pmax_b = real.heisenberg_top[rb.m_a]
                 for k1 in range(0, max_k + 1):
                     for k2 in range(0, max_k + 1):
                         sigma = (k1 + k2) * n_tw
@@ -365,10 +366,20 @@ def verify_tau_symmetry(flows: Mapping[FlowLabel, Flow], omega: OmegaTable,
     if triples is None:
         labels = [l for l in omega.labels() if l in flows]
         triples = [(i, j, k) for i in labels for j in labels for k in labels]
+    # D_i(p) memoised on (i, p): Omega is symmetric, so most values recur,
+    # and a corrupted entry never shares a key with its transpose
+    applied: dict[tuple[FlowLabel, DiffPoly], DiffPoly] = {}
+
+    def apply(label: FlowLabel, p: DiffPoly) -> DiffPoly:
+        got = applied.get((label, p))
+        if got is None:
+            got = applied[(label, p)] = flows[label].apply(p)
+        return got
+
     out = []
     for (i, j, k) in triples:
-        lhs = flows[i].apply(omega.entry(j, k))
-        rhs = flows[k].apply(omega.entry(i, j))
+        lhs = apply(i, omega.entry(j, k))
+        rhs = apply(k, omega.entry(i, j))
         out.append({
             "check": "tau_symmetry",
             "triple": [list(i), list(j), list(k)],

@@ -18,12 +18,14 @@ the twist eigenspace of class k mod N.  The principal degree of
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
 from .diffalg import DiffPoly
 from .linalg import InconsistentSystemError, LinearSolver
+from .matrixform import check_cyclic
 
 _ZERO_P = DiffPoly.zero()
 
@@ -46,7 +48,7 @@ def supported_types() -> list[str]:
     return sorted(_TYPE_FILES)
 
 
-def _load_table(type_name: str) -> dict:
+def load_table(type_name: str) -> dict:
     key = type_name.strip().lower().replace("^", "").replace("(", "").replace(")", "")
     key = key.replace("-", "_").replace(" ", "")
     for slug, fname in _TYPE_FILES.items():
@@ -62,6 +64,32 @@ def _load_table(type_name: str) -> dict:
             return data
     raise UnsupportedTypeError(
         f"unsupported algebra type {type_name!r}; supported: {supported_types()}")
+
+
+@dataclass(frozen=True)
+class TableShape:
+    """The fields of a type table that size depths and lambda windows.
+
+    None of them depends on the window, so a depth can be planned before a
+    realization is built.  ``LoopRealization`` carries the same attributes,
+    so ``default_window_for_depth``, ``flow_depth`` and ``omega_depth`` take
+    either.
+    """
+
+    exponents: tuple[int, ...]
+    pdeg: tuple[int, ...]
+    twist_order: int
+    deg_lambda: int
+    heisenberg_top: Mapping[int, int]  # top lambda power of Lambda_m, by m
+
+    @classmethod
+    def of(cls, data: dict) -> "TableShape":
+        return cls(tuple(data["exponents"]),
+                   tuple(int(b["pdeg"]) for b in data["basis"]),
+                   data["twist_order"],
+                   (data["r"] * data["coxeter"]) // data["twist_order"],
+                   {int(item["exponent"]): max(int(k) for k in item["element"])
+                    for item in data["heisenberg"]})
 
 
 def _frac_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -98,14 +126,13 @@ class SimpleLieAlgebra:
         self.matrices = [_frac_matrix(m) for m in matrices]
         self.dim = len(self.matrices)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        size = len(self.matrices[0])
+        self.size = size = len(self.matrices[0])
         # Coordinate solver: columns are the flattened basis matrices.
         rows = []
         for r in range(size):
             for c in range(size):
                 rows.append([self.matrices[i][r][c] for i in range(self.dim)])
         self._coords = LinearSolver(rows)
-        self._size = size
         # Structure constants from matrix brackets.
         self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         for i in range(self.dim):
@@ -118,6 +145,10 @@ class SimpleLieAlgebra:
                 entries = tuple((k, _integral(c)) for k, c in enumerate(coords) if c)
                 if entries:
                     self.bracket_table[(i, j)] = entries
+        # the same table by first operand: row i lists (j, entries)
+        self._bracket_rows = [[] for _ in range(self.dim)]
+        for (i, j), entries in self.bracket_table.items():
+            self._bracket_rows[i].append((j, entries))
         # Normalized invariant form: trace form in the defining representation.
         self.gram = [
             [_integral(_mat_trace(_mat_mul(self.matrices[i], self.matrices[j])))
@@ -125,10 +156,10 @@ class SimpleLieAlgebra:
             for i in range(self.dim)
         ]
 
-    def coordinates_of_matrix(self, mat) -> list[Fraction]:
-        flat = [mat[r][c] for r in range(self._size) for c in range(self._size)]
+    def coordinates_of_matrix(self, mat, zero=Fraction(0)) -> list:
+        flat = [mat[r][c] for r in range(self.size) for c in range(self.size)]
         try:
-            return self._coords.solve(flat)
+            return self._coords.solve(flat, zero=zero)
         except InconsistentSystemError as exc:
             raise ValueError("matrix not in the span of the basis") from exc
 
@@ -141,14 +172,16 @@ class SimpleLieAlgebra:
     def bracket_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
         """[x, y] for coefficient vectors with entries in any commutative ring."""
         out = [zero] * self.dim
-        for (i, j), entries in self.bracket_table.items():
-            xi = x[i]
-            yj = y[j]
-            if not xi or not yj:
+        for i, xi in enumerate(x):
+            if not xi:
                 continue
-            prod = xi * yj
-            for k, c in entries:
-                out[k] = out[k] + prod * c
+            for j, entries in self._bracket_rows[i]:
+                yj = y[j]
+                if not yj:
+                    continue
+                prod = xi * yj
+                for k, c in entries:
+                    out[k] = out[k] + prod * c
         return out
 
     def pair_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
@@ -573,6 +606,8 @@ class LoopRealization:
             elt = LoopElement(self, {
                 int(k): _poly_coeffs(v, alg) for k, v in item["element"].items()})
             self._heis_base[int(item["exponent"])] = elt
+        self.heisenberg_top = {m: max(elt.lambda_powers())
+                               for m, elt in self._heis_base.items()}
         self.nilpotent_basis = [self._rat_vector(v) for v in data["nilpotent_basis"]]
         self.cartan_basis = [self._rat_vector(v) for v in data["cartan_basis"]]
         self.v_basis = [self._rat_vector(v) for v in data["gauge_v_basis"]]
@@ -657,12 +692,6 @@ class LoopRealization:
                 y = y - h2
         return h_coeff, h_part, y
 
-    def principal_grading_check(self, x: LoopElement, expected: int) -> bool:
-        try:
-            return x.principal_degree() == expected
-        except ValueError:
-            return False
-
     # -- Borel coordinate frame ----------------------------------------------
     def borel_vectors(self) -> list[tuple[Fraction, ...]]:
         """Ordered Borel basis: gauge subspace V first, then [e, n]-images."""
@@ -736,6 +765,9 @@ class LoopRealization:
             raise ValueError("cyclic element is not of principal degree 1")
         if not self.cyclic.check_twist():
             raise ValueError("cyclic element breaks the twist")
+        # the defining representation carries the resolvent recursion
+        check_cyclic(alg, self.deg_lambda, self.cyclic.coeffs,
+                     {m: elt.coeffs for m, elt in self._heis_base.items()})
         # affine Chevalley degrees +-1
         for idx in self.chevalley_e:
             if self.pdeg[idx] != 1:
@@ -800,19 +832,12 @@ class LoopRealization:
                 raise ValueError("gauge subspace basis must be homogeneous of negative degree")
 
 
-def default_window_for_depth(data_or_real, depth: int, k_headroom: int = 2) -> tuple[int, int]:
+def default_window_for_depth(shape: TableShape | LoopRealization, depth: int,
+                             k_headroom: int = 2) -> tuple[int, int]:
     """Window covering all principal degrees in [-depth, max exponent + 1]."""
-    if isinstance(data_or_real, LoopRealization):
-        deg_lambda = data_or_real.deg_lambda
-        max_pdeg = max(data_or_real.pdeg)
-        m_top = max(data_or_real.exponents)
-    else:
-        data = data_or_real
-        deg_lambda = (data["r"] * data["coxeter"]) // data["twist_order"]
-        max_pdeg = max(int(b["pdeg"]) for b in data["basis"])
-        m_top = max(data["exponents"])
-    kmin = -((depth + max_pdeg) // deg_lambda + 1)
-    kmax = (m_top + max_pdeg) // deg_lambda + 1 + k_headroom
+    max_pdeg = max(shape.pdeg)
+    kmin = -((depth + max_pdeg) // shape.deg_lambda + 1)
+    kmax = (max(shape.exponents) + max_pdeg) // shape.deg_lambda + 1 + k_headroom
     return (kmin, kmax)
 
 
@@ -825,7 +850,7 @@ def build_algebra(type_name: str, vertex: int = 0,
     labelled 0) is currently shipped; other in-range vertices report a
     missing table rather than an invalid request.
     """
-    data = _load_table(type_name)
+    data = load_table(type_name)
     ell = data["rank_affine"]
     if not (0 <= vertex <= ell):
         raise ValueError(f"vertex {vertex} out of range 0..{ell}")
@@ -833,5 +858,5 @@ def build_algebra(type_name: str, vertex: int = 0,
         raise UnsupportedTypeError(
             f"no table shipped for vertex {vertex} of {data['name']}")
     if window is None:
-        window = default_window_for_depth(data, depth_hint)
+        window = default_window_for_depth(TableShape.of(data), depth_hint)
     return LoopRealization(data, window)

@@ -1,0 +1,98 @@
+"""Loop elements in the defining representation, as sparse matrix forms.
+
+A matrix form is a Laurent polynomial in lambda with matrix coefficients,
+stored as {(p, i, j): entry (i, j) of the lambda^p coefficient}.  The type
+tables give the basis of the simple Lie algebra by matrices, so every loop
+element has one, and products of loop elements in the defining
+representation are products of matrix forms.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping
+
+from .diffalg import DiffPoly
+
+_ZERO_P = DiffPoly.zero()
+
+
+def identity(size: int) -> dict:
+    return {(0, i, i): DiffPoly.const(1) for i in range(size)}
+
+
+def matrix_form(alg, coeffs: Mapping) -> dict:
+    """The matrix form of {lambda power: basis coefficient vector}, without zeros."""
+    out: dict[tuple[int, int, int], DiffPoly] = {}
+    for p, vec in coeffs.items():
+        for t, c in enumerate(vec):
+            if not c:
+                continue
+            for i, row in enumerate(alg.matrices[t]):
+                for j, m in enumerate(row):
+                    if m:
+                        key = (p, i, j)
+                        out[key] = out[key] + c * m if key in out else c * m
+    return {key: c for key, c in out.items() if c}
+
+
+def matrix_product(x: Mapping, y: Mapping, out: dict | None = None) -> dict:
+    """x y, added into ``out`` (a new dict by default); cancelled entries stay as zeros."""
+    rows: dict[int, list] = {}
+    for (q, j, l), b in y.items():
+        rows.setdefault(j, []).append((q, l, b))
+    if out is None:
+        out = {}
+    for (p, i, j), a in x.items():
+        for q, l, b in rows.get(j, ()):
+            key = (p + q, i, l)
+            prev = out.get(key)
+            out[key] = a * b if prev is None else prev + a * b
+    return out
+
+
+def traceless_coeffs(alg, mat: Mapping, shift: int = 0) -> dict[int, list]:
+    """lambda^shift times the traceless part of a matrix form, in basis coordinates.
+
+    One exact solve per lambda power; raises ValueError when the traceless
+    part is not in the span of the basis matrices.
+    """
+    size = alg.size
+    by_power: dict[int, list[list[DiffPoly]]] = {}
+    for (p, i, j), c in mat.items():
+        by_power.setdefault(p + shift, [[_ZERO_P] * size for _ in range(size)])[i][j] = c
+    out = {}
+    for p, m in by_power.items():
+        trace = sum((m[i][i] for i in range(size)), _ZERO_P)
+        if trace:
+            for i in range(size):
+                m[i][i] = m[i][i] - trace * Fraction(1, size)
+        out[p] = alg.coordinates_of_matrix(m, zero=_ZERO_P)
+    return out
+
+
+def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping) -> None:
+    """Check the identities that the resolvent recursion relies on.
+
+    With n the matrix size: the principal degree of lambda is n, Lambda^n =
+    lambda Id, and every Heisenberg generator is Lambda_m = lambda^{m div n}
+    (Lambda^{m mod n})_0.  ``cyclic`` and each ``heisenberg[m]`` map lambda
+    powers to coefficient vectors.  Raises ValueError naming the identity.
+    """
+    size = alg.size
+    if deg_lambda != size:
+        raise ValueError(
+            f"principal degree of lambda is {deg_lambda}, not the matrix size {size}")
+    lam = matrix_form(alg, cyclic)
+    powers = [identity(size)]
+    for _ in range(size):
+        powers.append(matrix_product(powers[-1], lam))
+    if {key: c for key, c in powers[size].items() if c} != \
+            {(1, i, i): 1 for i in range(size)}:
+        raise ValueError(f"Lambda^{size} != lambda Id in the defining representation")
+    for m, base in heisenberg.items():
+        s, k = divmod(m, size)
+        got = traceless_coeffs(alg, powers[k], s)
+        if {p: tuple(v) for p, v in got.items() if any(v)} != base:
+            raise ValueError(
+                f"Lambda_{m} != lambda^{s} (Lambda^{k})_0 in the defining representation")

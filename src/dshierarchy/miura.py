@@ -71,9 +71,6 @@ class MiuraTuple:
     def jacobian_det(self) -> DiffPoly:
         return _det(self.jacobian())
 
-    def is_miura(self) -> bool:
-        return not self.jacobian_det().is_zero()
-
 
 def check_miura(values: Sequence[EpsSeries]) -> tuple[bool, DiffPoly]:
     """Nondegeneracy of the dispersionless Jacobian, with the determinant."""

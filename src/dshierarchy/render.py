@@ -7,8 +7,6 @@ single component the index is dropped (``u`` instead of ``u1``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diffalg import DiffPoly, EpsSeries, Monomial
 
 
@@ -32,14 +30,6 @@ def render_monomial(mono: Monomial, names) -> str:
         v = _render_jet(names(alpha), order)
         parts.append(v if e == 1 else f"{v}^{e}")
     return "*".join(parts)
-
-
-def _coeff_prefix(c: Fraction, leading: bool) -> str:
-    sign = "-" if c < 0 else ("" if leading else "+")
-    mag = abs(c)
-    body = "" if mag == 1 else f"{mag}*"
-    sep = "" if leading else " "
-    return f"{sep}{sign}{body}" if leading else f" {sign} {body}".replace("  ", " ")
 
 
 def render_poly(p: DiffPoly, names=None, eps_power: int = 0) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import copy
 
 from dshierarchy.diffalg import DiffPoly, JetMap, apply_poly_derivation
-from dshierarchy.gauge import to_invariant_coordinates
+from dshierarchy.gauge import ad_exp_series, to_invariant_coordinates
 from dshierarchy.hierarchy import DSHierarchy
-from dshierarchy.resolvent import ad_exp_series, flow_depth
+from dshierarchy.resolvent import flow_depth
 
 
 def pre_flow_chars(h: DSHierarchy, label) -> list[DiffPoly]:

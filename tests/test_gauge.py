@@ -5,11 +5,11 @@ import pytest
 from conftest import random_poly
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.gauge import (GaugeFrame, GaugeHomomorphism,
-                               NotGaugeInvariantError,
+                               NotGaugeInvariantError, ad_exp_series,
                                canonical_form, gauge_transform,
                                to_invariant_coordinates)
 from dshierarchy.kacmoody import LoopElement, build_algebra
-from dshierarchy.resolvent import LaxOperator, ad_exp_series
+from dshierarchy.resolvent import LaxOperator
 
 q1, q2 = DiffPoly.var(1), DiffPoly.var(2)
 

@@ -9,8 +9,9 @@ from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
 from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
                                    tau_coordinate_check, verify_gauge_invariance,
                                    verify_integrability, verify_tau_symmetry)
-from dshierarchy.kacmoody import LoopElement
-from dshierarchy.miura import invert_miura, MiuraTuple, induce_derivation
+from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
+from dshierarchy.miura import invert_miura, MiuraTuple, induce_derivation, \
+    reconstruct_flows
 from dshierarchy.render import default_names, render_series
 from dshierarchy.resolvent import Resolvent, flow_depth
 
@@ -353,6 +354,57 @@ def test_tau_coordinates_twisted(a22):
     assert rep["miura_type"]
     assert rep["reconstruction_matches"] == {"[1, 1]": True}
     assert rep["residual_zero"]
+
+
+# The largest eps order the table supports: at it every entry is graded in
+# full, one more than the top differential degree of any entry.  It is 9 for
+# a1_1 at max-k 2, and 9 for a2_1 and 21 for a2_2 at max-k 1.
+FULL_ORDER = {"sl2": 9, "sl3": 9, "a22": 21}
+
+
+def _flows_from_tau_structure(h: DSHierarchy, order: int) -> dict:
+    """Every label's flow, rebuilt from the tau-structure alone."""
+    table = h.omega_table()
+    one = (1, 0)
+    coords = MiuraTuple([EpsSeries.regrade(table.entry((a, 0), one), order)
+                         for a in range(1, h.ell + 1)])
+    rows = {j: [EpsSeries.regrade(table.entry(j, (b, 0)), order)
+                for b in range(1, h.ell + 1)] for j in table.labels()}
+    return reconstruct_flows(rows, invert_miura(coords),
+                             h.flow(one).derivation(order))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])
+def test_every_flow_reconstructs_from_tau_structure(request, name):
+    h = request.getfixturevalue(name)
+    table = h.omega_table()
+    order = FULL_ORDER[name]
+    assert order == 1 + max(max(v.degrees()) for v in table.entries.values())
+    recon = _flows_from_tau_structure(h, order)
+    assert set(recon) == set(table.labels())
+    for label, chars in recon.items():
+        assert chars == h.flow(label).derivation(order).chars, label
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])
+def test_flows_from_tau_structure_commute(request, name):
+    # the paper's direction: a tau-structure with Miura-type coordinates
+    # gives commuting flows
+    h = request.getfixturevalue(name)
+    flows = [Derivation(chars) for chars in
+             _flows_from_tau_structure(h, FULL_ORDER[name]).values()]
+    for i, di in enumerate(flows):
+        for dj in flows[i + 1:]:
+            assert di.commutator(dj).is_zero()
+
+
+def test_realization_built_and_validated_once(monkeypatch):
+    calls = []
+    validate = SimpleLieAlgebra.validate
+    monkeypatch.setattr(SimpleLieAlgebra, "validate",
+                        lambda alg: calls.append(alg) or validate(alg))
+    DSHierarchy("a2_1")
+    assert len(calls) == 1
 
 
 def test_flow_commutators_survive_tau_coordinates(sl2, sl3):
