@@ -587,11 +587,6 @@ class EpsSeries:
                 return False
         return True
 
-    def require_graded(self) -> "EpsSeries":
-        if not self.is_graded():
-            raise ValueError("series is not degree-graded")
-        return self
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpsSeries):
             return NotImplemented

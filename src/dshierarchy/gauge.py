@@ -193,9 +193,6 @@ class GaugeHomomorphism:
     def is_invariant(self, w: DiffPoly) -> bool:
         return self.apply(w) == w
 
-    def apply_loop(self, x: LoopElement) -> LoopElement:
-        return x.map_coeffs(self.apply)
-
 
 def to_invariant_coordinates(cf: CanonicalForm, w: DiffPoly,
                              check: bool = True) -> DiffPoly:

@@ -307,34 +307,6 @@ class DSHierarchy:
         self._omega[key] = table
         return table
 
-    def omega_entry_opposite_expansion(self, i: FlowLabel,
-                                       j: FlowLabel) -> DiffPoly:
-        """The (i, j) entry computed with 1/(lambda-mu)^2 expanded in lambda/mu.
-
-        Used to confirm that the extracted coefficients do not depend on the
-        expansion region; equals the standard entry whenever the symmetry
-        identity holds.
-        """
-        (a, k1), (b, k2) = i, j
-        real = self.real
-        n_tw = real.twist_order
-        sigma = (k1 + k2) * n_tw
-        pmax_a = max(real.heisenberg_element(real.exponents[a - 1]).lambda_powers())
-        pmax_b = max(real.heisenberg_element(real.exponents[b - 1]).lambda_powers())
-        depth = omega_depth(real, max(a, b), max(k1, k2)) + 1
-        ra = self.lax_u.resolvent(a, depth)
-        rb = self.lax_u.resolvent(b, depth)
-        val = DiffPoly.zero()
-        for p in range(-pmax_b - sigma, -k1 * n_tw):
-            weight = -k1 * n_tw - p
-            va = ra.coefficient(p)
-            vb = rb.coefficient(-p - sigma)
-            val = val + real.alg.pair_vec(va, vb) * weight
-        ct = _counterterm_coefficient(real, a, b, k1, k2)
-        if ct:
-            val = val - DiffPoly.const(ct)
-        return val
-
 
 # -- verification ------------------------------------------------------------
 

@@ -7,7 +7,10 @@ Jacobson-Morozov triple (e, rho, f) of the zero-mode subalgebra, the cyclic
 element data, the exponents and normalized Heisenberg generators, and the
 nilpotent/Cartan/gauge bases.  Everything else (structure constants, the
 invariant bilinear form, gradations, splittings) is derived from the matrices
-at load time and validated exactly.
+at load time and validated exactly.  Integral matrix entries, structure
+constants and form values are stored as ``int``, so the load runs in integer
+arithmetic, and the Lie algebra identities are checked on every basis triple
+through the sparse rows of the structure-constant table.
 
 Loop elements are Laurent windows in the spectral parameter lambda with
 differential-polynomial coefficients; the coefficient of lambda^k must lie in
@@ -24,7 +27,7 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .diffalg import DiffPoly
-from .linalg import InconsistentSystemError, LinearSolver
+from .linalg import InconsistentSystemError, LinearSolver, integral
 from .matrixform import check_cyclic
 
 _ZERO_P = DiffPoly.zero()
@@ -92,13 +95,8 @@ class TableShape:
                     for item in data["heisenberg"]})
 
 
-def _frac_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _integral(c: Fraction) -> int | Fraction:
-    """c as an int when it is one, so that a product with it is an integer scaling."""
-    return c.numerator if c.denominator == 1 else c
+def _exact_matrix(rows) -> tuple[tuple[int | Fraction, ...], ...]:
+    return tuple(tuple(integral(Fraction(x)) for x in row) for row in rows)
 
 
 def _mat_mul(a, b):
@@ -109,12 +107,9 @@ def _mat_mul(a, b):
     )
 
 
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_trace(a) -> Fraction:
-    return sum(a[i][i] for i in range(len(a)))
+def _trace_of_product(a, b) -> int | Fraction:
+    n = len(a)
+    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
 
 
 class SimpleLieAlgebra:
@@ -123,7 +118,7 @@ class SimpleLieAlgebra:
     def __init__(self, name: str, matrices: Sequence, labels: Sequence[str]):
         self.name = name
         self.labels = list(labels)
-        self.matrices = [_frac_matrix(m) for m in matrices]
+        self.matrices = [_exact_matrix(m) for m in matrices]
         self.dim = len(self.matrices)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.size = size = len(self.matrices[0])
@@ -133,16 +128,17 @@ class SimpleLieAlgebra:
             for c in range(size):
                 rows.append([self.matrices[i][r][c] for i in range(self.dim)])
         self._coords = LinearSolver(rows)
-        # Structure constants from matrix brackets.
+        # Structure constants from matrix commutators, as sparse rows.
         self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         for i in range(self.dim):
             for j in range(self.dim):
                 if i == j:
                     continue
-                br = _mat_sub(_mat_mul(self.matrices[i], self.matrices[j]),
-                              _mat_mul(self.matrices[j], self.matrices[i]))
-                coords = self.coordinates_of_matrix(br)
-                entries = tuple((k, _integral(c)) for k, c in enumerate(coords) if c)
+                mi, mj = self.matrices[i], self.matrices[j]
+                br = [[x - y for x, y in zip(rij, rji)]
+                      for rij, rji in zip(_mat_mul(mi, mj), _mat_mul(mj, mi))]
+                coords = self.coordinates_of_matrix(br, zero=0)
+                entries = tuple((k, integral(c)) for k, c in enumerate(coords) if c)
                 if entries:
                     self.bracket_table[(i, j)] = entries
         # the same table by first operand: row i lists (j, entries)
@@ -150,11 +146,9 @@ class SimpleLieAlgebra:
         for (i, j), entries in self.bracket_table.items():
             self._bracket_rows[i].append((j, entries))
         # Normalized invariant form: trace form in the defining representation.
-        self.gram = [
-            [_integral(_mat_trace(_mat_mul(self.matrices[i], self.matrices[j])))
-             for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        self.gram = [[integral(_trace_of_product(self.matrices[i], self.matrices[j]))
+                      for j in range(self.dim)]
+                     for i in range(self.dim)]
 
     def coordinates_of_matrix(self, mat, zero=Fraction(0)) -> list:
         flat = [mat[r][c] for r in range(self.size) for c in range(self.size)]
@@ -198,34 +192,41 @@ class SimpleLieAlgebra:
         return out
 
     def validate(self):
-        """Antisymmetry, Jacobi, and form invariance on all basis triples."""
-        dim = self.dim
-        basis = []
+        """Alternation, Jacobi and form invariance on all basis triples, and symmetry.
+
+        Works on the sparse rows {k: c} of ``bracket_table``; the error names
+        the identity and the basis indices at which it fails.
+        """
+        dim, gram = self.dim, self.gram
+        rows = [[{} for _ in range(dim)] for _ in range(dim)]
+        for (i, j), entries in self.bracket_table.items():
+            rows[i][j] = dict(entries)
         for i in range(dim):
-            v = [Fraction(0)] * dim
-            v[i] = Fraction(1)
-            basis.append(tuple(v))
-        zero = Fraction(0)
-        br = lambda a, b: self.bracket_vec(a, b, zero=zero)
-        for i in range(dim):
-            if any(br(basis[i], basis[i])):
-                raise ValueError("bracket not alternating")
+            if rows[i][i]:
+                raise ValueError(f"bracket not alternating at basis index {i}")
         for i in range(dim):
             for j in range(dim):
+                ij = rows[i][j]
                 for k in range(dim):
-                    jac = br(basis[i], br(basis[j], basis[k]))
-                    jac2 = br(basis[j], br(basis[k], basis[i]))
-                    jac3 = br(basis[k], br(basis[i], basis[j]))
-                    if any(a + b + c for a, b, c in zip(jac, jac2, jac3)):
+                    # [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]
+                    jac: dict[int, int | Fraction] = {}
+                    for a, inner in ((i, rows[j][k]), (j, rows[k][i]), (k, ij)):
+                        outer = rows[a]
+                        for m, c in inner.items():
+                            for t, d in outer[m].items():
+                                jac[t] = jac.get(t, 0) + c * d
+                    if any(jac.values()):
                         raise ValueError(f"Jacobi identity fails on triple {i},{j},{k}")
-                    lhs = self.pair_vec(br(basis[i], basis[j]), basis[k], zero=zero)
-                    rhs = self.pair_vec(basis[j], br(basis[i], basis[k]), zero=zero)
-                    if lhs + rhs != 0:
-                        raise ValueError("bilinear form is not invariant")
+                    # ([x_i, x_j] | x_k) + (x_j | [x_i, x_k])
+                    lhs = sum(c * gram[m][k] for m, c in ij.items())
+                    rhs = sum(gram[j][m] * c for m, c in rows[i][k].items())
+                    if lhs + rhs:
+                        raise ValueError(
+                            f"bilinear form is not invariant on triple {i},{j},{k}")
         for i in range(dim):
             for j in range(dim):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("bilinear form is not symmetric")
+                if gram[i][j] != gram[j][i]:
+                    raise ValueError(f"bilinear form is not symmetric on pair {i},{j}")
 
 
 def _poly_coeffs(mapping: Mapping[str, str], alg: SimpleLieAlgebra) -> tuple:
@@ -733,7 +734,7 @@ class LoopRealization:
         # twist classes: sigma eigenspaces and bracket compatibility
         n = self.twist_order
         if self._sigma_J is not None:
-            j = _frac_matrix(self._sigma_J)
+            j = _exact_matrix(self._sigma_J)
             for i in range(alg.dim):
                 m = alg.matrices[i]
                 mt = tuple(tuple(m[c][r] for c in range(len(m))) for r in range(len(m)))

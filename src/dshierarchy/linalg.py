@@ -4,7 +4,9 @@ The splitting operations (Heisenberg projection, gauge splitting, Borel
 coordinates) all reduce to solving A x = b where A is a fixed rational matrix
 and b has entries in a commutative ring (Fraction or DiffPoly).  The solver
 precomputes a row reduction of A once and then applies the recorded
-transformation to each right-hand side; inconsistent systems raise.
+transformation to each right-hand side; inconsistent systems raise.  The
+transformation is kept as the nonzero entries of each row, integral ones as
+``int``, so a solve touches only the coefficients that contribute.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from typing import Sequence
 
 class InconsistentSystemError(ValueError):
     pass
+
+
+def integral(c: int | Fraction) -> int | Fraction:
+    """c as an int when it is one, so that a product with it is an integer scaling."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class LinearSolver:
@@ -53,8 +60,9 @@ class LinearSolver:
                     t[i] = [x - f * y for x, y in zip(t[i], t[row])]
             pivots.append((row, col))
             row += 1
-        self.rref = r
         self.transform = t
+        self._rows = [tuple((j, integral(x)) for j, x in enumerate(tr) if x)
+                      for tr in t]
         self.pivots = pivots
         self.rank = len(pivots)
 
@@ -67,12 +75,11 @@ class LinearSolver:
         if len(b) != self.nrows:
             raise ValueError(f"rhs length {len(b)} != {self.nrows}")
         c = []
-        for i in range(self.nrows):
+        for row in self._rows:
             acc = zero
-            for j, coef in enumerate(self.transform[i]):
-                if not coef:
-                    continue
-                acc = acc + b[j] * coef
+            for j, coef in row:
+                if b[j]:
+                    acc = acc + b[j] * coef
             c.append(acc)
         for i in range(self.rank, self.nrows):
             if c[i] != zero:

@@ -156,6 +156,7 @@ class Resolvent:
         self.a = a
         self.m_a = lax.real.exponents[a - 1]
         self.depth = depth
+        self._coefficients: dict[int, tuple[DiffPoly, ...]] = {}
 
     def slice(self, d: int) -> LoopElement:
         if d > self.m_a or d < self.m_a - self.depth:
@@ -187,13 +188,15 @@ class Resolvent:
         if k < self.min_complete_power():
             raise DepthError(
                 f"lambda^{k} coefficient of R_{self.m_a} needs depth > {self.depth}")
-        dim = self.real.alg.dim
-        out = [DiffPoly.zero()] * dim
-        for sl in self._slices():
-            vec = sl.coeffs.get(k)
-            if vec:
-                out = [a + b for a, b in zip(out, vec)]
-        return tuple(out)
+        got = self._coefficients.get(k)
+        if got is None:
+            out = [_ZERO_P] * self.real.alg.dim
+            for sl in self._slices():
+                vec = sl.coeffs.get(k)
+                if vec:
+                    out = [a + b for a, b in zip(out, vec)]
+            got = self._coefficients[k] = tuple(out)
+        return got
 
     def shifted_plus(self, k: int) -> LoopElement:
         """(lambda^{k N} R)_+ in the standard gradation, for k >= 0."""

@@ -105,7 +105,7 @@ def test_f_of_resolvent_is_gauged_resolvent(ctx):
     depth = 5
     r = lax.resolvent(1, depth)
     hom = GaugeHomomorphism(lax, frame)
-    lhs = hom.apply_loop(r.element())
+    lhs = r.element().map_coeffs(hom.apply)
     rhs = ad_exp_series(hom.s_generic, r.element())
     diff = lhs - rhs
     for d, sl in diff.pdeg_slices().items():

@@ -13,7 +13,7 @@ from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
 from dshierarchy.miura import invert_miura, MiuraTuple, induce_derivation, \
     reconstruct_flows
 from dshierarchy.render import default_names, render_series
-from dshierarchy.resolvent import Resolvent, flow_depth
+from dshierarchy.resolvent import Resolvent, flow_depth, omega_depth
 
 u = DiffPoly.var
 
@@ -189,10 +189,34 @@ def test_counterterm_vanishes_in_range(sl2):
                     assert _counterterm_coefficient(real, a, b, k1, k2) == 0
 
 
+def omega_entry_opposite_expansion(h: DSHierarchy, i, j) -> DiffPoly:
+    """The (i, j) entry computed with 1/(lambda-mu)^2 expanded in lambda/mu.
+
+    Equals the standard entry whenever the symmetry identity holds, so the
+    extracted coefficients do not depend on the expansion region.
+    """
+    (a, k1), (b, k2) = i, j
+    real = h.real
+    n_tw = real.twist_order
+    sigma = (k1 + k2) * n_tw
+    pmax_b = real.heisenberg_top[real.exponents[b - 1]]
+    depth = omega_depth(real, max(a, b), max(k1, k2)) + 1
+    ra = h.lax_u.resolvent(a, depth)
+    rb = h.lax_u.resolvent(b, depth)
+    val = DiffPoly.zero()
+    for p in range(-pmax_b - sigma, -k1 * n_tw):
+        weight = -k1 * n_tw - p
+        val = val + real.alg.pair_vec(ra.coefficient(p), rb.coefficient(-p - sigma)) * weight
+    ct = _counterterm_coefficient(real, a, b, k1, k2)
+    if ct:
+        val = val - DiffPoly.const(ct)
+    return val
+
+
 def test_omega_region_independence(sl2):
     for (i, j) in [((1, 0), (1, 1)), ((1, 1), (1, 1)), ((1, 0), (1, 0))]:
         table = sl2.omega_table(1, 2)
-        assert sl2.omega_entry_opposite_expansion(i, j) == table.entry(i, j)
+        assert omega_entry_opposite_expansion(sl2, i, j) == table.entry(i, j)
 
 
 def test_omega_matches_literal_double_laurent_projection(sl2):

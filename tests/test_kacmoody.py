@@ -1,10 +1,12 @@
+import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.kacmoody import (LoopElement, UnsupportedTypeError,
+from dshierarchy.kacmoody import (LoopElement, SimpleLieAlgebra, UnsupportedTypeError,
                                   build_algebra, pi_lambda, supported_types)
 
 
@@ -224,3 +226,110 @@ def test_struct_constants_twist_compatible(tw):
         cls = (tw.twist_class[i] + tw.twist_class[j]) % n
         for k, _ in entries:
             assert tw.twist_class[k] % n == cls
+
+
+# -- validate against the dense Fraction route --------------------------------
+
+def reference_validate(alg):
+    """The dense validate: bracket_vec and pair_vec on Fraction unit vectors.
+
+    ``SimpleLieAlgebra.validate`` computes the same checks on the sparse rows
+    of ``bracket_table``, in the same order and with the same messages.
+    """
+    dim = alg.dim
+    zero = Fraction(0)
+    basis = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
+    br = lambda a, b: alg.bracket_vec(a, b, zero=zero)
+    for i in range(dim):
+        if any(br(basis[i], basis[i])):
+            raise ValueError(f"bracket not alternating at basis index {i}")
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                jac = br(basis[i], br(basis[j], basis[k]))
+                jac2 = br(basis[j], br(basis[k], basis[i]))
+                jac3 = br(basis[k], br(basis[i], basis[j]))
+                if any(a + b + c for a, b, c in zip(jac, jac2, jac3)):
+                    raise ValueError(f"Jacobi identity fails on triple {i},{j},{k}")
+                lhs = alg.pair_vec(br(basis[i], basis[j]), basis[k], zero=zero)
+                rhs = alg.pair_vec(basis[j], br(basis[i], basis[k]), zero=zero)
+                if lhs + rhs != 0:
+                    raise ValueError(f"bilinear form is not invariant on triple {i},{j},{k}")
+    for i in range(dim):
+        for j in range(dim):
+            if alg.gram[i][j] != alg.gram[j][i]:
+                raise ValueError(f"bilinear form is not symmetric on pair {i},{j}")
+
+
+def _verdict(check, alg):
+    try:
+        check(alg)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _with_bracket_table(alg, table):
+    """A copy of alg whose structure constants (and bracket_vec rows) are ``table``."""
+    bad = copy.copy(alg)
+    bad.bracket_table = table
+    bad._bracket_rows = [[] for _ in range(alg.dim)]
+    for (i, j), entries in table.items():
+        bad._bracket_rows[i].append((j, entries))
+    return bad
+
+
+@pytest.mark.parametrize("type_name", ["a1_1", "a2_1", "a2_2"])
+def test_validate_matches_reference(type_name):
+    alg = build_algebra(type_name).alg
+    assert alg.validate() is None
+    assert reference_validate(alg) is None
+    assert all(isinstance(m, int) for mat in alg.matrices for row in mat for m in row)
+    assert all(isinstance(g, int) for row in alg.gram for g in row)
+
+
+def test_corrupted_structure_constant_names_a_jacobi_triple(a2):
+    alg = a2.alg
+    key = min(alg.bracket_table)
+    (k, c), *rest = alg.bracket_table[key]
+    bad = _with_bracket_table(alg, {**alg.bracket_table, key: ((k, c + 1), *rest)})
+    got = _verdict(SimpleLieAlgebra.validate, bad)
+    assert re.fullmatch(r"Jacobi identity fails on triple \d+,\d+,\d+", got)
+    assert got == _verdict(reference_validate, bad)
+    assert alg.validate() is None  # the original is untouched
+
+
+def test_corrupted_gram_entry_names_the_indices(tw):
+    alg = tw.alg
+    i, j = next((i, j) for i in range(alg.dim) for j in range(alg.dim)
+                if i != j and alg.gram[i][j])
+    bad = copy.copy(alg)
+    bad.gram = [row[:] for row in alg.gram]
+    bad.gram[i][j] += 1
+    got = _verdict(SimpleLieAlgebra.validate, bad)
+    assert re.fullmatch(r"bilinear form is not invariant on triple \d+,\d+,\d+", got)
+    assert got == _verdict(reference_validate, bad)
+    # the same change on both (i, j) and (j, i) keeps the form symmetric
+    bad.gram = [row[:] for row in alg.gram]
+    bad.gram[i][j] = bad.gram[j][i] = alg.gram[i][j] + 1
+    got = _verdict(SimpleLieAlgebra.validate, bad)
+    assert got.startswith("bilinear form is not invariant on triple")
+    assert got == _verdict(reference_validate, bad)
+
+
+def test_self_bracket_names_the_index(a1):
+    alg = a1.alg
+    bad = _with_bracket_table(alg, {**alg.bracket_table, (1, 1): ((0, 1),)})
+    got = _verdict(SimpleLieAlgebra.validate, bad)
+    assert got == "bracket not alternating at basis index 1"
+    assert got == _verdict(reference_validate, bad)
+
+
+def test_asymmetric_form_names_the_pair(a1):
+    # with an abelian bracket every triple is invariant, so only symmetry fails
+    alg = _with_bracket_table(a1.alg, {})
+    alg.gram = [row[:] for row in a1.alg.gram]
+    alg.gram[0][1] += 1
+    got = _verdict(SimpleLieAlgebra.validate, alg)
+    assert got == "bilinear form is not symmetric on pair 0,1"
+    assert got == _verdict(reference_validate, alg)

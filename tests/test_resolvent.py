@@ -145,6 +145,24 @@ def test_resolvent_coefficients_and_depth_error(lax):
         r.slice(1 - 5)
 
 
+def test_coefficient_sums_the_slices_once_per_power(lax):
+    r = lax.resolvent(1, 6)
+    sums = []
+    slices = r._slices
+    r._slices = lambda: sums.append(1) or slices()
+    powers = range(r.min_complete_power(), 2)
+    for _ in range(3):
+        for k in powers:
+            assert r.coefficient(k) == tuple(sum((sl.vector_at(k)[t] for sl in slices()), DiffPoly.zero())
+                                for t in range(lax.real.alg.dim))
+    assert len(sums) == len(powers)
+    # the depth check still comes first, on every call
+    for _ in range(2):
+        with pytest.raises(DepthError):
+            r.coefficient(r.min_complete_power() - 1)
+    assert len(sums) == len(powers)
+
+
 def test_shifted_resolvent_plus(lax):
     real = lax.real
     r = lax.resolvent(1, 6)
