@@ -22,13 +22,17 @@ Truncated series in a formal parameter ``eps`` over this ring are provided by
 homogeneous of differential degree q (``deg u_{a,m} = m``), which is the
 storage format for elements of the degree completion of the ring.
 
-Derivations commuting with the total derivative ("evolutionary vector
-fields") are determined by their characteristic, the tuple of values on the
-generators ``u_{a,0}``; see :class:`Derivation`.
+Derivations commuting with the jet operator ("evolutionary vector fields")
+are determined by their characteristic, the tuple of values on the
+generators ``u_{a,0}``; see :class:`Derivation`.  The jet operator is the one
+thing that tells the differential ring from the difference ring: a
+:class:`JetMap` computes ``d^m`` of its images, and ``discrete.ShiftJetMap``
+computes the shift ``S^m`` instead.  Derivations and Miura pairs take their
+jets from a jet map, so both rings share them.
 
-The monomial container intentionally allows negative orders so that the
-difference-polynomial ring (shift orders in Z) can reuse it; the operations
-that only make sense differentially (total derivative, degree) reject
+The monomial container allows negative orders so that the difference ring
+(shift orders in Z) can reuse it; the operations that only make sense
+differentially (total derivative, degree, the jets of a ``JetMap``) reject
 negative orders.
 """
 
@@ -627,8 +631,6 @@ class EpsSeries:
 
     def __mul__(self, other) -> "EpsSeries":
         if isinstance(other, (int, Fraction, DiffPoly)):
-            if isinstance(other, DiffPoly):
-                return EpsSeries([c * other for c in self.components], self.order)
             return EpsSeries([c * other for c in self.components], self.order)
         o = self._coerce(other)
         comps = [DiffPoly.zero() for _ in range(self.order + 1)]
@@ -713,11 +715,13 @@ class EpsSeries:
 
 
 class JetMap:
-    """The jet images (alpha, m) -> d^m(images[alpha-1]), each computed once.
+    """The jets (alpha, m) -> d^m(images[alpha-1]), each computed once.
 
     Images may be DiffPoly or EpsSeries values.  The map is a callable, so it
     can be handed to ``substitute`` as the images of a ring homomorphism; it
-    raises ArityMismatchError for a component beyond ``len(images)``.
+    raises ArityMismatchError for a component beyond ``len(images)``.  Each
+    jet comes from one call of ``step``, the only place that knows the jet
+    operator; a subclass with another step gives the jets of another ring.
     """
 
     __slots__ = ("images", "_jets")
@@ -732,23 +736,28 @@ class JetMap:
             if not 0 < alpha <= len(self.images):
                 raise ArityMismatchError(
                     f"component {alpha} outside arity {len(self.images)}")
-            got = self.images[alpha - 1] if m == 0 else self(alpha, m - 1).dx()
-            self._jets[(alpha, m)] = got
+            got = self._jets[(alpha, m)] = self.step(alpha, m)
         return got
+
+    def step(self, alpha: int, m: int):
+        """d^m(images[alpha-1]), the total derivative of the jet of order m - 1."""
+        if m < 0:
+            raise ValueError(
+                f"jet of component {alpha} at order {m}: d^m needs m >= 0")
+        return self.images[alpha - 1] if m == 0 else self(alpha, m - 1).dx()
 
 
 def apply_poly_derivation(jets: JetMap, p: DiffPoly) -> DiffPoly:
     """Apply the evolutionary derivation with characteristic ``jets.images``.
 
-    D(p) = sum_{a,m} d^m(W_a) * dp/du_{a,m}.  Raises ArityMismatchError when
-    p involves a component beyond the arity of the characteristic.
+    D(p) = sum_{a,m} J^m(W_a) * dp/du_{a,m}, with J^m the jet operator of
+    ``jets``.  Raises ArityMismatchError when p involves a component beyond
+    the arity of the characteristic.
     """
     acc: dict[int, int] = {}
     den = 1
-    for (alpha, order) in sorted(p.variables()):
-        if order < 0:
-            raise ValueError("evolutionary derivations need orders >= 0")
-        den = _add_into(acc, den, jets(alpha, order) * p.partial((alpha, order)))
+    for v in sorted(p.variables()):
+        den = _add_into(acc, den, jets(*v) * p.partial(v))
     return _normal(acc, den)
 
 
@@ -756,13 +765,16 @@ class Derivation:
     """Admissible derivation, stored by its characteristic tuple.
 
     The characteristic W_a = D(u_a) determines the action on every jet
-    variable through D(u_{a,m}) = d^m(W_a); by construction every such
-    derivation commutes with the total derivative.
+    variable through D(u_{a,m}) = J^m(W_a), where J^m is the jet operator of
+    ``kind`` (``JetMap``: d^m; ``DifferenceRing.jet_map``: the shift S^m), so
+    every such derivation commutes with it.  Each eps power of the
+    characteristic gets one jet map, applied by ``apply_poly_derivation``.
     """
 
-    __slots__ = ("chars", "order", "arity", "char_dx")
+    __slots__ = ("chars", "order", "arity", "kind", "_jets")
 
-    def __init__(self, chars: Sequence[EpsSeries]):
+    def __init__(self, chars: Sequence[EpsSeries],
+                 kind: Callable[[Sequence[DiffPoly]], JetMap] = JetMap):
         chars = tuple(chars)
         if not chars:
             raise ValueError("derivation needs at least one component")
@@ -773,11 +785,14 @@ class Derivation:
         self.chars = chars
         self.order = order
         self.arity = len(chars)
-        self.char_dx = JetMap(chars)
+        self.kind = kind
+        self._jets = [(q, kind(part)) for q, part in
+                      enumerate(zip(*(c.components for c in chars))) if any(part)]
 
     @classmethod
-    def from_polys(cls, polys: Sequence[DiffPoly], order: int = 0) -> "Derivation":
-        return cls([EpsSeries.of_poly(p, order) for p in polys])
+    def from_polys(cls, polys: Sequence[DiffPoly], order: int = 0,
+                   kind: Callable[[Sequence[DiffPoly]], JetMap] = JetMap) -> "Derivation":
+        return cls([EpsSeries.of_poly(p, order) for p in polys], kind)
 
     @classmethod
     def d_x(cls, arity: int, order: int = 0) -> "Derivation":
@@ -789,10 +804,13 @@ class Derivation:
             p = EpsSeries.of_poly(p, self.order)
         if p.order != self.order:
             raise ValueError("eps truncation mismatch between derivation and argument")
-        out = EpsSeries.zero(self.order)
-        for (alpha, m) in sorted(p.variables()):
-            out = out + self.char_dx(alpha, m) * p.partial((alpha, m))
-        return out
+        comps = [DiffPoly.zero()] * (self.order + 1)
+        for i, part in enumerate(p.components):
+            if part:
+                for q, jets in self._jets:
+                    if i + q <= self.order:
+                        comps[i + q] = comps[i + q] + apply_poly_derivation(jets, part)
+        return EpsSeries(comps, self.order)
 
     def commutator(self, other: "Derivation") -> "Derivation":
         if self.arity != other.arity:
@@ -800,7 +818,7 @@ class Derivation:
         if self.order != other.order:
             raise ValueError("derivations have different eps truncations")
         chars = [self(w2) - other(w1) for w1, w2 in zip(self.chars, other.chars)]
-        return Derivation(chars)
+        return Derivation(chars, self.kind)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.chars)

@@ -1,11 +1,13 @@
-"""Difference polynomial rings, discrete Miura maps, and the differential embedding.
+"""Difference polynomial rings, their shift jet map, and the differential embedding.
 
 A difference ring has generators u_{a,m} with the shift index m ranging over
 a bounded window of integers and the shift automorphism S(u_{a,m}) =
-u_{a,m+1}.  Admissible derivations commute with S and are determined by
-their characteristic, D(u_{a,m}) = S^m(W_a).  Discrete Miura-type tuples are
-inverted order by order in eps exactly as in the differential case, with
-shifts in place of total derivatives.
+u_{a,m+1}.  Its jet operator is S^m where the differential ring has d^m, and
+that is all that differs: ``ShiftJetMap`` computes the jets S^m(W_a), and
+``ring.jet_map`` is the jet map kind handed to the shared engine.  An
+admissible derivation, D(u_{a,m}) = S^m(W_a), is a ``diffalg.Derivation``
+over it, and a discrete Miura tuple is a ``miura.MiuraTuple`` over it,
+inverted order by order in eps by ``miura.invert_miura``.
 
 The ring embeds into the eps-completion of the differential ring by
 
@@ -19,9 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .diffalg import ArityMismatchError, DiffPoly, EpsSeries
-from .linalg import LinearSolver
-from .miura import LeadingMapError
+from .diffalg import ArityMismatchError, DiffPoly, EpsSeries, JetMap
+from .miura import MiuraPair, MiuraTuple, invert_miura
 
 
 class ShiftWindowError(ValueError):
@@ -55,6 +56,10 @@ class DifferenceRing:
             self._check(alpha, m)
         return p
 
+    def jet_map(self, images: Sequence) -> "ShiftJetMap":
+        """The shift jet map over ``images``: the jet map kind of this ring."""
+        return ShiftJetMap(self, images)
+
     # -- the shift automorphism ------------------------------------------------
     def shift(self, p: DiffPoly | EpsSeries, steps: int = 1):
         """S^steps; raises ShiftWindowError when a variable leaves the window."""
@@ -72,150 +77,28 @@ class DifferenceRing:
         return p.substitute(image)
 
 
-class DiscreteDerivation:
-    """Admissible derivation of a difference ring: D(u_{a,m}) = S^m(W_a)."""
+class ShiftJetMap(JetMap):
+    """The jets (alpha, m) -> S^m(images[alpha-1]) of a difference ring, m in Z.
 
-    def __init__(self, ring: DifferenceRing, chars: Sequence[DiffPoly],
-                 eps_order: int = 0):
-        if len(chars) != ring.arity:
-            raise ArityMismatchError("characteristic length != ring arity")
+    Raises ShiftWindowError when a shifted image leaves the ring's window.
+    """
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring: DifferenceRing, images: Sequence):
+        super().__init__(images)
         self.ring = ring
-        self.order = eps_order
-        self.chars = tuple(
-            c if isinstance(c, EpsSeries) else EpsSeries.of_poly(c, eps_order)
-            for c in chars)
-        self._cache: dict[tuple[int, int], EpsSeries] = {}
 
-    def _char_shift(self, alpha: int, m: int) -> EpsSeries:
-        key = (alpha, m)
-        got = self._cache.get(key)
-        if got is None:
-            got = self.ring.shift(self.chars[alpha - 1], m)
-            self._cache[key] = got
-        return got
-
-    def __call__(self, p: DiffPoly | EpsSeries) -> EpsSeries:
-        if isinstance(p, DiffPoly):
-            p = EpsSeries.of_poly(p, self.order)
-        out = EpsSeries.zero(self.order)
-        for (alpha, m) in sorted(p.variables()):
-            out = out + self._char_shift(alpha, m) * p.partial((alpha, m))
-        return out
-
-    def commutator(self, other: "DiscreteDerivation") -> "DiscreteDerivation":
-        chars = [self(w2) - other(w1) for w1, w2 in zip(self.chars, other.chars)]
-        return DiscreteDerivation(self.ring, chars, self.order)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.chars)
+    def step(self, alpha: int, m: int):
+        return self.ring.shift(self.images[alpha - 1], m)
 
 
-class DiscreteMiuraPair:
-    """Discrete Miura tuple with its stagewise inverse (both eps-truncated)."""
-
-    def __init__(self, ring_u: DifferenceRing, ring_v: DifferenceRing,
-                 forward: Sequence[EpsSeries], inverse: Sequence[EpsSeries]):
-        self.ring_u = ring_u
-        self.ring_v = ring_v
-        self.forward = tuple(forward)
-        self.inverse = tuple(inverse)
-        self.arity = len(self.forward)
-        self.order = self.forward[0].order
-
-    def phi(self, p: DiffPoly | EpsSeries) -> EpsSeries:
-        """v-ring -> u-ring, commuting with the shift."""
-        return self._subst(p, self.forward, self.ring_u)
-
-    def psi(self, p: DiffPoly | EpsSeries) -> EpsSeries:
-        return self._subst(p, self.inverse, self.ring_v)
-
-    def _subst(self, p, images, ring_target) -> EpsSeries:
-        if isinstance(p, DiffPoly):
-            p = EpsSeries.of_poly(p, self.order)
-        cache: dict[tuple[int, int], EpsSeries] = {}
-
-        def image(alpha: int, m: int) -> EpsSeries:
-            key = (alpha, m)
-            got = cache.get(key)
-            if got is None:
-                got = ring_target.shift(images[alpha - 1], m)
-                cache[key] = got
-            return got
-
-        return p.substitute(image)
-
-    def induce(self, d: DiscreteDerivation) -> DiscreteDerivation:
-        """Transport a derivation on the u-ring to the v-ring."""
-        chars = [self.psi(d(v)) for v in self.forward]
-        return DiscreteDerivation(self.ring_v, chars, self.order)
-
-
-def check_discrete_miura(values: Sequence[EpsSeries]) -> tuple[bool, DiffPoly]:
-    """Jacobian of the eps^0 part in the unshifted generators."""
-    from .miura import _det
-    ell = len(values)
-    jac = [[v.component(0).partial((beta, 0)) for beta in range(1, ell + 1)]
-           for v in values]
-    det = _det(jac)
-    return (not det.is_zero(), det)
-
-
-def invert_discrete_miura(ring_u: DifferenceRing, values: Sequence[EpsSeries],
-                          ring_v: DifferenceRing | None = None) -> DiscreteMiuraPair:
-    """Stagewise inversion; the eps^0 part must be affine-linear and unshifted."""
-    ell = len(values)
-    order = values[0].order
-    if ring_v is None:
-        ring_v = DifferenceRing(ell, ring_u.window)
-    lin = [[Fraction(0)] * ell for _ in range(ell)]
-    const = [Fraction(0)] * ell
-    for i, v in enumerate(values):
-        ring_u.check_member(v.component(0))
-        for mono, c in v.component(0).terms.items():
-            if not mono:
-                const[i] = c
-            elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0][1] == 0:
-                lin[i][mono[0][0][0] - 1] = c
-            else:
-                raise LeadingMapError(
-                    "leading part of the discrete tuple is not affine-linear "
-                    "in the unshifted generators")
-    solver = LinearSolver(lin)
-    if solver.rank != ell:
-        raise LeadingMapError("degenerate leading slice")
-    ainv = [solver.solve([Fraction(int(i == j)) for i in range(ell)])
-            for j in range(ell)]
-
-    def lin_inverse_image(beta: int, m: int) -> DiffPoly:
-        out = DiffPoly.zero()
-        for g in range(ell):
-            coef = ainv[g][beta - 1]
-            if not coef:
-                continue
-            out = out + DiffPoly.dvar(g + 1, m) * coef
-            if m == 0 and const[g]:
-                out = out - DiffPoly.const(const[g] * coef)
-        return out
-
-    pair = DiscreteMiuraPair(ring_u, ring_v, values,
-                             [EpsSeries.zero(order) for _ in range(ell)])
-    inverse = list(pair.inverse)
-    for stage in range(order + 1):
-        for alpha in range(ell):
-            pair = DiscreteMiuraPair(ring_u, ring_v, values, inverse)
-            residual = pair.phi(inverse[alpha]) - EpsSeries.of_poly(
-                DiffPoly.dvar(alpha + 1, 0), order)
-            corr = residual.component(stage)
-            if corr.is_zero():
-                continue
-            corr_v = corr.substitute(lin_inverse_image)
-            inverse[alpha] = inverse[alpha] - EpsSeries.of_poly(corr_v, order, stage)
-    pair = DiscreteMiuraPair(ring_u, ring_v, values, inverse)
-    for alpha in range(1, ell + 1):
-        target = EpsSeries.of_poly(DiffPoly.dvar(alpha, 0), order)
-        if not (pair.phi(pair.inverse[alpha - 1]) - target).is_zero():
-            raise RuntimeError("discrete inversion failed to close")
-    return pair
+def invert_discrete_miura(ring: DifferenceRing,
+                          values: Sequence[EpsSeries]) -> MiuraPair:
+    """Invert a discrete Miura tuple whose eps^0 part lies in ``ring``."""
+    for v in values:
+        ring.check_member(v.component(0))
+    return invert_miura(MiuraTuple(values, ring.jet_map))
 
 
 def embed_differential(p: DiffPoly | EpsSeries, eps_order: int) -> EpsSeries:

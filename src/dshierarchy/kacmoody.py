@@ -481,29 +481,24 @@ class _SliceSplitter:
         if self.h_elt is not None:
             cols.append(self._coords_of(self.h_elt))
             self.n_h = 1
-        # ad Lambda images of the previous slice basis.
-        lam = real.cyclic
+        # ad Lambda images of the previous slice basis, from the sparse
+        # structure constants [x_a, x_i] of the Lambda terms c lambda^lk x_a.
+        lam = [(lk, a, c.constant_term()) for lk, lvec in real.cyclic.coeffs.items()
+               for a, c in enumerate(lvec) if c]
         for (k, i) in self.basis_prev:
-            vec = [Fraction(0)] * real.alg.dim
-            vec[i] = Fraction(1)
-            img: dict[int, list[Fraction]] = {}
-            for lk, lvec in lam.coeffs.items():
-                lam_rat = [c.constant_term() for c in lvec]
-                br = real.alg.bracket_vec(lam_rat, vec, zero=Fraction(0))
-                if any(br):
-                    tgt = img.setdefault(lk + k, [Fraction(0)] * real.alg.dim)
-                    for t, c in enumerate(br):
-                        tgt[t] += c
+            img: dict[tuple[int, int], Fraction] = {}
+            for lk, a, c in lam:
+                for t, b in real.alg.bracket_table.get((a, i), ()):
+                    img[(lk + k, t)] = img.get((lk + k, t), 0) + c * b
             col = [Fraction(0)] * len(self.basis_d)
-            for kk, v in img.items():
-                for t, c in enumerate(v):
-                    if c:
-                        pos = self.index_d.get((kk, t))
-                        if pos is None:
-                            raise WindowError(
-                                f"window too small to split degree {d}: "
-                                f"lambda^{kk} falls outside {real.window}")
-                        col[pos] = c
+            for (kk, t), c in img.items():
+                if c:
+                    pos = self.index_d.get((kk, t))
+                    if pos is None:
+                        raise WindowError(
+                            f"window too small to split degree {d}: "
+                            f"lambda^{kk} falls outside {real.window}")
+                    col[pos] = c
             cols.append(col)
         rows = [[col[r] for col in cols] for r in range(len(self.basis_d))] \
             if cols else [[] for _ in range(len(self.basis_d))]

@@ -4,7 +4,8 @@ A tuple V = (V_1..V_ell) of eps-series in the u-jets is of Miura type when
 the Jacobian of its dispersionless part (eps^0, jet order 0) in the u
 generators is nondegenerate.  Such a tuple defines the substitution
 homomorphism phi_V from the v-jet ring to the u-jet ring (v_{a,m} maps to the
-m-th total derivative of V_a); its inverse psi_U is computed stage by stage
+m-th jet of V_a: its m-th total derivative, or its m-th shift when the tuple
+lives in a difference ring); its inverse psi_U is computed stage by stage
 in eps: the eps^0 stage inverts the dispersionless map, and at stage q the
 residual of the partial inverse is corrected through the inverse of the
 dispersionless map, which only ever requires linear algebra over Q because
@@ -22,7 +23,7 @@ rule through the inverse map.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries, JetMap
 from .linalg import LinearSolver
@@ -49,9 +50,15 @@ def _det(mat: list[list[DiffPoly]]) -> DiffPoly:
 
 
 class MiuraTuple:
-    """An ell-tuple of eps-series in the u-jets."""
+    """An ell-tuple of eps-series in the u-jets, with the jet map of its ring.
 
-    def __init__(self, values: Sequence[EpsSeries]):
+    ``kind`` makes the jet maps (``JetMap`` for the differential ring,
+    ``DifferenceRing.jet_map`` for a difference ring); the inverse of a pair
+    uses the same kind.
+    """
+
+    def __init__(self, values: Sequence[EpsSeries],
+                 kind: Callable[[Sequence], JetMap] = JetMap):
         values = tuple(values)
         if not values:
             raise ValueError("empty tuple")
@@ -62,7 +69,8 @@ class MiuraTuple:
         self.values = values
         self.arity = len(values)
         self.order = order
-        self.jets = JetMap(values)
+        self.kind = kind
+        self.jets = kind(values)
 
     def jacobian(self) -> list[list[DiffPoly]]:
         return [[v.component(0).partial((beta, 0)) for beta in range(1, self.arity + 1)]
@@ -80,7 +88,7 @@ def check_miura(values: Sequence[EpsSeries]) -> tuple[bool, DiffPoly]:
 
 
 def forward_map(tup: MiuraTuple, p: DiffPoly | EpsSeries) -> EpsSeries:
-    """phi_V: substitute v_{a,m} -> d^m(V_a); input lives in the v-jets."""
+    """phi_V: substitute v_{a,m} -> J^m(V_a); input lives in the v-jets."""
     if isinstance(p, DiffPoly):
         p = EpsSeries.of_poly(p, tup.order)
     return p.substitute(tup.jets)
@@ -101,7 +109,7 @@ class MiuraPair:
         self.arity = forward.arity
         self.order = forward.order
         self.jet_depth = jet_depth
-        self._inverse_jets = JetMap(self.inverse)
+        self._inverse_jets = forward.kind(self.inverse)
 
     def phi(self, p: DiffPoly | EpsSeries) -> EpsSeries:
         """v-jet ring -> u-jet ring."""
@@ -143,24 +151,14 @@ def invert_miura(tup: MiuraTuple, jet_depth: int | None = None) -> MiuraPair:
         raise LeadingMapError(
             "leading map not invertible over coefficient field: "
             "singular dispersionless Jacobian")
-    # columns of the inverse matrix
-    ainv: list[list[Fraction]] = []
-    for j in range(ell):
-        unit = [Fraction(int(i == j)) for i in range(ell)]
-        ainv.append(solver.solve(unit))
-    # ainv[j][i]: solve(e_j) = column j of A^{-1}; A^{-1}[i][j] = ainv[j][i]
-
-    def lin_inverse_image(beta: int, m: int) -> DiffPoly:
-        # u_{beta,m} -> sum_g A^{-1}[beta][g] (v_{g,m} - delta_{m0} c_g)
-        out = DiffPoly.zero()
-        for g in range(ell):
-            coef = ainv[g][beta - 1]
-            if not coef:
-                continue
-            out = out + DiffPoly.var(g + 1, m) * coef
-            if m == 0 and const[g]:
-                out = out - DiffPoly.const(const[g] * coef)
-        return out
+    # columns of the inverse matrix: ainv[j][i] = A^{-1}[i][j]
+    ainv = [solver.solve([Fraction(int(i == j)) for i in range(ell)])
+            for j in range(ell)]
+    # u_{beta,m} -> the m-th jet of sum_g A^{-1}[beta][g] (v_g - c_g)
+    lin_inverse = tup.kind([
+        sum(((DiffPoly.var(g + 1) - const[g]) * ainv[g][beta]
+             for g in range(ell) if ainv[g][beta]), DiffPoly.zero())
+        for beta in range(ell)])
 
     inverse = [EpsSeries.zero(order) for _ in range(ell)]
     for stage in range(order + 1):
@@ -169,7 +167,7 @@ def invert_miura(tup: MiuraTuple, jet_depth: int | None = None) -> MiuraPair:
             corr = residual.component(stage)
             if corr.is_zero():
                 continue
-            corr_v = corr.substitute(lin_inverse_image)
+            corr_v = corr.substitute(lin_inverse)
             inverse[alpha] = inverse[alpha] - EpsSeries.of_poly(corr_v, order, stage)
     depth_seen = max((u.max_order() for u in inverse), default=0)
     if jet_depth is not None and depth_seen > jet_depth:
@@ -189,7 +187,7 @@ def induce_derivation(pair: MiuraPair, d: Derivation) -> Derivation:
     if d.order != pair.order:
         raise ValueError("eps truncation mismatch between derivation and pair")
     chars = [pair.psi(d(v)) for v in pair.forward.values]
-    return Derivation(chars)
+    return Derivation(chars, pair.forward.kind)
 
 
 def reconstruct_flows(omega_rows: Mapping[object, Sequence[EpsSeries]],

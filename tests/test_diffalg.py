@@ -6,7 +6,8 @@ import pytest
 from conftest import random_poly
 from dshierarchy.diffalg import (ArityMismatchError, DegreeUndefinedError,
                                  Derivation, DiffPoly, EpsSeries, JetMap,
-                                 apply_derivation, commutator, degree,
+                                 apply_derivation, apply_poly_derivation,
+                                 commutator, degree,
                                  is_zero, partial_derivative,
                                  total_derivative)
 
@@ -146,6 +147,15 @@ def test_jet_map(rng):
     assert jets(2, 3) is jets(2, 3)
     with pytest.raises(ArityMismatchError):
         jets(4, 0)
+
+
+def test_jet_map_rejects_negative_order():
+    jets = JetMap([u(1)])
+    with pytest.raises(ValueError, match=r"component 1 at order -1"):
+        jets(1, -1)
+    # the check guards derivations too: a shift variable has no d-jet
+    with pytest.raises(ValueError, match=r"component 1 at order -2"):
+        apply_poly_derivation(jets, DiffPoly.dvar(1, -2))
 
 
 def test_eps_series_zero_checks():

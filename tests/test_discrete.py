@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from dshierarchy.diffalg import DiffPoly, EpsSeries
-from dshierarchy.discrete import (DifferenceRing, DiscreteDerivation,
-                                  ShiftWindowError, check_discrete_miura,
+import discrete_route as ref
+from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries
+from dshierarchy.discrete import (DifferenceRing, ShiftJetMap, ShiftWindowError,
                                   embed_differential, invert_discrete_miura)
-from dshierarchy.miura import LeadingMapError
+from dshierarchy.miura import LeadingMapError, check_miura, induce_derivation
 
 v = DiffPoly.dvar
 
@@ -49,7 +49,7 @@ def test_shift_is_multiplicative(ring, rng):
 
 
 def test_discrete_derivation_examples(ring):
-    d = DiscreteDerivation(ring, [v(1, 1) - v(1, 0)])
+    d = Derivation.from_polys([v(1, 1) - v(1, 0)], 0, ring.jet_map)
     assert d(v(1, 1)).component(0) == v(1, 2) - v(1, 1)
     assert d.commutator(d).is_zero()
 
@@ -57,7 +57,7 @@ def test_discrete_derivation_examples(ring):
 def test_derivation_commutes_with_shift(ring, rng):
     for _ in range(10):
         w = _random_dpoly(rng, ring, span=2)
-        d = DiscreteDerivation(ring, [w])
+        d = Derivation.from_polys([w], 0, ring.jet_map)
         p = _random_dpoly(rng, ring, span=2)
         assert (d(ring.shift(p, 1)) - ring.shift(d(p), 1)).is_zero()
 
@@ -72,7 +72,7 @@ def test_discrete_miura_identity(ring):
 def test_discrete_miura_alternating_series(ring):
     k = 3
     val = EpsSeries.of_poly(v(1, 0), k) + EpsSeries.of_poly(v(1, 1), k, 1)
-    ok, det = check_discrete_miura([val])
+    ok, det = check_miura([val])
     assert ok and det == DiffPoly.const(1)
     pair = invert_discrete_miura(ring, [val])
     expect = EpsSeries.zero(k)
@@ -96,10 +96,12 @@ def test_induced_derivations_respect_commutators(ring, rng):
     val = EpsSeries.of_poly(v(1, 0), k) + EpsSeries.of_poly(v(1, 1), k, 1)
     pair = invert_discrete_miura(ring, [val])
     for _ in range(4):
-        d1 = DiscreteDerivation(ring, [_random_dpoly(rng, ring, span=1, terms=2)], k)
-        d2 = DiscreteDerivation(ring, [_random_dpoly(rng, ring, span=1, terms=2)], k)
-        lhs = pair.induce(d1).commutator(pair.induce(d2))
-        rhs = pair.induce(d1.commutator(d2))
+        d1 = Derivation.from_polys(
+            [_random_dpoly(rng, ring, span=1, terms=2)], k, ring.jet_map)
+        d2 = Derivation.from_polys(
+            [_random_dpoly(rng, ring, span=1, terms=2)], k, ring.jet_map)
+        lhs = induce_derivation(pair, d1).commutator(induce_derivation(pair, d2))
+        rhs = induce_derivation(pair, d1.commutator(d2))
         assert all((a - b).is_zero() for a, b in zip(lhs.chars, rhs.chars))
 
 
@@ -137,11 +139,10 @@ def test_embedded_derivations_are_admissible(ring, rng):
     # embed(D(p)) = D_hat(embed(p)) with D_hat the evolutionary derivation
     # whose characteristic is the embedded one (such derivations commute
     # with the total derivative by construction).
-    from dshierarchy.diffalg import Derivation
     k = 2
     for _ in range(6):
         w = _random_dpoly(rng, ring, span=2, terms=2)
-        d = DiscreteDerivation(ring, [w])
+        d = Derivation.from_polys([w], 0, ring.jet_map)
         d_hat = Derivation([embed_differential(w, k)])
         p = _random_dpoly(rng, ring, span=2, terms=2)
         lhs = embed_differential(d(p).component(0), k)
@@ -154,7 +155,7 @@ def test_toy_translation_family_tau_structure():
     # symmetric, tau-symmetric, and the family is integrable.
     ring = DifferenceRing(1, (-12, 12))
     jmax = 3
-    fam = {j: DiscreteDerivation(ring, [v(1, j) - v(1, 0)])
+    fam = {j: Derivation.from_polys([v(1, j) - v(1, 0)], 0, ring.jet_map)
            for j in range(1, jmax + 1)}
     omega = {(i, j): v(1, i + j) - v(1, i) - v(1, j) + v(1, 0)
              for i in range(1, jmax + 1) for j in range(1, jmax + 1)}
@@ -167,3 +168,107 @@ def test_toy_translation_family_tau_structure():
                 rhs = fam[k](omega[(i, j)])
                 assert (lhs - rhs).is_zero()
             assert not omega[(i, j)].is_constant()
+
+
+# -- the shared route against the separate difference-ring route ------------
+
+def _random_tuple(rng, ell, k):
+    """A random discrete Miura tuple: invertible affine eps^0 part, shifted tail."""
+    while True:
+        mat = [[rng.randint(-2, 2) for _ in range(ell)] for _ in range(ell)]
+        det = mat[0][0] if ell == 1 else mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        if det:
+            break
+    values = []
+    for i in range(ell):
+        lead = DiffPoly.const(rng.randint(-2, 2))
+        for b in range(ell):
+            lead = lead + v(b + 1, 0) * mat[i][b]
+        val = EpsSeries.of_poly(lead, k)
+        for q in range(1, k + 1):
+            val = val + EpsSeries.of_poly(_random_tail(rng, ell), k, q)
+        values.append(val)
+    return values
+
+
+def _random_tail(rng, ell, terms=2):
+    p = DiffPoly.zero()
+    for _ in range(rng.randint(1, terms)):
+        mono = DiffPoly.const(rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 2)):
+            mono = mono * v(rng.randint(1, ell), rng.randint(-1, 1))
+        p = p + mono
+    return p
+
+
+def _random_series(rng, ell, k):
+    return EpsSeries([_random_tail(rng, ell) for _ in range(k + 1)], k)
+
+
+CASES = [(ell, k) for ell in (1, 2) for k in (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("ell,k", CASES)
+def test_derivations_match_reference(ell, k):
+    rng = random.Random(7000 + 10 * ell + k)
+    ring = DifferenceRing(ell, (-12, 12))
+    for _ in range(3):
+        chars = [_random_series(rng, ell, k) for _ in range(ell)]
+        d = Derivation(chars, ring.jet_map)
+        d_ref = ref.DiscreteDerivation(ring, chars, k)
+        p = _random_series(rng, ell, k)
+        assert d(p) == d_ref(p)
+        other = [_random_series(rng, ell, k) for _ in range(ell)]
+        got = d.commutator(Derivation(other, ring.jet_map)).chars
+        assert got == d_ref.commutator(ref.DiscreteDerivation(ring, other, k)).chars
+
+
+@pytest.mark.parametrize("ell,k", CASES)
+def test_miura_inverse_matches_reference(ell, k):
+    rng = random.Random(8000 + 10 * ell + k)
+    ring = DifferenceRing(ell, (-16, 16))
+    values = _random_tuple(rng, ell, k)
+    pair = invert_discrete_miura(ring, values)
+    pair_ref = ref.invert_discrete_miura(ring, values)
+    assert pair.inverse == pair_ref.inverse
+    for _ in range(2):
+        p = _random_tail(rng, ell)
+        assert pair.phi(pair.psi(p)) == pair_ref.phi(pair_ref.psi(p)) \
+            == EpsSeries.of_poly(p, k)
+        assert pair.psi(pair.phi(p)) == pair_ref.psi(pair_ref.phi(p))
+    d1, d2 = ([_random_tail(rng, ell, terms=1) for _ in range(ell)] for _ in range(2))
+    new = [Derivation.from_polys(w, k, ring.jet_map) for w in (d1, d2)]
+    old = [ref.DiscreteDerivation(ring, w, k) for w in (d1, d2)]
+    ind = [induce_derivation(pair, d) for d in new]
+    ind_ref = [pair_ref.induce(d) for d in old]
+    assert [i.chars for i in ind] == [i.chars for i in ind_ref]
+    assert ind[0].commutator(ind[1]).chars == ind_ref[0].commutator(ind_ref[1]).chars
+
+
+def test_window_errors_match_reference():
+    ring = DifferenceRing(1, (-3, 3))
+    d = Derivation.from_polys([v(1, 2)], 1, ring.jet_map)
+    d_ref = ref.DiscreteDerivation(ring, [v(1, 2)], 1)
+    assert d(v(1, 1)) == d_ref(v(1, 1))
+    for route in (d, d_ref):
+        with pytest.raises(ShiftWindowError):
+            route(v(1, 2))
+    val = [EpsSeries.of_poly(v(1, 0), 1) + EpsSeries.of_poly(v(1, 3), 1, 1)]
+    for invert in (invert_discrete_miura, ref.invert_discrete_miura):
+        with pytest.raises(ShiftWindowError):
+            invert(ring, val)
+    with pytest.raises(ShiftWindowError):
+        ShiftJetMap(ring, [v(1, -3)])(1, -1)
+
+
+def test_discrete_miura_with_constant_leading_term():
+    # S^m(c) = c: the constant of the eps^0 part enters the linear inverse at
+    # every shift, not only at shift 0 as d^m(c) = 0 would have it.
+    k = 2
+    ring = DifferenceRing(1, (-8, 8))
+    val = EpsSeries.of_poly(v(1, 0) - 1, k) - EpsSeries.of_poly(v(1, -1) * v(1, 0), k, 1)
+    pair = invert_discrete_miura(ring, [val])
+    assert pair.inverse[0].component(1) == (v(1, -1) + 1) * (v(1, 0) + 1)
+    for p in (v(1, 0), v(1, 2) * v(1, -1)):
+        assert pair.phi(pair.psi(p)) == EpsSeries.of_poly(p, k)
+        assert pair.psi(pair.phi(p)) == EpsSeries.of_poly(p, k)
