@@ -70,50 +70,58 @@ class RunConfig:
     self_test_corrupt: bool = False
 
 
-def _parse_flows(text: str) -> list:
-    out = []
-    if not text.strip():
-        return out
-    for chunk in text.split(","):
-        a, _, k = chunk.strip().partition(":")
-        out.append((int(a), int(k)))
-    return out
+def _parse_flows(val) -> list:
+    """'a:k,a:k' (flag or config file), or a list of [a, k] pairs (config file)."""
+    if isinstance(val, str):
+        val = [c.strip().partition(":")[::2] for c in val.split(",")] if val.strip() else []
+    return [(int(str(a)), int(str(k))) for a, k in val]  # str: refuse 1.5 and true
 
 
-def _parse_window(text: str) -> tuple:
-    lo, _, hi = text.partition(":")
-    return (int(lo), int(hi))
+def _parse_window(val) -> tuple:
+    """'kmin:kmax' (flag or config file), or a list [kmin, kmax] (config file)."""
+    lo, hi = val.split(":") if isinstance(val, str) else val
+    return (int(str(lo)), int(str(hi)))  # str: refuse 1.5 and true
 
 
-def _parse_bgw(text: str) -> list:
-    return [Fraction(c.strip()) for c in text.split(",") if c.strip()]
+def _parse_bgw(val) -> list:
+    """'C_1,..,C_ell' (flag or config file), or a list of constants (config file)."""
+    items = val.split(",") if isinstance(val, str) else val
+    return [Fraction(str(c).strip()) for c in items if str(c).strip()]
 
 
-_FLAG_PARSERS = {
-    "flows": _parse_flows,
-    "lambda_window": _parse_window,
-    "bgw": _parse_bgw,
+# RunConfig key -> (the JSON types of its config-file value, the converter
+# of that value and of its flag's text)
+_OPTIONS = {
+    "type": ((str,), str), "gauge": ((str,), str), "format": ((str,), str),
+    "flows": ((str, list), _parse_flows),
+    "lambda_window": ((str, list), _parse_window),
+    "bgw": ((str, list), _parse_bgw),
+    "self_test_corrupt": ((bool,), bool),
+    **{key: ((int,), int) for key in ("vertex", "eps_order", "jet_depth", "depth",
+                                      "t_degree", "max_a", "max_k", "exponent",
+                                      "samples", "seed")},
 }
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    file_values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_values = json.load(fh)
         for key, val in file_values.items():
-            if not hasattr(cfg, key):
+            if key not in _OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in _FLAG_PARSERS and isinstance(val, str):
-                val = _FLAG_PARSERS[key](val)
-            elif key == "flows":
-                val = [tuple(x) for x in val]
-            elif key == "lambda_window" and val is not None:
-                val = tuple(val)
-            elif key == "bgw" and val is not None:
-                val = [Fraction(str(c)) for c in val]
-            setattr(cfg, key, val)
+            types, convert = _OPTIONS[key]
+            if val is None and getattr(cfg, key) is None:
+                continue
+            try:
+                if type(val) not in types:
+                    raise TypeError(val)
+                setattr(cfg, key, convert(val))
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"bad value {val!r} for config key {key!r}, which takes "
+                    f"{' or '.join(t.__name__ for t in types)}") from None
     for key in vars(cfg):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -123,8 +131,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if cfg.gauge != "default":
         raise ConfigError(
             f"unknown gauge id {cfg.gauge!r}; shipped gauge tables: ['default']")
-    if cfg.eps_order < 0 or cfg.jet_depth < 0 or cfg.t_degree < 0:
-        raise ConfigError("truncation orders must be non-negative")
+    for key in ("eps_order", "jet_depth", "t_degree", "max_k"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"--{key.replace('_', '-')} must be non-negative")
     return cfg
 
 
@@ -141,6 +150,9 @@ def _build_hierarchy(cfg: RunConfig) -> DSHierarchy:
         if not (1 <= a <= h.real.n):
             raise ConfigError(
                 f"flow family {a} out of range 1..{h.real.n} for {h.real.name}")
+    if cfg.max_a is not None and not 1 <= cfg.max_a <= h.real.n:
+        raise ConfigError(
+            f"--max-a {cfg.max_a} out of range 1..{h.real.n} for {h.real.name}")
     if cfg.lambda_window is not None:
         need = h.real.window
         lo, hi = cfg.lambda_window
@@ -471,25 +483,26 @@ def cmd_discrete(cfg: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
+def _add_flag(p: argparse.ArgumentParser, key: str, **kw):
+    p.add_argument("--" + key.replace("_", "-"), dest=key, type=_OPTIONS[key][1], **kw)
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--type", dest="type",
-                   help=f"algebra type, one of {supported_types()} (aliases accepted)")
-    p.add_argument("--vertex", type=int, dest="vertex", help="marked vertex (default 0)")
-    p.add_argument("--flows", type=_parse_flows, dest="flows",
-                   help="comma list a:k, e.g. 1:0,1:1")
-    p.add_argument("--eps-order", type=int, dest="eps_order")
-    p.add_argument("--jet-depth", type=int, dest="jet_depth")
-    p.add_argument("--lambda-window", type=_parse_window, dest="lambda_window",
-                   help="kmin:kmax override (validated against the depth calculator)")
-    p.add_argument("--depth", type=int, dest="depth", help="principal depth")
-    p.add_argument("--t-degree", type=int, dest="t_degree")
-    p.add_argument("--gauge", dest="gauge", help="gauge table id (default 'default')")
-    p.add_argument("--bgw", type=_parse_bgw, dest="bgw",
-                   help="comma list of initial-data constants C_1,..,C_ell")
-    p.add_argument("--format", dest="format", choices=["json", "text"])
-    p.add_argument("--max-a", type=int, dest="max_a")
-    p.add_argument("--max-k", type=int, dest="max_k")
+    _add_flag(p, "type", help=f"algebra type, one of {supported_types()} (aliases accepted)")
+    _add_flag(p, "vertex", help="marked vertex (default 0)")
+    _add_flag(p, "flows", help="comma list a:k, e.g. 1:0,1:1")
+    _add_flag(p, "eps_order")
+    _add_flag(p, "jet_depth")
+    _add_flag(p, "lambda_window",
+              help="kmin:kmax override (validated against the depth calculator)")
+    _add_flag(p, "depth", help="principal depth")
+    _add_flag(p, "t_degree")
+    _add_flag(p, "gauge", help="gauge table id (default 'default')")
+    _add_flag(p, "bgw", help="comma list of initial-data constants C_1,..,C_ell")
+    _add_flag(p, "format", choices=["json", "text"])
+    _add_flag(p, "max_a")
+    _add_flag(p, "max_k")
 
 
 def main(argv=None) -> int:
@@ -512,11 +525,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         _add_common(p)
         if "exponent" in extra:
-            p.add_argument("--exponent", type=int, dest="exponent",
-                           help="exponent index a (1-based)")
+            _add_flag(p, "exponent", help="exponent index a (1-based)")
         if "samples" in extra:
-            p.add_argument("--samples", type=int, dest="samples")
-            p.add_argument("--seed", type=int, dest="seed")
+            _add_flag(p, "samples")
+            _add_flag(p, "seed")
         if "corrupt" in extra:
             p.add_argument("--self-test-corrupt", action="store_true",
                            dest="self_test_corrupt", default=None,

@@ -28,7 +28,10 @@ generators ``u_{a,0}``; see :class:`Derivation`.  The jet operator is the one
 thing that tells the differential ring from the difference ring: a
 :class:`JetMap` computes ``d^m`` of its images, and ``discrete.ShiftJetMap``
 computes the shift ``S^m`` instead.  Derivations and Miura pairs take their
-jets from a jet map, so both rings share them.
+jets from a jet map, so both rings share them.  Every ring homomorphism
+fixed by the images of the jets (a Miura map, the gauge rewrite, the
+embedding of the difference ring, evaluation along a solution) is
+``DiffPoly.substitute`` over a jet map, which memoises the jets' powers.
 
 The monomial container allows negative orders so that the difference ring
 (shift orders in Z) can reuse it; the operations that only make sense
@@ -179,6 +182,18 @@ def _add_into(acc: dict[int, int], den: int, p: "DiffPoly", k: int = 1) -> int:
     for m, c in p._num.items():
         acc[m] = get(m, 0) + c * k
     return den
+
+
+def _power(one, base, n: int):
+    """base ** n, from the unit ``one`` by repeated squaring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    while n:
+        if n & 1:
+            one = one * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return one
 
 
 class _TermsView(Mapping):
@@ -348,16 +363,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DiffPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = DiffPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(DiffPoly.const(1), self, n)
 
     # -- calculus ------------------------------------------------------------
     def partial(self, v: JetVar) -> "DiffPoly":
@@ -428,49 +434,36 @@ class DiffPoly:
         return max((v[1] for v in self.variables()), default=0)
 
     # -- substitution ------------------------------------------------------
-    def substitute(self, image: Callable[[int, int], "DiffPoly | EpsSeries"]):
-        """Ring homomorphism determined by jet-variable images.
+    def substitute(self, jets: "JetMap"):
+        """The ring homomorphism u_{a,m} -> jets(a, m), applied to self.
 
-        ``image(alpha, order)`` must return a DiffPoly or an EpsSeries; the
-        result type follows the images.  Images and their powers are cached,
-        and plain-polynomial results are accumulated in place.
+        ``jets`` is a :class:`JetMap` whose images are DiffPoly, EpsSeries,
+        ``ratfunc.RatFunc`` or ``solution.TSeries`` values; the result lies in
+        the ring of the images, constants included (a zero or constant
+        polynomial maps to a multiple of ``jets.unit``).  The powers of the
+        jets come from the map's memo, so they are computed once per map.
+        DiffPoly products are accumulated in place over numerators.
         """
-        img_cache: dict[int, object] = {}
-        pow_cache: dict[tuple[int, int], object] = {}
-
-        def power(f: int, e: int):
-            got = pow_cache.get((f, e))
-            if got is None:
-                img = img_cache.get(f)
-                if img is None:
-                    img = image(*_VARS[f])
-                    img_cache[f] = img
-                got = img ** e
-                pow_cache[(f, e)] = got
-            return got
-
-        acc: dict[int, int] | None = {}
-        acc_den = 1
-        series_result = None
+        if not self._num:
+            return jets.unit * 0
+        power = jets.power
+        acc: dict[int, int] = {}
+        den = 1
+        rest = None
         for m, c in self._num.items():
             term = None
             for f, e in _factors(m):
-                factor = power(f, e)
+                factor = power(*_VARS[f], e)
                 term = factor if term is None else term * factor
             if term is None:
-                term = DiffPoly.const(1)
-            if isinstance(term, DiffPoly) and acc is not None:
-                acc_den = _add_into(acc, acc_den, term, c)
-                continue
-            # an image was an EpsSeries; fall back to series accumulation
-            term = term * Fraction(c, self._den)
-            if acc:
-                term = term + _normal(acc, acc_den * self._den)
-            acc = None
-            series_result = term if series_result is None else series_result + term
-        if series_result is not None:
-            return series_result
-        return _normal(acc, acc_den * self._den)
+                term = jets.unit
+            if type(term) is DiffPoly:
+                den = _add_into(acc, den, term, c)
+            else:
+                term = term * Fraction(c, self._den)
+                rest = term if rest is None else rest + term
+        poly = _normal(acc, den * self._den)
+        return poly if rest is None else rest + poly if poly else rest
 
     # -- presentation ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -578,9 +571,6 @@ class EpsSeries:
             return DiffPoly.zero()
         return self.components[q]
 
-    def truncate(self, order: int) -> "EpsSeries":
-        return EpsSeries(self.components[: order + 1], order)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
@@ -647,16 +637,7 @@ class EpsSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "EpsSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = EpsSeries.const(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(EpsSeries.const(1, self.order), self, n)
 
     # -- calculus ------------------------------------------------------------
     def dx(self) -> "EpsSeries":
@@ -671,18 +652,16 @@ class EpsSeries:
     def partial(self, v: JetVar) -> "EpsSeries":
         return EpsSeries([c.partial(v) for c in self.components], self.order)
 
-    def substitute(self, image: Callable[[int, int], "EpsSeries"]) -> "EpsSeries":
+    def substitute(self, jets: "JetMap") -> "EpsSeries":
+        """Apply ``DiffPoly.substitute`` to each component, keeping its eps power."""
         out = EpsSeries.zero(self.order)
         for q, comp in enumerate(self.components):
             if comp.is_zero():
                 continue
-            img = comp.substitute(image)
+            img = comp.substitute(jets)
             if isinstance(img, DiffPoly):
                 img = EpsSeries.of_poly(img, self.order)
-            shifted = [DiffPoly.zero()] * (self.order + 1)
-            for j in range(self.order + 1 - q):
-                shifted[j + q] = img.components[j]
-            out = out + EpsSeries(shifted, self.order)
+            out = out + EpsSeries([DiffPoly.zero()] * q + list(img.components), self.order)
         return out
 
     def variables(self) -> set[JetVar]:
@@ -715,20 +694,22 @@ class EpsSeries:
 
 
 class JetMap:
-    """The jets (alpha, m) -> d^m(images[alpha-1]), each computed once.
+    """The jets (alpha, m) -> d^m(images[alpha-1]) and their powers, each computed once.
 
-    Images may be DiffPoly or EpsSeries values.  The map is a callable, so it
-    can be handed to ``substitute`` as the images of a ring homomorphism; it
-    raises ArityMismatchError for a component beyond ``len(images)``.  Each
-    jet comes from one call of ``step``, the only place that knows the jet
-    operator; a subclass with another step gives the jets of another ring.
+    Images may be DiffPoly, EpsSeries, RatFunc or TSeries values.  A map is
+    handed to ``substitute`` as the images of a ring homomorphism; it raises
+    ArityMismatchError for a component beyond ``len(images)``.  Each jet comes
+    from one call of ``step``, the only place that knows the jet operator; a
+    subclass with another step gives the jets of another ring.  Jets and their
+    powers are memoised for as long as the map lives and never mutated.
     """
 
-    __slots__ = ("images", "_jets")
+    __slots__ = ("images", "_jets", "_powers")
 
     def __init__(self, images: Sequence):
         self.images = tuple(images)
         self._jets: dict[JetVar, object] = {}
+        self._powers: dict[tuple[int, int, int], object] = {}
 
     def __call__(self, alpha: int, m: int):
         got = self._jets.get((alpha, m))
@@ -745,6 +726,20 @@ class JetMap:
             raise ValueError(
                 f"jet of component {alpha} at order {m}: d^m needs m >= 0")
         return self.images[alpha - 1] if m == 0 else self(alpha, m - 1).dx()
+
+    def power(self, alpha: int, m: int, e: int):
+        """The jet (alpha, m) to the power e >= 1."""
+        if e == 1:
+            return self(alpha, m)
+        got = self._powers.get((alpha, m, e))
+        if got is None:
+            got = self._powers[(alpha, m, e)] = self(alpha, m) ** e
+        return got
+
+    @property
+    def unit(self):
+        """The one of the ring the images lie in (of DiffPoly with no images)."""
+        return self.images[0] ** 0 if self.images else DiffPoly.const(1)
 
 
 def apply_poly_derivation(jets: JetMap, p: DiffPoly) -> DiffPoly:

@@ -13,12 +13,17 @@ The ring embeds into the eps-completion of the differential ring by
 
     u_{a,m}  ->  sum_j (eps m)^j / j!  u_{a,j}   (truncated at eps^K),
 
-under which S becomes e^{eps d}.
+under which S becomes e^{eps d}.  The shift S^k and the embedding are both
+``DiffPoly.substitute`` over a jet map, kept for the life of the ring (one
+per k) and of the process (one per arity and eps order), so each image and
+each of its powers is computed once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import factorial
 from typing import Sequence
 
 from .diffalg import ArityMismatchError, DiffPoly, EpsSeries, JetMap
@@ -39,6 +44,7 @@ class DifferenceRing:
             raise ValueError("window must contain shift index 0")
         self.arity = arity
         self.window = (int(window[0]), int(window[1]))
+        self._shifts: dict[int, _ShiftBy] = {}
 
     def var(self, alpha: int, m: int = 0) -> DiffPoly:
         self._check(alpha, m)
@@ -65,16 +71,26 @@ class DifferenceRing:
         """S^steps; raises ShiftWindowError when a variable leaves the window."""
         if isinstance(p, EpsSeries):
             return EpsSeries([self.shift(c, steps) for c in p.components], p.order)
-        lo, hi = self.window
+        jets = self._shifts.get(steps)
+        if jets is None:
+            jets = self._shifts[steps] = _ShiftBy(self, steps)
+        return p.substitute(jets)
 
-        def image(alpha: int, m: int) -> DiffPoly:
-            mm = m + steps
-            if not (lo <= mm <= hi):
-                raise ShiftWindowError(
-                    f"shift by {steps} pushes u_({alpha},{m}) outside {self.window}")
-            return DiffPoly.dvar(alpha, mm)
 
-        return p.substitute(image)
+class _ShiftBy(JetMap):
+    """u_{a,m} -> u_{a,m+steps} within the window of a ring: the jets of S^steps."""
+
+    __slots__ = ("window", "steps")
+
+    def __init__(self, ring: DifferenceRing, steps: int):
+        super().__init__([DiffPoly.dvar(a, steps) for a in range(1, ring.arity + 1)])
+        self.window, self.steps = ring.window, steps
+
+    def step(self, alpha: int, m: int) -> DiffPoly:
+        if not self.window[0] <= m + self.steps <= self.window[1]:
+            raise ShiftWindowError(
+                f"shift by {self.steps} pushes u_({alpha},{m}) outside {self.window}")
+        return DiffPoly.dvar(alpha, m + self.steps)
 
 
 class ShiftJetMap(JetMap):
@@ -101,32 +117,31 @@ def invert_discrete_miura(ring: DifferenceRing,
     return invert_miura(MiuraTuple(values, ring.jet_map))
 
 
+class _Embedding(JetMap):
+    """u_{a,m} -> sum_{j<=K} (eps m)^j / j! u_{a,j}, m in Z: the jets of the embedding."""
+
+    __slots__ = ()
+
+    def step(self, alpha: int, m: int) -> EpsSeries:
+        order = self.images[0].order
+        return EpsSeries([DiffPoly.var(alpha, j) * Fraction(m ** j, factorial(j))
+                          for j in range(order + 1)], order)
+
+
+@cache
+def _embedding(arity: int, eps_order: int) -> _Embedding:
+    """The embedding's jet map, one per (arity, eps order) for the process."""
+    return _Embedding([EpsSeries.var(a, eps_order) for a in range(1, arity + 1)])
+
+
 def embed_differential(p: DiffPoly | EpsSeries, eps_order: int) -> EpsSeries:
     """Embed a difference polynomial into the differential eps-completion.
 
     u_{a,m} -> sum_{j<=K} (eps m)^j / j! u_{a,j}; an algebra homomorphism
-    sending the shift to e^{eps d} modulo eps^{K+1}.
+    sending the shift to e^{eps d} modulo eps^{K+1}.  The images and their
+    powers are computed once per process, in the jet map of the embedding.
     """
-    if isinstance(p, DiffPoly):
-        p = EpsSeries.of_poly(p, eps_order)
-    if p.order != eps_order:
-        p = p.truncate(eps_order) if p.order > eps_order else \
-            EpsSeries(list(p.components), eps_order)
-
-    cache: dict[tuple[int, int], EpsSeries] = {}
-
-    def image(alpha: int, m: int) -> EpsSeries:
-        key = (alpha, m)
-        got = cache.get(key)
-        if got is None:
-            comps = []
-            fact = 1
-            for j in range(eps_order + 1):
-                if j > 0:
-                    fact *= j
-                comps.append(DiffPoly.var(alpha, j) * Fraction(m ** j, fact))
-            got = EpsSeries(comps, eps_order)
-            cache[key] = got
-        return got
-
-    return p.substitute(image)
+    if isinstance(p, EpsSeries) and p.order != eps_order:
+        p = EpsSeries(p.components, eps_order)
+    arity = max((a for a, _ in p.variables()), default=1)
+    return p.substitute(_embedding(arity, eps_order))

@@ -203,12 +203,8 @@ def to_invariant_coordinates(cf: CanonicalForm, w: DiffPoly,
     by substituting the canonical coordinate expressions back into it.
     """
     ell = cf.frame.ell
-
-    def section(alpha: int, m: int) -> DiffPoly:
-        if alpha <= ell:
-            return DiffPoly.var(alpha, m)
-        return DiffPoly.zero()
-
+    section = JetMap([DiffPoly.var(a) for a in range(1, ell + 1)]
+                     + [DiffPoly.zero()] * (cf.lax.arity - ell))
     p = w.substitute(section)
     if check and p.substitute(cf.jets) != w:
         raise NotGaugeInvariantError("not a gauge invariant")

@@ -89,8 +89,6 @@ def check_miura(values: Sequence[EpsSeries]) -> tuple[bool, DiffPoly]:
 
 def forward_map(tup: MiuraTuple, p: DiffPoly | EpsSeries) -> EpsSeries:
     """phi_V: substitute v_{a,m} -> J^m(V_a); input lives in the v-jets."""
-    if isinstance(p, DiffPoly):
-        p = EpsSeries.of_poly(p, tup.order)
     return p.substitute(tup.jets)
 
 
@@ -117,8 +115,6 @@ class MiuraPair:
 
     def psi(self, p: DiffPoly | EpsSeries) -> EpsSeries:
         """u-jet ring -> v-jet ring."""
-        if isinstance(p, DiffPoly):
-            p = EpsSeries.of_poly(p, self.order)
         return p.substitute(self._inverse_jets)
 
 

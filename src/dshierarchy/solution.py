@@ -6,8 +6,11 @@ coefficient at a time multi-index I is the iterated flow derivative of the
 initial data (flows commute, which is verified, so the order of application
 does not matter; a permuted order is re-checked on every mixed coefficient).
 
-Evaluating a tau-structure entry along a solution (jets become x-derivatives
-of the running series) gives its two-point value; the cross-derivative
+Evaluating a tau-structure entry along a solution gives its two-point value.
+Both evaluations are ``DiffPoly.substitute`` over a jet map: the Taylor
+coefficients over ``JetMap(initial)`` (jets in ``RatFunc``), the values over
+``FormalSolution.jets``, the x-derivatives of the running series (``TSeries``),
+which every evaluation along one solution shares.  The cross-derivative
 compatibility of the values against the distinguished flow is the exactness
 condition for a log of a tau-function to exist.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .diffalg import DiffPoly, EpsSeries, JetMap
@@ -172,23 +176,14 @@ class FormalSolution:
                     data[(exps, q)] = v * norm
         return TSeries(len(self.labels), self.T, self.K, data)
 
+    @cached_property
+    def jets(self) -> JetMap:
+        """The jets d^m u_alpha along the solution, shared by every evaluation."""
+        return JetMap([self.series(a) for a in range(1, len(self.initial) + 1)])
+
     def at_t_zero(self, alpha: int) -> tuple[RatFunc, ...]:
         zero = tuple([0] * len(self.labels))
         return self.coeffs[(alpha, zero)]
-
-
-def _evaluate_poly(p: DiffPoly, jet) -> RatFunc:
-    out = RatFunc.const(0)
-    for mono, c in p.terms.items():
-        term = RatFunc.const(c)
-        for (alpha, m), e in mono:
-            term = term * (jet(alpha, m) ** e)
-        out = out + term
-    return out
-
-
-def _evaluate_series(s: EpsSeries, jet) -> tuple[RatFunc, ...]:
-    return tuple(_evaluate_poly(c, jet) for c in s.components)
 
 
 def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
@@ -253,60 +248,29 @@ def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
                 new.append(cand)
         indices.extend(new)
 
-    jet = JetMap(initial)
-    coeffs = {}
-    for (alpha, exps), s in polys.items():
-        coeffs[(alpha, exps)] = _evaluate_series(s, jet)
+    jets = JetMap(initial)
+    coeffs = {key: tuple(c.substitute(jets) for c in s.components)
+              for key, s in polys.items()}
     return FormalSolution(labels, t_degree, eps_order, tuple(initial), coeffs)
 
 
-class SolutionJets:
-    """Powers of the jets d^m u_alpha along a solution, each computed once."""
-
-    def __init__(self, sol: FormalSolution):
-        self.jets = JetMap([sol.series(a) for a in range(1, len(sol.initial) + 1)])
-        self._powers: dict[tuple[int, int, int], TSeries] = {}
-
-    def power(self, alpha: int, m: int, e: int) -> TSeries:
-        key = (alpha, m, e)
-        got = self._powers.get(key)
-        if got is None:
-            got = self.jets(alpha, m) ** e
-            self._powers[key] = got
-        return got
-
-
-def _evaluate_graded(p: DiffPoly, sol: FormalSolution, shift: int,
-                     jets: SolutionJets | None) -> TSeries:
+def _evaluate_graded(p: DiffPoly, sol: FormalSolution, shift: int) -> TSeries:
     """Evaluate p along the solution, its degree-d part placed at eps^(d+shift)."""
-    if jets is None:
-        jets = SolutionJets(sol)
-    series = EpsSeries.regrade(p, sol.K, shift=shift)
-    nl = len(sol.labels)
-    out = TSeries(nl, sol.T, sol.K)
-    for q, comp in enumerate(series.components):
-        if comp.is_zero():
-            continue
-        val = TSeries(nl, sol.T, sol.K)
-        for mono, c in comp.terms.items():
-            term = TSeries.const(nl, sol.T, sol.K, RatFunc.const(c))
-            for (alpha, m), e in mono:
-                term = term * jets.power(alpha, m, e)
-            val = val + term
-        out = out + val.eps_shift(q)
+    out = TSeries(len(sol.labels), sol.T, sol.K)
+    for q, comp in enumerate(EpsSeries.regrade(p, sol.K, shift=shift).components):
+        if comp:
+            out = out + comp.substitute(sol.jets).eps_shift(q)
     return out
 
 
-def evaluate_on_solution(entry: DiffPoly, sol: FormalSolution,
-                         jets: SolutionJets | None = None) -> TSeries:
+def evaluate_on_solution(entry: DiffPoly, sol: FormalSolution) -> TSeries:
     """Two-point value: evaluate a graded entry along the solution."""
-    return _evaluate_graded(entry, sol, 0, jets)
+    return _evaluate_graded(entry, sol, 0)
 
 
-def evaluate_flow_char(char: DiffPoly, sol: FormalSolution,
-                       jets: SolutionJets | None = None) -> TSeries:
+def evaluate_flow_char(char: DiffPoly, sol: FormalSolution) -> TSeries:
     """Evaluate a flow characteristic (graded with dispersionless at eps^0)."""
-    return _evaluate_graded(char, sol, -1, jets)
+    return _evaluate_graded(char, sol, -1)
 
 
 def two_point_functions(sol: FormalSolution, omega: OmegaTable,
@@ -318,11 +282,10 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
     closedness needed for the second log-derivatives to integrate to a
     tau-function.  Also re-checks the flow equations on the coefficients.
     """
-    jets = SolutionJets(sol)
     values: dict[tuple[FlowLabel, FlowLabel], TSeries] = {}
     for i in sol.labels:
         for j in sol.labels:
-            values[(i, j)] = evaluate_on_solution(omega.entry(i, j), sol, jets)
+            values[(i, j)] = evaluate_on_solution(omega.entry(i, j), sol)
     report = []
     tcut = sol.T - 1
     for a, i in enumerate(sol.labels):
@@ -340,14 +303,13 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
 def flow_equation_report(sol: FormalSolution, flows: Sequence[Flow]) -> list[dict]:
     """d u / d t_j equals the flow characteristic along the solution (to T-1)."""
     by_label = {f.label: f for f in flows}
-    jets = SolutionJets(sol)
     out = []
     tcut = sol.T - 1
     for b, j in enumerate(sol.labels):
         f = by_label[j]
         for alpha in range(1, len(sol.initial) + 1):
             lhs = sol.series(alpha).dt(b).truncate_t(tcut)
-            rhs = evaluate_flow_char(f.chars[alpha - 1], sol, jets).truncate_t(tcut)
+            rhs = evaluate_flow_char(f.chars[alpha - 1], sol).truncate_t(tcut)
             out.append({
                 "check": "flow_equation",
                 "label": list(j),

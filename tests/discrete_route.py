@@ -22,6 +22,7 @@ from dshierarchy.diffalg import ArityMismatchError, DiffPoly, EpsSeries
 from dshierarchy.discrete import DifferenceRing
 from dshierarchy.linalg import LinearSolver
 from dshierarchy.miura import LeadingMapError
+from jet_images import FunctionJets
 
 
 class DiscreteDerivation:
@@ -84,17 +85,8 @@ class DiscreteMiuraPair:
     def _subst(self, p, images, ring_target) -> EpsSeries:
         if isinstance(p, DiffPoly):
             p = EpsSeries.of_poly(p, self.order)
-        cache: dict[tuple[int, int], EpsSeries] = {}
-
-        def image(alpha: int, m: int) -> EpsSeries:
-            key = (alpha, m)
-            got = cache.get(key)
-            if got is None:
-                got = ring_target.shift(images[alpha - 1], m)
-                cache[key] = got
-            return got
-
-        return p.substitute(image)
+        return p.substitute(FunctionJets(
+            lambda alpha, m: ring_target.shift(images[alpha - 1], m)))
 
     def induce(self, d: DiscreteDerivation) -> DiscreteDerivation:
         """Transport a derivation on the u-ring to the v-ring."""
@@ -148,7 +140,7 @@ def invert_discrete_miura(ring_u: DifferenceRing,
             corr = residual.component(stage)
             if corr.is_zero():
                 continue
-            corr_v = corr.substitute(lin_inverse_image)
+            corr_v = corr.substitute(FunctionJets(lin_inverse_image))
             inverse[alpha] = inverse[alpha] - EpsSeries.of_poly(corr_v, order, stage)
     pair = DiscreteMiuraPair(ring_u, ring_v, values, inverse)
     for alpha in range(1, ell + 1):

@@ -134,6 +134,30 @@ def test_config_errors(capsys, tmp_path):
     cfgfile.write_text(json.dumps({"no_such_key": 1}))
     code, _, err = run(capsys, "derive", "--config", str(cfgfile))
     assert code == 2 and "unknown config key" in err
+    for max_a in ("5", "0"):
+        code, _, err = run(capsys, "omega", "--type", "a1_1", "--max-a", max_a)
+        assert code == 2 and "--max-a" in err
+    code, _, err = run(capsys, "omega", "--type", "a1_1", "--max-k", "-1")
+    assert code == 2 and "--max-k" in err
+    for bad in ({"max_k": "1"}, {"max_k": True}, {"flows": [[1]]},
+                {"flows": [[1.5, 0]]}, {"lambda_window": [-2, True]}):
+        cfgfile.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "derive", "--config", str(cfgfile))
+        key = next(iter(bad))
+        assert code == 2 and f"config key {key!r}" in err
+
+
+def test_config_file_list_and_string_forms(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    outs = []
+    for values in ({"flows": "1:0,1:1", "bgw": "1", "lambda_window": "-9:9"},
+                   {"flows": [[1, 0], [1, 1]], "bgw": [1], "lambda_window": [-9, 9]}):
+        cfgfile.write_text(json.dumps({"type": "a1_1", "t_degree": 1,
+                                       "eps_order": 1, **values}))
+        code, out, _ = run(capsys, "solve", "--config", str(cfgfile))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_resolvent_subcommand(capsys):

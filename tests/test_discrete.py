@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import discrete_route as ref
+from dshierarchy import discrete
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries
 from dshierarchy.discrete import (DifferenceRing, ShiftJetMap, ShiftWindowError,
                                   embed_differential, invert_discrete_miura)
@@ -133,6 +134,32 @@ def test_embed_intertwines_shift(ring, rng):
         lhs = embed_differential(ring.shift(p, 1), k)
         rhs = embed_differential(p, k).exp_dx()
         assert (lhs - rhs).is_zero()
+
+
+def test_embedding_computes_each_image_once(ring, rng, monkeypatch):
+    # the embedding's jet map lives for the process: any number of calls at
+    # one eps order computes the image of each (a, m) once
+    calls = []
+    step = discrete._Embedding.step
+
+    def counted(self, alpha, m):
+        calls.append((alpha, m, self.images[0].order))
+        return step(self, alpha, m)
+
+    monkeypatch.setattr(discrete._Embedding, "step", counted)
+    discrete._embedding.cache_clear()
+    for _ in range(40):
+        p = _random_dpoly(rng, ring, span=3)
+        lhs = embed_differential(ring.shift(p, 1), 3)
+        assert lhs == embed_differential(p, 3).exp_dx()
+    assert calls and len(calls) == len(set(calls))
+    assert {m for _, m, _ in calls} <= set(range(-3, 5))
+    # the memoised shift maps still stop at the window edge
+    assert ring.shift(v(1, 7), 1) == v(1, 8)
+    for _ in range(2):
+        with pytest.raises(ShiftWindowError,
+                           match=r"shift by 1 pushes u_\(1,8\) outside \(-8, 8\)"):
+            ring.shift(v(1, 7) * v(1, 8), 1)
 
 
 def test_embedded_derivations_are_admissible(ring, rng):

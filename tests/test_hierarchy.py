@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 import borel_route
+from jet_images import FunctionJets
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
 from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
@@ -19,7 +20,7 @@ u = DiffPoly.var
 
 
 def _at_zero(p: DiffPoly) -> DiffPoly:
-    return p.substitute(lambda a, m: DiffPoly.zero())
+    return p.substitute(FunctionJets(lambda a, m: DiffPoly.zero()))
 
 
 # -- pre-gauge flows (the Borel-variable reference route) -----------------

@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from dressing_route import Dressing, resolvent_slices
+from jet_images import FunctionJets
 from dshierarchy import resolvent
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
@@ -17,8 +18,8 @@ def lax():
 
 
 def _at_q_zero(elt: LoopElement) -> LoopElement:
-    return elt.map_coeffs(lambda p: p.substitute(
-        lambda a, m: DiffPoly.zero()))
+    at_zero = FunctionJets(lambda a, m: DiffPoly.zero())
+    return elt.map_coeffs(lambda p: p.substitute(at_zero))
 
 
 def test_vacuum_dressing_and_resolvent(lax):
@@ -52,7 +53,7 @@ def test_h_minus_one_linear_in_leading_order(lax):
     # doubling q doubles the linear part of the depth-1 density
     dr = Dressing(lax, 2)
     coeff = dr.H_coeff[-1]
-    doubled = coeff.substitute(lambda a, m: DiffPoly.var(a, m) * 2)
+    doubled = coeff.substitute(FunctionJets(lambda a, m: DiffPoly.var(a, m) * 2))
     linear = doubled - coeff * 2
     # the residue is the purely nonlinear part; its linear term cancels
     assert linear.partial((1, 0)).is_zero()

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dshierarchy.diffalg import DiffPoly
+from dshierarchy.diffalg import DiffPoly, JetMap
 from dshierarchy.hierarchy import Flow
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.solution import (NonCommutingFlowsError,
@@ -11,6 +13,7 @@ from dshierarchy.solution import (NonCommutingFlowsError,
                                   evaluate_on_solution, flow_equation_report,
                                   gbgw_initial, integrate_formal,
                                   two_point_functions)
+from jet_images import reference_substitute
 
 u = DiffPoly.var
 
@@ -109,3 +112,51 @@ def test_tseries_rejects_negative_powers():
     assert s ** 0 == TSeries.const(1, 2, 0, RatFunc.const(1))
     with pytest.raises(ValueError):
         s ** -1
+
+
+# -- DiffPoly.substitute into RatFunc and TSeries, against the reference ---
+
+small = st.integers(-3, 3)
+ratfuncs = st.builds(RatFunc, st.lists(small, max_size=3),
+                     st.lists(small, min_size=1, max_size=2).filter(any))
+tseries = st.dictionaries(st.tuples(st.tuples(st.integers(0, 2)), st.integers(0, 1)),
+                          ratfuncs, max_size=3).map(lambda data: TSeries(1, 2, 1, data))
+monomials = st.dictionaries(st.tuples(st.integers(1, 2), st.integers(0, 2)),
+                            st.integers(1, 2), max_size=2).map(
+    lambda exps: tuple(sorted(exps.items())))
+polys = st.dictionaries(monomials, st.fractions(-4, 4, max_denominator=4),
+                        max_size=3).map(DiffPoly)
+
+
+def _assert_substitute_matches_reference(p, jets, one):
+    for q in (p, DiffPoly.zero(), DiffPoly.const(Fraction(-3, 2)), p + 2):
+        got = q.substitute(jets)
+        assert type(got) is type(one)
+        assert got == reference_substitute(q, jets, one)
+        # a second pass reads the memoised powers of the same map
+        assert q.substitute(jets) == got
+    for (alpha, m, e), value in jets._powers.items():
+        assert value == jets(alpha, m) ** e
+
+
+@given(polys, st.lists(ratfuncs, min_size=2, max_size=2))
+def test_substitute_matches_reference_on_ratfunc_images(p, images):
+    _assert_substitute_matches_reference(p, JetMap(images), RatFunc.const(1))
+
+
+@given(polys, st.lists(tseries, min_size=2, max_size=2))
+def test_substitute_matches_reference_on_tseries_images(p, images):
+    one = TSeries.const(1, 2, 1, RatFunc.const(1))
+    _assert_substitute_matches_reference(p, JetMap(images), one)
+
+
+def test_evaluations_share_the_jets_of_the_solution(sl2):
+    init = gbgw_initial(sl2.real, [Fraction(1)])
+    flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
+    sol = integrate_formal(flows, init, t_degree=1, eps_order=1)
+    jets = sol.jets
+    two_point_functions(sol, sl2.omega_table(1, 1))
+    flow_equation_report(sol, flows)
+    assert sol.jets is jets and jets._powers
+    for (alpha, m, e), value in jets._powers.items():
+        assert value == jets(alpha, m) ** e
