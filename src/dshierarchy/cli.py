@@ -133,7 +133,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             f"unknown gauge id {cfg.gauge!r}; shipped gauge tables: ['default']")
     for key in ("eps_order", "jet_depth", "t_degree", "max_k"):
         if getattr(cfg, key) < 0:
-            raise ConfigError(f"--{key.replace('_', '-')} must be non-negative")
+            raise ConfigError(f"{key} (--{key.replace('_', '-')}) must be non-negative")
     return cfg
 
 
@@ -152,7 +152,7 @@ def _build_hierarchy(cfg: RunConfig) -> DSHierarchy:
                 f"flow family {a} out of range 1..{h.real.n} for {h.real.name}")
     if cfg.max_a is not None and not 1 <= cfg.max_a <= h.real.n:
         raise ConfigError(
-            f"--max-a {cfg.max_a} out of range 1..{h.real.n} for {h.real.name}")
+            f"max_a (--max-a) {cfg.max_a} out of range 1..{h.real.n} for {h.real.name}")
     if cfg.lambda_window is not None:
         need = h.real.window
         lo, hi = cfg.lambda_window

@@ -440,9 +440,10 @@ class DiffPoly:
         ``jets`` is a :class:`JetMap` whose images are DiffPoly, EpsSeries,
         ``ratfunc.RatFunc`` or ``solution.TSeries`` values; the result lies in
         the ring of the images, constants included (a zero or constant
-        polynomial maps to a multiple of ``jets.unit``).  The powers of the
-        jets come from the map's memo, so they are computed once per map.
-        DiffPoly products are accumulated in place over numerators.
+        polynomial maps to a multiple of ``jets.unit``).  Each factor is one
+        lookup in the map's memo of powers, keyed by the packed variable, so
+        every power is computed once per map.  DiffPoly products are
+        accumulated in place over numerators.
         """
         if not self._num:
             return jets.unit * 0
@@ -453,7 +454,7 @@ class DiffPoly:
         for m, c in self._num.items():
             term = None
             for f, e in _factors(m):
-                factor = power(*_VARS[f], e)
+                factor = power(f, e)
                 term = factor if term is None else term * factor
             if term is None:
                 term = jets.unit
@@ -700,8 +701,9 @@ class JetMap:
     handed to ``substitute`` as the images of a ring homomorphism; it raises
     ArityMismatchError for a component beyond ``len(images)``.  Each jet comes
     from one call of ``step``, the only place that knows the jet operator; a
-    subclass with another step gives the jets of another ring.  Jets and their
-    powers are memoised for as long as the map lives and never mutated.
+    subclass with another step gives the jets of another ring (or of every
+    component, if its step never reads ``images``).  Jets and their powers
+    are memoised for as long as the map lives and never mutated.
     """
 
     __slots__ = ("images", "_jets", "_powers")
@@ -709,31 +711,34 @@ class JetMap:
     def __init__(self, images: Sequence):
         self.images = tuple(images)
         self._jets: dict[JetVar, object] = {}
-        self._powers: dict[tuple[int, int, int], object] = {}
+        self._powers: dict[tuple[int, int], object] = {}  # (field, e) -> power
 
     def __call__(self, alpha: int, m: int):
         got = self._jets.get((alpha, m))
         if got is None:
-            if not 0 < alpha <= len(self.images):
-                raise ArityMismatchError(
-                    f"component {alpha} outside arity {len(self.images)}")
             got = self._jets[(alpha, m)] = self.step(alpha, m)
         return got
+
+    def image(self, alpha: int):
+        """images[alpha-1]; ArityMismatchError for a component beyond them."""
+        if not 0 < alpha <= len(self.images):
+            raise ArityMismatchError(
+                f"component {alpha} outside arity {len(self.images)}")
+        return self.images[alpha - 1]
 
     def step(self, alpha: int, m: int):
         """d^m(images[alpha-1]), the total derivative of the jet of order m - 1."""
         if m < 0:
             raise ValueError(
                 f"jet of component {alpha} at order {m}: d^m needs m >= 0")
-        return self.images[alpha - 1] if m == 0 else self(alpha, m - 1).dx()
+        return self.image(alpha) if m == 0 else self(alpha, m - 1).dx()
 
-    def power(self, alpha: int, m: int, e: int):
-        """The jet (alpha, m) to the power e >= 1."""
-        if e == 1:
-            return self(alpha, m)
-        got = self._powers.get((alpha, m, e))
+    def power(self, f: int, e: int):
+        """The jet of the packed variable field f to the power e >= 1."""
+        got = self._powers.get((f, e))
         if got is None:
-            got = self._powers[(alpha, m, e)] = self(alpha, m) ** e
+            jet = self(*_VARS[f])
+            got = self._powers[(f, e)] = jet if e == 1 else jet ** e
         return got
 
     @property

@@ -14,9 +14,9 @@ The ring embeds into the eps-completion of the differential ring by
     u_{a,m}  ->  sum_j (eps m)^j / j!  u_{a,j}   (truncated at eps^K),
 
 under which S becomes e^{eps d}.  The shift S^k and the embedding are both
-``DiffPoly.substitute`` over a jet map, kept for the life of the ring (one
-per k) and of the process (one per arity and eps order), so each image and
-each of its powers is computed once.
+``DiffPoly.substitute`` over a jet map of every component, kept for the life
+of the ring (one per k) and of the process (one per eps order), so each
+image and each of its powers is computed once.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class _ShiftBy(JetMap):
     __slots__ = ("window", "steps")
 
     def __init__(self, ring: DifferenceRing, steps: int):
-        super().__init__([DiffPoly.dvar(a, steps) for a in range(1, ring.arity + 1)])
+        super().__init__(())
         self.window, self.steps = ring.window, steps
 
     def step(self, alpha: int, m: int) -> DiffPoly:
@@ -106,7 +106,7 @@ class ShiftJetMap(JetMap):
         self.ring = ring
 
     def step(self, alpha: int, m: int):
-        return self.ring.shift(self.images[alpha - 1], m)
+        return self.ring.shift(self.image(alpha), m)
 
 
 def invert_discrete_miura(ring: DifferenceRing,
@@ -120,18 +120,25 @@ def invert_discrete_miura(ring: DifferenceRing,
 class _Embedding(JetMap):
     """u_{a,m} -> sum_{j<=K} (eps m)^j / j! u_{a,j}, m in Z: the jets of the embedding."""
 
-    __slots__ = ()
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        super().__init__(())
+        self.order = order
 
     def step(self, alpha: int, m: int) -> EpsSeries:
-        order = self.images[0].order
         return EpsSeries([DiffPoly.var(alpha, j) * Fraction(m ** j, factorial(j))
-                          for j in range(order + 1)], order)
+                          for j in range(self.order + 1)], self.order)
+
+    @property
+    def unit(self) -> EpsSeries:
+        return EpsSeries.const(1, self.order)
 
 
 @cache
-def _embedding(arity: int, eps_order: int) -> _Embedding:
-    """The embedding's jet map, one per (arity, eps order) for the process."""
-    return _Embedding([EpsSeries.var(a, eps_order) for a in range(1, arity + 1)])
+def _embedding(eps_order: int) -> _Embedding:
+    """The embedding's jet map, one per eps order for the process."""
+    return _Embedding(eps_order)
 
 
 def embed_differential(p: DiffPoly | EpsSeries, eps_order: int) -> EpsSeries:
@@ -143,5 +150,4 @@ def embed_differential(p: DiffPoly | EpsSeries, eps_order: int) -> EpsSeries:
     """
     if isinstance(p, EpsSeries) and p.order != eps_order:
         p = EpsSeries(p.components, eps_order)
-    arity = max((a for a, _ in p.variables()), default=1)
-    return p.substitute(_embedding(arity, eps_order))
+    return p.substitute(_embedding(eps_order))

@@ -198,13 +198,13 @@ def to_invariant_coordinates(cf: CanonicalForm, w: DiffPoly,
                              check: bool = True) -> DiffPoly:
     """Rewrite a gauge invariant as a polynomial in the u-jets.
 
-    The rewrite substitutes the V-components of q by the u-generators and the
-    complementary components by zero; with ``check`` the result is certified
+    The rewrite substitutes the V-components of q by the u-generators and
+    every other generator by zero; with ``check`` the result is certified
     by substituting the canonical coordinate expressions back into it.
     """
     ell = cf.frame.ell
     section = JetMap([DiffPoly.var(a) for a in range(1, ell + 1)]
-                     + [DiffPoly.zero()] * (cf.lax.arity - ell))
+                     + [DiffPoly.zero()] * (max(cf.lax.arity, w.max_alpha()) - ell))
     p = w.substitute(section)
     if check and p.substitute(cf.jets) != w:
         raise NotGaugeInvariantError("not a gauge invariant")

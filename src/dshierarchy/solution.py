@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .diffalg import DiffPoly, EpsSeries, JetMap
+from .diffalg import DiffPoly, EpsSeries, JetMap, _power
 from .hierarchy import Flow, FlowLabel, OmegaTable, verify_integrability
 from .ratfunc import RatFunc
 
@@ -116,16 +116,8 @@ class TSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TSeries":
-        if n < 0:
-            raise ValueError("a truncated series has no negative powers")
-        out = TSeries.const(self.nlabels, self.T, self.K, RatFunc.const(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(TSeries.const(self.nlabels, self.T, self.K, RatFunc.const(1)),
+                      self, n)
 
     def eps_shift(self, q: int) -> "TSeries":
         return TSeries(self.nlabels, self.T, self.K,

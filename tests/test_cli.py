@@ -145,6 +145,12 @@ def test_config_errors(capsys, tmp_path):
         code, _, err = run(capsys, "derive", "--config", str(cfgfile))
         key = next(iter(bad))
         assert code == 2 and f"config key {key!r}" in err
+    # a value out of range names the config key and the flag, however it came
+    for bad in ({"max_k": -1}, {"max_a": 5}, {"eps_order": -1}):
+        cfgfile.write_text(json.dumps({"type": "a1_1", **bad}))
+        code, _, err = run(capsys, "omega", "--config", str(cfgfile))
+        key = next(iter(bad))
+        assert code == 2 and f"{key} (--{key.replace('_', '-')})" in err
 
 
 def test_config_file_list_and_string_forms(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_embedding_computes_each_image_once(ring, rng, monkeypatch):
     step = discrete._Embedding.step
 
     def counted(self, alpha, m):
-        calls.append((alpha, m, self.images[0].order))
+        calls.append((alpha, m, self.order))
         return step(self, alpha, m)
 
     monkeypatch.setattr(discrete._Embedding, "step", counted)

@@ -122,6 +122,12 @@ def test_invariants_as_coordinates(ctx):
     assert to_invariant_coordinates(cf, us[0].dx()) == DiffPoly.var(1, 1)
     with pytest.raises(NotGaugeInvariantError):
         to_invariant_coordinates(cf, q2)
+    # a generator beyond the arity of q (an S-generator of the gauge
+    # homomorphism) is not invariant, and the unchecked rewrite drops it
+    s_gen = DiffPoly.var(lax.arity + 1, 1)
+    with pytest.raises(NotGaugeInvariantError):
+        to_invariant_coordinates(cf, us[0] + s_gen)
+    assert to_invariant_coordinates(cf, us[0] + s_gen, check=False) == DiffPoly.var(1)
 
 
 def test_gauge_composition_closure(ctx):

@@ -13,7 +13,7 @@ from dshierarchy.solution import (NonCommutingFlowsError,
                                   evaluate_on_solution, flow_equation_report,
                                   gbgw_initial, integrate_formal,
                                   two_point_functions)
-from jet_images import reference_substitute
+from jet_images import memoised_powers, reference_substitute
 
 u = DiffPoly.var
 
@@ -135,7 +135,7 @@ def _assert_substitute_matches_reference(p, jets, one):
         assert got == reference_substitute(q, jets, one)
         # a second pass reads the memoised powers of the same map
         assert q.substitute(jets) == got
-    for (alpha, m, e), value in jets._powers.items():
+    for alpha, m, e, value in memoised_powers(jets):
         assert value == jets(alpha, m) ** e
 
 
@@ -158,5 +158,5 @@ def test_evaluations_share_the_jets_of_the_solution(sl2):
     two_point_functions(sol, sl2.omega_table(1, 1))
     flow_equation_report(sol, flows)
     assert sol.jets is jets and jets._powers
-    for (alpha, m, e), value in jets._powers.items():
+    for alpha, m, e, value in memoised_powers(jets):
         assert value == jets(alpha, m) ** e
