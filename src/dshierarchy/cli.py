@@ -134,6 +134,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     for key in ("eps_order", "jet_depth", "t_degree", "max_k"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} (--{key.replace('_', '-')}) must be non-negative")
+    if cfg.samples < 1:
+        raise ConfigError("samples (--samples) must be positive")
     return cfg
 
 

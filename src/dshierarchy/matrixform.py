@@ -4,13 +4,16 @@ A matrix form is a Laurent polynomial in lambda with matrix coefficients,
 stored as {(p, i, j): entry (i, j) of the lambda^p coefficient}.  The type
 tables give the basis of the simple Lie algebra by matrices, so every loop
 element has one, and products of loop elements in the defining
-representation are products of matrix forms.
+representation are products of matrix forms.  ``matrix_product`` takes a
+whole sum of such products at once: it collects every entry product by
+output entry and sums each entry in one ``DiffPoly.dot`` pass, so an entry
+is normalized once however many products reach it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .diffalg import DiffPoly
 
@@ -36,19 +39,17 @@ def matrix_form(alg, coeffs: Mapping) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def matrix_product(x: Mapping, y: Mapping, out: dict | None = None) -> dict:
-    """x y, added into ``out`` (a new dict by default); cancelled entries stay as zeros."""
-    rows: dict[int, list] = {}
-    for (q, j, l), b in y.items():
-        rows.setdefault(j, []).append((q, l, b))
-    if out is None:
-        out = {}
-    for (p, i, j), a in x.items():
-        for q, l, b in rows.get(j, ()):
-            key = (p + q, i, l)
-            prev = out.get(key)
-            out[key] = a * b if prev is None else prev + a * b
-    return out
+def matrix_product(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
+    """The sum of x y over the pairs (x, y) of matrix forms; cancelled entries stay as zeros."""
+    terms: dict[tuple[int, int, int], list] = {}
+    for x, y in pairs:
+        rows: dict[int, list] = {}
+        for (q, j, l), b in y.items():
+            rows.setdefault(j, []).append((q, l, b))
+        for (p, i, j), a in x.items():
+            for q, l, b in rows.get(j, ()):
+                terms.setdefault((p + q, i, l), []).append((a, b))
+    return {key: DiffPoly.dot(ab) for key, ab in terms.items()}
 
 
 def traceless_coeffs(alg, mat: Mapping, shift: int = 0) -> dict[int, list]:
@@ -86,7 +87,7 @@ def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping) -> 
     lam = matrix_form(alg, cyclic)
     powers = [identity(size)]
     for _ in range(size):
-        powers.append(matrix_product(powers[-1], lam))
+        powers.append(matrix_product([(powers[-1], lam)]))
     if {key: c for key, c in powers[size].items() if c} != \
             {(1, i, i): 1 for i in range(size)}:
         raise ValueError(f"Lambda^{size} != lambda Id in the defining representation")

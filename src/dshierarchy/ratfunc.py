@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .diffalg import _power
+
 Poly = tuple[int, ...]
 
 
@@ -216,13 +218,7 @@ class RatFunc:
             if not self._n:
                 raise ZeroDivisionError("zero to a negative power")
             base, n = _new(self._d, self._n), -n
-        out = _ONE
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(_ONE, base, n)
 
     def dx(self) -> "RatFunc":
         n, d = self._n, self._d

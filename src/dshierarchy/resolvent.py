@@ -22,10 +22,12 @@ ODEs", IMRN 2018).  Its slices are solved for d = 0, -1, ... in turn:
 R_1^n = lambda Id at degree n - 1 + d gives its Heisenberg part c H_d, which
 enters that slice as c n Lambda^{n-1} H_d (the im(ad Lambda) part drops out,
 since Lambda^n is central).  Throughout, ``[X, d] = -d(X)``.  The powers
-R_1^k, k < n, are kept as matrix forms slice by slice; both identities must
-hold exactly at every degree, and the defining properties of each R_a
-([L, R_a] = 0, leading term, pairing normalization) are verified as exact
-residuals through the computed depth.
+R_1^k, k < n, are kept as matrix forms slice by slice: slice k - 1 + d of
+R_1^k is the convolution sum_e (R_1)_e (R_1^{k-1})_{k-1+d-e}, computed as
+one sum of products (``matrixform.matrix_product``) that normalizes each
+entry once.  Both identities must hold exactly at every degree, and the
+defining properties of each R_a ([L, R_a] = 0, leading term, pairing
+normalization) are verified as exact residuals through the computed depth.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class LaxOperator:
         lam = matrix_form(real.alg, real.cyclic.coeffs)
         self._lam_powers = [identity(n)]
         for _ in range(n - 1):
-            self._lam_powers.append(matrix_product(self._lam_powers[-1], lam))
+            self._lam_powers.append(matrix_product([(self._lam_powers[-1], lam)]))
         # R_1 = Lambda + sum r[d]; power[k][j] is the degree-j slice of R_1^k
         # as a matrix form, for 1 <= k < n
         self._r: dict[int, LoopElement] = {1: real.cyclic}
@@ -100,16 +102,15 @@ class LaxOperator:
             # slice k - 1 + d of R_1^k = R_1 R_1^{k-1}, with r_d = y so far
             new = {1: matrix_form(real.alg, y.coeffs)}
             for k in range(2, n + 1):
-                acc: dict = {}
-                for e in range(d, 2):
-                    lower = new[k - 1] if e == 1 else power[k - 1][k - 1 + d - e]
-                    matrix_product(new[1] if e == d else power[1][e], lower, acc)
-                new[k] = acc
+                new[k] = matrix_product(
+                    (new[1] if e == d else power[1][e],
+                     new[k - 1] if e == 1 else power[k - 1][k - 1 + d - e])
+                    for e in range(d, 2))
             # R_1^n = lambda Id at degree n - 1 + d fixes the Heisenberg part
             h = real.heisenberg_at(d)
             if h is not None:
                 hm = matrix_form(real.alg, h.coeffs)
-                g = [matrix_product(lp, hm) for lp in self._lam_powers]
+                g = [matrix_product([(lp, hm)]) for lp in self._lam_powers]
                 c = _heisenberg_coefficient(new[n], g[n - 1], n)
                 y = y + h.scale(c)
                 for k in range(1, n + 1):

@@ -151,6 +151,13 @@ def test_config_errors(capsys, tmp_path):
         code, _, err = run(capsys, "omega", "--config", str(cfgfile))
         key = next(iter(bad))
         assert code == 2 and f"{key} (--{key.replace('_', '-')})" in err
+    # no embedding sample would run, so the check must not pass vacuously
+    for samples in ("0", "-5"):
+        code, out, err = run(capsys, "discrete", "--samples", samples, "--eps-order", "1")
+        assert code == 2 and not out and "samples (--samples) must be positive" in err
+    cfgfile.write_text(json.dumps({"samples": 0}))
+    code, _, err = run(capsys, "discrete", "--config", str(cfgfile))
+    assert code == 2 and "samples (--samples) must be positive" in err
 
 
 def test_config_file_list_and_string_forms(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ polys = poly_strategy()
 small_polys = poly_strategy(st.integers(0, 2), max_exp=2, max_terms=3)
 shift_polys = poly_strategy(st.integers(-3, 3))
 jet_vars = st.tuples(st.integers(1, 2), st.integers(0, 4))
+pair_lists = st.lists(st.tuples(polys, polys), max_size=5)
 
 
 def assert_normal(p: DiffPoly):
@@ -164,6 +167,52 @@ def test_exponent_overflow_is_named_and_raised_before_carry():
     half = 1 << 14
     p = (u(1) ** half + u(1)) * u(1) ** (MAX_EXPONENT - half)
     assert p == u(1) ** MAX_EXPONENT + u(1) ** (MAX_EXPONENT - half + 1)
+
+
+def stored(pairs):
+    return [(a._den, dict(a._num), b._den, dict(b._num)) for a, b in pairs]
+
+
+@given(pair_lists)
+def test_dot_is_the_sum_of_products(pairs):
+    before = stored(pairs)
+    got = DiffPoly.dot(iter(pairs))
+    assert_normal(got)
+    assert got == reduce(add, (a * b for a, b in pairs), DiffPoly.zero())
+    assert to_sympy(got) == sympy.expand(
+        sum((to_sympy(a) * to_sympy(b) for a, b in pairs), sympy.Integer(0)))
+    assert stored(pairs) == before          # the operands are not mutated
+
+
+@given(pair_lists)
+def test_dot_of_cancelling_pairs_is_zero(pairs):
+    got = DiffPoly.dot(pairs + [(-a, b) for a, b in pairs])
+    assert got == DiffPoly.zero() and (got._den, got._num) == (1, {})
+
+
+def test_dot_mixed_denominators_and_zeros():
+    p = Fraction(1, 6) * u(1) + Fraction(3, 4) * u(2)       # denominator 12
+    q, r = Fraction(2, 5) * u(1, 1), Fraction(5, 3) * u(2) - 1
+    got = DiffPoly.dot([(p, q), (r, r), (q, 10 * u(1))])
+    assert_normal(got)
+    assert got == p * q + r * r + q * (10 * u(1))
+    # the denominators of the pairs cancel in the sum
+    half = Fraction(1, 2) * u(1)
+    assert (DiffPoly.dot([(half, u(2)), (u(2), half)])._den) == 1
+    zero = DiffPoly.zero()
+    for pairs in ([], [(zero, p)], [(p, zero), (zero, zero)], [(p, q), (q, -p)]):
+        got = DiffPoly.dot(pairs)
+        assert got == zero and (got._den, got._num) == (1, {})
+
+
+def test_dot_checks_every_pair_for_overflow():
+    top = u(1) ** MAX_EXPONENT
+    with pytest.raises(ExponentOverflowError, match=r"\(1, 0\)"):
+        DiffPoly.dot([(u(2), u(2)), (top, u(1))])
+    # as with __mul__, a product that would cancel later still raises
+    with pytest.raises(ExponentOverflowError):
+        DiffPoly.dot([(top, u(1)), (-top, u(1))])
+    assert DiffPoly.dot([(top, DiffPoly.const(3))]) == 3 * top
 
 
 def test_one_denominator_per_polynomial():

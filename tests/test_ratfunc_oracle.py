@@ -88,6 +88,23 @@ def test_powers_match_sympy(a, n):
         assert same(p, K(1) / e ** -n)
 
 
+@pytest.mark.parametrize("n", [37, 64, -37, -64])
+def test_large_powers_match_sympy(n):
+    a = RatFunc((1, Fraction(1, 2)), (-3, 2))         # (1 + x/2)/(-3 + 2x)
+    e, p = to_sympy(a), a ** n
+    assert_normal(p)
+    assert same(p, e ** n if n > 0 else K(1) / e ** -n)
+    assert p * a ** -n == RatFunc((1,), (1,))
+
+
+def test_powers_of_zero_and_one():
+    zero, one = RatFunc((), (1,)), RatFunc((1,), (1,))
+    assert zero ** 0 == one and zero ** 5 == zero
+    assert one ** -40 == one
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+
+
 @given(ratfuncs(), ratfuncs(), coeffs)
 def test_results_are_normal(a, b, c):
     for r in (a, b, a + b, a - b, a * b, a * c, -a, a.dx(), a - a, a * 0):
