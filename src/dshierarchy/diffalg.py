@@ -516,33 +516,6 @@ class DiffPoly:
         return render_poly(self)
 
 
-# module-level operation names -------------------------------------------
-
-def total_derivative(p):
-    """Total derivative of a DiffPoly or EpsSeries (componentwise)."""
-    return p.dx()
-
-
-def partial_derivative(p: DiffPoly, v: JetVar) -> DiffPoly:
-    return p.partial(v)
-
-
-def degree(p: DiffPoly):
-    return p.degree()
-
-
-def apply_derivation(d: "Derivation", p) -> "EpsSeries":
-    return d(p)
-
-
-def commutator(d1: "Derivation", d2: "Derivation") -> "Derivation":
-    return d1.commutator(d2)
-
-
-def is_zero(p) -> bool:
-    return p.is_zero()
-
-
 class EpsSeries:
     """Polynomial in eps over DiffPoly, truncated at eps^K.
 
@@ -795,11 +768,7 @@ def apply_poly_derivation(jets: JetMap, p: DiffPoly) -> DiffPoly:
     ``jets``.  Raises ArityMismatchError when p involves a component beyond
     the arity of the characteristic.
     """
-    acc: dict[int, int] = {}
-    den = 1
-    for v in sorted(p.variables()):
-        den = _add_into(acc, den, jets(*v) * p.partial(v))
-    return _normal(acc, den)
+    return DiffPoly.dot((jets(*v), p.partial(v)) for v in sorted(p.variables()))
 
 
 class Derivation:

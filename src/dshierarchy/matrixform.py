@@ -7,7 +7,8 @@ element has one, and products of loop elements in the defining
 representation are products of matrix forms.  ``matrix_product`` takes a
 whole sum of such products at once: it collects every entry product by
 output entry and sums each entry in one ``DiffPoly.dot`` pass, so an entry
-is normalized once however many products reach it.
+is normalized once however many products reach it.  ``matrix_entry`` sums
+one entry of such a sum the same way, without forming the others.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def matrix_product(pairs: Iterable[tuple[Mapping, Mapping]]) -> dict:
             for q, l, b in rows.get(j, ()):
                 terms.setdefault((p + q, i, l), []).append((a, b))
     return {key: DiffPoly.dot(ab) for key, ab in terms.items()}
+
+
+def matrix_entry(pairs: Iterable[tuple[Mapping, Mapping]], key: tuple[int, int, int]) -> DiffPoly:
+    """Entry ``key`` of the sum of x y over the pairs, as one ``DiffPoly.dot``; zero if no product reaches it."""
+    p, i, l = key
+    return DiffPoly.dot((a, y.get((p - q, j, l), _ZERO_P))
+                        for x, y in pairs for (q, r, j), a in x.items() if r == i)
 
 
 def traceless_coeffs(alg, mat: Mapping, shift: int = 0) -> dict[int, list]:

@@ -19,14 +19,36 @@ R_1 = Lambda + sum_{d <= 0} r_d itself needs no U (the matrix-resolvent
 approach of Bertola-Dubrovin-Yang, "Simple Lie algebras and topological
 ODEs", IMRN 2018).  Its slices are solved for d = 0, -1, ... in turn:
 [L, R_1] = 0 at degree d + 1 gives the im(ad Lambda) part y of r_d, and
-R_1^n = lambda Id at degree n - 1 + d gives its Heisenberg part c H_d, which
-enters that slice as c n Lambda^{n-1} H_d (the im(ad Lambda) part drops out,
-since Lambda^n is central).  Throughout, ``[X, d] = -d(X)``.  The powers
-R_1^k, k < n, are kept as matrix forms slice by slice: slice k - 1 + d of
-R_1^k is the convolution sum_e (R_1)_e (R_1^{k-1})_{k-1+d-e}, computed as
-one sum of products (``matrixform.matrix_product``) that normalizes each
-entry once.  Both identities must hold exactly at every degree, and the
-defining properties of each R_a ([L, R_a] = 0, leading term, pairing
+R_1^n = lambda Id at degree D = n - 1 + d gives its Heisenberg part c H_d,
+which enters that slice as c n Lambda^{n-1} H_d (the im(ad Lambda) part
+drops out, since Lambda^n is central).  Throughout, ``[X, d] = -d(X)``.  The
+powers R_1^k, k < n, are kept as matrix forms slice by slice: slice
+k - 1 + d of R_1^k is the convolution sum_e (R_1)_e (R_1^{k-1})_{k-1+d-e},
+computed as one sum of products (``matrixform.matrix_product``) that
+normalizes each entry once.  [L, R_1] = 0 must hold exactly at every degree.
+
+R_1^n itself is never formed: R_1^n = lambda Id is certified by one entry
+per degree (``matrixform.matrix_entry``).  Let X = R_1^n - lambda Id.
+
+- [X, R_1] = 0 exactly, as X is a power of R_1 less a central element.
+- If X vanishes above degree D, the degree D + 1 slice of [X, R_1] is
+  [X_D, Lambda], so X_D commutes with Lambda.
+- Lambda^n = lambda Id and t^n - lambda is irreducible, so Lambda is cyclic:
+  its centralizer is spanned by Lambda^0, ..., Lambda^{n-1} over the
+  rational functions of lambda.  As lambda^j Lambda^k has degree n j + k,
+  X_D = c Lambda^D with c free of lambda, twisted or not, and X_D = 0
+  exactly when its entry at one key where Lambda^D is nonzero is zero.
+- X_n = 0 is checked at load (``matrixform.check_cyclic``), so induction
+  down covers every degree.
+
+At a Heisenberg degree H_d = lambda^s Lambda^k (tr Lambda^k = 0 for n not
+dividing k), so g = Lambda^{n-1} H_d is proportional to Lambda^D and the
+entry at the first nonzero key of g fixes c and certifies X_D; elsewhere the
+key is the first nonzero one of Lambda^D (``_identity_key``).  The entry is
+checked after c is applied; a nonzero entry raises a RuntimeError naming
+the degree.  The tests rebuild every slice of R_1^n as a reference.
+
+The defining properties of each R_a ([L, R_a] = 0, leading term, pairing
 normalization) are verified as exact residuals through the computed depth.
 """
 
@@ -36,7 +58,7 @@ from fractions import Fraction
 
 from .diffalg import DiffPoly
 from .kacmoody import LoopElement, LoopRealization, TableShape
-from .matrixform import identity, matrix_form, matrix_product, traceless_coeffs
+from .matrixform import identity, matrix_entry, matrix_form, matrix_product, traceless_coeffs
 
 _ZERO_P = DiffPoly.zero()
 
@@ -85,7 +107,7 @@ class LaxOperator:
         return x.dx() + self.lam_plus_q.bracket(x)
 
     def dressing(self, depth: int) -> None:
-        """Extend R_1, the dressed Lambda, and its powers down to degree 1 - depth."""
+        """Extend R_1, the dressed Lambda, and its powers R_1^k, k < n, down to degree 1 - depth."""
         real = self.real
         n = real.alg.size
         r, power = self._r, self._power
@@ -99,29 +121,43 @@ class LaxOperator:
             if not h_part.is_zero():
                 raise RuntimeError(
                     f"[L, R_1] = 0 has a Heisenberg part at principal degree {d + 1}")
-            # slice k - 1 + d of R_1^k = R_1 R_1^{k-1}, with r_d = y so far
+            # slice k - 1 + d of R_1^k, k < n, with r_d = y so far
             new = {1: matrix_form(real.alg, y.coeffs)}
-            for k in range(2, n + 1):
-                new[k] = matrix_product(
-                    (new[1] if e == d else power[1][e],
-                     new[k - 1] if e == 1 else power[k - 1][k - 1 + d - e])
-                    for e in range(d, 2))
-            # R_1^n = lambda Id at degree n - 1 + d fixes the Heisenberg part
+            for k in range(2, n):
+                new[k] = matrix_product(self._power_terms(new, k, d))
+            # R_1^n = lambda Id at degree top, by one entry (module docstring)
+            top = n - 1 + d
+            terms = self._power_terms(new, n, d)
             h = real.heisenberg_at(d)
-            if h is not None:
+            if h is None:
+                entry = matrix_entry(terms, _identity_key(self._lam_powers, top))
+            else:
                 hm = matrix_form(real.alg, h.coeffs)
                 g = [matrix_product([(lp, hm)]) for lp in self._lam_powers]
-                c = _heisenberg_coefficient(new[n], g[n - 1], n)
+                key = _identity_key(self._lam_powers, top, g[n - 1])
+                part = {key: matrix_entry(terms, key)}
+                c = _heisenberg_coefficient(part, g[n - 1], n)
                 y = y + h.scale(c)
-                for k in range(1, n + 1):
-                    for key, v in g[k - 1].items():
-                        new[k][key] = new[k].get(key, _ZERO_P) + c * (k * v.constant_term())
-            if any(new[n].values()):
+                for k in range(1, n):
+                    for gkey, v in g[k - 1].items():
+                        new[k][gkey] = new[k].get(gkey, _ZERO_P) + c * (k * v.constant_term())
+                entry = part[key] + c * (n * g[n - 1][key].constant_term())
+            if entry:
                 raise RuntimeError(
-                    f"R_1^{n} = lambda Id fails at principal degree {n - 1 + d}")
+                    f"R_1^{n} = lambda Id fails at principal degree {top}")
             r[d] = y
             for k in range(1, n):
                 power[k][k - 1 + d] = {key: v for key, v in new[k].items() if v}
+
+    def _power_terms(self, new: dict, k: int, d: int) -> list:
+        """The pairs (R_1)_e, (R_1^{k-1})_{k-1+d-e} summing to slice k - 1 + d of R_1^k.
+
+        ``new`` holds the slices of degree d of R_1 and k - 2 + d of R_1^{k-1}.
+        """
+        power = self._power
+        return [(new[1] if e == d else power[1][e],
+                 new[k - 1] if e == 1 else power[k - 1][k - 1 + d - e])
+                for e in range(d, 2)]
 
     def resolvent(self, a: int, depth: int) -> "Resolvent":
         """Basic resolvent for the a-th exponent (1-based), to given depth."""
@@ -140,6 +176,18 @@ class LaxOperator:
                 self.real.alg, self._power[k].get(d - s * n, {}), s))
             self._slices[(a, d)] = got
         return got
+
+
+def _identity_key(lam_powers: list[dict], degree: int, g: dict | None = None) -> tuple[int, int, int]:
+    """The key of the entry that certifies slice ``degree`` of R_1^n = lambda Id.
+
+    The first nonzero key of g = Lambda^{n-1} H_d when given, else of
+    Lambda^degree, from the powers Lambda^0 .. Lambda^{n-1}.
+    """
+    if g is None:
+        s, k = divmod(degree, len(lam_powers))
+        g = {(p + s, i, j): v for (p, i, j), v in lam_powers[k].items()}
+    return next(key for key, v in g.items() if v)
 
 
 def _heisenberg_coefficient(top: dict, g: dict, n: int) -> DiffPoly:

@@ -15,8 +15,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dshierarchy.diffalg import (MAX_EXPONENT, DiffPoly, ExponentOverflowError,
-                                 JetMap)
+from dshierarchy.diffalg import (MAX_EXPONENT, ArityMismatchError, DiffPoly,
+                                 ExponentOverflowError, JetMap, apply_poly_derivation)
 from jet_images import FunctionJets
 
 u = DiffPoly.var
@@ -213,6 +213,27 @@ def test_dot_checks_every_pair_for_overflow():
     with pytest.raises(ExponentOverflowError):
         DiffPoly.dot([(top, u(1)), (-top, u(1))])
     assert DiffPoly.dot([(top, DiffPoly.const(3))]) == 3 * top
+
+
+@given(polys, st.lists(small_polys, min_size=2, max_size=2))
+def test_derivation_is_the_per_variable_sum(p, images):
+    jets = JetMap(images)
+    got = apply_poly_derivation(jets, p)
+    assert_normal(got)
+    assert got == reduce(add, (jets(*var) * p.partial(var) for var in p.variables()),
+                         DiffPoly.zero())
+    expr = to_sympy(p)
+    assert to_sympy(got) == sympy.expand(sum(
+        (sympy.diff(expr, sympy.Symbol(f"u_{a}_{m}")) * to_sympy(jets(a, m))
+         for a, m in p.variables()), sympy.Integer(0)))
+
+
+def test_derivation_beyond_the_arity_raises():
+    jets = JetMap([u(1, 1)])
+    assert apply_poly_derivation(jets, u(1) ** 2) == 2 * u(1) * u(1, 1)
+    for p in (u(1) * u(2), u(2, 3), u(1, 1) + u(3)):
+        with pytest.raises(ArityMismatchError):
+            apply_poly_derivation(jets, p)
 
 
 def test_one_denominator_per_polynomial():

@@ -1,4 +1,4 @@
-"""matrix_product: one sum of products of matrix forms, summed entry by entry."""
+"""matrix_product and matrix_entry: sums of products of matrix forms, summed entry by entry."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.matrixform import matrix_product
+from dshierarchy.matrixform import matrix_entry, matrix_product
 
 u = DiffPoly.var
 
@@ -53,6 +53,19 @@ def test_cancelled_entries_stay_as_zeros(x, y):
     assert not any(got.values())
 
 
+@given(st.lists(st.tuples(forms, forms), max_size=4), keys)
+def test_one_entry_is_the_entry_of_the_full_product(pairs, other):
+    neg = [({key: -c for key, c in x.items()}, y) for x, y in pairs]
+    # as given, with the first product cancelled, and with every entry cancelled
+    for terms in (pairs, pairs + neg[:1], pairs + neg):
+        full = matrix_product(terms)
+        for key, c in full.items():
+            assert matrix_entry(iter(terms), key) == c
+        if other not in full:       # no product reaches it
+            assert matrix_entry(terms, other) == DiffPoly.zero()
+    assert not any(full.values())
+
+
 def test_product_of_units():
     one = DiffPoly.const(1)
     e01, e10 = {(1, 0, 1): one}, {(0, 1, 0): one}
@@ -60,3 +73,6 @@ def test_product_of_units():
     assert matrix_product([(e01, e10), (e10, e01)]) == {(1, 0, 0): one, (1, 1, 1): one}
     assert matrix_product([(e01, e01)]) == {}
     assert matrix_product([]) == {}
+    assert matrix_entry([(e01, e10), (e10, e01)], (1, 1, 1)) == one
+    assert matrix_entry([(e01, e01)], (2, 0, 1)) == DiffPoly.zero()
+    assert matrix_entry([], (0, 0, 0)) == DiffPoly.zero()

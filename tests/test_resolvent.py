@@ -1,14 +1,18 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressing_route import Dressing, resolvent_slices
 from jet_images import FunctionJets
 from dshierarchy import resolvent
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
+from dshierarchy.matrixform import matrix_form, matrix_product
 from dshierarchy.resolvent import DepthError, LaxOperator, flow_depth
 
 
@@ -127,6 +131,111 @@ def test_wrong_heisenberg_coefficient_names_the_degree(monkeypatch):
     # the first Heisenberg part of R_1 is at degree -1, checked in R_1^3 at 1
     with pytest.raises(RuntimeError, match=r"R_1\^3 = lambda Id fails at principal degree 1"):
         lax.resolvent(1, 4)
+
+
+def _identity_residual(n: int, r: dict) -> dict:
+    """The nonzero slices of R^n - lambda Id at every degree where R^n is complete.
+
+    ``r`` maps each degree d to the matrix form of the slice R_d of R.  Each
+    slice of each power is rebuilt with matrix_product; with the lowest slice
+    of R at degree low, R^k is complete down to degree low + k - 1.
+    """
+    low = min(r)
+    power = r
+    for k in range(2, n + 1):
+        power = {top: matrix_product((r[e], power[top - e]) for e in r if top - e in power)
+                 for top in range(k, low + k - 2, -1)}
+    for i in range(n):
+        power[n][(1, i, i)] = power[n].get((1, i, i), DiffPoly.zero()) - 1
+    out = {}
+    for top, sl in power.items():
+        sl = {key: c for key, c in sl.items() if c}
+        if sl:
+            out[top] = sl
+    return out
+
+
+def _matrix_forms(real: LoopRealization, r: dict) -> dict:
+    return {d: matrix_form(real.alg, sl.coeffs) for d, sl in r.items()}
+
+
+@pytest.mark.parametrize("name, depth", [("a1_1", 10), ("a2_1", 9), ("a2_2", 10)])
+@pytest.mark.parametrize("kind", ["canonical", "borel"])
+def test_full_power_identity_holds_at_every_degree(name, depth, kind):
+    # the program certifies R_1^n = lambda Id through one entry per degree;
+    # here every slice of R_1^n is rebuilt through the computed depth
+    lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    lax.dressing(depth)
+    real, n = lax.real, lax.real.alg.size
+    assert min(lax._r) == 1 - depth
+    assert _identity_residual(n, _matrix_forms(real, lax._r)) == {}
+    # a wrong slice of R_1 shows in the reference
+    r = dict(lax._r)
+    r[-1] = r[-1] + real.heisenberg_element(-1)
+    assert _identity_residual(n, _matrix_forms(real, r))
+
+
+def _random_slice(real: LoopRealization, d: int, rng: random.Random) -> LoopElement:
+    coeffs: dict = {}
+    for k, i in real.slice_basis(d):
+        vec = coeffs.setdefault(k, [0] * real.alg.dim)
+        vec[i] = rng.randint(-2, 2) + rng.randint(-1, 1) * DiffPoly.var(1)
+    return real.element(coeffs)
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32), first=st.integers(-4, 0), scalar=st.integers(-2, 2))
+def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, seed, first, scalar):
+    # R = Lambda + random slices at degrees first, ..., first - 5, plus
+    # scalar lambda^j Id at degree n j <= first.  The scalar is not in sl_n,
+    # but the argument does not need that, and it puts the first nonzero
+    # slice at degrees with no Heisenberg element as well.
+    rng = random.Random(seed)
+    real = build_algebra(name, 0, depth_hint=14)
+    lax = LaxOperator(real, "canonical")
+    n = real.alg.size
+    r = _matrix_forms(real, {1: real.cyclic, **{
+        d: _random_slice(real, d, rng) for d in range(first, first - 6, -1)}})
+    j = (first - first % n) // n
+    for i in range(n):
+        r[n * j][(j, i, i)] = r[n * j].get((j, i, i), DiffPoly.zero()) + scalar
+    residual = _identity_residual(n, r)
+    if not residual:
+        return
+    top = max(residual)
+    got = residual[top]
+    # the slice is c Lambda^top
+    s, k = divmod(top, n)
+    lam_top = {(p + s, a, b): v for (p, a, b), v in lax._lam_powers[k].items() if v}
+    key = resolvent._identity_key(lax._lam_powers, top)
+    assert key in lam_top
+    c = got.get(key, DiffPoly.zero()) * (1 / lam_top[key].constant_term())
+    assert got == {kk: c * v for kk, v in lam_top.items()}
+    # so the chosen entry is nonzero, and so is the Heisenberg step's entry
+    assert got[key]
+    h = real.heisenberg_at(top - n + 1)
+    if h is not None:
+        g = matrix_product([(lax._lam_powers[n - 1], matrix_form(real.alg, h.coeffs))])
+        assert got[resolvent._identity_key(lax._lam_powers, top, g)]
+
+
+@pytest.mark.parametrize("name, d", [("a1_1", -2), ("a2_1", -3), ("a2_2", -2), ("a2_2", -4)])
+def test_wrong_entry_at_a_degree_without_heisenberg_element_names_it(monkeypatch, name, d):
+    lax = LaxOperator(build_algebra(name, 0, depth_hint=10), "canonical")
+    assert lax.real.heisenberg_at(d) is None
+    right, calls = resolvent.matrix_entry, []
+
+    def wrong(terms, key):
+        # one call per degree, for d = 0, -1, -2, ...
+        calls.append(key)
+        return right(terms, key) + (1 if len(calls) == 1 - d else 0)
+
+    monkeypatch.setattr(resolvent, "matrix_entry", wrong)
+    n = lax.real.alg.size
+    with pytest.raises(RuntimeError,
+                       match=rf"R_1\^{n} = lambda Id fails at principal degree {n - 1 + d}$"):
+        lax.resolvent(1, 6)
 
 
 def test_resolvent_defining_residuals(lax):
