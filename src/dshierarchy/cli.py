@@ -22,13 +22,12 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
 from .diffalg import Derivation, DiffPoly, EpsSeries
 from .discrete import DifferenceRing, embed_differential, invert_discrete_miura
-from .hierarchy import (DSHierarchy, tau_coordinate_check,
+from .hierarchy import (DSHierarchy, OmegaTable, tau_coordinate_check,
                         verify_gauge_invariance, verify_integrability,
                         verify_tau_symmetry)
 from .kacmoody import UnsupportedTypeError, supported_types
@@ -47,27 +46,31 @@ class ConfigError(ValueError):
 DEFAULT_FLOWS = ((1, 0), (1, 1))
 
 
-@dataclass
 class RunConfig:
     """Resolved run parameters (flags over config file over defaults)."""
 
-    type: str = "a1_1"
-    vertex: int = 0
-    flows: list | None = None  # unset: DEFAULT_FLOWS, or every label for verify
-    eps_order: int = 4
-    jet_depth: int = 8
-    lambda_window: tuple | None = None
-    depth: int | None = None
-    t_degree: int = 2
-    gauge: str = "default"
-    bgw: list | None = None
-    format: str = "json"
-    max_a: int | None = None
-    max_k: int = 1
-    exponent: int = 1
-    samples: int = 100
-    seed: int = 7
-    self_test_corrupt: bool = False
+    DEFAULTS = {
+        "type": "a1_1",
+        "vertex": 0,
+        "flows": None,  # unset: DEFAULT_FLOWS, or every label for verify
+        "eps_order": 4,
+        "jet_depth": 8,
+        "lambda_window": None,
+        "depth": None,
+        "t_degree": 2,
+        "gauge": "default",
+        "bgw": None,
+        "format": "json",
+        "max_a": None,
+        "max_k": 1,
+        "exponent": 1,
+        "samples": 100,
+        "seed": 7,
+        "self_test_corrupt": False,
+    }
+
+    def __init__(self):
+        vars(self).update(self.DEFAULTS)
 
 
 def _parse_flows(val) -> list:
@@ -199,8 +202,8 @@ def cmd_derive(cfg: RunConfig) -> int:
     return 0
 
 
-def _omega_objs(h: DSHierarchy, table) -> list[dict]:
-    names = default_names(h.ell)
+def _omega_objs(ell: int, table) -> list[dict]:
+    names = default_names(ell)
     out = []
     for (i, j), val in sorted(table.entries.items()):
         out.append({
@@ -214,13 +217,17 @@ def _omega_objs(h: DSHierarchy, table) -> list[dict]:
 
 def cmd_omega(cfg: RunConfig) -> int:
     h = _build_hierarchy(cfg)
+    name, ell = h.real.name, h.ell
     max_a = cfg.max_a or h.real.n
     table = h.omega_table(max_a, cfg.max_k)
+    # the resolvents' slices and powers are not read from here on; releasing
+    # them keeps the output stage's memory off the process peak
+    del h
     payload = {
-        "algebra": h.real.name,
+        "algebra": name,
         "max_a": max_a,
         "max_k": cfg.max_k,
-        "entries": _omega_objs(h, table),
+        "entries": _omega_objs(ell, table),
         "symmetry": table.symmetry_report(),
     }
     if cfg.format == "text":
@@ -242,8 +249,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.self_test_corrupt:
         # a corrupted copy: the table cached in the hierarchy stays intact
         key = sorted(table.entries)[0]
-        table = replace(table, entries={
-            **table.entries, key: table.entries[key] + DiffPoly.var(1, 1)})
+        entries = {**table.entries, key: table.entries[key] + DiffPoly.var(1, 1)}
+        table = OmegaTable(entries, table.max_a, table.max_k, table.depth)
     checks: list[dict] = []
     # translation flow
     f10 = h.flow((1, 0))
@@ -514,6 +521,10 @@ def main(argv=None) -> int:
                     "and mechanical verification of their structural identities.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand copies the common flags from one parent parser, so
+    # each is built (and its help formatter checked) once per process
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     handlers = {}
     for name, fn, extra in [
         ("derive", cmd_derive, []),
@@ -524,8 +535,7 @@ def main(argv=None) -> int:
         ("gauge-fix", cmd_gauge_fix, []),
         ("discrete", cmd_discrete, ["samples"]),
     ]:
-        p = sub.add_parser(name)
-        _add_common(p)
+        p = sub.add_parser(name, parents=[common])
         if "exponent" in extra:
             _add_flag(p, "exponent", help="exponent index a (1-based)")
         if "samples" in extra:

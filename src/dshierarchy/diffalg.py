@@ -589,13 +589,6 @@ class EpsSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def is_graded(self) -> bool:
-        """True when component q is homogeneous of degree q (or zero)."""
-        for q, c in enumerate(self.components):
-            if not c.is_zero() and c.degrees() != frozenset({q}):
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpsSeries):
             return NotImplemented

@@ -118,13 +118,6 @@ class GaugeFrame:
             [DiffPoly.var(offset + j + 1) for j in range(self.dim_n)])
 
 
-def gauge_transform(lax: LaxOperator, s: LoopElement) -> LoopElement:
-    """Q with e^{ad S}(d + Lambda + q) = d + Lambda + Q; S must be n-valued."""
-    frame = GaugeFrame(lax.real)
-    frame.nilpotent_coords(s)  # raises when S is not in the nilpotent subalgebra
-    return _gauge_q(lax, s)
-
-
 def _gauge_q(lax: LaxOperator, s: LoopElement) -> LoopElement:
     conj = ad_exp_series(s, lax.lam_plus_q)
     correction = ad_exp_series(s, s.dx(), shift=1)
@@ -147,9 +140,6 @@ class CanonicalForm:
         self.u_exprs = list(coords[: frame.ell])
         self.jets = JetMap(self.u_exprs)
         self.s_coeffs = frame.nilpotent_coords(s_can)
-
-    def lax_can(self) -> LoopElement:
-        return self.lax.real.cyclic + self.q_can
 
     def residual(self) -> LoopElement:
         return _gauge_q(self.lax, self.s_can) - self.q_can

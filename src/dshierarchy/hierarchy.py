@@ -33,7 +33,6 @@ reconstruction of flows from tau-coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -61,12 +60,12 @@ def _check_label(real: LoopRealization, label: FlowLabel) -> FlowLabel:
     return (a, k)
 
 
-@dataclass(frozen=True)
 class Flow:
     """A hierarchy flow as an evolutionary derivation in the u-jets."""
 
-    label: FlowLabel
-    chars: tuple[DiffPoly, ...]
+    def __init__(self, label: FlowLabel, chars: tuple[DiffPoly, ...]):
+        self.label = label
+        self.chars = chars
 
     def derivation(self, eps_order: int) -> Derivation:
         """Graded form: the degree-d part of each characteristic at eps^{d-1}."""
@@ -81,14 +80,15 @@ class Flow:
         return apply_poly_derivation(self.jets, p)
 
 
-@dataclass
 class OmegaTable:
     """Tau-structure entries indexed by pairs of flow labels, in u-jets."""
 
-    entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly]
-    max_a: int
-    max_k: int
-    depth: int
+    def __init__(self, entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly],
+                 max_a: int, max_k: int, depth: int):
+        self.entries = entries
+        self.max_a = max_a
+        self.max_k = max_k
+        self.depth = depth
 
     def entry(self, i: FlowLabel, j: FlowLabel) -> DiffPoly:
         try:
@@ -155,7 +155,7 @@ class DSHierarchy:
 
     def __init__(self, type_name: str, vertex: int = 0,
                  max_flow_k: int = 2, omega_max_k: int = 2):
-        shape = TableShape.of(load_table(type_name))
+        shape = TableShape(load_table(type_name))
         n = len(shape.exponents)
         depth = 4
         for a in range(1, n + 1):

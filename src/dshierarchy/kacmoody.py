@@ -21,7 +21,6 @@ the twist eigenspace of class k mod N.  The principal degree of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
@@ -69,7 +68,6 @@ def load_table(type_name: str) -> dict:
         f"unsupported algebra type {type_name!r}; supported: {supported_types()}")
 
 
-@dataclass(frozen=True)
 class TableShape:
     """The fields of a type table that size depths and lambda windows.
 
@@ -79,20 +77,14 @@ class TableShape:
     either.
     """
 
-    exponents: tuple[int, ...]
-    pdeg: tuple[int, ...]
-    twist_order: int
-    deg_lambda: int
-    heisenberg_top: Mapping[int, int]  # top lambda power of Lambda_m, by m
-
-    @classmethod
-    def of(cls, data: dict) -> "TableShape":
-        return cls(tuple(data["exponents"]),
-                   tuple(int(b["pdeg"]) for b in data["basis"]),
-                   data["twist_order"],
-                   (data["r"] * data["coxeter"]) // data["twist_order"],
-                   {int(item["exponent"]): max(int(k) for k in item["element"])
-                    for item in data["heisenberg"]})
+    def __init__(self, data: dict):
+        self.exponents = tuple(data["exponents"])
+        self.pdeg = tuple(int(b["pdeg"]) for b in data["basis"])
+        self.twist_order = data["twist_order"]
+        self.deg_lambda = (data["r"] * data["coxeter"]) // data["twist_order"]
+        # top lambda power of Lambda_m, by m
+        self.heisenberg_top = {int(item["exponent"]): max(int(k) for k in item["element"])
+                               for item in data["heisenberg"]}
 
 
 def _exact_matrix(rows) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -352,11 +344,6 @@ class LoopElement:
                            {k: [c.dx() for c in v] for k, v in self.coeffs.items()},
                            self.truncated)
 
-    def map_coeffs(self, fn) -> "LoopElement":
-        return LoopElement(self.real,
-                           {k: [fn(c) for c in v] for k, v in self.coeffs.items()},
-                           self.truncated)
-
     def lambda_shift(self, j: int) -> "LoopElement":
         """Multiply by lambda^j; j must be divisible by the twist order."""
         real = self.real
@@ -373,15 +360,6 @@ class LoopElement:
                 continue
             out[kk] = v
         return LoopElement(real, out, clipped)
-
-    def project_plus(self) -> "LoopElement":
-        """Keep lambda powers >= 0 (standard gradation projection)."""
-        return LoopElement(self.real, {k: v for k, v in self.coeffs.items() if k >= 0},
-                           self.truncated)
-
-    def project_minus(self) -> "LoopElement":
-        return LoopElement(self.real, {k: v for k, v in self.coeffs.items() if k < 0},
-                           self.truncated)
 
     # -- principal grading --------------------------------------------------
     def pdeg_slices(self) -> dict[int, "LoopElement"]:
@@ -442,28 +420,6 @@ class LoopElement:
                        if not c.is_zero()]
             parts.append(f"lambda^{k}(" + ", ".join(entries) + ")")
         return " + ".join(parts) if parts else "0"
-
-
-def pi_lambda(laurent: Mapping[int, object], twist_order: int) -> dict[int, object]:
-    """Keep powers k with k < 0 and k = -1 (mod N); drop the rest."""
-    return {k: v for k, v in laurent.items()
-            if k < 0 and (k + 1) % twist_order == 0}
-
-
-def pi_multi(laurent: Mapping[tuple, object], twist_order: int,
-             variables: Sequence[int] | None = None) -> dict[tuple, object]:
-    """Composition of pi projections acting per variable on a multi-Laurent map.
-
-    Keys are tuples of powers (one per spectral variable); ``variables``
-    selects the positions to project (all by default).  The single-variable
-    projections commute, so the order of composition is immaterial.
-    """
-    out = dict(laurent)
-    nvars = len(next(iter(laurent))) if laurent else 0
-    for pos in (range(nvars) if variables is None else variables):
-        out = {k: v for k, v in out.items()
-               if k[pos] < 0 and (k[pos] + 1) % twist_order == 0}
-    return out
 
 
 class _SliceSplitter:
@@ -670,14 +626,6 @@ class LoopRealization:
         return got
 
     # -- public operations -------------------------------------------------
-    def heisenberg_split(self, x: LoopElement) -> tuple[LoopElement, LoopElement]:
-        """x = h_part + im_part along H (+) im ad Lambda, per degree slice."""
-        h_total = LoopElement.zero(self)
-        for d, sl in x.pdeg_slices().items():
-            _, h_part, _ = self.splitter(d).split(sl)
-            h_total = h_total + h_part
-        return h_total, x - h_total
-
     def split_with_preimage(self, d: int, sl: LoopElement):
         """Slice split returning (h_coeff, h_part, y) with y in im ad Lambda."""
         h_coeff, h_part, y = self.splitter(d).split(sl)
@@ -854,5 +802,5 @@ def build_algebra(type_name: str, vertex: int = 0,
         raise UnsupportedTypeError(
             f"no table shipped for vertex {vertex} of {data['name']}")
     if window is None:
-        window = default_window_for_depth(TableShape.of(data), depth_hint)
+        window = default_window_for_depth(TableShape(data), depth_hint)
     return LoopRealization(data, window)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries, JetMap
+from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap
 from .linalg import LinearSolver
 
 
@@ -174,16 +174,6 @@ def invert_miura(tup: MiuraTuple, jet_depth: int | None = None) -> MiuraPair:
         if not (pair.phi(pair.inverse[alpha - 1]) - EpsSeries.var(alpha, order)).is_zero():
             raise RuntimeError("inversion failed to close modulo the truncation")
     return pair
-
-
-def induce_derivation(pair: MiuraPair, d: Derivation) -> Derivation:
-    """Transport an admissible derivation to the v-jet ring through the pair."""
-    if d.arity != pair.arity:
-        raise ArityMismatchError("derivation arity does not match the pair")
-    if d.order != pair.order:
-        raise ValueError("eps truncation mismatch between derivation and pair")
-    chars = [pair.psi(d(v)) for v in pair.forward.values]
-    return Derivation(chars, pair.forward.kind)
 
 
 def reconstruct_flows(omega_rows: Mapping[object, Sequence[EpsSeries]],

@@ -225,11 +225,6 @@ class RatFunc:
         num = _padd(_pmul(_pdx(n), d), tuple(-c for c in _pmul(n, _pdx(d))))
         return _reduced(num, _pmul(d, d))
 
-    def eval_at_zero(self) -> Fraction:
-        if self.has_pole_at_zero():
-            raise ZeroDivisionError("pole at the expansion point x = 0")
-        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
-
     def __repr__(self) -> str:
         def fmt(p: tuple[Fraction, ...]) -> str:
             if not p:

@@ -6,10 +6,9 @@ A differential polynomial serializes as
 
 with terms and monomial factors in canonical (sorted) order, so equal values
 produce byte-identical JSON.  An eps-series is a list of such objects with an
-``"eps"`` power per component; zero components are omitted.  Values tied to a
-Miura pair carry a ``"side"`` tag ("u" or "v"); difference-ring values are the
-same schema with orders allowed to be negative plus a ``"shift_window"``
-field where a window applies.
+``"eps"`` power per component; zero components are omitted.  Difference-ring
+values are the same schema with orders allowed to be negative plus a
+``"shift_window"`` field where a window applies.
 """
 
 from __future__ import annotations
@@ -30,14 +29,6 @@ def poly_to_obj(p: DiffPoly) -> dict:
     return {"terms": terms}
 
 
-def poly_from_obj(obj: dict) -> DiffPoly:
-    terms = {}
-    for t in obj["terms"]:
-        mono = tuple(((int(a), int(m)), int(e)) for a, m, e in t["monomial"])
-        terms[mono] = Fraction(t["coeff"])
-    return DiffPoly(terms)
-
-
 def series_to_obj(s: EpsSeries) -> list[dict]:
     out = []
     for q, comp in enumerate(s.components):
@@ -46,28 +37,6 @@ def series_to_obj(s: EpsSeries) -> list[dict]:
         obj = poly_to_obj(comp)
         obj["eps"] = q
         out.append(obj)
-    return out
-
-
-def series_from_obj(objs: list[dict], order: int) -> EpsSeries:
-    comps = [DiffPoly.zero() for _ in range(order + 1)]
-    for obj in objs:
-        q = int(obj["eps"])
-        if q <= order:
-            comps[q] = poly_from_obj(obj)
-    return EpsSeries(comps, order)
-
-
-def miura_pair_to_obj(pair) -> dict:
-    """Miura pair: forward tuple tagged side "u", inverse tagged side "v"."""
-    out = {"arity": pair.arity, "eps_order": pair.order,
-           "jet_depth": pair.jet_depth, "forward": [], "inverse": []}
-    for alpha, val in enumerate(pair.forward.values, start=1):
-        out["forward"].append({"component": alpha, "side": "u",
-                               "series": series_to_obj(val)})
-    for alpha, val in enumerate(pair.inverse, start=1):
-        out["inverse"].append({"component": alpha, "side": "v",
-                               "series": series_to_obj(val)})
     return out
 
 

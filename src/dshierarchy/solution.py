@@ -17,7 +17,6 @@ condition for a log of a tau-function to exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -147,15 +146,17 @@ class TSeries:
         return self.data.get((tuple(exps), q), RatFunc.const(0))
 
 
-@dataclass
 class FormalSolution:
     """Taylor-in-time solution with rational-in-x coefficients, per eps power."""
 
-    labels: tuple[FlowLabel, ...]
-    T: int
-    K: int
-    initial: tuple[RatFunc, ...]
-    coeffs: dict[tuple[int, TIndex], tuple[RatFunc, ...]]  # (alpha, I) -> per-eps
+    def __init__(self, labels: tuple[FlowLabel, ...], T: int, K: int,
+                 initial: tuple[RatFunc, ...],
+                 coeffs: dict[tuple[int, TIndex], tuple[RatFunc, ...]]):
+        self.labels = labels
+        self.T = T
+        self.K = K
+        self.initial = initial
+        self.coeffs = coeffs  # (alpha, I) -> per-eps
 
     def series(self, alpha: int) -> TSeries:
         data: dict[tuple[TIndex, int], RatFunc] = {}
@@ -172,10 +173,6 @@ class FormalSolution:
     def jets(self) -> JetMap:
         """The jets d^m u_alpha along the solution, shared by every evaluation."""
         return JetMap([self.series(a) for a in range(1, len(self.initial) + 1)])
-
-    def at_t_zero(self, alpha: int) -> tuple[RatFunc, ...]:
-        zero = tuple([0] * len(self.labels))
-        return self.coeffs[(alpha, zero)]
 
 
 def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],

@@ -18,6 +18,7 @@ from dshierarchy.diffalg import DiffPoly, JetMap, apply_poly_derivation
 from dshierarchy.gauge import ad_exp_series, to_invariant_coordinates
 from dshierarchy.hierarchy import DSHierarchy
 from dshierarchy.resolvent import flow_depth
+from reference_ops import lax_can, map_coeffs, project_plus
 
 
 def pre_flow_chars(h: DSHierarchy, label) -> list[DiffPoly]:
@@ -42,11 +43,11 @@ def flow_chars(h: DSHierarchy, label) -> tuple[DiffPoly, ...]:
     real, cf = h.real, h.canform
     r = h.lax_q.resolvent(a, flow_depth(real, a, k) + 1)
     conj = ad_exp_series(cf.s_can, r.element())
-    x = conj.lambda_shift(k * real.twist_order).project_plus()
+    x = project_plus(conj.lambda_shift(k * real.twist_order))
     dpre = JetMap(pre_flow_chars(h, label))
-    dpre_s = cf.s_can.map_coeffs(lambda p: apply_poly_derivation(dpre, p))
+    dpre_s = map_coeffs(cf.s_can, lambda p: apply_poly_derivation(dpre, p))
     x = x + ad_exp_series(cf.s_can, dpre_s, shift=1)
-    res = x.bracket(cf.lax_can()) - x.dx()
+    res = x.bracket(lax_can(cf)) - x.dx()
     assert not res.truncated
     assert set(res.lambda_powers()) <= {0}
     coords = real.borel_coords(res.vector_at(0))

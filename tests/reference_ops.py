@@ -1,0 +1,152 @@
+"""Operations that only the tests use, kept out of the package.
+
+Every ``dshier`` run is a fresh process, and without a bytecode cache it
+compiles the package's sources, so a helper that no subcommand calls still
+costs each run its compile time.  These are the projections, splittings,
+transports and readers that the tests state their identities with; each one
+uses only the package's public attributes (and ``gauge._gauge_q``, the gauge
+action the canonical form is solved for).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
+from dshierarchy.gauge import CanonicalForm, GaugeFrame, _gauge_q
+from dshierarchy.kacmoody import LoopElement, LoopRealization
+from dshierarchy.miura import MiuraPair
+from dshierarchy.ratfunc import RatFunc
+from dshierarchy.resolvent import LaxOperator
+from dshierarchy.serialize import series_to_obj
+from dshierarchy.solution import FormalSolution
+
+
+# -- diffalg -------------------------------------------------------------------
+
+def is_graded(s: EpsSeries) -> bool:
+    """True when component q is homogeneous of degree q (or zero)."""
+    for q, c in enumerate(s.components):
+        if not c.is_zero() and c.degrees() != frozenset({q}):
+            return False
+    return True
+
+
+# -- kacmoody ------------------------------------------------------------------
+
+def pi_lambda(laurent: Mapping[int, object], twist_order: int) -> dict[int, object]:
+    """Keep powers k with k < 0 and k = -1 (mod N); drop the rest."""
+    return {k: v for k, v in laurent.items()
+            if k < 0 and (k + 1) % twist_order == 0}
+
+
+def pi_multi(laurent: Mapping[tuple, object], twist_order: int,
+             variables: Sequence[int] | None = None) -> dict[tuple, object]:
+    """Composition of pi projections acting per variable on a multi-Laurent map.
+
+    Keys are tuples of powers (one per spectral variable); ``variables``
+    selects the positions to project (all by default).  The single-variable
+    projections commute, so the order of composition is immaterial.
+    """
+    out = dict(laurent)
+    nvars = len(next(iter(laurent))) if laurent else 0
+    for pos in (range(nvars) if variables is None else variables):
+        out = {k: v for k, v in out.items()
+               if k[pos] < 0 and (k[pos] + 1) % twist_order == 0}
+    return out
+
+
+def map_coeffs(x: LoopElement, fn) -> LoopElement:
+    return LoopElement(x.real, {k: [fn(c) for c in v] for k, v in x.coeffs.items()},
+                       x.truncated)
+
+
+def project_plus(x: LoopElement) -> LoopElement:
+    """Keep lambda powers >= 0 (standard gradation projection)."""
+    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k >= 0},
+                       x.truncated)
+
+
+def project_minus(x: LoopElement) -> LoopElement:
+    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k < 0},
+                       x.truncated)
+
+
+def heisenberg_split(real: LoopRealization,
+                     x: LoopElement) -> tuple[LoopElement, LoopElement]:
+    """x = h_part + im_part along H (+) im ad Lambda, per degree slice."""
+    h_total = LoopElement.zero(real)
+    for d, sl in x.pdeg_slices().items():
+        _, h_part, _ = real.splitter(d).split(sl)
+        h_total = h_total + h_part
+    return h_total, x - h_total
+
+
+# -- gauge ---------------------------------------------------------------------
+
+def gauge_transform(lax: LaxOperator, s: LoopElement) -> LoopElement:
+    """Q with e^{ad S}(d + Lambda + q) = d + Lambda + Q; S must be n-valued."""
+    GaugeFrame(lax.real).nilpotent_coords(s)  # raises when S is not in n
+    return _gauge_q(lax, s)
+
+
+def lax_can(cf: CanonicalForm) -> LoopElement:
+    """Lambda + Q_can, the canonical-form Lax operator without d."""
+    return cf.lax.real.cyclic + cf.q_can
+
+
+# -- miura ---------------------------------------------------------------------
+
+def induce_derivation(pair: MiuraPair, d: Derivation) -> Derivation:
+    """Transport an admissible derivation to the v-jet ring through the pair."""
+    if d.arity != pair.arity:
+        raise ArityMismatchError("derivation arity does not match the pair")
+    if d.order != pair.order:
+        raise ValueError("eps truncation mismatch between derivation and pair")
+    chars = [pair.psi(d(v)) for v in pair.forward.values]
+    return Derivation(chars, pair.forward.kind)
+
+
+# -- solution and ratfunc ------------------------------------------------------
+
+def at_t_zero(sol: FormalSolution, alpha: int) -> tuple[RatFunc, ...]:
+    return sol.coeffs[(alpha, tuple([0] * len(sol.labels)))]
+
+
+def eval_at_zero(r: RatFunc) -> Fraction:
+    if r.has_pole_at_zero():
+        raise ZeroDivisionError("pole at the expansion point x = 0")
+    return r.num[0] / r.den[0] if r.num else Fraction(0)
+
+
+# -- serialize: reading the JSON forms back ------------------------------------
+
+def poly_from_obj(obj: dict) -> DiffPoly:
+    terms = {}
+    for t in obj["terms"]:
+        mono = tuple(((int(a), int(m)), int(e)) for a, m, e in t["monomial"])
+        terms[mono] = Fraction(t["coeff"])
+    return DiffPoly(terms)
+
+
+def series_from_obj(objs: list[dict], order: int) -> EpsSeries:
+    comps = [DiffPoly.zero() for _ in range(order + 1)]
+    for obj in objs:
+        q = int(obj["eps"])
+        if q <= order:
+            comps[q] = poly_from_obj(obj)
+    return EpsSeries(comps, order)
+
+
+def miura_pair_to_obj(pair: MiuraPair) -> dict:
+    """Miura pair: forward tuple tagged side "u", inverse tagged side "v"."""
+    out = {"arity": pair.arity, "eps_order": pair.order,
+           "jet_depth": pair.jet_depth, "forward": [], "inverse": []}
+    for alpha, val in enumerate(pair.forward.values, start=1):
+        out["forward"].append({"component": alpha, "side": "u",
+                               "series": series_to_obj(val)})
+    for alpha, val in enumerate(pair.inverse, start=1):
+        out["inverse"].append({"component": alpha, "side": "v",
+                               "series": series_to_obj(val)})
+    return out

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +89,75 @@ def test_verify_corrupts_a_copy_of_the_cached_table(capsys, monkeypatch):
     (cached,) = built[0]._omega.values()
     fresh = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1).omega_table(1, 1)
     assert cached.entries == fresh.entries
+    assert (cached.max_a, cached.max_k, cached.depth) == \
+        (fresh.max_a, fresh.max_k, fresh.depth)
+
+
+COMMON_FLAGS = {"--config", "--type", "--vertex", "--flows", "--eps-order",
+                "--jet-depth", "--lambda-window", "--depth", "--t-degree", "--gauge",
+                "--bgw", "--format", "--max-a", "--max-k"}
+EXTRA_FLAGS = {"derive": set(), "omega": set(), "verify": {"--self-test-corrupt"},
+               "solve": set(), "resolvent": {"--exponent"}, "gauge-fix": set(),
+               "discrete": {"--samples", "--seed"}}
+
+
+def _subcommand_parsers(monkeypatch) -> dict:
+    """The parser of each subcommand, as main builds them."""
+    seen = []
+
+    def capture(self, args=None, namespace=None):
+        seen.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        main([])
+    (sub,) = [a for a in seen[0]._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(sub.choices)
+
+
+def test_each_subcommand_has_exactly_its_options(monkeypatch):
+    parsers = _subcommand_parsers(monkeypatch)
+    assert list(parsers) == list(EXTRA_FLAGS)
+    assert len(COMMON_FLAGS) == 14
+    for name, p in parsers.items():
+        got = {s for a in p._actions for s in a.option_strings}
+        assert got == {"-h", "--help"} | COMMON_FLAGS | EXTRA_FLAGS[name], name
+        # the flags copied from the shared parent parse on every subcommand
+        args = p.parse_known_args(["--max-k", "3", "--flows", "2:1"])[0]
+        assert (args.max_k, args.flows, args.type) == (3, [(2, 1)], None), name
+
+
+def test_fresh_config_has_every_option_at_its_default():
+    cfg = cli.RunConfig()
+    assert vars(cfg) == {
+        "type": "a1_1", "vertex": 0, "flows": None, "eps_order": 4,
+        "jet_depth": 8, "lambda_window": None, "depth": None, "t_degree": 2,
+        "gauge": "default", "bgw": None, "format": "json", "max_a": None,
+        "max_k": 1, "exponent": 1, "samples": 100, "seed": 7,
+        "self_test_corrupt": False}
+    assert set(vars(cfg)) == set(cli._OPTIONS)
+    # each config owns its values: setting one leaves the next fresh one alone
+    cfg.max_k = 5
+    assert cli.RunConfig().max_k == 1
+
+
+def test_import_path_loads_no_dataclasses_or_inspect():
+    # each dshier run is a fresh process, so what the import loads is paid on
+    # every run; compared with a bare interpreter, so that site's imports do not count
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def modules(stmt: str) -> set:
+        code = f"import sys; {stmt}; print(' '.join(sys.modules))"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return set(done.stdout.split())
+
+    added = modules("import dshierarchy.cli") - modules("pass")
+    assert "dshierarchy.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_solve_t_zero_echo(capsys):

@@ -8,7 +8,8 @@ from dshierarchy import discrete
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries
 from dshierarchy.discrete import (DifferenceRing, ShiftJetMap, ShiftWindowError,
                                   embed_differential, invert_discrete_miura)
-from dshierarchy.miura import LeadingMapError, check_miura, induce_derivation
+from dshierarchy.miura import LeadingMapError, check_miura
+from reference_ops import induce_derivation
 
 v = DiffPoly.dvar
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dressing_route import Dressing, resolvent_slices
 from jet_images import FunctionJets
+from reference_ops import map_coeffs, project_plus
 from dshierarchy import resolvent
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
@@ -23,7 +24,7 @@ def lax():
 
 def _at_q_zero(elt: LoopElement) -> LoopElement:
     at_zero = FunctionJets(lambda a, m: DiffPoly.zero())
-    return elt.map_coeffs(lambda p: p.substitute(at_zero))
+    return map_coeffs(elt, lambda p: p.substitute(at_zero))
 
 
 def test_vacuum_dressing_and_resolvent(lax):
@@ -283,7 +284,7 @@ def test_shifted_resolvent_plus(lax):
     real.borel_coords(tail.vector_at(0))
     # vacuum: (lambda^{kN} R)_+ at q = 0 is the shifted Heisenberg plus part
     vac = _at_q_zero(r.shifted_plus(1))
-    expect = real.heisenberg_element(1).lambda_shift(1).project_plus()
+    expect = project_plus(real.heisenberg_element(1).lambda_shift(1))
     assert vac == expect
     with pytest.raises(ValueError):
         r.shifted_plus(-1)
