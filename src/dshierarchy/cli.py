@@ -134,8 +134,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if cfg.gauge != "default":
         raise ConfigError(
             f"unknown gauge id {cfg.gauge!r}; shipped gauge tables: ['default']")
-    for key in ("eps_order", "jet_depth", "t_degree", "max_k"):
-        if getattr(cfg, key) < 0:
+    for key in ("eps_order", "jet_depth", "t_degree", "max_k", "depth"):
+        if (getattr(cfg, key) or 0) < 0:  # depth may be unset
             raise ConfigError(f"{key} (--{key.replace('_', '-')}) must be non-negative")
     if cfg.samples < 1:
         raise ConfigError("samples (--samples) must be positive")
@@ -379,7 +379,7 @@ def cmd_resolvent(cfg: RunConfig) -> int:
     a = cfg.exponent
     if not (1 <= a <= real.n):
         raise ConfigError(f"--exponent must be in 1..{real.n}")
-    depth = cfg.depth or flow_depth(real, a, cfg.max_k) + 1
+    depth = flow_depth(real, a, cfg.max_k) + 1 if cfg.depth is None else cfg.depth
     r = h.lax_q.resolvent(a, depth)
     slices = [{"degree": r.m_a - j, "element": _loop_obj(r.slice(r.m_a - j))}
               for j in range(0, depth + 1)]

@@ -62,6 +62,7 @@ _FIELD: dict[JetVar, int] = {}          # jet variable -> field index
 _VARS: list[JetVar] = []                # field index -> jet variable
 _UNIT: list[int] = []                   # field index -> packed monomial of the variable
 _GUARD = 0                              # the guard bits of every assigned field
+_STEP: dict[int, int] = {}              # field of u_{a,m} -> packed u_{a,m+1} - u_{a,m}
 
 
 class DegreeUndefinedError(ValueError):
@@ -114,6 +115,15 @@ def _factors(m: int) -> list[tuple[int, int]]:
         out.append((f, e))
         m -= e << (f * _BITS)
     return out
+
+
+def _dx_step(f: int) -> int:
+    """The packed u_{a,m+1} - u_{a,m} for field f of u_{a,m}, kept in _STEP."""
+    alpha, order = _VARS[f]
+    if order < 0:
+        raise ValueError("total derivative needs orders >= 0")
+    step = _STEP[f] = _unit((alpha, order + 1)) - _UNIT[f]
+    return step
 
 
 def _monomial(m: int) -> Monomial:
@@ -423,13 +433,14 @@ class DiffPoly:
     def dx(self) -> "DiffPoly":
         """Total derivative: u_{a,m} -> u_{a,m+1}, extended by Leibniz."""
         out: dict[int, int] = {}
-        get = out.get
+        get, step = out.get, _STEP.get
         for m, c in self._num.items():
-            for f, e in _factors(m):
-                alpha, order = _VARS[f]
-                if order < 0:
-                    raise ValueError("total derivative needs orders >= 0")
-                new = m - _UNIT[f] + _unit((alpha, order + 1))
+            rest = m
+            while rest:  # the factors of m, as in _factors
+                f = ((rest & -rest).bit_length() - 1) // _BITS
+                e = (rest >> (f * _BITS)) & _FIELD_MASK
+                rest -= e << (f * _BITS)
+                new = m + (step(f) or _dx_step(f))
                 if new & _GUARD:
                     raise _overflow(new)
                 out[new] = get(new, 0) + c * e

@@ -631,9 +631,10 @@ class LoopRealization:
         h_coeff, h_part, y = self.splitter(d).split(sl)
         if not y.is_zero():
             prev = self.splitter(d - 1)
-            c2, h2, _ = prev.split(y)
-            if not h2.is_zero():
-                y = y - h2
+            if prev.n_h:  # else y has no Heisenberg part to remove
+                _, h2, _ = prev.split(y)
+                if not h2.is_zero():
+                    y = y - h2
         return h_coeff, h_part, y
 
     # -- Borel coordinate frame ----------------------------------------------
@@ -711,7 +712,7 @@ class LoopRealization:
             raise ValueError("cyclic element breaks the twist")
         # the defining representation carries the resolvent recursion
         check_cyclic(alg, self.deg_lambda, self.cyclic.coeffs,
-                     {m: elt.coeffs for m, elt in self._heis_base.items()})
+                     {m: elt.coeffs for m, elt in self._heis_base.items()}, self.exponents)
         # affine Chevalley degrees +-1
         for idx in self.chevalley_e:
             if self.pdeg[idx] != 1:

@@ -13,7 +13,6 @@ one entry of such a sum the same way, without forming the others.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .diffalg import DiffPoly
@@ -60,33 +59,16 @@ def matrix_entry(pairs: Iterable[tuple[Mapping, Mapping]], key: tuple[int, int, 
                         for x, y in pairs for (q, r, j), a in x.items() if r == i)
 
 
-def traceless_coeffs(alg, mat: Mapping, shift: int = 0) -> dict[int, list]:
-    """lambda^shift times the traceless part of a matrix form, in basis coordinates.
-
-    One exact solve per lambda power; raises ValueError when the traceless
-    part is not in the span of the basis matrices.
-    """
-    size = alg.size
-    by_power: dict[int, list[list[DiffPoly]]] = {}
-    for (p, i, j), c in mat.items():
-        by_power.setdefault(p + shift, [[_ZERO_P] * size for _ in range(size)])[i][j] = c
-    out = {}
-    for p, m in by_power.items():
-        trace = sum((m[i][i] for i in range(size)), _ZERO_P)
-        if trace:
-            for i in range(size):
-                m[i][i] = m[i][i] - trace * Fraction(1, size)
-        out[p] = alg.coordinates_of_matrix(m, zero=_ZERO_P)
-    return out
-
-
-def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping) -> None:
+def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping,
+                 exponents: list[int]) -> None:
     """Check the identities that the resolvent recursion relies on.
 
     With n the matrix size: the principal degree of lambda is n, Lambda^n =
-    lambda Id, and every Heisenberg generator is Lambda_m = lambda^{m div n}
-    (Lambda^{m mod n})_0.  ``cyclic`` and each ``heisenberg[m]`` map lambda
-    powers to coefficient vectors.  Raises ValueError naming the identity.
+    lambda Id, every Heisenberg generator is Lambda_m = lambda^{m div n}
+    Lambda^{m mod n}, and every k in 1, ..., n - 1 is m mod n for exactly one
+    exponent m, so that each power R_1^k, k < n, is a basic resolvent.
+    ``cyclic`` and each ``heisenberg[m]`` map lambda powers to coefficient
+    vectors.  Raises ValueError naming the identity.
     """
     size = alg.size
     if deg_lambda != size:
@@ -101,7 +83,12 @@ def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping) -> 
         raise ValueError(f"Lambda^{size} != lambda Id in the defining representation")
     for m, base in heisenberg.items():
         s, k = divmod(m, size)
-        got = traceless_coeffs(alg, powers[k], s)
-        if {p: tuple(v) for p, v in got.items() if any(v)} != base:
+        if matrix_form(alg, base) != {(p + s, i, j): c for (p, i, j), c in powers[k].items() if c}:
             raise ValueError(
-                f"Lambda_{m} != lambda^{s} (Lambda^{k})_0 in the defining representation")
+                f"Lambda_{m} != lambda^{s} Lambda^{k} in the defining representation")
+    residues = [m % size for m in exponents]
+    for k in range(1, size):
+        if residues.count(k) != 1:
+            raise ValueError(
+                f"R_1^{k} needs exactly one exponent that is {k} mod {size}, "
+                f"found {residues.count(k)} in {exponents}")

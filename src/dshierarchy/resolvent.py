@@ -9,44 +9,58 @@ of this operator carry the gauge-invariant coordinates directly).
 
 The basic resolvents are R_a = e^{-ad U}(Lambda_{m_a}) for the dressing U of
 L.  In the defining representation (matrix size n) e^{-ad U} is conjugation
-by e^{-U}, Lambda^n = lambda Id and Lambda_m = lambda^{m div n}
-(Lambda^{m mod n})_0 with (.)_0 the traceless part (all checked when the
-realization is loaded), so every resolvent is read off a power of R_1:
+by e^{-U}, Lambda^n = lambda Id and every Heisenberg element is a power
+Lambda^D = lambda^{D div n} Lambda^{D mod n} (all checked when the
+realization is loaded).  So with m_a = s n + k one expects
 
-    R_a = lambda^{m_a div n} (R_1^{m_a mod n})_0.
+    P_k := lambda^{-s} R_a = R_1^k  for 1 <= k < n,   and   R_1^n = lambda Id.
 
-R_1 = Lambda + sum_{d <= 0} r_d itself needs no U (the matrix-resolvent
-approach of Bertola-Dubrovin-Yang, "Simple Lie algebras and topological
-ODEs", IMRN 2018).  Its slices are solved for d = 0, -1, ... in turn:
-[L, R_1] = 0 at degree d + 1 gives the im(ad Lambda) part y of r_d, and
-R_1^n = lambda Id at degree D = n - 1 + d gives its Heisenberg part c H_d,
-which enters that slice as c n Lambda^{n-1} H_d (the im(ad Lambda) part
-drops out, since Lambda^n is central).  Throughout, ``[X, d] = -d(X)``.  The
-powers R_1^k, k < n, are kept as matrix forms slice by slice: slice
-k - 1 + d of R_1^k is the convolution sum_e (R_1)_e (R_1^{k-1})_{k-1+d-e},
-computed as one sum of products (``matrixform.matrix_product``) that
-normalizes each entry once.  [L, R_1] = 0 must hold exactly at every degree.
+The recursion below assumes neither: it certifies both.  The load checks
+the premise that every k in 1, ..., n - 1 is m_a mod n for exactly one
+exponent m_a, so that each power R_1^k, k < n, has its own basic resolvent
+(``matrixform.check_cyclic``).  Write P_n := lambda Id.
 
-R_1^n itself is never formed: R_1^n = lambda Id is certified by one entry
-per degree (``matrixform.matrix_entry``).  Let X = R_1^n - lambda Id.
+No U is needed (the matrix-resolvent approach of Bertola-Dubrovin-Yang,
+"Simple Lie algebras and topological ODEs", IMRN 2018).  Each R_a starts
+at Lambda_{m_a}.  Its slices are solved one offset j = 1, 2, ... below the
+top at a time, every R_a at the same offset together.  Throughout,
+``[X, d] = -d(X)``.
 
-- [X, R_1] = 0 exactly, as X is a power of R_1 less a central element.
-- If X vanishes above degree D, the degree D + 1 slice of [X, R_1] is
-  [X_D, Lambda], so X_D commutes with Lambda.
+- [L, R_a] = 0 at degree m_a - j + 1 gives the im(ad Lambda) part y_a of
+  slice m_a - j, from slices already solved.  A Heisenberg part on the
+  right-hand side raises a RuntimeError naming R_{m_a} and the degree.
+- The rest of that slice of P_k is a multiple of Lambda^D, D = k - j: a
+  Heisenberg element if there is one at degree m_a - j, else zero.  It is
+  fixed, or certified, by one entry of P_1 P_{k-1} at a key where Lambda^D
+  is nonzero, summed as one ``matrixform.matrix_entry`` over the stored
+  matrix forms.  The case k = n is the identity R_1^n = lambda Id.
+- The slice of P_1 at this offset enters every such entry.  Its Heisenberg
+  part c H_{1-j} = c Lambda^{1-j} adds c k Lambda^{k-1} H_{1-j} = c k
+  Lambda^D to slice D of P_1^k, so the entries are first taken with c = 0.
+  Each P_k, k < n, gets a raw Lambda^D coefficient z_k; the entry for
+  k = n fixes c, or certifies the slice when there is no H_{1-j}; then
+  the Lambda^D coefficient of P_k is z_k + c k.  Where R_a has no
+  Heisenberg element at degree m_a - j, that coefficient must be zero, and
+  a nonzero one raises a RuntimeError naming k and the degree.
+
+Why one entry is enough.  Let R = P_1 as solved so far, take 2 <= k <= n
+with P_{k-1} = R^{k-1}, and let Y = P_k - R^k.
+
+- Y commutes with L through the degrees solved: P_k by construction, R^k
+  because R does.
+- If Y vanishes above degree D, the degree D + 1 slice of [L, Y] is
+  [Lambda, Y_D], so Y_D commutes with Lambda.
 - Lambda^n = lambda Id and t^n - lambda is irreducible, so Lambda is cyclic:
   its centralizer is spanned by Lambda^0, ..., Lambda^{n-1} over the
-  rational functions of lambda.  As lambda^j Lambda^k has degree n j + k,
-  X_D = c Lambda^D with c free of lambda, twisted or not, and X_D = 0
+  rational functions of lambda.  As lambda^i Lambda^l has degree n i + l,
+  Y_D = c Lambda^D with c free of lambda, twisted or not, and Y_D = 0
   exactly when its entry at one key where Lambda^D is nonzero is zero.
-- X_n = 0 is checked at load (``matrixform.check_cyclic``), so induction
-  down covers every degree.
+- The top slices agree (Y_k = 0), so induction down covers every degree,
+  and induction on k covers every power.
 
-At a Heisenberg degree H_d = lambda^s Lambda^k (tr Lambda^k = 0 for n not
-dividing k), so g = Lambda^{n-1} H_d is proportional to Lambda^D and the
-entry at the first nonzero key of g fixes c and certifies X_D; elsewhere the
-key is the first nonzero one of Lambda^D (``_identity_key``).  The entry is
-checked after c is applied; a nonzero entry raises a RuntimeError naming
-the degree.  The tests rebuild every slice of R_1^n as a reference.
+So R^n = lambda Id, which makes R the resolvent R_1, and R_1^k = P_k is
+traceless for k < n: that is proved, not assumed.  The tests rebuild every
+slice of every power R_1^k, k <= n, by convolution as a reference.
 
 The defining properties of each R_a ([L, R_a] = 0, leading term, pairing
 normalization) are verified as exact residuals through the computed depth.
@@ -58,7 +72,7 @@ from fractions import Fraction
 
 from .diffalg import DiffPoly
 from .kacmoody import LoopElement, LoopRealization, TableShape
-from .matrixform import identity, matrix_entry, matrix_form, matrix_product, traceless_coeffs
+from .matrixform import identity, matrix_entry, matrix_form, matrix_product
 
 _ZERO_P = DiffPoly.zero()
 
@@ -95,11 +109,11 @@ class LaxOperator:
         self._lam_powers = [identity(n)]
         for _ in range(n - 1):
             self._lam_powers.append(matrix_product([(self._lam_powers[-1], lam)]))
-        # R_1 = Lambda + sum r[d]; power[k][j] is the degree-j slice of R_1^k
-        # as a matrix form, for 1 <= k < n
-        self._r: dict[int, LoopElement] = {1: real.cyclic}
-        self._power = {k: {k: self._lam_powers[k]} for k in range(1, n)}
-        self._slices: dict[tuple[int, int], LoopElement] = {}
+        # _r[a][degree]: the slices of R_a; P_k = lambda^{-s} R_a for the one
+        # exponent m_a = s n + k, and _mat[k][D] is slice D of P_k as a matrix form
+        self._r = {a: {m: real.heisenberg_element(m)} for a, m in enumerate(real.exponents, 1)}
+        self._a_of = {m % n: a for a, m in enumerate(real.exponents, 1)}
+        self._mat = {k: {k: self._lam_powers[k]} for k in range(1, n)}
 
     # L acts as d + ad(Lambda + q) on loop elements.
     def bracket_with(self, x: LoopElement) -> LoopElement:
@@ -107,57 +121,72 @@ class LaxOperator:
         return x.dx() + self.lam_plus_q.bracket(x)
 
     def dressing(self, depth: int) -> None:
-        """Extend R_1, the dressed Lambda, and its powers R_1^k, k < n, down to degree 1 - depth."""
+        """Extend every basic resolvent R_a down to degree m_a - depth."""
         real = self.real
         n = real.alg.size
-        r, power = self._r, self._power
-        for d in range(min(r) - 1, -depth, -1):
-            # [L, R_1] = 0 at degree d + 1: [Lambda, y] = -(d r_{d+1} + [q, R_1])
-            rhs = r[d + 1].dx()
-            for e, q_e in self._q_slices.items():
-                if d + 1 - e <= 1:
-                    rhs = rhs + q_e.bracket(r[d + 1 - e])
-            _, h_part, y = real.split_with_preimage(d + 1, -rhs)
-            if not h_part.is_zero():
+        for j in range(2 - min(self._r[1]), depth + 1):
+            lam = {k: _lam_power(self._lam_powers, k - j) for k in range(1, n + 1)}
+            # slice k - j of each P_k, k < n, first with c = 0 in R_1 (module
+            # docstring).  im[k] is its im(ad Lambda) part as a matrix form;
+            # the raw slice im[k] + z[k] Lambda^{k-j} enters the entry for
+            # k + 1 through Lambda im[k] + z[k] Lambda^{k+1-j}
+            ys, im, z = {}, {}, {1: _ZERO_P}
+            for k in range(1, n + 1):
+                key, v = next(iter(lam[k].items()))
+                if k > 1:
+                    entry = self._entry(k, j, im, key) + z[k - 1] * v
+                if k == n:  # P_n = lambda Id has no slice below the top
+                    break
+                a = self._a_of[k]
+                s = real.exponents[a - 1] // n
+                ys[k] = self._im_part(a, s * n + k - j)
+                im[k] = {(p - s, i, l): c for (p, i, l), c in
+                         matrix_form(real.alg, ys[k].coeffs).items()}
+                if k > 1:
+                    z[k] = (entry - im[k].get(key, _ZERO_P)) * (1 / v)
+            # R_1^n = lambda Id at degree n - j fixes c, or certifies the slice
+            c = _ZERO_P if real.heisenberg_at(1 - j) is None else \
+                _heisenberg_coefficient(entry, v, n)
+            if entry + c * (n * v):
                 raise RuntimeError(
-                    f"[L, R_1] = 0 has a Heisenberg part at principal degree {d + 1}")
-            # slice k - 1 + d of R_1^k, k < n, with r_d = y so far
-            new = {1: matrix_form(real.alg, y.coeffs)}
-            for k in range(2, n):
-                new[k] = matrix_product(self._power_terms(new, k, d))
-            # R_1^n = lambda Id at degree top, by one entry (module docstring)
-            top = n - 1 + d
-            terms = self._power_terms(new, n, d)
-            h = real.heisenberg_at(d)
-            if h is None:
-                entry = matrix_entry(terms, _identity_key(self._lam_powers, top))
-            else:
-                hm = matrix_form(real.alg, h.coeffs)
-                g = [matrix_product([(lp, hm)]) for lp in self._lam_powers]
-                key = _identity_key(self._lam_powers, top, g[n - 1])
-                part = {key: matrix_entry(terms, key)}
-                c = _heisenberg_coefficient(part, g[n - 1], n)
-                y = y + h.scale(c)
-                for k in range(1, n):
-                    for gkey, v in g[k - 1].items():
-                        new[k][gkey] = new[k].get(gkey, _ZERO_P) + c * (k * v.constant_term())
-                entry = part[key] + c * (n * g[n - 1][key].constant_term())
-            if entry:
-                raise RuntimeError(
-                    f"R_1^{n} = lambda Id fails at principal degree {top}")
-            r[d] = y
+                    f"R_1^{n} = lambda Id fails at principal degree {n - j}")
             for k in range(1, n):
-                power[k][k - 1 + d] = {key: v for key, v in new[k].items() if v}
+                a = self._a_of[k]
+                m = real.exponents[a - 1]
+                x, h = z[k] + c * k, real.heisenberg_at(m - j)
+                if h is not None:
+                    ys[k] = ys[k] + h.scale(x)
+                elif x:
+                    target = f"lambda^-{m // n} R_{m}" if m // n else f"R_{m}"
+                    raise RuntimeError(
+                        f"R_1^{k} = {target} fails at principal degree {k - j}")
+                self._r[a][m - j] = ys[k]
+                form = im[k]
+                if x:
+                    for key, v in lam[k].items():
+                        form[key] = form.get(key, _ZERO_P) + x * v
+                self._mat[k][k - j] = {key: v for key, v in form.items() if v}
 
-    def _power_terms(self, new: dict, k: int, d: int) -> list:
-        """The pairs (R_1)_e, (R_1^{k-1})_{k-1+d-e} summing to slice k - 1 + d of R_1^k.
+    def _entry(self, k: int, j: int, new: dict, key: tuple) -> DiffPoly:
+        """Entry ``key`` of slice k - j of P_1 P_{k-1}, with ``new`` for the slices at offset j."""
+        mat = self._mat
+        return matrix_entry([(new[1] if e == 1 - j else mat[1][e],
+                              new[k - 1] if e == 1 else mat[k - 1][k - j - e])
+                             for e in range(1 - j, 2)], key)
 
-        ``new`` holds the slices of degree d of R_1 and k - 2 + d of R_1^{k-1}.
-        """
-        power = self._power
-        return [(new[1] if e == d else power[1][e],
-                 new[k - 1] if e == 1 else power[k - 1][k - 1 + d - e])
-                for e in range(d, 2)]
+    def _im_part(self, a: int, degree: int) -> LoopElement:
+        """The im(ad Lambda) part of slice ``degree`` of R_a, from [L, R_a] = 0 one degree up."""
+        r, top = self._r[a], self.real.exponents[a - 1]
+        # [Lambda, y] = -(d r_{degree+1} + [q, R_a]) at degree + 1
+        rhs = r[degree + 1].dx()
+        for e, q_e in self._q_slices.items():
+            if degree + 1 - e <= top:
+                rhs = rhs + q_e.bracket(r[degree + 1 - e])
+        _, h_part, y = self.real.split_with_preimage(degree + 1, -rhs)
+        if not h_part.is_zero():
+            raise RuntimeError(
+                f"[L, R_{top}] = 0 has a Heisenberg part at principal degree {degree + 1}")
+        return y
 
     def resolvent(self, a: int, depth: int) -> "Resolvent":
         """Basic resolvent for the a-th exponent (1-based), to given depth."""
@@ -166,34 +195,20 @@ class LaxOperator:
         self.dressing(depth)
         return Resolvent(self, a, depth)
 
-    def _resolvent_slice(self, a: int, d: int) -> LoopElement:
-        """Slice d of R_a = lambda^{m_a div n} (R_1^{m_a mod n})_0."""
-        got = self._slices.get((a, d))
-        if got is None:
-            n = self.real.alg.size
-            s, k = divmod(self.real.exponents[a - 1], n)
-            got = LoopElement(self.real, traceless_coeffs(
-                self.real.alg, self._power[k].get(d - s * n, {}), s))
-            self._slices[(a, d)] = got
-        return got
 
+def _lam_power(lam_powers: list[dict], degree: int) -> dict:
+    """Lambda^degree = lambda^{degree div n} Lambda^{degree mod n}, as {key: constant}.
 
-def _identity_key(lam_powers: list[dict], degree: int, g: dict | None = None) -> tuple[int, int, int]:
-    """The key of the entry that certifies slice ``degree`` of R_1^n = lambda Id.
-
-    The first nonzero key of g = Lambda^{n-1} H_d when given, else of
-    Lambda^degree, from the powers Lambda^0 .. Lambda^{n-1}.
+    From the powers Lambda^0 .. Lambda^{n-1}; the first key is the one whose
+    entry fixes or certifies a slice of degree ``degree``.
     """
-    if g is None:
-        s, k = divmod(degree, len(lam_powers))
-        g = {(p + s, i, j): v for (p, i, j), v in lam_powers[k].items()}
-    return next(key for key, v in g.items() if v)
+    s, k = divmod(degree, len(lam_powers))
+    return {(p + s, i, j): v.constant_term() for (p, i, j), v in lam_powers[k].items() if v}
 
 
-def _heisenberg_coefficient(top: dict, g: dict, n: int) -> DiffPoly:
-    """c with top + c n g = 0 at the first nonzero entry of the constant form g."""
-    key, v = next((key, v) for key, v in g.items() if v)
-    return top.get(key, _ZERO_P) * (Fraction(-1, n) / v.constant_term())
+def _heisenberg_coefficient(entry: DiffPoly, v: Fraction, n: int) -> DiffPoly:
+    """c with entry + c n v = 0."""
+    return entry * (Fraction(-1, n) / v)
 
 
 class Resolvent:
@@ -212,7 +227,7 @@ class Resolvent:
             raise DepthError(
                 f"resolvent slice {d} outside [m_a - depth, m_a] = "
                 f"[{self.m_a - self.depth}, {self.m_a}]")
-        return self.lax._resolvent_slice(self.a, d)
+        return self.lax._r[self.a][d]
 
     def _slices(self) -> list[LoopElement]:
         return [self.slice(self.m_a - j) for j in range(self.depth + 1)]

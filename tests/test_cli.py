@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -219,11 +220,13 @@ def test_config_errors(capsys, tmp_path):
         key = next(iter(bad))
         assert code == 2 and f"config key {key!r}" in err
     # a value out of range names the config key and the flag, however it came
-    for bad in ({"max_k": -1}, {"max_a": 5}, {"eps_order": -1}):
+    for bad in ({"max_k": -1}, {"max_a": 5}, {"eps_order": -1}, {"depth": -3}):
         cfgfile.write_text(json.dumps({"type": "a1_1", **bad}))
         code, _, err = run(capsys, "omega", "--config", str(cfgfile))
         key = next(iter(bad))
         assert code == 2 and f"{key} (--{key.replace('_', '-')})" in err
+    code, out, err = run(capsys, "resolvent", "--type", "a1_1", "--depth", "-1")
+    assert code == 2 and not out and "depth (--depth) must be non-negative" in err
     # no embedding sample would run, so the check must not pass vacuously
     for samples in ("0", "-5"):
         code, out, err = run(capsys, "discrete", "--samples", samples, "--eps-order", "1")
@@ -255,6 +258,13 @@ def test_resolvent_subcommand(capsys):
     assert all(c["residual_zero"] for c in payload["checks"])
     degrees = [s["degree"] for s in payload["slices"]]
     assert degrees == list(range(1, 1 - 5, -1))
+    # depth 0 is the leading slice alone, not the default depth
+    code, out, _ = run(capsys, "resolvent", "--type", "a2_2", "--exponent", "2",
+                       "--depth", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["depth"] == 0
+    assert [s["degree"] for s in payload["slices"]] == [5]
+    assert all(c["residual_zero"] for c in payload["checks"])
 
 
 def test_gauge_fix_subcommand(capsys):
@@ -363,6 +373,17 @@ def test_bench_job_golden(capsys, name):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"{name}.json"
     assert out.encode() == golden.read_bytes()
+
+
+def test_omega_a2_2_max_k_2_digest(capsys):
+    # the resolvents at depth 38, deeper than any benchmark job goes; the
+    # digest was recorded when every power R_1^k was still formed by
+    # convolution (commit 3036954)
+    code, out, _ = run(capsys, "omega", "--type", "a2_2", "--max-k", "2")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 1_124_213
+    assert hashlib.sha1(data).hexdigest() == "4b39746c60d612a5d3a3af52f54ea4be9eff5a82"
 
 
 def test_traced_run_spans_resolve(monkeypatch):

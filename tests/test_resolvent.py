@@ -124,33 +124,58 @@ def test_mutated_cyclic_element_fails_at_load():
         LoopRealization(raw, (-6, 3))
 
 
+@pytest.mark.parametrize("name, exponents, k, found", [
+    ("a2_1", [1, 3], 2, 0),
+    ("a2_2", [1, 6], 2, 0),
+    ("a2_1", [1, 2, 5], 2, 2),
+])
+def test_mutated_exponents_fail_at_load(name, exponents, k, found):
+    # each power R_1^k, 0 < k < n, must be exactly one basic resolvent
+    raw = _table(name)
+    raw["exponents"] = exponents
+    with pytest.raises(ValueError, match=rf"R_1\^{k} needs exactly one exponent "
+                                         rf"that is {k} mod 3, found {found}"):
+        LoopRealization(raw, (-6, 6))
+
+
 def test_wrong_heisenberg_coefficient_names_the_degree(monkeypatch):
     right = resolvent._heisenberg_coefficient
     monkeypatch.setattr(resolvent, "_heisenberg_coefficient",
-                        lambda top, g, n: right(top, g, n) + 1)
+                        lambda entry, v, n: right(entry, v, n) + 1)
     lax = LaxOperator(build_algebra("a2_1", 0, depth_hint=8), "canonical")
     # the first Heisenberg part of R_1 is at degree -1, checked in R_1^3 at 1
     with pytest.raises(RuntimeError, match=r"R_1\^3 = lambda Id fails at principal degree 1"):
         lax.resolvent(1, 4)
 
 
-def _identity_residual(n: int, r: dict) -> dict:
-    """The nonzero slices of R^n - lambda Id at every degree where R^n is complete.
+def _powers(n: int, r: dict) -> dict:
+    """{k: {degree: slice of R^k}} for 1 <= k <= n, every slice by convolution.
 
     ``r`` maps each degree d to the matrix form of the slice R_d of R.  Each
     slice of each power is rebuilt with matrix_product; with the lowest slice
     of R at degree low, R^k is complete down to degree low + k - 1.
     """
     low = min(r)
-    power = r
+    power = {1: r}
     for k in range(2, n + 1):
-        power = {top: matrix_product((r[e], power[top - e]) for e in r if top - e in power)
-                 for top in range(k, low + k - 2, -1)}
+        power[k] = {top: matrix_product((r[e], power[k - 1][top - e])
+                                        for e in r if top - e in power[k - 1])
+                    for top in range(k, low + k - 2, -1)}
+    return power
+
+
+def _nonzero(form: dict) -> dict:
+    return {key: c for key, c in form.items() if c}
+
+
+def _identity_residual(n: int, r: dict) -> dict:
+    """The nonzero slices of R^n - lambda Id at every degree where R^n is complete."""
+    power = _powers(n, r)[n]
     for i in range(n):
         power[n][(1, i, i)] = power[n].get((1, i, i), DiffPoly.zero()) - 1
     out = {}
     for top, sl in power.items():
-        sl = {key: c for key, c in sl.items() if c}
+        sl = _nonzero(sl)
         if sl:
             out[top] = sl
     return out
@@ -168,12 +193,85 @@ def test_full_power_identity_holds_at_every_degree(name, depth, kind):
     lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
     lax.dressing(depth)
     real, n = lax.real, lax.real.alg.size
-    assert min(lax._r) == 1 - depth
-    assert _identity_residual(n, _matrix_forms(real, lax._r)) == {}
+    assert min(lax._r[1]) == 1 - depth
+    assert _identity_residual(n, _matrix_forms(real, lax._r[1])) == {}
     # a wrong slice of R_1 shows in the reference
-    r = dict(lax._r)
+    r = dict(lax._r[1])
     r[-1] = r[-1] + real.heisenberg_element(-1)
     assert _identity_residual(n, _matrix_forms(real, r))
+
+
+# canonical: the depth that `verify --max-k 2` dresses to; borel (more
+# generators, so far larger slices): as deep as a test run affords
+@pytest.mark.parametrize("name, depths", [
+    ("a2_1", {"canonical": 20, "borel": 10}),
+    ("a2_2", {"canonical": 38, "borel": 16}),
+])
+@pytest.mark.parametrize("kind", ["canonical", "borel"])
+def test_power_slices_are_the_resolvents(name, depths, kind):
+    # the program solves lambda^{-s} R_a, m_a = s n + k, by its own recursion;
+    # here every slice of R_1^k, 1 < k < n, is rebuilt by convolution
+    depth = depths[kind]
+    lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    lax.dressing(depth)
+    real, n = lax.real, lax.real.alg.size
+    power = _powers(n, _matrix_forms(real, lax._r[1]))
+    checked = 0
+    for a, m in enumerate(real.exponents, 1):
+        s, k = divmod(m, n)
+        if k == 1:
+            continue
+        assert sorted(power[k]) == sorted(d - s * n for d in lax._r[a])
+        for d, sl in lax._r[a].items():
+            shifted = {(p - s, i, j): c for (p, i, j), c in matrix_form(real.alg, sl.coeffs).items()}
+            assert _nonzero(power[k][d - s * n]) == shifted, (a, d)
+            checked += 1
+    assert checked == depth + 1
+
+
+def _offset_with_heisenberg_in_r1_only(real: LoopRealization, m: int) -> int:
+    """The first offset j with a Heisenberg element at degree 1 - j but none at m - j."""
+    return next(j for j in range(1, 20)
+                if real.heisenberg_at(1 - j) is not None and real.heisenberg_at(m - j) is None)
+
+
+@pytest.mark.parametrize("name, power", [("a2_1", "R_2"), ("a2_2", "lambda\\^-1 R_5")])
+def test_wrong_entry_at_a_power_slice_without_heisenberg_element_names_it(
+        monkeypatch, name, power):
+    # with a Heisenberg element in R_1, the identity R_1^n = lambda Id absorbs
+    # the wrong entry into c; the power R_1^2 must still catch it
+    lax = LaxOperator(build_algebra(name, 0, depth_hint=12), "canonical")
+    real, n = lax.real, lax.real.alg.size
+    j = _offset_with_heisenberg_in_r1_only(real, real.exponents[1])
+    right, calls = resolvent.matrix_entry, []
+
+    def wrong(terms, key):
+        # n - 1 calls per offset, for R_1^2, ..., R_1^n
+        calls.append(key)
+        return right(terms, key) + (1 if len(calls) == (n - 1) * (j - 1) + 1 else 0)
+
+    monkeypatch.setattr(resolvent, "matrix_entry", wrong)
+    with pytest.raises(RuntimeError,
+                       match=rf"R_1\^2 = {power} fails at principal degree {2 - j}$"):
+        lax.resolvent(2, j + 2)
+
+
+@pytest.mark.parametrize("name, a", [("a1_1", 1), ("a2_1", 1), ("a2_1", 2), ("a2_2", 2)])
+def test_heisenberg_part_in_the_commutator_names_the_resolvent(monkeypatch, name, a):
+    # a right-hand side of [L, R_a] = 0 with a Heisenberg part cannot be solved
+    real = build_algebra(name, 0, depth_hint=10)
+    lax = LaxOperator(real, "canonical")
+    m = real.exponents[a - 1]
+    split = real.split_with_preimage
+
+    def with_heisenberg_part(d, sl):
+        h_coeff, h_part, y = split(d, sl)
+        return (h_coeff, real.heisenberg_at(d), y) if d == m else (h_coeff, h_part, y)
+
+    monkeypatch.setattr(real, "split_with_preimage", with_heisenberg_part)
+    with pytest.raises(RuntimeError,
+                       match=rf"\[L, R_{m}\] = 0 has a Heisenberg part at principal degree {m}$"):
+        lax.resolvent(a, 3)
 
 
 def _random_slice(real: LoopRealization, d: int, rng: random.Random) -> LoopElement:
@@ -209,16 +307,17 @@ def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, see
     # the slice is c Lambda^top
     s, k = divmod(top, n)
     lam_top = {(p + s, a, b): v for (p, a, b), v in lax._lam_powers[k].items() if v}
-    key = resolvent._identity_key(lax._lam_powers, top)
+    key = next(iter(resolvent._lam_power(lax._lam_powers, top)))
     assert key in lam_top
     c = got.get(key, DiffPoly.zero()) * (1 / lam_top[key].constant_term())
     assert got == {kk: c * v for kk, v in lam_top.items()}
-    # so the chosen entry is nonzero, and so is the Heisenberg step's entry
+    # so the chosen entry is nonzero; a Heisenberg part c H_d of R_d adds
+    # c n Lambda^{n-1} H_d = c n Lambda^top to the slice, at the same key
     assert got[key]
     h = real.heisenberg_at(top - n + 1)
     if h is not None:
         g = matrix_product([(lax._lam_powers[n - 1], matrix_form(real.alg, h.coeffs))])
-        assert got[resolvent._identity_key(lax._lam_powers, top, g)]
+        assert _nonzero(g) == lam_top
 
 
 @pytest.mark.parametrize("name, d", [("a1_1", -2), ("a2_1", -3), ("a2_2", -2), ("a2_2", -4)])
@@ -228,12 +327,12 @@ def test_wrong_entry_at_a_degree_without_heisenberg_element_names_it(monkeypatch
     right, calls = resolvent.matrix_entry, []
 
     def wrong(terms, key):
-        # one call per degree, for d = 0, -1, -2, ...
+        # n - 1 calls per degree d = 0, -1, -2, ..., for R_1^2, ..., R_1^n
         calls.append(key)
-        return right(terms, key) + (1 if len(calls) == 1 - d else 0)
+        return right(terms, key) + (1 if len(calls) == (n - 1) * (1 - d) else 0)
 
-    monkeypatch.setattr(resolvent, "matrix_entry", wrong)
     n = lax.real.alg.size
+    monkeypatch.setattr(resolvent, "matrix_entry", wrong)
     with pytest.raises(RuntimeError,
                        match=rf"R_1\^{n} = lambda Id fails at principal degree {n - 1 + d}$"):
         lax.resolvent(1, 6)
