@@ -25,17 +25,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
+from . import _TYPE_FILES, supported_types
 from .diffalg import DiffPoly
 from .linalg import InconsistentSystemError, LinearSolver, integral
 from .matrixform import check_cyclic
 
 _ZERO_P = DiffPoly.zero()
-
-_TYPE_FILES = {
-    "a1_1": "a1_1.json",
-    "a2_1": "a2_1.json",
-    "a2_2": "a2_2.json",
-}
 
 
 class UnsupportedTypeError(ValueError):
@@ -44,10 +39,6 @@ class UnsupportedTypeError(ValueError):
 
 class WindowError(ValueError):
     """A lambda window is too small for the requested operation."""
-
-
-def supported_types() -> list[str]:
-    return sorted(_TYPE_FILES)
 
 
 def load_table(type_name: str) -> dict:

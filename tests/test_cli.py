@@ -143,22 +143,76 @@ def test_fresh_config_has_every_option_at_its_default():
     assert cli.RunConfig().max_k == 1
 
 
+ROOT = Path(__file__).parents[1]
+# every module of the package except the CLI itself
+ENGINE = {f"dshierarchy.{p.stem}" for p in (ROOT / "src" / "dshierarchy").glob("*.py")
+          if not p.stem.startswith("_") and p.stem != "cli"}
+
+
+def _fresh_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_modules(stmt: str) -> tuple[set, set]:
+    """Run ``stmt`` in a fresh interpreter, its stdout discarded.
+
+    Returns the modules that have run (a lazily registered module is not a
+    plain ``ModuleType`` until it runs, and ``type`` does not run it) and the
+    package's modules that are in ``sys.modules`` at all.
+    """
+    code = ("import io, sys, types; out, sys.stdout = sys.stdout, io.StringIO(); "
+            f"{stmt}; sys.stdout = out; "
+            "print(' '.join(n for n, m in sys.modules.items() "
+            "if type(m) is types.ModuleType)); "
+            "print(' '.join(n for n in sys.modules if n.startswith('dshierarchy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    loaded, registered = done.stdout.splitlines()
+    return set(loaded.split()), set(registered.split())
+
+
 def test_import_path_loads_no_dataclasses_or_inspect():
     # each dshier run is a fresh process, so what the import loads is paid on
     # every run; compared with a bare interpreter, so that site's imports do not count
-    env = dict(os.environ)
-    src = str(Path(__file__).parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
-    def modules(stmt: str) -> set:
-        code = f"import sys; {stmt}; print(' '.join(sys.modules))"
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        return set(done.stdout.split())
-
-    added = modules("import dshierarchy.cli") - modules("pass")
+    loaded, registered = _fresh_modules("import dshierarchy.cli")
+    added = loaded - _fresh_modules("pass")[0]
     assert "dshierarchy.cli" in added
     assert not added & {"dataclasses", "inspect"}
+    # every engine module is in sys.modules, and none has been compiled or run
+    assert len(ENGINE) >= 13 and ENGINE <= registered
+    assert not loaded & ENGINE
+
+
+@pytest.mark.parametrize("argv, unrun", [
+    (["discrete", "--samples", "5", "--eps-order", "1"],
+     {"kacmoody", "resolvent", "gauge", "hierarchy", "solution", "ratfunc"}),
+    (["derive", "--type", "a1_1"], {"solution", "ratfunc", "discrete"}),
+])
+def test_subcommand_runs_only_its_modules(argv, unrun):
+    loaded, registered = _fresh_modules(
+        f"from dshierarchy.cli import main; assert main({argv!r}) == 0")
+    unrun = {f"dshierarchy.{m}" for m in unrun}
+    assert "dshierarchy.diffalg" in loaded
+    assert unrun <= registered and not unrun & loaded
+
+
+def test_traced_job_prints_what_the_cli_prints(tmp_path):
+    # the benchmark's traced run wraps the lazily registered modules from
+    # outside; its stdout must stay the plain run's
+    argv = ["discrete", "--samples", "5"]
+    plain = subprocess.run([sys.executable, "-m", "dshierarchy.cli", *argv],
+                           env=_fresh_env(), capture_output=True, check=True)
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_job.py"),
+                             str(trace), "1", "--", *argv],
+                            env=_fresh_env(), capture_output=True, check=True)
+    assert traced.stdout == plain.stdout
+    assert json.loads(plain.stdout)["all_pass"] is True
+    summary = json.loads(trace.read_text())["summary"]
+    assert {"discrete.embed", "discrete.invert", "serialize.dumps"} <= set(summary)
 
 
 def test_solve_t_zero_echo(capsys):
@@ -234,6 +288,24 @@ def test_config_errors(capsys, tmp_path):
     cfgfile.write_text(json.dumps({"samples": 0}))
     code, _, err = run(capsys, "discrete", "--config", str(cfgfile))
     assert code == 2 and "samples (--samples) must be positive" in err
+    # a config file that cannot be read, or holds no JSON object
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run(capsys, "derive", "--config", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read config file (--config) {path}: ")
+    cfgfile.write_text("[1]")
+    code, out, err = run(capsys, "derive", "--config", str(cfgfile))
+    assert code == 2 and not out and "must hold a JSON object" in err
+
+
+def test_json_only_subcommands_reject_text_format(capsys, tmp_path):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"format": "text"}))
+    for name in ("resolvent", "gauge-fix", "discrete"):
+        for flags in (["--format", "text"], ["--config", str(cfgfile)]):
+            code, out, err = run(capsys, name, "--type", "a1_1", *flags)
+            assert code == 2 and not out
+            assert f"format (--format) 'text' is not available for {name}" in err
 
 
 def test_config_file_list_and_string_forms(tmp_path, capsys):
@@ -284,6 +356,13 @@ def test_discrete_subcommand(capsys):
     names = {c["check"] for c in payload["checks"]}
     assert "embedding_intertwines_shift" in names
     assert "discrete_miura_round_trip" in names
+    # the toy family's tau check needs a shift window of +-9 even where
+    # t_degree + eps_order + 6 is smaller
+    code, out, _ = run(capsys, "discrete", "--eps-order", "0", "--t-degree", "0",
+                       "--samples", "10")
+    payload = json.loads(out)
+    assert code == 0 and payload["all_pass"] is True
+    assert payload["shift_window"] == [-9, 9]
 
 
 def test_omega_subcommand(capsys):

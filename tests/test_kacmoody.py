@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import (LoopElement, SimpleLieAlgebra, UnsupportedTypeError,
-                                  build_algebra, supported_types)
+                                  build_algebra)
 from reference_ops import (heisenberg_split, pi_lambda, pi_multi, project_minus,
                            project_plus)
 
