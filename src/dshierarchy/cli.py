@@ -280,6 +280,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     h = _build_hierarchy(cfg)
     real = h.real
     max_a = cfg.max_a or real.n
+    if max_a < real.ell:
+        raise ConfigError(
+            f"max_a (--max-a) {max_a} is below ell = {real.ell} for {real.name}: the "
+            f"tau-coordinate check reads Omega_(a,0);(1,0) for a = 1..{real.ell}")
     table = h.omega_table(max_a, cfg.max_k)
     labels = cfg.flows or table.labels()
     flows = h.flows(labels)

@@ -94,9 +94,10 @@ class OmegaTable:
         try:
             return self.entries[(i, j)]
         except KeyError:
-            raise DepthError(
-                f"Omega entry {(i, j)} not computed; smallest uncovered pair "
-                f"starts at k > {self.max_k}") from None
+            why = [f"a = {a} > max_a = {self.max_a}" for a, _ in (i, j) if a > self.max_a] + \
+                [f"k = {k} > max_k = {self.max_k}" for _, k in (i, j) if k > self.max_k]
+            raise DepthError(f"Omega entry {(i, j)} not computed: "
+                             f"{', '.join(why) or 'no such label'}") from None
 
     def labels(self) -> list[FlowLabel]:
         return [(a, k) for a in range(1, self.max_a + 1)
@@ -192,7 +193,7 @@ class DSHierarchy:
         if got is not None:
             return got
         a, k = label
-        depth = flow_depth(self.real, a, k) + 1
+        depth = flow_depth(self.real, a, k)
         x = self.lax_u.resolvent(a, depth).shifted_plus(k)
         flow = Flow(label, self._compensate(label, x)[2])
         self._flows[label] = flow
@@ -239,7 +240,7 @@ class DSHierarchy:
         determines (psi, theta) uniquely, so D_{1,0} = -d.
         """
         real = self.real
-        depth = flow_depth(real, 1, 0) + 1
+        depth = flow_depth(real, 1, 0)
         plus = self.lax_u.resolvent(1, depth).shifted_plus(0)
         b_elt = plus - real.cyclic
         if any(p != 0 for p in b_elt.lambda_powers()):
@@ -259,6 +260,18 @@ class DSHierarchy:
 
         Read off the resolvents of the canonical-form operator, so the
         entries come out directly in u-jets.
+
+        The resolvents are solved only as deep as the pairing reads them.
+        Write N for the principal degree of lambda and sigma = (k1 + k2) n_tw.
+        The form pairs x_i with x_j only if pdeg_i + pdeg_j = 0, by ad rho
+        invariance, (pdeg_i + pdeg_j)(x_i|x_j) = 0 (checked at load).  So the
+        lambda^p x_i part of R_a, at degree d = p N + pdeg_i, meets only the
+        part of R_b at degree -sigma N - d, and R_b has no slice above m_b:
+        R_a is read down to offset m_a + m_b + sigma N and no further, and
+        R_b likewise.  Each lambda vector is the sum of the slices solved to
+        that depth (``Resolvent.computed_coefficient``); the parts it misses
+        pair with zero.  Over the table the depth is 2 m_max_a + 2 max_k n_tw N,
+        below the depth that makes every vector complete.
         """
         real = self.real
         if max_a is None:
@@ -269,10 +282,10 @@ class DSHierarchy:
         got = self._omega.get(key)
         if got is not None:
             return got
-        depth = omega_depth(real, max_a, max_k) + 1
+        n_tw = real.twist_order
+        depth = 2 * max(real.exponents[:max_a]) + 2 * max_k * n_tw * real.deg_lambda
         resolvents = {a: self.lax_u.resolvent(a, depth)
                       for a in range(1, max_a + 1)}
-        n_tw = real.twist_order
         entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
         for a in range(1, max_a + 1):
             ra = resolvents[a]
@@ -289,8 +302,8 @@ class DSHierarchy:
                             weight = p + k1 * n_tw
                             if weight == 0:
                                 continue
-                            va = ra.coefficient(p)
-                            vb = rb.coefficient(-p - sigma)
+                            va = ra.computed_coefficient(p)
+                            vb = rb.computed_coefficient(-p - sigma)
                             val = val + real.alg.pair_vec(va, vb) * weight
                         ct = _counterterm_coefficient(real, a, b, k1, k2)
                         if ct:

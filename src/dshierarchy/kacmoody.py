@@ -683,11 +683,18 @@ class LoopRealization:
             for k, _ in entries:
                 if self.twist_class[k] % n != cls:
                     raise ValueError("structure constants break the twist grading")
-        # form pairs opposite twist classes only (needed for loop pairings)
+        # form pairs opposite twist classes only (needed for loop pairings) and
+        # opposite principal degrees only (the depth of the Omega table)
         for i in range(alg.dim):
             for jj in range(alg.dim):
-                if alg.gram[i][jj] and (self.twist_class[i] + self.twist_class[jj]) % n:
+                if not alg.gram[i][jj]:
+                    continue
+                if (self.twist_class[i] + self.twist_class[jj]) % n:
                     raise ValueError("bilinear form mixes twist classes")
+                if self.pdeg[i] + self.pdeg[jj]:
+                    raise ValueError(
+                        f"bilinear form pairs {alg.labels[i]} and {alg.labels[jj]}, "
+                        f"of principal degrees {self.pdeg[i]} and {self.pdeg[jj]}")
         # JM triple
         e, f = self.e_nil, self.f_jm
         if alg.bracket_vec(rho, e, zero=zero) != list(e):

@@ -247,11 +247,12 @@ class Resolvent:
         q, rem = divmod(k, real.deg_lambda)
         return q + (1 if rem else 0)
 
-    def coefficient(self, k: int) -> tuple[DiffPoly, ...]:
-        """Full coefficient vector of lambda^k; raises if below complete depth."""
-        if k < self.min_complete_power():
-            raise DepthError(
-                f"lambda^{k} coefficient of R_{self.m_a} needs depth > {self.depth}")
+    def computed_coefficient(self, k: int) -> tuple[DiffPoly, ...]:
+        """The lambda^k vector summed over the slices computed to this depth.
+
+        Complete for k >= ``min_complete_power()``; below that it holds only the
+        parts of principal degree >= m_a - depth (see ``DSHierarchy.omega_table``).
+        """
         got = self._coefficients.get(k)
         if got is None:
             out = [_ZERO_P] * self.real.alg.dim
@@ -323,7 +324,7 @@ def flow_depth(real: LoopRealization | TableShape, a: int, k: int) -> int:
 
 
 def omega_depth(real: LoopRealization | TableShape, max_a: int, max_k: int) -> int:
-    """Depth making every (a,k1;b,k2) pairing with indices below the bounds exact."""
+    """Depth making complete every lambda vector an (a,k1;b,k2) pairing reads; sizes the window."""
     maxp = max(real.pdeg)
     need = 0
     n_tw = real.twist_order

@@ -271,6 +271,9 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
     closedness needed for the second log-derivatives to integrate to a
     tau-function.  Also re-checks the flow equations on the coefficients.
     """
+    if one not in sol.labels:
+        raise ValueError(f"two-point functions need the flow {one} among the "
+                         f"solution's flows, got {list(sol.labels)}")
     values: dict[tuple[FlowLabel, FlowLabel], TSeries] = {}
     for i in sol.labels:
         for j in sol.labels:

@@ -18,7 +18,7 @@ from dshierarchy.gauge import CanonicalForm, GaugeFrame, _gauge_q
 from dshierarchy.kacmoody import LoopElement, LoopRealization
 from dshierarchy.miura import MiuraPair
 from dshierarchy.ratfunc import RatFunc
-from dshierarchy.resolvent import LaxOperator
+from dshierarchy.resolvent import DepthError, LaxOperator, Resolvent
 from dshierarchy.serialize import series_to_obj
 from dshierarchy.solution import FormalSolution
 
@@ -81,6 +81,20 @@ def heisenberg_split(real: LoopRealization,
         _, h_part, _ = real.splitter(d).split(sl)
         h_total = h_total + h_part
     return h_total, x - h_total
+
+
+# -- resolvent -----------------------------------------------------------------
+
+def coefficient(r: Resolvent, k: int) -> tuple[DiffPoly, ...]:
+    """The full lambda^k vector of R; raises DepthError below its complete depth."""
+    if k < r.min_complete_power():
+        raise DepthError(f"lambda^{k} coefficient of R_{r.m_a} needs depth > {r.depth}")
+    out = [DiffPoly.zero()] * r.real.alg.dim
+    for j in range(r.depth + 1):
+        vec = r.slice(r.m_a - j).coeffs.get(k)
+        if vec:
+            out = [a + b for a, b in zip(out, vec)]
+    return tuple(out)
 
 
 # -- gauge ---------------------------------------------------------------------

