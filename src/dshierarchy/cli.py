@@ -171,12 +171,12 @@ def _flows(cfg: RunConfig) -> list:
     return list(DEFAULT_FLOWS) if cfg.flows is None else cfg.flows
 
 
-def _build_hierarchy(cfg: RunConfig) -> DSHierarchy:
+def _build_hierarchy(cfg: RunConfig, min_depth: int = 0) -> DSHierarchy:
     from .hierarchy import DSHierarchy
     max_flow_k = max([k for (_, k) in _flows(cfg)], default=0)
     max_flow_k = max(max_flow_k, cfg.max_k)
     h = DSHierarchy(cfg.type, cfg.vertex, max_flow_k=max_flow_k,
-                    omega_max_k=cfg.max_k)
+                    omega_max_k=cfg.max_k, min_depth=min_depth)
     for (a, k) in _flows(cfg):
         if not (1 <= a <= h.real.n):
             raise ConfigError(
@@ -206,11 +206,12 @@ def _flow_obj(h: DSHierarchy, label, eps_order: int) -> dict:
     comps = []
     for alpha, w in enumerate(f.chars, start=1):
         series = EpsSeries.regrade(w, eps_order, shift=-1)
+        parts = [c.sorted_parts() for c in series.components]  # one sort for both forms
         comps.append({
             "component": alpha,
             "lhs": f"{names(alpha)}_t",
-            "rhs_text": render_series(series, names),
-            "rhs": series_to_obj(series),
+            "rhs_text": render_series(series, names, parts),
+            "rhs": series_to_obj(series, parts),
         })
     return {"label": list(label), "components": comps}
 
@@ -238,11 +239,12 @@ def _omega_objs(ell: int, table) -> list[dict]:
     names = default_names(ell)
     out = []
     for (i, j), val in sorted(table.entries.items()):
+        terms = val.sorted_parts()  # one sort for both forms
         out.append({
             "i": list(i),
             "j": list(j),
-            "value": poly_to_obj(val),
-            "value_text": render_poly(val, names),
+            "value": poly_to_obj(val, terms),
+            "value_text": render_poly(val, names, terms=terms),
         })
     return out
 
@@ -422,7 +424,8 @@ def _loop_obj(elt) -> list:
 def cmd_resolvent(cfg: RunConfig) -> int:
     from .resolvent import flow_depth
     from .serialize import dumps
-    h = _build_hierarchy(cfg)
+    # the window covers the degrees that --depth reaches
+    h = _build_hierarchy(cfg, min_depth=(cfg.depth or 0) + 2)
     real = h.real
     a = cfg.exponent
     if not (1 <= a <= real.n):

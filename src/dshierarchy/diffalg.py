@@ -63,6 +63,7 @@ _VARS: list[JetVar] = []                # field index -> jet variable
 _UNIT: list[int] = []                   # field index -> packed monomial of the variable
 _GUARD = 0                              # the guard bits of every assigned field
 _STEP: dict[int, int] = {}              # field of u_{a,m} -> packed u_{a,m+1} - u_{a,m}
+_ORDER_MASK: dict[int, int] = {}        # order m -> the fields of every u_{a,m}, all bits set
 
 
 class DegreeUndefinedError(ValueError):
@@ -75,6 +76,10 @@ class ArityMismatchError(ValueError):
 
 class ExponentOverflowError(OverflowError):
     """Raised when an exponent would exceed MAX_EXPONENT (its packed field)."""
+
+
+class NotTotalDerivativeError(ValueError):
+    """Raised by ``DiffPoly.dx_inverse`` on a polynomial that is no total derivative."""
 
 
 def jet(alpha: int, order: int = 0) -> JetVar:
@@ -103,6 +108,7 @@ def _unit(v: JetVar) -> int:
         _VARS.append(v)
         _UNIT.append(1 << (f * _BITS))
         _GUARD |= 1 << (f * _BITS + _BITS - 1)
+        _ORDER_MASK[v[1]] = _ORDER_MASK.get(v[1], 0) | (_FIELD_MASK << (f * _BITS))
     return _UNIT[f]
 
 
@@ -154,6 +160,11 @@ def _pack(mono) -> int:
                 f"exponent {e} of u_{v} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
         m += e * _unit(v)
     return m
+
+
+def fraction_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for p/q in lowest terms with q > 0."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _new(num: dict[int, int], den: int) -> "DiffPoly":
@@ -452,6 +463,77 @@ class DiffPoly:
             p = p.dx()
         return p
 
+    def dx_inverse(self) -> "DiffPoly":
+        """The c with no constant term and c.dx() == self.
+
+        Works down from the top jet order M, one component a at a time.  The
+        terms with u_{a,M} must be u_{a,M} f with f free of order-M jets; the
+        antiderivative g of f in u_{a,M-1} has the same terms in g.dx(), so
+        c += g and remainder -= g.dx() clear u_{a,M}.  For an exact remainder
+        what is left of c is then free of u_{a,M-1}, so no later step brings
+        u_{a,M} back, and after the last component no order-M jet is left.
+        A top jet that is not linear, an order-M jet left over, or a nonzero
+        remainder of order 0 means that no c exists: NotTotalDerivativeError.
+
+        The remainder is updated in place over numerators.  The part of
+        order M is taken out of it by one mask test per term, and every term
+        of g.dx() either has an order-M jet or is of order M - 1.
+        """
+        rest, rest_den = dict(self._num), self._den
+        live = reduce(or_, rest, 0)
+        if any(live & mask for order, mask in _ORDER_MASK.items() if order < 0):
+            raise ValueError("total derivative needs orders >= 0")
+        out: dict[int, int] = {}
+        out_den = 1
+        top = max((order for order, mask in _ORDER_MASK.items() if live & mask), default=0)
+        for order in range(top, 0, -1):
+            mask = _ORDER_MASK.get(order, 0)
+            part, den = {m: rest.pop(m) for m in [m for m in rest if m & mask]}, rest_den
+            buckets: dict[int, set[int]] = {}   # packed u_{a,M} -> its terms
+            for m, c in part.items():
+                if not c:
+                    continue
+                t = m & mask
+                if t & (t - 1) or (t.bit_length() - 1) % _BITS:
+                    raise NotTotalDerivativeError(
+                        f"a term of order {order} is not linear in the top jets: "
+                        f"{_new({m: c}, den)!r}")
+                buckets.setdefault(t, set()).add(m)
+            for unit in sorted(buckets, key=lambda t: _VARS[(t.bit_length() - 1) // _BITS]):
+                low = _unit((_VARS[(unit.bit_length() - 1) // _BITS][0], order - 1))
+                shift = low.bit_length() - 1
+                terms, step = [], 1
+                for m in buckets.pop(unit):
+                    c = part[m]
+                    if c:
+                        k = ((m >> shift) & _FIELD_MASK) + 1
+                        new = m - unit + low
+                        if new & _GUARD:
+                            raise _overflow(new)
+                        terms.append((new, c, k))
+                        step = lcm(step, k)
+                g = _new({new: c * (step // k) for new, c, k in terms}, den * step)
+                out_den = _add_into(out, out_den, g)
+                dg = g.dx()
+                mask, d = _ORDER_MASK[order], dg._den
+                den, rest_den = _lift(part, den, d), _lift(rest, rest_den, d)
+                k_top, k_low = den // d, rest_den // d
+                for m, c in dg._num.items():
+                    t = m & mask
+                    if t:
+                        part[m] = part.get(m, 0) - c * k_top
+                        if t in buckets:
+                            buckets[t].add(m)
+                    else:
+                        rest[m] = rest.get(m, 0) - c * k_low
+            if any(part.values()):
+                raise NotTotalDerivativeError(
+                    f"jets of order {order} are left after their parts were integrated")
+        if any(rest.values()):
+            raise NotTotalDerivativeError(
+                f"{_normal(rest, rest_den)!r} is of order 0 and not zero")
+        return _normal(out, out_den)
+
     # -- grading ---------------------------------------------------------
     def degrees(self) -> frozenset[int]:
         """Set of differential degrees of the monomials (deg u_{a,m} = m)."""
@@ -521,6 +603,19 @@ class DiffPoly:
     # -- presentation ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0])
+
+    def sorted_parts(self) -> list[tuple[Monomial, int, int]]:
+        """The terms as (monomial, p, q), p/q in lowest terms with q > 0, sorted by monomial.
+
+        The order and the values of ``sorted_terms``, without a Fraction per term.
+        """
+        den = self._den
+        out = []
+        for m, c in self._num.items():
+            g = gcd(c, den)
+            out.append((_monomial(m), c // g, den // g))
+        out.sort()  # the monomials differ, so only they are compared
+        return out
 
     def __repr__(self) -> str:
         from .render import render_poly

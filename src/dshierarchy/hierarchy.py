@@ -150,15 +150,16 @@ class DSHierarchy:
 
     Builds the loop realization, the canonical-form Lax operator that flows
     and tau-structure tables are computed from (on demand, with depths sized
-    from the requested index bounds), and the Borel-variable operator with
-    its canonical gauge data, which the gauge-invariance check uses.
+    from the requested index bounds, or ``min_depth`` if deeper), and the
+    Borel-variable operator with its canonical gauge data, which the
+    gauge-invariance check uses.
     """
 
     def __init__(self, type_name: str, vertex: int = 0,
-                 max_flow_k: int = 2, omega_max_k: int = 2):
+                 max_flow_k: int = 2, omega_max_k: int = 2, min_depth: int = 0):
         shape = TableShape(load_table(type_name))
         n = len(shape.exponents)
-        depth = 4
+        depth = max(4, min_depth)
         for a in range(1, n + 1):
             depth = max(depth, flow_depth(shape, a, max_flow_k) + 2)
         depth = max(depth, omega_depth(shape, n, omega_max_k) + 2)
@@ -296,15 +297,10 @@ class DSHierarchy:
                 for k1 in range(0, max_k + 1):
                     for k2 in range(0, max_k + 1):
                         sigma = (k1 + k2) * n_tw
-                        val = DiffPoly.zero()
                         p_lo = max(1 - k1 * n_tw, -sigma - pmax_b)
-                        for p in range(p_lo, pmax_a + 1):
-                            weight = p + k1 * n_tw
-                            if weight == 0:
-                                continue
-                            va = ra.computed_coefficient(p)
-                            vb = rb.computed_coefficient(-p - sigma)
-                            val = val + real.alg.pair_vec(va, vb) * weight
+                        val = real.alg.pair_sum(
+                            (ra.computed_coefficient(p), rb.computed_coefficient(-p - sigma),
+                             p + k1 * n_tw) for p in range(p_lo, pmax_a + 1) if p + k1 * n_tw)
                         ct = _counterterm_coefficient(real, a, b, k1, k2)
                         if ct:
                             val = val - DiffPoly.const(ct)

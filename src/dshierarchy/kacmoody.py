@@ -23,12 +23,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import _TYPE_FILES, supported_types
 from .diffalg import DiffPoly
 from .linalg import InconsistentSystemError, LinearSolver, integral
-from .matrixform import check_cyclic
 
 _ZERO_P = DiffPoly.zero()
 
@@ -132,6 +131,7 @@ class SimpleLieAlgebra:
         self.gram = [[integral(_trace_of_product(self.matrices[i], self.matrices[j]))
                       for j in range(self.dim)]
                      for i in range(self.dim)]
+        self._gram_rows = [[(j, g) for j, g in enumerate(row) if g] for row in self.gram]
 
     def coordinates_of_matrix(self, mat, zero=Fraction(0)) -> list:
         flat = [mat[r][c] for r in range(self.size) for c in range(self.size)]
@@ -162,17 +162,22 @@ class SimpleLieAlgebra:
         return out
 
     def pair_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
+        """(x|y) for coefficient vectors; DiffPoly entries are summed by one ``DiffPoly.dot``."""
+        if isinstance(zero, DiffPoly):
+            return self.pair_sum([(x, y, 1)])
         out = zero
-        for i in range(self.dim):
-            xi = x[i]
-            if not xi:
-                continue
-            for j in range(self.dim):
-                g = self.gram[i][j]
-                if not g or not y[j]:
-                    continue
-                out = out + (xi * y[j]) * g
+        for i, row in enumerate(self.gram):
+            for j, g in enumerate(row):
+                if g and x[i] and y[j]:
+                    out = out + (x[i] * y[j]) * g
         return out
+
+    def pair_sum(self, triples: Iterable[tuple[Sequence, Sequence, int | Fraction]]) -> DiffPoly:
+        """The sum of w (x|y) over the triples (x, y, w) of DiffPoly vectors, as one ``DiffPoly.dot``."""
+        rows = self._gram_rows
+        return DiffPoly.dot((xi, y[j] if g * w == 1 else y[j] * (g * w))
+                            for x, y, w in triples for i, xi in enumerate(x) if xi
+                            for j, g in rows[i] if y[j])
 
     def validate(self):
         """Alternation, Jacobi and form invariance on all basis triples, and symmetry.
@@ -320,15 +325,12 @@ class LoopElement:
     def pair(self, other: "LoopElement") -> dict[int, DiffPoly]:
         """Invariant bilinear form; a Laurent polynomial in lambda."""
         self._same(other)
-        out: dict[int, DiffPoly] = {}
+        triples: dict[int, list] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
-                val = self.real.alg.pair_vec(v1, v2)
-                if val.is_zero():
-                    continue
-                k = k1 + k2
-                out[k] = out.get(k, _ZERO_P) + val
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                triples.setdefault(k1 + k2, []).append((v1, v2, 1))
+        out = {k: self.real.alg.pair_sum(t) for k, t in triples.items()}
+        return {k: v for k, v in out.items() if v}
 
     def dx(self) -> "LoopElement":
         return LoopElement(self.real,
@@ -590,6 +592,16 @@ class LoopRealization:
             self._slice_cache[d] = got
         return got
 
+    def window_covers(self, d: int) -> bool:
+        """Whether the window holds every basis element x_i lambda^k of principal degree d."""
+        kmin, kmax = self.window
+        n = self.twist_order
+        for i, p in enumerate(self.pdeg):
+            k, rem = divmod(d - p, self.deg_lambda)
+            if not rem and self.twist_class[i] % n == k % n and not kmin <= k <= kmax:
+                return False
+        return True
+
     def heisenberg_at(self, d: int) -> LoopElement | None:
         """The basis element of the Heisenberg subalgebra at principal degree d."""
         period = self.r * self.h
@@ -708,9 +720,6 @@ class LoopRealization:
             raise ValueError("cyclic element is not of principal degree 1")
         if not self.cyclic.check_twist():
             raise ValueError("cyclic element breaks the twist")
-        # the defining representation carries the resolvent recursion
-        check_cyclic(alg, self.deg_lambda, self.cyclic.coeffs,
-                     {m: elt.coeffs for m, elt in self._heis_base.items()}, self.exponents)
         # affine Chevalley degrees +-1
         for idx in self.chevalley_e:
             if self.pdeg[idx] != 1:

@@ -7,7 +7,7 @@ single component the index is dropped (``u`` instead of ``u1``).
 
 from __future__ import annotations
 
-from .diffalg import DiffPoly, EpsSeries, Monomial
+from .diffalg import DiffPoly, EpsSeries, Monomial, fraction_text
 
 
 def default_names(arity: int, base: str = "u"):
@@ -32,30 +32,32 @@ def render_monomial(mono: Monomial, names) -> str:
     return "*".join(parts)
 
 
-def render_poly(p: DiffPoly, names=None, eps_power: int = 0) -> str:
+def render_poly(p: DiffPoly, names=None, eps_power: int = 0, terms=None) -> str:
+    """``terms``, if given, is ``p.sorted_parts()``, shared with the caller."""
     if names is None:
         names = default_names(p.max_alpha())
     if p.is_zero():
         return "0"
     out = []
-    for mono, c in p.sorted_terms():
+    for mono, num, den in p.sorted_parts() if terms is None else terms:
         mono_str = render_monomial(mono, names)
         if eps_power:
             eps = "eps" if eps_power == 1 else f"eps^{eps_power}"
             mono_str = f"{eps}*{mono_str}" if mono_str else eps
-        mag = abs(c)
+        mag = fraction_text(abs(num), den)
         if mono_str:
-            body = mono_str if mag == 1 else f"{mag}*{mono_str}"
+            body = mono_str if mag == "1" else f"{mag}*{mono_str}"
         else:
-            body = str(mag)
+            body = mag
         if not out:
-            out.append(body if c > 0 else f"-{body}")
+            out.append(body if num > 0 else f"-{body}")
         else:
-            out.append(f" + {body}" if c > 0 else f" - {body}")
+            out.append(f" + {body}" if num > 0 else f" - {body}")
     return "".join(out)
 
 
-def render_series(s: EpsSeries, names=None) -> str:
+def render_series(s: EpsSeries, names=None, parts=None) -> str:
+    """``parts``, if given, is the ``sorted_parts()`` of each component."""
     if names is None:
         arity = max((c.max_alpha() for c in s.components), default=1)
         names = default_names(arity)
@@ -63,7 +65,7 @@ def render_series(s: EpsSeries, names=None) -> str:
     for q, comp in enumerate(s.components):
         if comp.is_zero():
             continue
-        chunk = render_poly(comp, names, eps_power=q)
+        chunk = render_poly(comp, names, eps_power=q, terms=None if parts is None else parts[q])
         if not chunks:
             chunks.append(chunk)
         else:

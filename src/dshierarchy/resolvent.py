@@ -1,4 +1,4 @@
-"""Basic resolvents of a Lax operator, from one recursion in the defining representation.
+"""Basic resolvents of a Lax operator, each solved alone, one degree at a time.
 
 The Lax operator is L = d + Lambda + q with q a Borel-valued lambda^0
 element whose entries are the generators of a differential polynomial ring.
@@ -7,72 +7,59 @@ basis vector, the pre-gauge-fixing operator) and ``canonical`` (one generator
 per gauge-subspace vector, the operator already in canonical form; resolvents
 of this operator carry the gauge-invariant coordinates directly).
 
-The basic resolvents are R_a = e^{-ad U}(Lambda_{m_a}) for the dressing U of
-L.  In the defining representation (matrix size n) e^{-ad U} is conjugation
-by e^{-U}, Lambda^n = lambda Id and every Heisenberg element is a power
-Lambda^D = lambda^{D div n} Lambda^{D mod n} (all checked when the
-realization is loaded).  So with m_a = s n + k one expects
+The basic resolvent R_a is the unique solution of [L, R_a] = 0 whose top
+slice is Lambda_{m_a} and whose lower slices vanish at the vacuum q = 0
+(where L = d + Lambda and R_a = Lambda_{m_a}).  It is solved as in
+Drinfeld-Sokolov ("Lie algebras and equations of Korteweg-de Vries type",
+1985): alone, one degree at a time, with no dressing and no other resolvent.
+Write H = ker ad Lambda (the Heisenberg subalgebra, at most one element H_d
+per degree d) and pi_H for the projection along im ad Lambda.  The form makes
+the two orthogonal and H is abelian, so pi_H [x, h] = 0 for every h in H.
+Throughout, [X, d] = -d(X), q_e is the slice of q at degree e <= 0, and R_d
+is slice d of R_a.  Each step solves R_d from the slices above it:
 
-    P_k := lambda^{-s} R_a = R_1^k  for 1 <= k < n,   and   R_1^n = lambda Id.
+1. one bracket sum: B = d(R_{d+1}) + sum_e [q_e, R_{d+1-e}], degree d + 1;
+2. one split of -B into its H part and [Lambda, y_d] (``split_with_preimage``);
+   y_d, in im ad Lambda, is the rest of R_d, and the H part must be zero;
+3. where H_d exists, R_d = y_d + h_d H_d with h_d = d^{-1}(c_d), the exact
+   inverse with no constant term (``DiffPoly.dx_inverse``), where c_d is
+   the H coefficient of -sum_e [q_e, R_{d-e}] with R_d read as y_d.
 
-The recursion below assumes neither: it certifies both.  The load checks
-the premise that every k in 1, ..., n - 1 is m_a mod n for exactly one
-exponent m_a, so that each power R_1^k, k < n, has its own basic resolvent
-(``matrixform.check_cyclic``).  Write P_n := lambda Id.
+Why.  Degree d + 1 of [L, R_a] = 0 is d(R_{d+1}) + [Lambda, R_d] +
+sum_e [q_e, R_{d+1-e}] = 0, and [Lambda, R_d] = [Lambda, y_d]: step 2.  Its
+projection onto H drops [Lambda, .], and at degree d it is d(h_d) H_d +
+pi_H sum_e [q_e, R_{d-e}] = 0, where pi_H d(y_d) = 0 and the part h_d H_d
+of R_d drops out of [q_0, R_d]: d(h_d) = c_d.  At the vacuum every lower
+slice vanishes, so h_d has no constant term and is the inverse of c_d.  A
+c_d that is no total derivative raises a RuntimeError naming R_{m_a} and the
+degree; so does a nonzero H part in step 2, which the inverse makes zero.
 
-No U is needed (the matrix-resolvent approach of Bertola-Dubrovin-Yang,
-"Simple Lie algebras and topological ODEs", IMRN 2018).  Each R_a starts
-at Lambda_{m_a}.  Its slices are solved one offset j = 1, 2, ... below the
-top at a time, every R_a at the same offset together.  Throughout,
-``[X, d] = -d(X)``.
+c_d needs no bracket sum at degree d.  With G = lambda^s Lambda_m the
+Heisenberg element at degree -d, ([x, y] | z) = (x | [y, z]) and
+([Lambda, y] | G) = -(y | [Lambda, G]) = 0 give
 
-- [L, R_a] = 0 at degree m_a - j + 1 gives the im(ad Lambda) part y_a of
-  slice m_a - j, from slices already solved.  A Heisenberg part on the
-  right-hand side raises a RuntimeError naming R_{m_a} and the degree.
-- The rest of that slice of P_k is a multiple of Lambda^D, D = k - j: a
-  Heisenberg element if there is one at degree m_a - j, else zero.  It is
-  fixed, or certified, by one entry of P_1 P_{k-1} at a key where Lambda^D
-  is nonzero, summed as one ``matrixform.matrix_entry`` over the stored
-  matrix forms.  The case k = n is the identity R_1^n = lambda Id.
-- The slice of P_1 at this offset enters every such entry.  Its Heisenberg
-  part c H_{1-j} = c Lambda^{1-j} adds c k Lambda^{k-1} H_{1-j} = c k
-  Lambda^D to slice D of P_1^k, so the entries are first taken with c = 0.
-  Each P_k, k < n, gets a raw Lambda^D coefficient z_k; the entry for
-  k = n fixes c, or certifies the slice when there is no H_{1-j}; then
-  the Lambda^D coefficient of P_k is z_k + c k.  Where R_a has no
-  Heisenberg element at degree m_a - j, that coefficient must be zero, and
-  a nonzero one raises a RuntimeError naming k and the degree.
+    c_d (H_d | G) = (-sum_e [q_e, R_{d-e}] | G) = sum_e (R_{d-e} | [q_e, G]),
 
-Why one entry is enough.  Let R = P_1 as solved so far, take 2 <= k <= n
-with P_{k-1} = R^{k-1}, and let Y = P_k - R^k.
+and (H_d | G) = h, the Coxeter number (the normalization checked at load).
+So c_d is one ``pair_sum`` of the slices with the elements [q_e, Lambda_m] / h,
+kept per exponent m and read s powers of lambda lower.  A bracket sum that
+leaves the lambda window, or a slice that does not fit in it, raises
+``WindowError`` naming R_{m_a}, the degree and the window.
 
-- Y commutes with L through the degrees solved: P_k by construction, R^k
-  because R does.
-- If Y vanishes above degree D, the degree D + 1 slice of [L, Y] is
-  [Lambda, Y_D], so Y_D commutes with Lambda.
-- Lambda^n = lambda Id and t^n - lambda is irreducible, so Lambda is cyclic:
-  its centralizer is spanned by Lambda^0, ..., Lambda^{n-1} over the
-  rational functions of lambda.  As lambda^i Lambda^l has degree n i + l,
-  Y_D = c Lambda^D with c free of lambda, twisted or not, and Y_D = 0
-  exactly when its entry at one key where Lambda^D is nonzero is zero.
-- The top slices agree (Y_k = 0), so induction down covers every degree,
-  and induction on k covers every power.
-
-So R^n = lambda Id, which makes R the resolvent R_1, and R_1^k = P_k is
-traceless for k < n: that is proved, not assumed.  The tests rebuild every
-slice of every power R_1^k, k <= n, by convolution as a reference.
-
-The defining properties of each R_a ([L, R_a] = 0, leading term, pairing
-normalization) are verified as exact residuals through the computed depth.
+The tests keep the earlier route as a reference: the resolvents of the
+defining representation as powers, P_k = lambda^{-s} R_a = R_1^k for
+m_a = s n + k, fixed by one matrix entry per degree (``tests/power_route.py``),
+and the dressing route (``tests/dressing_route.py``).  The defining
+properties of each R_a ([L, R_a] = 0, leading term, pairing normalization)
+are verified as exact residuals through the computed depth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffalg import DiffPoly
-from .kacmoody import LoopElement, LoopRealization, TableShape
-from .matrixform import identity, matrix_entry, matrix_form, matrix_product
+from .diffalg import DiffPoly, NotTotalDerivativeError
+from .kacmoody import LoopElement, LoopRealization, TableShape, WindowError
 
 _ZERO_P = DiffPoly.zero()
 
@@ -103,112 +90,81 @@ class LaxOperator:
                     vec[t] = vec[t] + g * c
         self.q = LoopElement(real, {0: tuple(vec)})
         self.lam_plus_q = real.cyclic + self.q
-        self._q_slices = self.q.pdeg_slices()
-        n = real.alg.size
-        lam = matrix_form(real.alg, real.cyclic.coeffs)
-        self._lam_powers = [identity(n)]
-        for _ in range(n - 1):
-            self._lam_powers.append(matrix_product([(self._lam_powers[-1], lam)]))
-        # _r[a][degree]: the slices of R_a; P_k = lambda^{-s} R_a for the one
-        # exponent m_a = s n + k, and _mat[k][D] is slice D of P_k as a matrix form
+        self._q_slices = sorted(self.q.pdeg_slices().items(), reverse=True)
+        # _r[a][D]: the solved slices of R_a, from Lambda_{m_a} down
         self._r = {a: {m: real.heisenberg_element(m)} for a, m in enumerate(real.exponents, 1)}
-        self._a_of = {m % n: a for a, m in enumerate(real.exponents, 1)}
-        self._mat = {k: {k: self._lam_powers[k]} for k in range(1, n)}
+        self._duals: dict[int, list[tuple[int, LoopElement]]] = {}
 
     # L acts as d + ad(Lambda + q) on loop elements.
     def bracket_with(self, x: LoopElement) -> LoopElement:
         """[L, x] = d(x) + [Lambda + q, x]."""
         return x.dx() + self.lam_plus_q.bracket(x)
 
-    def dressing(self, depth: int) -> None:
-        """Extend every basic resolvent R_a down to degree m_a - depth."""
+    def dressing(self, depth: int, a: int | None = None) -> None:
+        """Extend R_a (every basic resolvent if a is None) down to degree m_a - depth."""
         real = self.real
-        n = real.alg.size
-        for j in range(2 - min(self._r[1]), depth + 1):
-            lam = {k: _lam_power(self._lam_powers, k - j) for k in range(1, n + 1)}
-            # slice k - j of each P_k, k < n, first with c = 0 in R_1 (module
-            # docstring).  im[k] is its im(ad Lambda) part as a matrix form;
-            # the raw slice im[k] + z[k] Lambda^{k-j} enters the entry for
-            # k + 1 through Lambda im[k] + z[k] Lambda^{k+1-j}
-            ys, im, z = {}, {}, {1: _ZERO_P}
-            for k in range(1, n + 1):
-                key, v = next(iter(lam[k].items()))
-                if k > 1:
-                    entry = self._entry(k, j, im, key) + z[k - 1] * v
-                if k == n:  # P_n = lambda Id has no slice below the top
-                    break
-                a = self._a_of[k]
-                s = real.exponents[a - 1] // n
-                ys[k] = self._im_part(a, s * n + k - j)
-                im[k] = {(p - s, i, l): c for (p, i, l), c in
-                         matrix_form(real.alg, ys[k].coeffs).items()}
-                if k > 1:
-                    z[k] = (entry - im[k].get(key, _ZERO_P)) * (1 / v)
-            # R_1^n = lambda Id at degree n - j fixes c, or certifies the slice
-            c = _ZERO_P if real.heisenberg_at(1 - j) is None else \
-                _heisenberg_coefficient(entry, v, n)
-            if entry + c * (n * v):
-                raise RuntimeError(
-                    f"R_1^{n} = lambda Id fails at principal degree {n - j}")
-            for k in range(1, n):
-                a = self._a_of[k]
-                m = real.exponents[a - 1]
-                x, h = z[k] + c * k, real.heisenberg_at(m - j)
-                if h is not None:
-                    ys[k] = ys[k] + h.scale(x)
-                elif x:
-                    target = f"lambda^-{m // n} R_{m}" if m // n else f"R_{m}"
-                    raise RuntimeError(
-                        f"R_1^{k} = {target} fails at principal degree {k - j}")
-                self._r[a][m - j] = ys[k]
-                form = im[k]
-                if x:
-                    for key, v in lam[k].items():
-                        form[key] = form.get(key, _ZERO_P) + x * v
-                self._mat[k][k - j] = {key: v for key, v in form.items() if v}
-
-    def _entry(self, k: int, j: int, new: dict, key: tuple) -> DiffPoly:
-        """Entry ``key`` of slice k - j of P_1 P_{k-1}, with ``new`` for the slices at offset j."""
-        mat = self._mat
-        return matrix_entry([(new[1] if e == 1 - j else mat[1][e],
-                              new[k - 1] if e == 1 else mat[k - 1][k - j - e])
-                             for e in range(1 - j, 2)], key)
+        for a in (range(1, real.n + 1) if a is None else (a,)):
+            r, m = self._r[a], real.exponents[a - 1]
+            for d in range(min(r) - 1, m - depth - 1, -1):
+                y = self._im_part(a, d)
+                h_d = real.heisenberg_at(d)
+                if h_d is not None:
+                    h = self._heisenberg_inverse(a, d, y)
+                    if h:
+                        y = y + h_d.scale(h)
+                r[d] = y
 
     def _im_part(self, a: int, degree: int) -> LoopElement:
         """The im(ad Lambda) part of slice ``degree`` of R_a, from [L, R_a] = 0 one degree up."""
         r, top = self._r[a], self.real.exponents[a - 1]
         # [Lambda, y] = -(d r_{degree+1} + [q, R_a]) at degree + 1
         rhs = r[degree + 1].dx()
-        for e, q_e in self._q_slices.items():
-            if degree + 1 - e <= top:
-                rhs = rhs + q_e.bracket(r[degree + 1 - e])
+        for e, q_e in self._q_slices:
+            if degree + 1 - e > top:
+                break
+            rhs = rhs + q_e.bracket(r[degree + 1 - e])
+        if rhs.truncated or not self.real.window_covers(degree):
+            raise WindowError(f"[L, R_{top}] = 0 at principal degree {degree + 1} leaves "
+                              f"the lambda window {self.real.window}")
         _, h_part, y = self.real.split_with_preimage(degree + 1, -rhs)
         if not h_part.is_zero():
             raise RuntimeError(
                 f"[L, R_{top}] = 0 has a Heisenberg part at principal degree {degree + 1}")
         return y
 
+    def _heisenberg_inverse(self, a: int, d: int, y: LoopElement) -> DiffPoly:
+        """h_d = d^{-1} sum_e (R_{d-e} | [q_e, G]) / h, with R_d read as y (module docstring)."""
+        real = self.real
+        period = real.r * real.h
+        m = next(m for m in real.exponents if (-d - m) % period == 0)
+        s = (-d - m) // period * real.twist_order     # G = lambda^s Lambda_m
+        r, top = self._r[a], real.exponents[a - 1]
+        pairs = []
+        for e, z in self._dual(m):
+            x = y if e == 0 else r.get(d - e)
+            if x is not None:
+                pairs += [(vec, z.coeffs[-s - k], 1) for k, vec in x.coeffs.items()
+                          if -s - k in z.coeffs]
+        try:
+            return real.alg.pair_sum(pairs).dx_inverse()
+        except NotTotalDerivativeError as exc:
+            raise RuntimeError(f"[L, R_{top}] = 0: the Heisenberg part at principal degree "
+                               f"{d} is no total derivative ({exc})") from None
+
+    def _dual(self, m: int) -> list[tuple[int, LoopElement]]:
+        """[(e, [q_e, Lambda_m] / h)] for every slice q_e of q, kept per exponent m."""
+        got = self._duals.get(m)
+        if got is None:
+            base, inv_h = self.real.heisenberg_element(m), Fraction(1, self.real.h)
+            got = self._duals[m] = [(e, q_e.bracket(base).scale(inv_h)) for e, q_e in self._q_slices]
+        return got
+
     def resolvent(self, a: int, depth: int) -> "Resolvent":
         """Basic resolvent for the a-th exponent (1-based), to given depth."""
         if not (1 <= a <= self.real.n):
             raise ValueError(f"exponent index {a} out of range 1..{self.real.n}")
-        self.dressing(depth)
+        self.dressing(depth, a=a)
         return Resolvent(self, a, depth)
-
-
-def _lam_power(lam_powers: list[dict], degree: int) -> dict:
-    """Lambda^degree = lambda^{degree div n} Lambda^{degree mod n}, as {key: constant}.
-
-    From the powers Lambda^0 .. Lambda^{n-1}; the first key is the one whose
-    entry fixes or certifies a slice of degree ``degree``.
-    """
-    s, k = divmod(degree, len(lam_powers))
-    return {(p + s, i, j): v.constant_term() for (p, i, j), v in lam_powers[k].items() if v}
-
-
-def _heisenberg_coefficient(entry: DiffPoly, v: Fraction, n: int) -> DiffPoly:
-    """c with entry + c n v = 0."""
-    return entry * (Fraction(-1, n) / v)
 
 
 class Resolvent:
@@ -305,12 +261,13 @@ class Resolvent:
         # c*deg_lambda - m_b >= m_a - depth  (and symmetrically).
         need = self.m_a + other.m_a - min(self.depth, other.depth)
         lo = -((-need) // real.deg_lambda)
-        out: dict[int, DiffPoly] = {}
+        triples: dict[int, list] = {}
         theirs = other.element().coeffs.items()
         for k1, v1 in self.element().coeffs.items():
             for k2, v2 in theirs:
                 if k1 + k2 >= lo:
-                    out[k1 + k2] = out.get(k1 + k2, _ZERO_P) + real.alg.pair_vec(v1, v2)
+                    triples.setdefault(k1 + k2, []).append((v1, v2, 1))
+        out = {k: real.alg.pair_sum(t) for k, t in triples.items()}
         target = (self.m_a + other.m_a) // real.deg_lambda
         if self.a + other.a == real.n + 1 and target >= lo:
             out[target] = out.get(target, _ZERO_P) - real.h

@@ -14,27 +14,24 @@ values are the same schema with orders allowed to be negative plus a
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .diffalg import DiffPoly, EpsSeries
-
-
-def poly_to_obj(p: DiffPoly) -> dict:
-    terms = []
-    for mono, c in p.sorted_terms():
-        terms.append({
-            "coeff": str(Fraction(c)),
-            "monomial": [[alpha, m, e] for (alpha, m), e in mono],
-        })
-    return {"terms": terms}
+from .diffalg import DiffPoly, EpsSeries, fraction_text
 
 
-def series_to_obj(s: EpsSeries) -> list[dict]:
+def poly_to_obj(p: DiffPoly, terms=None) -> dict:
+    """``terms``, if given, is ``p.sorted_parts()``, shared with the caller."""
+    return {"terms": [{"coeff": fraction_text(num, den),
+                       "monomial": [[alpha, m, e] for (alpha, m), e in mono]}
+                      for mono, num, den in (p.sorted_parts() if terms is None else terms)]}
+
+
+def series_to_obj(s: EpsSeries, parts=None) -> list[dict]:
+    """``parts``, if given, is the ``sorted_parts()`` of each component."""
     out = []
     for q, comp in enumerate(s.components):
         if comp.is_zero():
             continue
-        obj = poly_to_obj(comp)
+        obj = poly_to_obj(comp, None if parts is None else parts[q])
         obj["eps"] = q
         out.append(obj)
     return out

@@ -9,13 +9,18 @@ whole sum of such products at once: it collects every entry product by
 output entry and sums each entry in one ``DiffPoly.dot`` pass, so an entry
 is normalized once however many products reach it.  ``matrix_entry`` sums
 one entry of such a sum the same way, without forming the others.
+
+The program does not use them: the resolvent recursion needs no matrix.  They
+carry the reference route of ``power_route.py`` and the check of the shipped
+tables, ``check_cyclic``, that the reference relies on.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .diffalg import DiffPoly
+from dshierarchy.diffalg import DiffPoly
+from dshierarchy.kacmoody import SimpleLieAlgebra, _poly_coeffs
 
 _ZERO_P = DiffPoly.zero()
 
@@ -61,7 +66,7 @@ def matrix_entry(pairs: Iterable[tuple[Mapping, Mapping]], key: tuple[int, int, 
 
 def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping,
                  exponents: list[int]) -> None:
-    """Check the identities that the resolvent recursion relies on.
+    """Check the identities that the power route relies on.
 
     With n the matrix size: the principal degree of lambda is n, Lambda^n =
     lambda Id, every Heisenberg generator is Lambda_m = lambda^{m div n}
@@ -92,3 +97,15 @@ def check_cyclic(alg, deg_lambda: int, cyclic: Mapping, heisenberg: Mapping,
             raise ValueError(
                 f"R_1^{k} needs exactly one exponent that is {k} mod {size}, "
                 f"found {residues.count(k)} in {exponents}")
+
+
+def check_table(data: dict) -> None:
+    """``check_cyclic`` on a type table as loaded from its JSON."""
+    alg = SimpleLieAlgebra(data["name"], [b["matrix"] for b in data["basis"]],
+                           [b["label"] for b in data["basis"]])
+    cyclic = {0: _poly_coeffs(data["jm_e"], alg), 1: _poly_coeffs(data["cyclic_lambda_part"], alg)}
+    heisenberg = {int(item["exponent"]): {int(k): _poly_coeffs(v, alg)
+                                          for k, v in item["element"].items()}
+                  for item in data["heisenberg"]}
+    check_cyclic(alg, (data["r"] * data["coxeter"]) // data["twist_order"], cyclic,
+                 heisenberg, data["exponents"])

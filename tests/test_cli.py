@@ -182,7 +182,7 @@ def test_import_path_loads_no_dataclasses_or_inspect():
     assert "dshierarchy.cli" in added
     assert not added & {"dataclasses", "inspect"}
     # every engine module is in sys.modules, and none has been compiled or run
-    assert len(ENGINE) >= 13 and ENGINE <= registered
+    assert len(ENGINE) >= 12 and ENGINE <= registered
     assert not loaded & ENGINE
 
 
@@ -337,6 +337,27 @@ def test_resolvent_subcommand(capsys):
     assert code == 0 and payload["depth"] == 0
     assert [s["degree"] for s in payload["slices"]] == [5]
     assert all(c["residual_zero"] for c in payload["checks"])
+
+
+def test_resolvent_window_is_sized_for_depth(capsys, monkeypatch):
+    # below the window sized for the flows, a1_1 at depth 15 used to fail
+    # with a false engine error; the window now covers --depth
+    code, out, _ = run(capsys, "resolvent", "--type", "a1_1", "--depth", "15")
+    payload = json.loads(out)
+    assert code == 0 and payload["depth"] == 15
+    assert [s["degree"] for s in payload["slices"]] == list(range(1, -15, -1))
+    assert [c["residual_zero"] for c in payload["checks"]] == [True, True]
+    # with the flows' window the dressing stops at its edge: exit 2, named
+    build = cli._build_hierarchy
+    monkeypatch.setattr(cli, "_build_hierarchy", lambda cfg, min_depth=0: build(cfg))
+    code, out, err = run(capsys, "resolvent", "--type", "a1_1", "--depth", "15")
+    assert code == 2 and out == ""
+    assert err == "error: [L, R_1] = 0 at principal degree -12 leaves the lambda window (-6, 5)\n"
+
+
+def test_stdout_digests_of_the_quick_commands():
+    import stdout_digests
+    assert stdout_digests.mismatches(quick_only=True) == []
 
 
 def test_gauge_fix_subcommand(capsys):

@@ -16,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dshierarchy.diffalg import (MAX_EXPONENT, ArityMismatchError, DiffPoly,
-                                 ExponentOverflowError, JetMap, apply_poly_derivation)
+                                 ExponentOverflowError, JetMap, NotTotalDerivativeError,
+                                 apply_poly_derivation)
 from jet_images import FunctionJets
 
 u = DiffPoly.var
@@ -257,3 +258,39 @@ def test_pickle_carries_tuple_monomials_across_processes():
     out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(p),
                          capture_output=True, env=env, check=True).stdout
     assert out.decode().strip() == repr(p.sorted_terms())
+
+
+@given(poly_strategy(st.integers(0, 4), max_terms=6))
+def test_dx_inverse_inverts_dx(p):
+    # inv(dx(p)) = p - p(0), with no constant term
+    c = p.dx().dx_inverse()
+    assert c == p - p.constant_term()
+    assert_normal(c)
+
+
+@given(polys, st.sampled_from([u(1, 1) ** 2, u(1) * u(1, 2), u(1) * u(2),
+                               u(1) * u(2, 1), DiffPoly.const(1)]))
+def test_dx_inverse_rejects_what_is_no_total_derivative(p, bad):
+    # bad + dx(p) is no total derivative when bad is none
+    with pytest.raises(NotTotalDerivativeError):
+        (bad + p.dx()).dx_inverse()
+
+
+def test_dx_inverse_names_the_failure():
+    with pytest.raises(NotTotalDerivativeError, match=r"not linear in the top jets: u_x\^2"):
+        (u(1, 1) ** 2).dx_inverse()
+    with pytest.raises(NotTotalDerivativeError, match=r"u1\*u2 is of order 0 and not zero"):
+        (u(1) * u(2)).dx_inverse()
+    with pytest.raises(NotTotalDerivativeError, match="jets of order 1 are left"):
+        (u(1) * u(2, 1)).dx_inverse()
+    with pytest.raises(ValueError, match="orders >= 0"):
+        v(1, -1).dx_inverse()
+    assert DiffPoly.zero().dx_inverse() == DiffPoly.zero()
+
+
+@given(polys)
+def test_sorted_parts_are_the_sorted_terms(p):
+    assert [(mono, Fraction(num, den)) for mono, num, den in p.sorted_parts()] == \
+        p.sorted_terms()
+    for _, num, den in p.sorted_parts():
+        assert den > 0 and gcd(num, den) == 1

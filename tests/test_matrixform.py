@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.matrixform import matrix_entry, matrix_product
+from matrixform import matrix_entry, matrix_product
 
 u = DiffPoly.var
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import power_route
 from dressing_route import Dressing, resolvent_slices
 from jet_images import FunctionJets
+from matrixform import check_table, matrix_form, matrix_product
+from power_route import PowerRoute
 from reference_ops import coefficient, map_coeffs, project_plus
-from dshierarchy import resolvent
+from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
-from dshierarchy.matrixform import matrix_form, matrix_product
+from dshierarchy.kacmoody import LoopElement, LoopRealization, WindowError, build_algebra
 from dshierarchy.resolvent import DepthError, LaxOperator, flow_depth
 
 
@@ -116,12 +119,39 @@ def test_resolvents_match_dressing_route(name, depths, kind):
         assert {d: r.slice(d) for d in ref} == ref
 
 
+@pytest.mark.parametrize("kind", ["canonical", "borel"])
+@pytest.mark.parametrize("name, depths", [
+    ("a1_1", {"canonical": 10, "borel": 10}),
+    ("a2_1", {"canonical": 12, "borel": 9}),
+    ("a2_2", {"canonical": 22, "borel": 10}),
+])
+def test_slices_equal_the_power_route(name, depths, kind):
+    # the program fixes each Heisenberg part by d^{-1}; the reference by one
+    # entry of a power of R_1 per degree
+    depth = depths[kind]
+    lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    lax.dressing(depth)
+    ref = PowerRoute(lax)
+    ref.dressing(depth)
+    for a, m in enumerate(lax.real.exponents, 1):
+        assert sorted(lax._r[a]) == list(range(m - depth, m + 1))
+        assert lax._r[a] == {d: sl for d, sl in ref._r[a].items() if d >= m - depth}, a
+
+
+@pytest.mark.parametrize("name", supported_types())
+def test_every_shipped_table_passes_the_power_route_check(name):
+    check_table(_table(name))
+
+
 def test_mutated_cyclic_element_fails_at_load():
-    # Lambda = e + 2 lambda f squares to 2 lambda Id
+    # Lambda = e + 2 lambda f squares to 2 lambda Id: the load rejects it as
+    # another Lambda_1, the table check of the power route by its square
     raw = _table("a1_1")
     raw["cyclic_lambda_part"] = {"f": "2"}
-    with pytest.raises(ValueError, match=r"Lambda\^2 != lambda Id"):
+    with pytest.raises(ValueError, match="Lambda_1 must equal the cyclic element"):
         LoopRealization(raw, (-6, 3))
+    with pytest.raises(ValueError, match=r"Lambda\^2 != lambda Id"):
+        check_table(raw)
 
 
 @pytest.mark.parametrize("name, exponents, k, found", [
@@ -130,22 +160,25 @@ def test_mutated_cyclic_element_fails_at_load():
     ("a2_1", [1, 2, 5], 2, 2),
 ])
 def test_mutated_exponents_fail_at_load(name, exponents, k, found):
-    # each power R_1^k, 0 < k < n, must be exactly one basic resolvent
+    # the load rejects exponents off m_a + m_{n+1-a} = r h; the power route
+    # needs each power R_1^k, 0 < k < n, to be exactly one basic resolvent
     raw = _table(name)
     raw["exponents"] = exponents
+    with pytest.raises(ValueError, match="exponents"):
+        LoopRealization(raw, (-6, 6))
     with pytest.raises(ValueError, match=rf"R_1\^{k} needs exactly one exponent "
                                          rf"that is {k} mod 3, found {found}"):
-        LoopRealization(raw, (-6, 6))
+        check_table(raw)
 
 
 def test_wrong_heisenberg_coefficient_names_the_degree(monkeypatch):
-    right = resolvent._heisenberg_coefficient
-    monkeypatch.setattr(resolvent, "_heisenberg_coefficient",
+    right = power_route._heisenberg_coefficient
+    monkeypatch.setattr(power_route, "_heisenberg_coefficient",
                         lambda entry, v, n: right(entry, v, n) + 1)
-    lax = LaxOperator(build_algebra("a2_1", 0, depth_hint=8), "canonical")
+    ref = PowerRoute(LaxOperator(build_algebra("a2_1", 0, depth_hint=8), "canonical"))
     # the first Heisenberg part of R_1 is at degree -1, checked in R_1^3 at 1
     with pytest.raises(RuntimeError, match=r"R_1\^3 = lambda Id fails at principal degree 1"):
-        lax.resolvent(1, 4)
+        ref.dressing(4)
 
 
 def _powers(n: int, r: dict) -> dict:
@@ -188,8 +221,8 @@ def _matrix_forms(real: LoopRealization, r: dict) -> dict:
 @pytest.mark.parametrize("name, depth", [("a1_1", 10), ("a2_1", 9), ("a2_2", 10)])
 @pytest.mark.parametrize("kind", ["canonical", "borel"])
 def test_full_power_identity_holds_at_every_degree(name, depth, kind):
-    # the program certifies R_1^n = lambda Id through one entry per degree;
-    # here every slice of R_1^n is rebuilt through the computed depth
+    # the program forms no power of R_1; here every slice of R_1^n is
+    # rebuilt through the computed depth
     lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
     lax.dressing(depth)
     real, n = lax.real, lax.real.alg.size
@@ -209,8 +242,8 @@ def test_full_power_identity_holds_at_every_degree(name, depth, kind):
 ])
 @pytest.mark.parametrize("kind", ["canonical", "borel"])
 def test_power_slices_are_the_resolvents(name, depths, kind):
-    # the program solves lambda^{-s} R_a, m_a = s n + k, by its own recursion;
-    # here every slice of R_1^k, 1 < k < n, is rebuilt by convolution
+    # the program solves each R_a alone; here every slice of R_1^k,
+    # 1 < k < n, is rebuilt by convolution and is lambda^{-s} R_a, m_a = s n + k
     depth = depths[kind]
     lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
     lax.dressing(depth)
@@ -240,20 +273,20 @@ def test_wrong_entry_at_a_power_slice_without_heisenberg_element_names_it(
         monkeypatch, name, power):
     # with a Heisenberg element in R_1, the identity R_1^n = lambda Id absorbs
     # the wrong entry into c; the power R_1^2 must still catch it
-    lax = LaxOperator(build_algebra(name, 0, depth_hint=12), "canonical")
-    real, n = lax.real, lax.real.alg.size
+    ref = PowerRoute(LaxOperator(build_algebra(name, 0, depth_hint=12), "canonical"))
+    real, n = ref.real, ref.real.alg.size
     j = _offset_with_heisenberg_in_r1_only(real, real.exponents[1])
-    right, calls = resolvent.matrix_entry, []
+    right, calls = power_route.matrix_entry, []
 
     def wrong(terms, key):
         # n - 1 calls per offset, for R_1^2, ..., R_1^n
         calls.append(key)
         return right(terms, key) + (1 if len(calls) == (n - 1) * (j - 1) + 1 else 0)
 
-    monkeypatch.setattr(resolvent, "matrix_entry", wrong)
+    monkeypatch.setattr(power_route, "matrix_entry", wrong)
     with pytest.raises(RuntimeError,
                        match=rf"R_1\^2 = {power} fails at principal degree {2 - j}$"):
-        lax.resolvent(2, j + 2)
+        ref.dressing(j + 2)
 
 
 @pytest.mark.parametrize("name, a", [("a1_1", 1), ("a2_1", 1), ("a2_1", 2), ("a2_2", 2)])
@@ -274,6 +307,36 @@ def test_heisenberg_part_in_the_commutator_names_the_resolvent(monkeypatch, name
         lax.resolvent(a, 3)
 
 
+@pytest.mark.parametrize("name, kind, a, d", [
+    ("a1_1", "borel", 1, -1), ("a2_1", "canonical", 1, -4),
+    ("a2_2", "canonical", 1, -5), ("a2_2", "borel", 2, 1)])
+def test_non_exact_heisenberg_projection_names_the_resolvent(name, kind, a, d):
+    # the projection reads a stand-in u_1 q in place of q: its Heisenberg
+    # coefficient is no total derivative
+    real = build_algebra(name, 0, depth_hint=12)
+    lax, stand_in = LaxOperator(real, kind), LaxOperator(real, kind)
+    stand_in._q_slices = sorted(lax.q.scale(DiffPoly.var(1)).pdeg_slices().items(), reverse=True)
+    lax._dual = stand_in._dual
+    m = real.exponents[a - 1]
+    with pytest.raises(RuntimeError, match=rf"^\[L, R_{m}\] = 0: the Heisenberg part at "
+                                           rf"principal degree {d} is no total derivative"):
+        lax.resolvent(a, 8)
+
+
+@pytest.mark.parametrize("name, kind, depth_hint, depth, degree", [
+    ("a1_1", "borel", 10, 15, -12), ("a2_2", "canonical", 22, 34, -28)])
+def test_dressing_below_the_window_raises_window_error(name, kind, depth_hint, depth, degree):
+    real = build_algebra(name, 0, depth_hint=depth_hint)
+    lax = LaxOperator(real, kind)
+    with pytest.raises(WindowError, match=rf"^\[L, R_1\] = 0 at principal degree {degree} "
+                                          "leaves the lambda window " + re.escape(str(real.window)) + "$"):
+        lax.resolvent(1, depth)
+    # the slices solved stay, and a wider window solves the rest
+    assert min(lax._r[1]) == degree
+    wide = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    assert wide.resolvent(1, depth).commutator_residual_slices() == {}
+
+
 def _random_slice(real: LoopRealization, d: int, rng: random.Random) -> LoopElement:
     coeffs: dict = {}
     for k, i in real.slice_basis(d):
@@ -292,7 +355,7 @@ def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, see
     # slice at degrees with no Heisenberg element as well.
     rng = random.Random(seed)
     real = build_algebra(name, 0, depth_hint=14)
-    lax = LaxOperator(real, "canonical")
+    ref = PowerRoute(LaxOperator(real, "canonical"))
     n = real.alg.size
     r = _matrix_forms(real, {1: real.cyclic, **{
         d: _random_slice(real, d, rng) for d in range(first, first - 6, -1)}})
@@ -306,8 +369,8 @@ def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, see
     got = residual[top]
     # the slice is c Lambda^top
     s, k = divmod(top, n)
-    lam_top = {(p + s, a, b): v for (p, a, b), v in lax._lam_powers[k].items() if v}
-    key = next(iter(resolvent._lam_power(lax._lam_powers, top)))
+    lam_top = {(p + s, a, b): v for (p, a, b), v in ref._lam_powers[k].items() if v}
+    key = next(iter(power_route._lam_power(ref._lam_powers, top)))
     assert key in lam_top
     c = got.get(key, DiffPoly.zero()) * (1 / lam_top[key].constant_term())
     assert got == {kk: c * v for kk, v in lam_top.items()}
@@ -316,26 +379,26 @@ def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, see
     assert got[key]
     h = real.heisenberg_at(top - n + 1)
     if h is not None:
-        g = matrix_product([(lax._lam_powers[n - 1], matrix_form(real.alg, h.coeffs))])
+        g = matrix_product([(ref._lam_powers[n - 1], matrix_form(real.alg, h.coeffs))])
         assert _nonzero(g) == lam_top
 
 
 @pytest.mark.parametrize("name, d", [("a1_1", -2), ("a2_1", -3), ("a2_2", -2), ("a2_2", -4)])
 def test_wrong_entry_at_a_degree_without_heisenberg_element_names_it(monkeypatch, name, d):
-    lax = LaxOperator(build_algebra(name, 0, depth_hint=10), "canonical")
-    assert lax.real.heisenberg_at(d) is None
-    right, calls = resolvent.matrix_entry, []
+    ref = PowerRoute(LaxOperator(build_algebra(name, 0, depth_hint=10), "canonical"))
+    assert ref.real.heisenberg_at(d) is None
+    right, calls = power_route.matrix_entry, []
 
     def wrong(terms, key):
         # n - 1 calls per degree d = 0, -1, -2, ..., for R_1^2, ..., R_1^n
         calls.append(key)
         return right(terms, key) + (1 if len(calls) == (n - 1) * (1 - d) else 0)
 
-    n = lax.real.alg.size
-    monkeypatch.setattr(resolvent, "matrix_entry", wrong)
+    n = ref.real.alg.size
+    monkeypatch.setattr(power_route, "matrix_entry", wrong)
     with pytest.raises(RuntimeError,
                        match=rf"R_1\^{n} = lambda Id fails at principal degree {n - 1 + d}$"):
-        lax.resolvent(1, 6)
+        ref.dressing(6)
 
 
 def test_resolvent_defining_residuals(lax):
