@@ -602,7 +602,7 @@ class DiffPoly:
 
     # -- presentation ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: t[0])
+        return [(mono, Fraction(p, q)) for mono, p, q in self.sorted_parts()]
 
     def sorted_parts(self) -> list[tuple[Monomial, int, int]]:
         """The terms as (monomial, p, q), p/q in lowest terms with q > 0, sorted by monomial.
