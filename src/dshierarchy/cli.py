@@ -73,10 +73,8 @@ class RunConfig:
         "flows": None,  # unset: DEFAULT_FLOWS, or every label for verify
         "eps_order": 4,
         "jet_depth": 8,
-        "lambda_window": None,
         "depth": None,
         "t_degree": 2,
-        "gauge": "default",
         "bgw": None,
         "format": "json",
         "max_a": None,
@@ -98,12 +96,6 @@ def _parse_flows(val) -> list:
     return [(int(str(a)), int(str(k))) for a, k in val]  # str: refuse 1.5 and true
 
 
-def _parse_window(val) -> tuple:
-    """'kmin:kmax' (flag or config file), or a list [kmin, kmax] (config file)."""
-    lo, hi = val.split(":") if isinstance(val, str) else val
-    return (int(str(lo)), int(str(hi)))  # str: refuse 1.5 and true
-
-
 def _parse_bgw(val) -> list:
     """'C_1,..,C_ell' (flag or config file), or a list of constants (config file)."""
     items = val.split(",") if isinstance(val, str) else val
@@ -113,9 +105,8 @@ def _parse_bgw(val) -> list:
 # RunConfig key -> (the JSON types of its config-file value, the converter
 # of that value and of its flag's text)
 _OPTIONS = {
-    "type": ((str,), str), "gauge": ((str,), str), "format": ((str,), str),
+    "type": ((str,), str), "format": ((str,), str),
     "flows": ((str, list), _parse_flows),
-    "lambda_window": ((str, list), _parse_window),
     "bgw": ((str, list), _parse_bgw),
     "self_test_corrupt": ((bool,), bool),
     **{key: ((int,), int) for key in ("vertex", "eps_order", "jet_depth", "depth",
@@ -156,9 +147,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, flag)
     if cfg.format not in ("json", "text"):
         raise ConfigError("format must be 'json' or 'text'")
-    if cfg.gauge != "default":
-        raise ConfigError(
-            f"unknown gauge id {cfg.gauge!r}; shipped gauge tables: ['default']")
     for key in ("eps_order", "jet_depth", "t_degree", "max_k", "depth"):
         if (getattr(cfg, key) or 0) < 0:  # depth may be unset
             raise ConfigError(f"{key} (--{key.replace('_', '-')}) must be non-negative")
@@ -171,12 +159,9 @@ def _flows(cfg: RunConfig) -> list:
     return list(DEFAULT_FLOWS) if cfg.flows is None else cfg.flows
 
 
-def _build_hierarchy(cfg: RunConfig, min_depth: int = 0) -> DSHierarchy:
+def _build_hierarchy(cfg: RunConfig) -> DSHierarchy:
     from .hierarchy import DSHierarchy
-    max_flow_k = max([k for (_, k) in _flows(cfg)], default=0)
-    max_flow_k = max(max_flow_k, cfg.max_k)
-    h = DSHierarchy(cfg.type, cfg.vertex, max_flow_k=max_flow_k,
-                    omega_max_k=cfg.max_k, min_depth=min_depth)
+    h = DSHierarchy(cfg.type, cfg.vertex, omega_max_k=cfg.max_k)
     for (a, k) in _flows(cfg):
         if not (1 <= a <= h.real.n):
             raise ConfigError(
@@ -184,13 +169,6 @@ def _build_hierarchy(cfg: RunConfig, min_depth: int = 0) -> DSHierarchy:
     if cfg.max_a is not None and not 1 <= cfg.max_a <= h.real.n:
         raise ConfigError(
             f"max_a (--max-a) {cfg.max_a} out of range 1..{h.real.n} for {h.real.name}")
-    if cfg.lambda_window is not None:
-        need = h.real.window
-        lo, hi = cfg.lambda_window
-        if lo > need[0] or hi < need[1]:
-            raise ConfigError(
-                f"lambda window {cfg.lambda_window} is smaller than the "
-                f"depth calculator requires ({need}) for this configuration")
     if cfg.bgw is not None and len(cfg.bgw) != h.real.ell:
         raise ConfigError(
             f"--bgw needs {h.real.ell} constants for {h.real.name}")
@@ -424,8 +402,7 @@ def _loop_obj(elt) -> list:
 def cmd_resolvent(cfg: RunConfig) -> int:
     from .resolvent import flow_depth
     from .serialize import dumps
-    # the window covers the degrees that --depth reaches
-    h = _build_hierarchy(cfg, min_depth=(cfg.depth or 0) + 2)
+    h = _build_hierarchy(cfg)
     real = h.real
     a = cfg.exponent
     if not (1 <= a <= real.n):
@@ -564,11 +541,8 @@ def _add_common(p: argparse.ArgumentParser):
     _add_flag(p, "flows", help="comma list a:k, e.g. 1:0,1:1")
     _add_flag(p, "eps_order")
     _add_flag(p, "jet_depth")
-    _add_flag(p, "lambda_window",
-              help="kmin:kmax override (validated against the depth calculator)")
     _add_flag(p, "depth", help="principal depth")
     _add_flag(p, "t_degree")
-    _add_flag(p, "gauge", help="gauge table id (default 'default')")
     _add_flag(p, "bgw", help="comma list of initial-data constants C_1,..,C_ell")
     _add_flag(p, "format", choices=["json", "text"])
     _add_flag(p, "max_a")

@@ -41,12 +41,11 @@ from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
 from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism, \
     canonical_form
-from .kacmoody import LoopElement, LoopRealization, TableShape, \
-    build_algebra, default_window_for_depth, load_table
+from .kacmoody import LoopElement, LoopRealization, build_algebra
 from .linalg import InconsistentSystemError
 from .miura import MiuraTuple, check_miura, invert_miura, \
     reconstruct_flows
-from .resolvent import DepthError, LaxOperator, flow_depth, omega_depth
+from .resolvent import DepthError, LaxOperator, flow_depth
 
 FlowLabel = tuple[int, int]
 
@@ -149,26 +148,18 @@ class DSHierarchy:
     """A Drinfeld-Sokolov hierarchy for one affine type and marked vertex.
 
     Builds the loop realization, the canonical-form Lax operator that flows
-    and tau-structure tables are computed from (on demand, with depths sized
-    from the requested index bounds, or ``min_depth`` if deeper), and the
-    Borel-variable operator with its canonical gauge data, which the
-    gauge-invariance check uses.
+    and tau-structure tables are computed from (on demand, each resolvent
+    solved to the depth its reader needs), and the Borel-variable operator
+    with its canonical gauge data, which the gauge-invariance check uses.
+    ``omega_max_k`` is the default ``max_k`` of ``omega_table``.
     """
 
     def __init__(self, type_name: str, vertex: int = 0,
-                 max_flow_k: int = 2, omega_max_k: int = 2, min_depth: int = 0):
-        shape = TableShape(load_table(type_name))
-        n = len(shape.exponents)
-        depth = max(4, min_depth)
-        for a in range(1, n + 1):
-            depth = max(depth, flow_depth(shape, a, max_flow_k) + 2)
-        depth = max(depth, omega_depth(shape, n, omega_max_k) + 2)
-        headroom = max_flow_k * shape.twist_order + 2
-        window = default_window_for_depth(shape, depth, k_headroom=headroom)
-        self.real = build_algebra(type_name, vertex, window=window)
-        self.max_flow_k = max_flow_k
+                 max_flow_k: int = 2, omega_max_k: int = 2):
+        # max_flow_k sizes nothing: every flow solves its resolvent to its own
+        # depth.  It is still accepted, as callers pass it.
+        self.real = build_algebra(type_name, vertex)
         self.omega_max_k = omega_max_k
-        self.plan_depth = depth
         self.lax_q = LaxOperator(self.real, "borel")
         self.lax_u = LaxOperator(self.real, "canonical")
         self.frame = GaugeFrame(self.real)
@@ -219,8 +210,6 @@ class DSHierarchy:
         theta = self.frame.v_valued(residual)
         psi = residual(theta)
         where = f"flow {label}: [X + theta, L_can] - d(X + theta)"
-        if psi.truncated:
-            raise RuntimeError(f"{where} left the lambda window")
         if any(p != 0 for p in psi.lambda_powers()):
             raise RuntimeError(
                 f"{where} has lambda powers {psi.lambda_powers()}, not only 0")

@@ -12,9 +12,10 @@ constants and form values are stored as ``int``, so the load runs in integer
 arithmetic, and the Lie algebra identities are checked on every basis triple
 through the sparse rows of the structure-constant table.
 
-Loop elements are Laurent windows in the spectral parameter lambda with
+Loop elements are Laurent polynomials in the spectral parameter lambda with
 differential-polynomial coefficients; the coefficient of lambda^k must lie in
-the twist eigenspace of class k mod N.  The principal degree of
+the twist eigenspace of class k mod N.  They are finite, so every bracket,
+shift and principal-degree slice is exact.  The principal degree of
 ``x * lambda^k`` is ``pdeg(x) + k * (r h / N)``.
 """
 
@@ -36,10 +37,6 @@ class UnsupportedTypeError(ValueError):
     pass
 
 
-class WindowError(ValueError):
-    """A lambda window is too small for the requested operation."""
-
-
 def load_table(type_name: str) -> dict:
     key = type_name.strip().lower().replace("^", "").replace("(", "").replace(")", "")
     key = key.replace("-", "_").replace(" ", "")
@@ -56,25 +53,6 @@ def load_table(type_name: str) -> dict:
             return data
     raise UnsupportedTypeError(
         f"unsupported algebra type {type_name!r}; supported: {supported_types()}")
-
-
-class TableShape:
-    """The fields of a type table that size depths and lambda windows.
-
-    None of them depends on the window, so a depth can be planned before a
-    realization is built.  ``LoopRealization`` carries the same attributes,
-    so ``default_window_for_depth``, ``flow_depth`` and ``omega_depth`` take
-    either.
-    """
-
-    def __init__(self, data: dict):
-        self.exponents = tuple(data["exponents"])
-        self.pdeg = tuple(int(b["pdeg"]) for b in data["basis"])
-        self.twist_order = data["twist_order"]
-        self.deg_lambda = (data["r"] * data["coxeter"]) // data["twist_order"]
-        # top lambda power of Lambda_m, by m
-        self.heisenberg_top = {int(item["exponent"]): max(int(k) for k in item["element"])
-                               for item in data["heisenberg"]}
 
 
 def _exact_matrix(rows) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -225,17 +203,15 @@ def _poly_coeffs(mapping: Mapping[str, str], alg: SimpleLieAlgebra) -> tuple:
 
 
 class LoopElement:
-    """Element of the twisted loop algebra over a lambda window.
+    """Element of the twisted loop algebra: a Laurent polynomial in lambda.
 
     ``coeffs`` maps a lambda power to a coefficient vector over the algebra
-    basis with DiffPoly entries.  ``truncated`` records that some bracket or
-    shift pushed content outside the window (the stored part is exact).
+    basis with DiffPoly entries; powers with a zero vector are not stored.
     """
 
-    __slots__ = ("real", "coeffs", "truncated")
+    __slots__ = ("real", "coeffs")
 
-    def __init__(self, real: "LoopRealization", coeffs: Mapping[int, Sequence[DiffPoly]],
-                 truncated: bool = False):
+    def __init__(self, real: "LoopRealization", coeffs: Mapping[int, Sequence[DiffPoly]]):
         self.real = real
         clean: dict[int, tuple[DiffPoly, ...]] = {}
         for k, vec in coeffs.items():
@@ -243,7 +219,6 @@ class LoopElement:
             if any(vec):
                 clean[k] = vec
         self.coeffs = clean
-        self.truncated = truncated
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -283,18 +258,16 @@ class LoopElement:
                 out[k] = [a + b for a, b in zip(out[k], vec)]
             else:
                 out[k] = list(vec)
-        return LoopElement(self.real, out, self.truncated or other.truncated)
+        return LoopElement(self.real, out)
 
     def __neg__(self) -> "LoopElement":
-        return LoopElement(self.real, {k: [-c for c in v] for k, v in self.coeffs.items()},
-                           self.truncated)
+        return LoopElement(self.real, {k: [-c for c in v] for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "LoopElement") -> "LoopElement":
         return self + (-other)
 
     def scale(self, c) -> "LoopElement":
-        return LoopElement(self.real, {k: [x * c for x in v] for k, v in self.coeffs.items()},
-                           self.truncated)
+        return LoopElement(self.real, {k: [x * c for x in v] for k, v in self.coeffs.items()})
 
     def _same(self, other: "LoopElement"):
         if other.real is not self.real:
@@ -304,23 +277,18 @@ class LoopElement:
     def bracket(self, other: "LoopElement") -> "LoopElement":
         self._same(other)
         real = self.real
-        kmin, kmax = real.window
         out: dict[int, list[DiffPoly]] = {}
-        clipped = self.truncated or other.truncated
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
                 br = real.alg.bracket_vec(v1, v2)
                 if not any(br):
                     continue
-                if k < kmin or k > kmax:
-                    clipped = True
-                    continue
                 if k in out:
                     out[k] = [a + b for a, b in zip(out[k], br)]
                 else:
                     out[k] = list(br)
-        return LoopElement(real, out, clipped)
+        return LoopElement(real, out)
 
     def pair(self, other: "LoopElement") -> dict[int, DiffPoly]:
         """Invariant bilinear form; a Laurent polynomial in lambda."""
@@ -333,9 +301,7 @@ class LoopElement:
         return {k: v for k, v in out.items() if v}
 
     def dx(self) -> "LoopElement":
-        return LoopElement(self.real,
-                           {k: [c.dx() for c in v] for k, v in self.coeffs.items()},
-                           self.truncated)
+        return LoopElement(self.real, {k: [c.dx() for c in v] for k, v in self.coeffs.items()})
 
     def lambda_shift(self, j: int) -> "LoopElement":
         """Multiply by lambda^j; j must be divisible by the twist order."""
@@ -343,16 +309,7 @@ class LoopElement:
         if j % real.twist_order:
             raise ValueError(
                 f"lambda shift by {j} breaks the twist (order {real.twist_order})")
-        kmin, kmax = real.window
-        out = {}
-        clipped = self.truncated
-        for k, v in self.coeffs.items():
-            kk = k + j
-            if kk < kmin or kk > kmax:
-                clipped = True
-                continue
-            out[kk] = v
-        return LoopElement(real, out, clipped)
+        return LoopElement(real, {k + j: v for k, v in self.coeffs.items()})
 
     # -- principal grading --------------------------------------------------
     def pdeg_slices(self) -> dict[int, "LoopElement"]:
@@ -366,7 +323,7 @@ class LoopElement:
                 d = base + real.pdeg[i]
                 slot = out.setdefault(d, {}).setdefault(k, [_ZERO_P] * real.alg.dim)
                 slot[i] = c
-        return {d: LoopElement(real, m, self.truncated) for d, m in out.items()}
+        return {d: LoopElement(real, m) for d, m in out.items()}
 
     def pdeg_slice(self, d: int) -> "LoopElement":
         real = self.real
@@ -376,7 +333,7 @@ class LoopElement:
             for i, c in enumerate(vec):
                 if not c.is_zero() and base + real.pdeg[i] == d:
                     out.setdefault(k, [_ZERO_P] * real.alg.dim)[i] = c
-        return LoopElement(real, out, self.truncated)
+        return LoopElement(real, out)
 
     def principal_degree(self):
         """Common principal degree, or the frozenset of degrees when mixed."""
@@ -428,7 +385,7 @@ class _SliceSplitter:
         cols: list[list[Fraction]] = []
         self.n_h = 0
         if self.h_elt is not None:
-            cols.append(self._coords_of(self.h_elt))
+            cols.append([c.constant_term() for c in self.coords(self.h_elt)])
             self.n_h = 1
         # ad Lambda images of the previous slice basis, from the sparse
         # structure constants [x_a, x_i] of the Lambda terms c lambda^lk x_a.
@@ -440,32 +397,13 @@ class _SliceSplitter:
                 for t, b in real.alg.bracket_table.get((a, i), ()):
                     img[(lk + k, t)] = img.get((lk + k, t), 0) + c * b
             col = [Fraction(0)] * len(self.basis_d)
-            for (kk, t), c in img.items():
+            for key, c in img.items():
                 if c:
-                    pos = self.index_d.get((kk, t))
-                    if pos is None:
-                        raise WindowError(
-                            f"window too small to split degree {d}: "
-                            f"lambda^{kk} falls outside {real.window}")
-                    col[pos] = c
+                    col[self.index_d[key]] = c
             cols.append(col)
         rows = [[col[r] for col in cols] for r in range(len(self.basis_d))] \
             if cols else [[] for _ in range(len(self.basis_d))]
-        self.solver = LinearSolver(rows) if self.basis_d else None
-
-    def _coords_of(self, elt: LoopElement) -> list[Fraction]:
-        col = [Fraction(0)] * len(self.basis_d)
-        for k, vec in elt.coeffs.items():
-            for i, c in enumerate(vec):
-                if c.is_zero():
-                    continue
-                if not c.is_constant():
-                    raise ValueError("splitter columns need constant coefficients")
-                pos = self.index_d.get((k, i))
-                if pos is None:
-                    raise WindowError(f"window too small at degree {self.d}")
-                col[pos] = c.constant_term()
-        return col
+        self.solver = LinearSolver(rows)
 
     def coords(self, elt: LoopElement) -> list[DiffPoly]:
         col = [_ZERO_P] * len(self.basis_d)
@@ -474,8 +412,8 @@ class _SliceSplitter:
                 if not c.is_zero():
                     pos = self.index_d.get((k, i))
                     if pos is None:
-                        raise WindowError(
-                            f"element sticks out of slice basis at degree {self.d}")
+                        raise ValueError(f"lambda^{k} {self.real.alg.labels[i]} is not of "
+                                         f"principal degree {self.d}")
                     col[pos] = c
         return col
 
@@ -486,16 +424,15 @@ class _SliceSplitter:
         component is NOT removed here; callers canonicalize when required).
         """
         real = self.real
-        if not self.basis_d:
-            if not elt.is_zero():
-                raise WindowError(f"no slice basis at degree {self.d} in window")
-            return _ZERO_P, LoopElement.zero(real), LoopElement.zero(real)
         rhs = self.coords(elt)
+        if not any(rhs):
+            return _ZERO_P, LoopElement.zero(real), LoopElement.zero(real)
         try:
             sol = self.solver.solve(rhs, zero=_ZERO_P)
         except InconsistentSystemError as exc:
-            raise WindowError(
-                f"window too small to solve the degree-{self.d} slice") from exc
+            # the slice basis is complete, so H and im ad Lambda span it
+            raise RuntimeError(f"the slice of principal degree {self.d} is not in "
+                               f"H + im ad Lambda") from exc
         h_coeff = sol[0] if self.n_h else _ZERO_P
         y_map: dict[int, list[DiffPoly]] = {}
         for pos, (k, i) in enumerate(self.basis_prev):
@@ -513,7 +450,7 @@ class _SliceSplitter:
 class LoopRealization:
     """Validated loop realization of an affine type at a marked vertex."""
 
-    def __init__(self, data: dict, window: tuple[int, int]):
+    def __init__(self, data: dict):
         self.name = data["name"]
         self.vertex = data["vertex"]
         self.r = data["r"]
@@ -526,9 +463,6 @@ class LoopRealization:
         if (self.r * self.h) % self.twist_order:
             raise ValueError("r*h must be divisible by the twist order")
         self.deg_lambda = (self.r * self.h) // self.twist_order
-        self.window = (int(window[0]), int(window[1]))
-        if self.window[0] > 0 or self.window[1] < 1:
-            raise ValueError("window must contain lambda powers 0 and 1")
 
         labels = [b["label"] for b in data["basis"]]
         self.alg = SimpleLieAlgebra(self.name, [b["matrix"] for b in data["basis"]], labels)
@@ -579,28 +513,17 @@ class LoopRealization:
         return LoopElement(self, out)
 
     def slice_basis(self, d: int) -> list[tuple[int, int]]:
+        """The basis elements x_i lambda^k of principal degree d, as sorted (k, i)."""
         got = self._slice_cache.get(d)
         if got is None:
-            kmin, kmax = self.window
+            n = self.twist_order
             got = []
-            for k in range(kmin, kmax + 1):
-                base = k * self.deg_lambda
-                for i in range(self.alg.dim):
-                    if self.pdeg[i] + base == d and \
-                            self.twist_class[i] % self.twist_order == k % self.twist_order:
-                        got.append((k, i))
-            self._slice_cache[d] = got
+            for i, p in enumerate(self.pdeg):
+                k, rem = divmod(d - p, self.deg_lambda)
+                if not rem and self.twist_class[i] % n == k % n:
+                    got.append((k, i))
+            got = self._slice_cache[d] = sorted(got)
         return got
-
-    def window_covers(self, d: int) -> bool:
-        """Whether the window holds every basis element x_i lambda^k of principal degree d."""
-        kmin, kmax = self.window
-        n = self.twist_order
-        for i, p in enumerate(self.pdeg):
-            k, rem = divmod(d - p, self.deg_lambda)
-            if not rem and self.twist_class[i] % n == k % n and not kmin <= k <= kmax:
-                return False
-        return True
 
     def heisenberg_at(self, d: int) -> LoopElement | None:
         """The basis element of the Heisenberg subalgebra at principal degree d."""
@@ -617,8 +540,6 @@ class LoopRealization:
         elt = self.heisenberg_at(degree)
         if elt is None:
             raise ValueError(f"{degree} is not an exponent of {self.name}")
-        if elt.truncated:
-            raise WindowError(f"Heisenberg element at degree {degree} exceeds window")
         return elt
 
     def splitter(self, d: int) -> _SliceSplitter:
@@ -784,18 +705,7 @@ class LoopRealization:
                 raise ValueError("gauge subspace basis must be homogeneous of negative degree")
 
 
-def default_window_for_depth(shape: TableShape | LoopRealization, depth: int,
-                             k_headroom: int = 2) -> tuple[int, int]:
-    """Window covering all principal degrees in [-depth, max exponent + 1]."""
-    max_pdeg = max(shape.pdeg)
-    kmin = -((depth + max_pdeg) // shape.deg_lambda + 1)
-    kmax = (max(shape.exponents) + max_pdeg) // shape.deg_lambda + 1 + k_headroom
-    return (kmin, kmax)
-
-
-def build_algebra(type_name: str, vertex: int = 0,
-                  window: tuple[int, int] | None = None,
-                  depth_hint: int = 12) -> LoopRealization:
+def build_algebra(type_name: str, vertex: int = 0) -> LoopRealization:
     """Load, build and validate the loop realization of an affine type.
 
     Only the marked vertex stored in the type table (the special vertex,
@@ -809,6 +719,4 @@ def build_algebra(type_name: str, vertex: int = 0,
     if vertex != data["vertex"]:
         raise UnsupportedTypeError(
             f"no table shipped for vertex {vertex} of {data['name']}")
-    if window is None:
-        window = default_window_for_depth(TableShape(data), depth_hint)
-    return LoopRealization(data, window)
+    return LoopRealization(data)

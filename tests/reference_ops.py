@@ -58,19 +58,16 @@ def pi_multi(laurent: Mapping[tuple, object], twist_order: int,
 
 
 def map_coeffs(x: LoopElement, fn) -> LoopElement:
-    return LoopElement(x.real, {k: [fn(c) for c in v] for k, v in x.coeffs.items()},
-                       x.truncated)
+    return LoopElement(x.real, {k: [fn(c) for c in v] for k, v in x.coeffs.items()})
 
 
 def project_plus(x: LoopElement) -> LoopElement:
     """Keep lambda powers >= 0 (standard gradation projection)."""
-    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k >= 0},
-                       x.truncated)
+    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k >= 0})
 
 
 def project_minus(x: LoopElement) -> LoopElement:
-    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k < 0},
-                       x.truncated)
+    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k < 0})
 
 
 def heisenberg_split(real: LoopRealization,
@@ -95,6 +92,24 @@ def coefficient(r: Resolvent, k: int) -> tuple[DiffPoly, ...]:
         if vec:
             out = [a + b for a, b in zip(out, vec)]
     return tuple(out)
+
+
+def omega_depth(real: LoopRealization, max_a: int, max_k: int) -> int:
+    """Depth making complete every lambda vector an (a,k1;b,k2) pairing reads."""
+    maxp = max(real.pdeg)
+    need = 0
+    n_tw = real.twist_order
+    for a in range(1, max_a + 1):
+        m_a = real.exponents[a - 1]
+        pmax = real.heisenberg_top[m_a]
+        for b in range(1, max_a + 1):
+            m_b = real.exponents[b - 1]
+            q_min = -pmax - 2 * max_k * n_tw
+            need = max(need, m_b - (q_min * real.deg_lambda - maxp))
+            p_min = 1 - max_k * n_tw
+            if p_min < 0:
+                need = max(need, m_a - (p_min * real.deg_lambda - maxp))
+    return need
 
 
 # -- gauge ---------------------------------------------------------------------

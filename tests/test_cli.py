@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,8 +96,8 @@ def test_verify_corrupts_a_copy_of_the_cached_table(capsys, monkeypatch):
 
 
 COMMON_FLAGS = {"--config", "--type", "--vertex", "--flows", "--eps-order",
-                "--jet-depth", "--lambda-window", "--depth", "--t-degree", "--gauge",
-                "--bgw", "--format", "--max-a", "--max-k"}
+                "--jet-depth", "--depth", "--t-degree", "--bgw", "--format", "--max-a",
+                "--max-k"}
 EXTRA_FLAGS = {"derive": set(), "omega": set(), "verify": {"--self-test-corrupt"},
                "solve": set(), "resolvent": {"--exponent"}, "gauge-fix": set(),
                "discrete": {"--samples", "--seed"}}
@@ -120,7 +121,7 @@ def _subcommand_parsers(monkeypatch) -> dict:
 def test_each_subcommand_has_exactly_its_options(monkeypatch):
     parsers = _subcommand_parsers(monkeypatch)
     assert list(parsers) == list(EXTRA_FLAGS)
-    assert len(COMMON_FLAGS) == 14
+    assert len(COMMON_FLAGS) == 12
     for name, p in parsers.items():
         got = {s for a in p._actions for s in a.option_strings}
         assert got == {"-h", "--help"} | COMMON_FLAGS | EXTRA_FLAGS[name], name
@@ -133,14 +134,22 @@ def test_fresh_config_has_every_option_at_its_default():
     cfg = cli.RunConfig()
     assert vars(cfg) == {
         "type": "a1_1", "vertex": 0, "flows": None, "eps_order": 4,
-        "jet_depth": 8, "lambda_window": None, "depth": None, "t_degree": 2,
-        "gauge": "default", "bgw": None, "format": "json", "max_a": None,
-        "max_k": 1, "exponent": 1, "samples": 100, "seed": 7,
-        "self_test_corrupt": False}
-    assert set(vars(cfg)) == set(cli._OPTIONS)
+        "jet_depth": 8, "depth": None, "t_degree": 2, "bgw": None,
+        "format": "json", "max_a": None, "max_k": 1, "exponent": 1,
+        "samples": 100, "seed": 7, "self_test_corrupt": False}
     # each config owns its values: setting one leaves the next fresh one alone
     cfg.max_k = 5
     assert cli.RunConfig().max_k == 1
+
+
+def test_every_option_reaches_the_program():
+    # an option that is parsed and never read (as a flag checked and then
+    # dropped) fails here: each key must be read as cfg.<key> in the CLI
+    assert set(cli.RunConfig.DEFAULTS) == set(cli._OPTIONS)
+    source = Path(cli.__file__).read_text()
+    unread = [key for key in cli.RunConfig.DEFAULTS
+              if not re.search(rf"\bcfg\.{key}\b", source)]
+    assert unread == []
 
 
 ROOT = Path(__file__).parents[1]
@@ -251,11 +260,6 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 def test_config_errors(capsys, tmp_path):
     code, _, err = run(capsys, "derive", "--type", "nosuch")
     assert code == 2 and "unsupported" in err
-    code, _, err = run(capsys, "derive", "--type", "a1_1", "--gauge", "weird")
-    assert code == 2 and "gauge" in err
-    code, _, err = run(capsys, "derive", "--type", "a1_1",
-                       "--lambda-window=-2:2", "--flows", "1:2")
-    assert code == 2 and "window" in err
     code, _, err = run(capsys, "derive", "--type", "a1_1", "--flows", "3:0")
     assert code == 2 and "out of range" in err
     cfgfile = tmp_path / "bad.json"
@@ -268,7 +272,7 @@ def test_config_errors(capsys, tmp_path):
     code, _, err = run(capsys, "omega", "--type", "a1_1", "--max-k", "-1")
     assert code == 2 and "--max-k" in err
     for bad in ({"max_k": "1"}, {"max_k": True}, {"flows": [[1]]},
-                {"flows": [[1.5, 0]]}, {"lambda_window": [-2, True]}):
+                {"flows": [[1.5, 0]]}, {"bgw": [1, True]}):
         cfgfile.write_text(json.dumps(bad))
         code, _, err = run(capsys, "derive", "--config", str(cfgfile))
         key = next(iter(bad))
@@ -311,8 +315,8 @@ def test_json_only_subcommands_reject_text_format(capsys, tmp_path):
 def test_config_file_list_and_string_forms(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
     outs = []
-    for values in ({"flows": "1:0,1:1", "bgw": "1", "lambda_window": "-9:9"},
-                   {"flows": [[1, 0], [1, 1]], "bgw": [1], "lambda_window": [-9, 9]}):
+    for values in ({"flows": "1:0,1:1", "bgw": "1"},
+                   {"flows": [[1, 0], [1, 1]], "bgw": [1]}):
         cfgfile.write_text(json.dumps({"type": "a1_1", "t_degree": 1,
                                        "eps_order": 1, **values}))
         code, out, _ = run(capsys, "solve", "--config", str(cfgfile))
@@ -339,20 +343,13 @@ def test_resolvent_subcommand(capsys):
     assert all(c["residual_zero"] for c in payload["checks"])
 
 
-def test_resolvent_window_is_sized_for_depth(capsys, monkeypatch):
-    # below the window sized for the flows, a1_1 at depth 15 used to fail
-    # with a false engine error; the window now covers --depth
+def test_resolvent_reaches_any_depth(capsys):
+    # loop elements are finite, so --depth needs nothing sized for it
     code, out, _ = run(capsys, "resolvent", "--type", "a1_1", "--depth", "15")
     payload = json.loads(out)
     assert code == 0 and payload["depth"] == 15
     assert [s["degree"] for s in payload["slices"]] == list(range(1, -15, -1))
     assert [c["residual_zero"] for c in payload["checks"]] == [True, True]
-    # with the flows' window the dressing stops at its edge: exit 2, named
-    build = cli._build_hierarchy
-    monkeypatch.setattr(cli, "_build_hierarchy", lambda cfg, min_depth=0: build(cfg))
-    code, out, err = run(capsys, "resolvent", "--type", "a1_1", "--depth", "15")
-    assert code == 2 and out == ""
-    assert err == "error: [L, R_1] = 0 at principal degree -12 leaves the lambda window (-6, 5)\n"
 
 
 def test_stdout_digests_of_the_quick_commands():

@@ -18,7 +18,7 @@ q1, q2 = DiffPoly.var(1), DiffPoly.var(2)
 
 @pytest.fixture(scope="module")
 def ctx():
-    real = build_algebra("a1_1", 0, depth_hint=10)
+    real = build_algebra("a1_1")
     lax = LaxOperator(real, "borel")
     frame = GaugeFrame(real)
     return real, lax, frame

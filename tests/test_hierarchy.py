@@ -13,8 +13,8 @@ from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
 from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
 from dshierarchy.miura import invert_miura, MiuraTuple, reconstruct_flows
 from dshierarchy.render import default_names, render_series
-from dshierarchy.resolvent import DepthError, Resolvent, flow_depth, omega_depth
-from reference_ops import coefficient, induce_derivation, map_coeffs, pi_multi
+from dshierarchy.resolvent import DepthError, Resolvent, flow_depth
+from reference_ops import coefficient, induce_derivation, map_coeffs, omega_depth, pi_multi
 
 u = DiffPoly.var
 

@@ -15,17 +15,17 @@ from reference_ops import (heisenberg_split, pi_lambda, pi_multi, project_minus,
 
 @pytest.fixture(scope="module")
 def a1():
-    return build_algebra("a1_1", 0, depth_hint=10)
+    return build_algebra("a1_1")
 
 
 @pytest.fixture(scope="module")
 def a2():
-    return build_algebra("a2_1", 0, depth_hint=10)
+    return build_algebra("a2_1")
 
 
 @pytest.fixture(scope="module")
 def tw():
-    return build_algebra("a2_2", 0, depth_hint=14)
+    return build_algebra("a2_2")
 
 
 def test_supported_and_errors():

@@ -1,6 +1,5 @@
 import json
 import random
-import re
 from fractions import Fraction
 from importlib import resources
 
@@ -16,13 +15,13 @@ from power_route import PowerRoute
 from reference_ops import coefficient, map_coeffs, project_plus
 from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.kacmoody import LoopElement, LoopRealization, WindowError, build_algebra
+from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
 from dshierarchy.resolvent import DepthError, LaxOperator, flow_depth
 
 
 @pytest.fixture(scope="module")
 def lax():
-    return LaxOperator(build_algebra("a1_1", 0, depth_hint=10), "borel")
+    return LaxOperator(build_algebra("a1_1"), "borel")
 
 
 def _at_q_zero(elt: LoopElement) -> LoopElement:
@@ -82,8 +81,8 @@ def test_dressing_unique_under_basis_permutation():
     raw = _table("a1_1")
     perm = dict(raw)
     perm["basis"] = [raw["basis"][i] for i in (2, 0, 1)]
-    real_a = LoopRealization(raw, (-6, 3))
-    real_b = LoopRealization(perm, (-6, 3))
+    real_a = LoopRealization(raw)
+    real_b = LoopRealization(perm)
     ua = Dressing(LaxOperator(real_a, "borel"), 4)
     ub = Dressing(LaxOperator(real_b, "borel"), 4)
     for d in range(-1, -5, -1):
@@ -94,8 +93,8 @@ def test_resolvents_unique_under_basis_permutation():
     raw = _table("a2_2")
     perm = dict(raw)
     perm["basis"] = [raw["basis"][i] for i in (5, 2, 7, 0, 3, 1, 6, 4)]
-    real_a = LoopRealization(raw, (-5, 4))
-    real_b = LoopRealization(perm, (-5, 4))
+    real_a = LoopRealization(raw)
+    real_b = LoopRealization(perm)
     lax_a, lax_b = LaxOperator(real_a, "borel"), LaxOperator(real_b, "borel")
     for a in (1, 2):
         ra, rb = lax_a.resolvent(a, 8), lax_b.resolvent(a, 8)
@@ -111,7 +110,7 @@ def test_resolvents_unique_under_basis_permutation():
 @pytest.mark.parametrize("kind", ["canonical", "borel"])
 def test_resolvents_match_dressing_route(name, depths, kind):
     depth = depths[kind]
-    real = build_algebra(name, 0, depth_hint=depth + 4)
+    real = build_algebra(name)
     lax = LaxOperator(real, kind)
     for a in range(1, real.n + 1):
         r = lax.resolvent(a, depth)
@@ -129,7 +128,7 @@ def test_slices_equal_the_power_route(name, depths, kind):
     # the program fixes each Heisenberg part by d^{-1}; the reference by one
     # entry of a power of R_1 per degree
     depth = depths[kind]
-    lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    lax = LaxOperator(build_algebra(name), kind)
     lax.dressing(depth)
     ref = PowerRoute(lax)
     ref.dressing(depth)
@@ -149,7 +148,7 @@ def test_mutated_cyclic_element_fails_at_load():
     raw = _table("a1_1")
     raw["cyclic_lambda_part"] = {"f": "2"}
     with pytest.raises(ValueError, match="Lambda_1 must equal the cyclic element"):
-        LoopRealization(raw, (-6, 3))
+        LoopRealization(raw)
     with pytest.raises(ValueError, match=r"Lambda\^2 != lambda Id"):
         check_table(raw)
 
@@ -165,7 +164,7 @@ def test_mutated_exponents_fail_at_load(name, exponents, k, found):
     raw = _table(name)
     raw["exponents"] = exponents
     with pytest.raises(ValueError, match="exponents"):
-        LoopRealization(raw, (-6, 6))
+        LoopRealization(raw)
     with pytest.raises(ValueError, match=rf"R_1\^{k} needs exactly one exponent "
                                          rf"that is {k} mod 3, found {found}"):
         check_table(raw)
@@ -175,7 +174,7 @@ def test_wrong_heisenberg_coefficient_names_the_degree(monkeypatch):
     right = power_route._heisenberg_coefficient
     monkeypatch.setattr(power_route, "_heisenberg_coefficient",
                         lambda entry, v, n: right(entry, v, n) + 1)
-    ref = PowerRoute(LaxOperator(build_algebra("a2_1", 0, depth_hint=8), "canonical"))
+    ref = PowerRoute(LaxOperator(build_algebra("a2_1"), "canonical"))
     # the first Heisenberg part of R_1 is at degree -1, checked in R_1^3 at 1
     with pytest.raises(RuntimeError, match=r"R_1\^3 = lambda Id fails at principal degree 1"):
         ref.dressing(4)
@@ -223,7 +222,7 @@ def _matrix_forms(real: LoopRealization, r: dict) -> dict:
 def test_full_power_identity_holds_at_every_degree(name, depth, kind):
     # the program forms no power of R_1; here every slice of R_1^n is
     # rebuilt through the computed depth
-    lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    lax = LaxOperator(build_algebra(name), kind)
     lax.dressing(depth)
     real, n = lax.real, lax.real.alg.size
     assert min(lax._r[1]) == 1 - depth
@@ -245,7 +244,7 @@ def test_power_slices_are_the_resolvents(name, depths, kind):
     # the program solves each R_a alone; here every slice of R_1^k,
     # 1 < k < n, is rebuilt by convolution and is lambda^{-s} R_a, m_a = s n + k
     depth = depths[kind]
-    lax = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
+    lax = LaxOperator(build_algebra(name), kind)
     lax.dressing(depth)
     real, n = lax.real, lax.real.alg.size
     power = _powers(n, _matrix_forms(real, lax._r[1]))
@@ -273,7 +272,7 @@ def test_wrong_entry_at_a_power_slice_without_heisenberg_element_names_it(
         monkeypatch, name, power):
     # with a Heisenberg element in R_1, the identity R_1^n = lambda Id absorbs
     # the wrong entry into c; the power R_1^2 must still catch it
-    ref = PowerRoute(LaxOperator(build_algebra(name, 0, depth_hint=12), "canonical"))
+    ref = PowerRoute(LaxOperator(build_algebra(name), "canonical"))
     real, n = ref.real, ref.real.alg.size
     j = _offset_with_heisenberg_in_r1_only(real, real.exponents[1])
     right, calls = power_route.matrix_entry, []
@@ -292,7 +291,7 @@ def test_wrong_entry_at_a_power_slice_without_heisenberg_element_names_it(
 @pytest.mark.parametrize("name, a", [("a1_1", 1), ("a2_1", 1), ("a2_1", 2), ("a2_2", 2)])
 def test_heisenberg_part_in_the_commutator_names_the_resolvent(monkeypatch, name, a):
     # a right-hand side of [L, R_a] = 0 with a Heisenberg part cannot be solved
-    real = build_algebra(name, 0, depth_hint=10)
+    real = build_algebra(name)
     lax = LaxOperator(real, "canonical")
     m = real.exponents[a - 1]
     split = real.split_with_preimage
@@ -313,7 +312,7 @@ def test_heisenberg_part_in_the_commutator_names_the_resolvent(monkeypatch, name
 def test_non_exact_heisenberg_projection_names_the_resolvent(name, kind, a, d):
     # the projection reads a stand-in u_1 q in place of q: its Heisenberg
     # coefficient is no total derivative
-    real = build_algebra(name, 0, depth_hint=12)
+    real = build_algebra(name)
     lax, stand_in = LaxOperator(real, kind), LaxOperator(real, kind)
     stand_in._q_slices = sorted(lax.q.scale(DiffPoly.var(1)).pdeg_slices().items(), reverse=True)
     lax._dual = stand_in._dual
@@ -321,20 +320,6 @@ def test_non_exact_heisenberg_projection_names_the_resolvent(name, kind, a, d):
     with pytest.raises(RuntimeError, match=rf"^\[L, R_{m}\] = 0: the Heisenberg part at "
                                            rf"principal degree {d} is no total derivative"):
         lax.resolvent(a, 8)
-
-
-@pytest.mark.parametrize("name, kind, depth_hint, depth, degree", [
-    ("a1_1", "borel", 10, 15, -12), ("a2_2", "canonical", 22, 34, -28)])
-def test_dressing_below_the_window_raises_window_error(name, kind, depth_hint, depth, degree):
-    real = build_algebra(name, 0, depth_hint=depth_hint)
-    lax = LaxOperator(real, kind)
-    with pytest.raises(WindowError, match=rf"^\[L, R_1\] = 0 at principal degree {degree} "
-                                          "leaves the lambda window " + re.escape(str(real.window)) + "$"):
-        lax.resolvent(1, depth)
-    # the slices solved stay, and a wider window solves the rest
-    assert min(lax._r[1]) == degree
-    wide = LaxOperator(build_algebra(name, 0, depth_hint=depth + 4), kind)
-    assert wide.resolvent(1, depth).commutator_residual_slices() == {}
 
 
 def _random_slice(real: LoopRealization, d: int, rng: random.Random) -> LoopElement:
@@ -346,6 +331,41 @@ def _random_slice(real: LoopRealization, d: int, rng: random.Random) -> LoopElem
 
 
 @pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_slice_basis_and_split_at_every_degree(name):
+    # loop elements are finite: every degree has its whole slice basis, and
+    # every slice splits as h_part + [Lambda, y] with y one degree lower
+    real = build_algebra(name)
+    rng = random.Random(17)
+    n = real.twist_order
+    for d in range(-80, 13):
+        brute = [(k, i) for k in range(-100, 100) for i in range(real.alg.dim)
+                 if k * real.deg_lambda + real.pdeg[i] == d
+                 and real.twist_class[i] % n == k % n]
+        assert real.slice_basis(d) == brute, d
+        sl = _random_slice(real, d, rng)
+        h_coeff, h_part, y = real.splitter(d).split(sl)
+        assert h_part + real.cyclic.bracket(y) == sl, d
+        assert y.is_zero() or y.principal_degree() == d - 1
+        h_d = real.heisenberg_at(d)
+        assert h_part == (h_d.scale(h_coeff) if h_d else LoopElement.zero(real))
+
+
+def test_split_names_the_degree_of_a_foreign_element():
+    real = build_algebra("a2_1")
+    with pytest.raises(ValueError, match=r"is not of principal degree -3$"):
+        real.splitter(-3).split(_random_slice(real, -2, random.Random(1)))
+
+
+@pytest.mark.parametrize("name, kind, depth", [("a1_1", "borel", 15), ("a2_2", "canonical", 34)])
+def test_deep_resolvent_on_a_plain_realization(name, kind, depth):
+    # deep solves need nothing sized for them: loop elements are finite
+    lax = LaxOperator(build_algebra(name), kind)
+    r = lax.resolvent(1, depth)
+    assert min(lax._r[1]) == 1 - depth
+    assert r.commutator_residual_slices() == {}
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 32), first=st.integers(-4, 0), scalar=st.integers(-2, 2))
 def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, seed, first, scalar):
@@ -354,7 +374,7 @@ def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, see
     # but the argument does not need that, and it puts the first nonzero
     # slice at degrees with no Heisenberg element as well.
     rng = random.Random(seed)
-    real = build_algebra(name, 0, depth_hint=14)
+    real = build_algebra(name)
     ref = PowerRoute(LaxOperator(real, "canonical"))
     n = real.alg.size
     r = _matrix_forms(real, {1: real.cyclic, **{
@@ -385,7 +405,7 @@ def test_first_nonzero_slice_of_the_identity_is_certified_by_one_entry(name, see
 
 @pytest.mark.parametrize("name, d", [("a1_1", -2), ("a2_1", -3), ("a2_2", -2), ("a2_2", -4)])
 def test_wrong_entry_at_a_degree_without_heisenberg_element_names_it(monkeypatch, name, d):
-    ref = PowerRoute(LaxOperator(build_algebra(name, 0, depth_hint=10), "canonical"))
+    ref = PowerRoute(LaxOperator(build_algebra(name), "canonical"))
     assert ref.real.heisenberg_at(d) is None
     right, calls = power_route.matrix_entry, []
 
