@@ -43,8 +43,6 @@ from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism, \
     canonical_form
 from .kacmoody import LoopElement, LoopRealization, build_algebra
 from .linalg import InconsistentSystemError
-from .miura import MiuraTuple, check_miura, invert_miura, \
-    reconstruct_flows
 from .resolvent import DepthError, LaxOperator, flow_depth
 
 FlowLabel = tuple[int, int]
@@ -147,11 +145,14 @@ def _counterterm_coefficient(real: LoopRealization, a: int, b: int,
 class DSHierarchy:
     """A Drinfeld-Sokolov hierarchy for one affine type and marked vertex.
 
-    Builds the loop realization, the canonical-form Lax operator that flows
-    and tau-structure tables are computed from (on demand, each resolvent
-    solved to the depth its reader needs), and the Borel-variable operator
-    with its canonical gauge data, which the gauge-invariance check uses.
-    ``omega_max_k`` is the default ``max_k`` of ``omega_table``.
+    Builds the loop realization and the canonical-form Lax operator that
+    flows and tau-structure tables are computed from (on demand, each
+    resolvent solved to the depth its reader needs).  The Borel side, the
+    Borel-variable operator ``lax_q`` and its canonical gauge data
+    ``canform``, is built on first read: only the gauge-invariance check,
+    ``gauge-fix`` and ``resolvent`` dumps read it, and building ``canform``
+    runs its residual check.  ``omega_max_k`` is the default ``max_k`` of
+    ``omega_table``.
     """
 
     def __init__(self, type_name: str, vertex: int = 0,
@@ -160,13 +161,19 @@ class DSHierarchy:
         # depth.  It is still accepted, as callers pass it.
         self.real = build_algebra(type_name, vertex)
         self.omega_max_k = omega_max_k
-        self.lax_q = LaxOperator(self.real, "borel")
         self.lax_u = LaxOperator(self.real, "canonical")
         self.frame = GaugeFrame(self.real)
-        self.canform: CanonicalForm = canonical_form(self.lax_q, self.frame)
         self._hom: GaugeHomomorphism | None = None
         self._flows: dict[FlowLabel, Flow] = {}
         self._omega: dict[tuple, OmegaTable] = {}
+
+    @cached_property
+    def lax_q(self) -> LaxOperator:
+        return LaxOperator(self.real, "borel")
+
+    @cached_property
+    def canform(self) -> CanonicalForm:
+        return canonical_form(self.lax_q, self.frame)
 
     @property
     def ell(self) -> int:
@@ -391,6 +398,8 @@ def tau_coordinate_check(hierarchy: DSHierarchy, omega: OmegaTable,
     tau-structure rows, comparing against the directly computed flows
     truncated to the same eps order.
     """
+    # imported here, its only reader: derive, omega and solve never compile it
+    from .miura import MiuraTuple, check_miura, invert_miura, reconstruct_flows
     real = hierarchy.real
     ell = real.ell
     one = (1, 0)

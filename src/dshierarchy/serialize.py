@@ -8,7 +8,9 @@ with terms and monomial factors in canonical (sorted) order, so equal values
 produce byte-identical JSON.  An eps-series is a list of such objects with an
 ``"eps"`` power per component; zero components are omitted.  Difference-ring
 values are the same schema with orders allowed to be negative plus a
-``"shift_window"`` field where a window applies.
+``"shift_window"`` field where a window applies.  A loop element is a list
+``[{"lambda": k, "coeffs": [{"basis": label, "poly": {...}}, ...]}, ...]`` over
+its lambda powers, with zero coefficients omitted.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ def series_to_obj(s: EpsSeries, parts=None) -> list[dict]:
         obj["eps"] = q
         out.append(obj)
     return out
+
+
+def loop_to_obj(elt) -> list[dict]:
+    labels = elt.real.alg.labels
+    return [{"lambda": k,
+             "coeffs": [{"basis": labels[i], "poly": poly_to_obj(c)}
+                        for i, c in enumerate(elt.coeffs[k]) if not c.is_zero()]}
+            for k in elt.lambda_powers()]
 
 
 def dumps(obj) -> str:

@@ -41,16 +41,19 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
         out.append((("resolvent", "--type", name), name == "a1_1"))
         out.append((("resolvent", "--type", name, "--depth", "0"), True))
     # the benchmark's jobs, with every option that shapes the work
-    out += [
-        (("verify", "--type", "a2_1", "--max-k", "1", "--max-a", "2",
-          "--flows", "1:0,1:1,2:0,2:1", "--eps-order", "4", "--jet-depth", "8"), False),
-        (("derive", "--type", "a2_1", "--flows", "1:0,2:0,1:1,2:1", "--max-k", "1",
-          "--eps-order", "4"), False),
-        (("omega", "--type", "a2_2", "--max-k", "1", "--max-a", "2", "--flows", "1:0,1:1"),
-         False),
-        (("solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
-          "--eps-order", "2", "--max-k", "1", "--bgw", "1"), False),
+    bench = [
+        ("verify", "--type", "a2_1", "--max-k", "1", "--max-a", "2",
+         "--flows", "1:0,1:1,2:0,2:1", "--eps-order", "4", "--jet-depth", "8"),
+        ("derive", "--type", "a2_1", "--flows", "1:0,2:0,1:1,2:1", "--max-k", "1",
+         "--eps-order", "4"),
+        ("omega", "--type", "a2_2", "--max-k", "1", "--max-a", "2", "--flows", "1:0,1:1"),
+        ("solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
+         "--eps-order", "2", "--max-k", "1", "--bgw", "1"),
     ]
+    out += [(argv, False) for argv in bench]
+    for name in ("a1_1", "a2_1", "a2_2"):
+        out.append((("gauge-fix", "--type", name), name == "a1_1"))
+    out += [(argv + ("--format", "text"), False) for argv in bench]
     return out
 
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -144,9 +145,12 @@ def test_fresh_config_has_every_option_at_its_default():
 
 def test_every_option_reaches_the_program():
     # an option that is parsed and never read (as a flag checked and then
-    # dropped) fails here: each key must be read as cfg.<key> in the CLI
+    # dropped) fails here: each key must be read as cfg.<key> in the CLI or
+    # in a command module
     assert set(cli.RunConfig.DEFAULTS) == set(cli._OPTIONS)
-    source = Path(cli.__file__).read_text()
+    commands = sorted((Path(cli.__file__).parent / "commands").glob("*.py"))
+    assert len(commands) == 8  # the package and one module per subcommand
+    source = "".join(p.read_text() for p in [Path(cli.__file__), *commands])
     unread = [key for key in cli.RunConfig.DEFAULTS
               if not re.search(rf"\bcfg\.{key}\b", source)]
     assert unread == []
@@ -178,7 +182,8 @@ def _fresh_modules(stmt: str) -> tuple[set, set]:
             "if type(m) is types.ModuleType)); "
             "print(' '.join(n for n in sys.modules if n.startswith('dshierarchy')))")
     done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
     loaded, registered = done.stdout.splitlines()
     return set(loaded.split()), set(registered.split())
 
@@ -193,35 +198,91 @@ def test_import_path_loads_no_dataclasses_or_inspect():
     # every engine module is in sys.modules, and none has been compiled or run
     assert len(ENGINE) >= 12 and ENGINE <= registered
     assert not loaded & ENGINE
+    # nor has any subcommand's module
+    assert {n for n in loaded if n.startswith("dshierarchy.commands.")} == set()
+
+
+# What each subcommand's hierarchy holds afterwards: whether the canonical
+# form was built (None: the subcommand builds no hierarchy).
+BUILDS_CANFORM = {"discrete": None, "verify": True, "gauge-fix": True}
 
 
 @pytest.mark.parametrize("argv, unrun", [
     (["discrete", "--samples", "5", "--eps-order", "1"],
      {"kacmoody", "resolvent", "gauge", "hierarchy", "solution", "ratfunc"}),
-    (["derive", "--type", "a1_1"], {"solution", "ratfunc", "discrete"}),
+    (["derive", "--type", "a1_1"], {"solution", "ratfunc", "discrete", "miura"}),
+    (["omega", "--type", "a1_1", "--max-k", "0"], {"solution", "ratfunc", "discrete", "miura"}),
+    (["solve", "--type", "a1_1", "--flows", "1:0", "--t-degree", "0", "--eps-order", "0"],
+     {"discrete", "miura", "render"}),
+    (["resolvent", "--type", "a1_1", "--depth", "2"],
+     {"solution", "ratfunc", "discrete", "miura", "render"}),
+    (["verify", "--type", "a1_1", "--max-k", "0"], {"solution", "ratfunc", "discrete"}),
+    (["gauge-fix", "--type", "a1_1"], {"solution", "ratfunc", "discrete", "miura"}),
 ])
 def test_subcommand_runs_only_its_modules(argv, unrun):
+    canform = BUILDS_CANFORM.get(argv[0], False)
+    held = [] if canform is None else [canform]
     loaded, registered = _fresh_modules(
-        f"from dshierarchy.cli import main; assert main({argv!r}) == 0")
+        "from dshierarchy import cli; built = []; build = cli._build_hierarchy; "
+        "cli._build_hierarchy = lambda cfg: built.append(build(cfg)) or built[-1]; "
+        f"assert cli.main({argv!r}) == 0; "
+        "held = ['canform' in vars(h) for h in built]; "
+        f"assert held == {held!r}, f'canonical form built: {{held}}'")
     unrun = {f"dshierarchy.{m}" for m in unrun}
     assert "dshierarchy.diffalg" in loaded
     assert unrun <= registered and not unrun & loaded
+    commands = {n for n in loaded if n.startswith("dshierarchy.commands.")}
+    assert commands == {f"dshierarchy.commands.{argv[0].replace('-', '_')}"}
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # main also runs in-process (here, and in the benchmark's traced run),
+    # where collection must go on; only the process entry point freezes
+    for _ in range(2):
+        assert main(["derive", "--type", "a1_1", "--flows", "1:0"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "--self-test-corrupt"], 1),
+    (["derive", "--type", "nosuch"], 2),
+])
+def test_module_entry_point_keeps_the_exit_code(argv, code):
+    done = subprocess.run([sys.executable, "-m", "dshierarchy.cli", *argv],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+
+
+def test_entry_point_freezes_after_main():
+    code = ("import gc, sys; from dshierarchy import cli; "
+            "sys.argv[1:] = ['derive', '--type', 'a1_1', '--flows', '1:0']; "
+            "rc = cli.run(); sys.stderr.write(f'{rc} {gc.get_freeze_count() > 0}')")
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True)
+    assert done.stderr == "0 True"
 
 
 def test_traced_job_prints_what_the_cli_prints(tmp_path):
     # the benchmark's traced run wraps the lazily registered modules from
-    # outside; its stdout must stay the plain run's
-    argv = ["discrete", "--samples", "5"]
-    plain = subprocess.run([sys.executable, "-m", "dshierarchy.cli", *argv],
-                           env=_fresh_env(), capture_output=True, check=True)
-    trace = tmp_path / "trace.json"
-    traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_job.py"),
-                             str(trace), "1", "--", *argv],
-                            env=_fresh_env(), capture_output=True, check=True)
-    assert traced.stdout == plain.stdout
-    assert json.loads(plain.stdout)["all_pass"] is True
-    summary = json.loads(trace.read_text())["summary"]
-    assert {"discrete.embed", "discrete.invert", "serialize.dumps"} <= set(summary)
+    # outside, before main imports the command module; its stdout must stay
+    # the plain run's, and the command's calls into the engine must be spanned
+    for argv, spans in [
+        (["discrete", "--samples", "5"],
+         {"discrete.embed", "discrete.invert", "serialize.dumps"}),
+        (["derive", "--type", "a1_1"],
+         {"hierarchy.flow", "resolvent.canonical", "serialize.dumps"}),
+    ]:
+        plain = subprocess.run([sys.executable, "-m", "dshierarchy.cli", *argv],
+                               env=_fresh_env(), capture_output=True, check=True)
+        trace = tmp_path / "trace.json"
+        traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_job.py"),
+                                 str(trace), "1", "--", *argv],
+                                env=_fresh_env(), capture_output=True, check=True)
+        assert traced.stdout == plain.stdout, argv
+        assert json.loads(plain.stdout).get("all_pass", True) is True  # derive has no verdict
+        summary = json.loads(trace.read_text())["summary"]
+        assert spans <= set(summary), argv
 
 
 def test_solve_t_zero_echo(capsys):
