@@ -5,15 +5,19 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from ..diffalg import fraction_text
 from ..hierarchy import verify_integrability
+from ..ratfunc import rational_text
 from ..serialize import dumps
 from ..solution import (flow_equation_report, gbgw_initial, integrate_formal,
                         two_point_functions)
 from . import flow_labels
 
 
-def _ratfunc_obj(r) -> dict:
-    return {"num": [str(c) for c in r.num], "den": [str(c) for c in r.den]}
+def _value_fields(r) -> dict:
+    """The JSON ``value`` and the ``value_text`` (``repr``) of r, from one pass."""
+    num, den = ([fraction_text(p, q) for p, q in part] for part in r.parts())
+    return {"value": {"num": num, "den": den}, "value_text": rational_text(num, den)}
 
 
 def run(cfg, build) -> int:
@@ -39,15 +43,13 @@ def run(cfg, build) -> int:
                 "component": alpha,
                 "t_exponents": list(exps),
                 "eps": q,
-                "value": _ratfunc_obj(v),
-                "value_text": repr(v),
+                **_value_fields(v),
             })
     two_point_rows = []
     for (i, j), series in sorted(tp["values"].items()):
         entries = []
         for (exps, q), v in sorted(series.data.items()):
-            entries.append({"t_exponents": list(exps), "eps": q,
-                            "value": _ratfunc_obj(v), "value_text": repr(v)})
+            entries.append({"t_exponents": list(exps), "eps": q, **_value_fields(v)})
         two_point_rows.append({"i": list(i), "j": list(j), "series": entries})
     all_pass = all(r["residual_zero"] for r in tp["cross_derivatives"]) and \
         all(r["residual_zero"] for r in flow_eq)

@@ -35,15 +35,16 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
     apply_poly_derivation
-from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism, \
-    canonical_form
 from .kacmoody import LoopElement, LoopRealization, build_algebra
 from .linalg import InconsistentSystemError
 from .resolvent import DepthError, LaxOperator, flow_depth
+
+if TYPE_CHECKING:  # at run time, only the members that use gauge import it
+    from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism
 
 FlowLabel = tuple[int, int]
 
@@ -151,7 +152,9 @@ class DSHierarchy:
     Borel-variable operator ``lax_q`` and its canonical gauge data
     ``canform``, is built on first read: only the gauge-invariance check,
     ``gauge-fix`` and ``resolvent`` dumps read it, and building ``canform``
-    runs its residual check.  ``omega_max_k`` is the default ``max_k`` of
+    runs its residual check.  The gauge frame that flows and the Borel side
+    read is built on first read too, so ``omega`` and ``resolvent`` never
+    compile ``gauge``.  ``omega_max_k`` is the default ``max_k`` of
     ``omega_table``.
     """
 
@@ -162,10 +165,14 @@ class DSHierarchy:
         self.real = build_algebra(type_name, vertex)
         self.omega_max_k = omega_max_k
         self.lax_u = LaxOperator(self.real, "canonical")
-        self.frame = GaugeFrame(self.real)
         self._hom: GaugeHomomorphism | None = None
         self._flows: dict[FlowLabel, Flow] = {}
         self._omega: dict[tuple, OmegaTable] = {}
+
+    @cached_property
+    def frame(self) -> GaugeFrame:
+        from .gauge import GaugeFrame
+        return GaugeFrame(self.real)
 
     @cached_property
     def lax_q(self) -> LaxOperator:
@@ -173,6 +180,7 @@ class DSHierarchy:
 
     @cached_property
     def canform(self) -> CanonicalForm:
+        from .gauge import canonical_form
         return canonical_form(self.lax_q, self.frame)
 
     @property
@@ -181,6 +189,7 @@ class DSHierarchy:
 
     def gauge_homomorphism(self) -> GaugeHomomorphism:
         if self._hom is None:
+            from .gauge import GaugeHomomorphism
             self._hom = GaugeHomomorphism(self.lax_q, self.frame)
         return self._hom
 

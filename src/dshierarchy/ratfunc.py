@@ -8,16 +8,38 @@ coprime, integer content 1, positive leading denominator coefficient; zero is
 The gcd is a primitive-part Euclid over Z (W. S. Brown, J. ACM 18, 1971), so
 by Gauss's lemma both parts divide by it exactly.  The constructor clears the
 denominators of ``Fraction`` inputs with one ``lcm``; the ``num``/``den`` views
-give ``Fraction`` coefficients over a monic denominator.
+give ``Fraction`` coefficients over a monic denominator, and ``parts`` gives
+the same coefficients as reduced ``(p, q)`` int pairs, for printing.
+
+Sums and products of two values in normal form use Henrici's gcds (P. Henrici,
+J. ACM 3, 1956), which are smaller than the gcd of the whole result:
+
+- ``n1/d + n2/d`` divides by ``gcd(n1 + n2, d)``;
+- otherwise, with ``g = gcd(d1, d2)``, ``d1 = g e1`` and ``d2 = g e2``, the sum
+  is ``t / (g e1 e2)`` with ``t = n1 e2 + n2 e1``.  ``t`` is coprime to ``e1``
+  and ``e2``, so it divides by ``gcd(t, g)`` only, and by nothing when ``g`` is
+  a constant;
+- ``(n1/d1)(n2/d2)`` divides by the cross gcds ``gcd(n1, d2)`` and
+  ``gcd(n2, d1)``, since ``n1`` is coprime to ``d1`` and ``n2`` to ``d2``;
+- ``(n/d)' = t / (g e^2)`` with ``g = gcd(d, d')``, ``d = g e``, ``d' = g h``
+  and ``t = n' e - n h``, in lowest terms with no further gcd: a factor of
+  multiplicity m in d has multiplicity m - 1 in ``d'`` and in ``g``
+  (characteristic 0), so it divides ``e`` once and ``h`` not at all, and
+  ``t`` is coprime to ``e``, whose factors are all those of ``g``.
+
+``RatFunc.dot`` sums many products at once: it adds the raw numerators of the
+products that share a denominator tuple, with no gcd, and reduces once per
+distinct denominator.  Every result is brought to the one normal form above, so
+the route taken never shows in a value, its hash or its printed text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .diffalg import _power
+from .diffalg import _power, fraction_text
 
 Poly = tuple[int, ...]
 
@@ -41,6 +63,11 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     """Product; over Z the leading coefficients never cancel."""
     if not a or not b:
         return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return tuple([c * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -117,13 +144,42 @@ def _new(n: Poly, d: Poly) -> RatFunc:
     return out
 
 
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their gcd; a zero or constant a or b is left as it is."""
+    if len(a) > 1 and len(b) > 1:
+        g = _pgcd(a, b)
+        if len(g) > 1:
+            return _pquo(a, g), _pquo(b, g)
+    return a, b
+
+
 def _reduced(n: Poly, d: Poly) -> RatFunc:
     """The value n/d in normal form, for d != 0."""
-    if len(n) > 1 and len(d) > 1:
-        g = _pgcd(n, d)
-        if len(g) > 1:
-            n, d = _pquo(n, g), _pquo(d, g)
-    return _new(n, d)
+    return _new(*_cancel(n, d))
+
+
+def _poly_text(coeffs: Sequence[str]) -> str:
+    """``c0 + c1*x + c2*x^2 ...`` from coefficient strings; zeros are left out."""
+    if not coeffs:
+        return "0"
+    out = []
+    for i, c in enumerate(coeffs):
+        if c == "0":
+            continue
+        if i == 0:
+            out.append(c)
+        elif c == "1":
+            out.append("x" if i == 1 else f"x^{i}")
+        else:
+            out.append(f"{c}*x" if i == 1 else f"{c}*x^{i}")
+    return " + ".join(out)
+
+
+def rational_text(num: Sequence[str], den: Sequence[str]) -> str:
+    """``repr`` of a RatFunc, from the coefficient strings of ``parts()``."""
+    if len(den) == 1:
+        return _poly_text(num)
+    return f"({_poly_text(num)})/({_poly_text(den)})"
 
 
 class RatFunc:
@@ -151,6 +207,18 @@ class RatFunc:
     def den(self) -> tuple[Fraction, ...]:
         lead = self._d[-1]
         return tuple(Fraction(c, lead) for c in self._d)
+
+    def parts(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """``num`` and ``den`` as (p, q) pairs in lowest terms with q > 0."""
+        lead = self._d[-1]
+        out = []
+        for poly in (self._n, self._d):
+            pairs = []
+            for c in poly:
+                g = gcd(c, lead)
+                pairs.append((c // g, lead // g))
+            out.append(pairs)
+        return out[0], out[1]
 
     @classmethod
     def const(cls, c) -> "RatFunc":
@@ -181,10 +249,18 @@ class RatFunc:
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
         n1, d1, n2, d2 = self._n, self._d, other._n, other._d
-        g = _pgcd(d1, d2)
-        e1, e2 = (_pquo(d1, g), _pquo(d2, g)) if len(g) > 1 else (d1, d2)
-        # over the lcm d1 * e2 = d2 * e1
-        return _reduced(_padd(_pmul(n1, e2), _pmul(n2, e1)), _pmul(d1, e2))
+        if not n1:
+            return other
+        if not n2:
+            return self
+        if d1 == d2:
+            return _reduced(_padd(n1, n2), d1)
+        g = _pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else (1,)
+        if len(g) == 1:
+            return _new(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        e1, e2 = _pquo(d1, g), _pquo(d2, g)
+        t, g = _cancel(_padd(_pmul(n1, e2), _pmul(n2, e1)), g)
+        return _new(t, _pmul(_pmul(g, e1), e2))
 
     __radd__ = __add__
 
@@ -208,9 +284,34 @@ class RatFunc:
                 return _ZERO
             return _new(tuple(x * c.numerator for x in self._n),
                         tuple(x * c.denominator for x in self._d))
-        return _reduced(_pmul(self._n, other._n), _pmul(self._d, other._d))
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not n1 or not n2:
+            return _ZERO
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return _new(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
+        """The sum of a * b over the pairs, one reduction per distinct denominator.
+
+        The numerators of the products that share a denominator tuple are added
+        unreduced; each such sum is then reduced once, and the sums are added.
+        """
+        by_den: dict[Poly, Poly] = {}
+        for a, b in pairs:
+            n = _pmul(a._n, b._n)
+            if n:
+                d = _pmul(a._d, b._d)
+                got = by_den.get(d)
+                by_den[d] = n if got is None else _padd(got, n)
+        out = _ZERO
+        for d, n in by_den.items():
+            if n:
+                out = out + _reduced(n, d)
+        return out
 
     def __pow__(self, n: int) -> "RatFunc":
         base = self
@@ -222,28 +323,18 @@ class RatFunc:
 
     def dx(self) -> "RatFunc":
         n, d = self._n, self._d
-        num = _padd(_pmul(_pdx(n), d), tuple(-c for c in _pmul(n, _pdx(d))))
-        return _reduced(num, _pmul(d, d))
+        if len(d) == 1:
+            return _new(_pdx(n), d)
+        dd = _pdx(d)
+        g = _pgcd(d, dd)
+        e, h = (_pquo(d, g), _pquo(dd, g)) if len(g) > 1 else (d, dd)
+        t = _padd(_pmul(_pdx(n), e), tuple(-c for c in _pmul(n, h)))
+        return _new(t, _pmul(_pmul(g, e), e))
 
     def __repr__(self) -> str:
-        def fmt(p: tuple[Fraction, ...]) -> str:
-            if not p:
-                return "0"
-            parts = []
-            for i, c in enumerate(p):
-                if not c:
-                    continue
-                if i == 0:
-                    parts.append(str(c))
-                elif i == 1:
-                    parts.append(f"{c}*x" if c != 1 else "x")
-                else:
-                    parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-            return " + ".join(parts)
-
-        if len(self._d) == 1:
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
+        num, den = self.parts()
+        return rational_text([fraction_text(*c) for c in num],
+                             [fraction_text(*c) for c in den])
 
 
 _ZERO = object.__new__(RatFunc)

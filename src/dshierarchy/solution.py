@@ -13,12 +13,19 @@ coefficients over ``JetMap(initial)`` (jets in ``RatFunc``), the values over
 which every evaluation along one solution shares.  The cross-derivative
 compatibility of the values against the distinguished flow is the exactness
 condition for a log of a tau-function to exist.
+
+A product of two series collects the term products of each output coefficient
+and sums them with one ``RatFunc.dot``, so each coefficient is reduced once
+per distinct denominator rather than once per term.  ``two_point_functions``
+evaluates each distinct entry once: Omega is symmetric, so an entry and its
+transpose share one value, which no reader mutates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Mapping, Sequence
 
 from .diffalg import DiffPoly, EpsSeries, JetMap, _power
@@ -97,20 +104,17 @@ class TSeries:
         if isinstance(other, (int, Fraction, RatFunc)):
             return TSeries(self.nlabels, self.T, self.K,
                            {k: v * other for k, v in self.data.items()})
-        out: dict[tuple[TIndex, int], RatFunc] = {}
+        T, K = self.T, self.K
+        right = [(e2, sum(e2), q2, v2) for (e2, q2), v2 in other.data.items()]
+        pairs: dict[tuple[TIndex, int], list] = {}
         for (e1, q1), v1 in self.data.items():
-            for (e2, q2), v2 in other.data.items():
-                q = q1 + q2
-                if q > self.K:
-                    continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if sum(exps) > self.T:
-                    continue
-                key = (exps, q)
-                got = out.get(key)
-                prod = v1 * v2
-                out[key] = prod if got is None else got + prod
-        return TSeries(self.nlabels, self.T, self.K, out)
+            t1 = sum(e1)
+            for e2, t2, q2, v2 in right:
+                if q1 + q2 <= K and t1 + t2 <= T:
+                    key = (tuple(map(add, e1, e2)), q1 + q2)
+                    pairs.setdefault(key, []).append((v1, v2))
+        return TSeries(self.nlabels, self.T, self.K,
+                       {key: RatFunc.dot(p) for key, p in pairs.items()})
 
     __rmul__ = __mul__
 
@@ -274,10 +278,17 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
     if one not in sol.labels:
         raise ValueError(f"two-point functions need the flow {one} among the "
                          f"solution's flows, got {list(sol.labels)}")
+    # evaluations memoised on the entry: Omega is symmetric, so (i, j) and
+    # (j, i) share one value, and a corrupted entry never shares its transpose's
+    evaluated: dict[DiffPoly, TSeries] = {}
     values: dict[tuple[FlowLabel, FlowLabel], TSeries] = {}
     for i in sol.labels:
         for j in sol.labels:
-            values[(i, j)] = evaluate_on_solution(omega.entry(i, j), sol)
+            entry = omega.entry(i, j)
+            got = evaluated.get(entry)
+            if got is None:
+                got = evaluated[entry] = evaluate_on_solution(entry, sol)
+            values[(i, j)] = got
     report = []
     tcut = sol.T - 1
     for a, i in enumerate(sol.labels):

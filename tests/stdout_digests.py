@@ -54,6 +54,16 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     for name in ("a1_1", "a2_1", "a2_2"):
         out.append((("gauge-fix", "--type", name), name == "a1_1"))
     out += [(argv + ("--format", "text"), False) for argv in bench]
+    # solve on the other types, with other BGW constants, flows and orders
+    a2_1 = [("solve", "--type", "a2_1", "--bgw", "1,2", "--t-degree", "2"),
+            ("solve", "--type", "a2_1", "--bgw", "1,-1", "--t-degree", "2",
+             "--flows", "1:0,2:0,1:1")]
+    out += [(a2_1[0], False),
+            (("solve", "--type", "a2_2", "--bgw", "3", "--t-degree", "2"), False),
+            (("solve", "--type", "a1_1", "--bgw", "1/2", "--t-degree", "3",
+              "--eps-order", "3", "--flows", "1:0,1:1,1:2"), False),
+            (a2_1[1], True)]
+    out += [(argv + ("--format", "text"), False) for argv in a2_1]
     return out
 
 

@@ -202,32 +202,34 @@ def test_import_path_loads_no_dataclasses_or_inspect():
     assert {n for n in loaded if n.startswith("dshierarchy.commands.")} == set()
 
 
-# What each subcommand's hierarchy holds afterwards: whether the canonical
-# form was built (None: the subcommand builds no hierarchy).
-BUILDS_CANFORM = {"discrete": None, "verify": True, "gauge-fix": True}
+# What each subcommand's hierarchy holds afterwards: which of the gauge frame
+# and the canonical form were built (None: the subcommand builds no hierarchy).
+BUILDS = {"discrete": None, "derive": ["frame"], "solve": ["frame"],
+          "verify": ["canform", "frame"], "gauge-fix": ["canform", "frame"]}
 
 
 @pytest.mark.parametrize("argv, unrun", [
     (["discrete", "--samples", "5", "--eps-order", "1"],
      {"kacmoody", "resolvent", "gauge", "hierarchy", "solution", "ratfunc"}),
     (["derive", "--type", "a1_1"], {"solution", "ratfunc", "discrete", "miura"}),
-    (["omega", "--type", "a1_1", "--max-k", "0"], {"solution", "ratfunc", "discrete", "miura"}),
+    (["omega", "--type", "a1_1", "--max-k", "0"],
+     {"gauge", "solution", "ratfunc", "discrete", "miura"}),
     (["solve", "--type", "a1_1", "--flows", "1:0", "--t-degree", "0", "--eps-order", "0"],
      {"discrete", "miura", "render"}),
     (["resolvent", "--type", "a1_1", "--depth", "2"],
-     {"solution", "ratfunc", "discrete", "miura", "render"}),
+     {"gauge", "solution", "ratfunc", "discrete", "miura", "render"}),
     (["verify", "--type", "a1_1", "--max-k", "0"], {"solution", "ratfunc", "discrete"}),
     (["gauge-fix", "--type", "a1_1"], {"solution", "ratfunc", "discrete", "miura"}),
 ])
 def test_subcommand_runs_only_its_modules(argv, unrun):
-    canform = BUILDS_CANFORM.get(argv[0], False)
-    held = [] if canform is None else [canform]
+    builds = BUILDS.get(argv[0], [])
+    held = [] if builds is None else [builds]
     loaded, registered = _fresh_modules(
         "from dshierarchy import cli; built = []; build = cli._build_hierarchy; "
         "cli._build_hierarchy = lambda cfg: built.append(build(cfg)) or built[-1]; "
         f"assert cli.main({argv!r}) == 0; "
-        "held = ['canform' in vars(h) for h in built]; "
-        f"assert held == {held!r}, f'canonical form built: {{held}}'")
+        "held = [[k for k in ('canform', 'frame') if k in vars(h)] for h in built]; "
+        f"assert held == {held!r}, f'built: {{held}}'")
     unrun = {f"dshierarchy.{m}" for m in unrun}
     assert "dshierarchy.diffalg" in loaded
     assert unrun <= registered and not unrun & loaded

@@ -1,6 +1,7 @@
 """Property tests of the RatFunc kernel, with sympy as an independent oracle."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -168,3 +169,170 @@ def test_value_at_zero(a):
     else:
         v = e.numer(0) / e.denom(0)
         assert eval_at_zero(a) == Fraction(int(v.numerator), int(v.denominator))
+
+
+# -- Henrici's sums and products, RatFunc.dot and the one-pass formatter ------
+
+int_polys = st.lists(st.integers(-6, 6), max_size=4)
+
+
+def one_minus_x_power(k: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = conv(out, [Fraction(1), Fraction(-1)])
+    return out
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Two values whose denominators share factors, as the solver's values do.
+
+    ``equal``: b = a + k, k an integer polynomial, so b's normal-form
+    denominator is a's tuple itself (the equal-denominator sum); ``common``:
+    denominators f g and f h; ``cancel``: a over f g and b = c - a with c over
+    f h, read in by the constructor, so that g cancels from a + b = c;
+    ``bgw``: constants over powers of (1 - x).
+    """
+    kind = draw(st.sampled_from(["equal", "common", "cancel", "bgw"]))
+    if kind == "equal":
+        a = draw(ratfuncs())
+        b = draw(st.sampled_from([1, -1])) * a + RatFunc(draw(int_polys))
+        return a, b
+    if kind == "common":
+        f, g, h = (draw(nonzero_polys) for _ in range(3))
+        return RatFunc(draw(polys), conv(f, g)), RatFunc(draw(polys), conv(f, h))
+    if kind == "cancel":
+        f, h = draw(nonzero_polys), draw(nonzero_polys)
+        g = [draw(coeffs), draw(coeffs.filter(bool))]  # of degree 1, so there is a g
+        na, nc, da, dc = draw(nonzero_polys), draw(polys), conv(f, g), conv(f, h)
+        nb = [x - y for x, y in zip_longest(conv(nc, da), conv(na, dc), fillvalue=0)]
+        return RatFunc(na, da), RatFunc(nb, conv(da, dc))
+    c, e = (draw(coeffs.filter(bool)) for _ in range(2))
+    return (RatFunc([c], one_minus_x_power(draw(st.integers(0, 7)))),
+            RatFunc(conv([e], draw(polys)), one_minus_x_power(draw(st.integers(0, 7)))))
+
+
+def test_equal_strategy_reaches_the_equal_denominator_sum():
+    a = RatFunc((1, 3), (2, 0, 4))                     # (1 + 3x)/(2 + 4x^2)
+    b = a + RatFunc((5, -2))
+    assert b._d == a._d
+    assert same(a + b, to_sympy(a) + to_sympy(b))
+    assert (a - a).is_zero() and (a + (-a)) == 0
+
+
+@pytest.mark.parametrize("a, b, total", [
+    (RatFunc((1,), (0, 1)), RatFunc((-2, 1), (0, 2)), RatFunc.const(Fraction(1, 2))),
+    (RatFunc((1,), (0, 1, 1)), RatFunc((-2, 0, 1), (0, 2, 3, 1)), RatFunc((1,), (2, 1))),
+    (RatFunc((1,), (1, -2, 1)), RatFunc((-1, -1), (2, -4, 2)), RatFunc((1,), (2, -2))),
+])
+def test_henrici_sum_divides_out_a_shared_factor(a, b, total):
+    # 1/x + (x - 2)/(2x) = 1/2;  1/(x(x+1)) + (x^2 - 2)/(x(x+1)(x+2)) = 1/(x+2);
+    # 1/(1-x)^2 - (1 + x)/(2(1-x)^2) = 1/(2(1-x)), over two distinct tuples
+    assert a._d != b._d
+    got = a + b
+    assert_normal(got)
+    assert got == total and same(got, to_sympy(a) + to_sympy(b))
+
+
+@given(sharing_pairs())
+def test_henrici_arithmetic_on_shared_factors_matches_sympy(ab):
+    a, b = ab
+    ea, eb = to_sympy(a), to_sympy(b)
+    for got, want in ((a + b, ea + eb), (a - b, ea - eb), (b - a, eb - ea),
+                      (a * b, ea * eb), (b * a, ea * eb), (a * a, ea * ea),
+                      (a.dx(), ea.diff(X)), (b.dx(), eb.diff(X))):
+        assert_normal(got)
+        assert same(got, want)
+
+
+@given(ratfuncs(), ratfuncs())
+def test_henrici_results_are_normal(a, b):
+    for got in (a + b, a - b, a * b, (a + b) * (a - b), a * b + b):
+        assert_normal(got)
+
+
+def fold(pairs) -> RatFunc:
+    out = RatFunc.const(0)
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+pair_lists = st.lists(st.one_of(st.tuples(ratfuncs(), ratfuncs()), sharing_pairs()),
+                      max_size=4)
+
+
+@given(pair_lists)
+def test_dot_matches_sympy_and_the_fold(pairs):
+    got = RatFunc.dot(pairs)
+    assert_normal(got)
+    assert got == fold(pairs)
+    assert same(got, sum((to_sympy(a) * to_sympy(b) for a, b in pairs), K(0)))
+
+
+@given(pair_lists)
+def test_dot_of_a_sum_that_cancels_is_zero(pairs):
+    both = pairs + [(-a, b) for a, b in reversed(pairs)]
+    got = RatFunc.dot(both)
+    assert_normal(got)
+    assert got.is_zero() and (got._n, got._d) == ((), (1,))
+
+
+def test_dot_of_nothing_and_of_zeros():
+    zero = RatFunc.const(0)
+    assert RatFunc.dot([]) == 0 and RatFunc.dot(iter(())) == 0
+    assert RatFunc.dot([(zero, RatFunc.x()), (RatFunc.x(), zero)]).is_zero()
+    x = RatFunc.x()
+    assert RatFunc.dot([(x, x), (x, -x)]) == 0
+    assert RatFunc.dot([(x, x ** -1), (x, x)]) == 1 + x * x
+
+
+def reference_text(r: RatFunc) -> str:
+    """``repr`` as it was first written, from the Fraction views."""
+    def fmt(p):
+        if not p:
+            return "0"
+        parts = []
+        for i, c in enumerate(p):
+            if not c:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append(f"{c}*x" if c != 1 else "x")
+            else:
+                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
+        return " + ".join(parts)
+
+    if len(r.den) == 1:
+        return fmt(r.num)
+    return f"({fmt(r.num)})/({fmt(r.den)})"
+
+
+def assert_formats_as_before(r: RatFunc):
+    from dshierarchy.commands.solve import _value_fields
+    num, den = r.parts()
+    assert num == [(c.numerator, c.denominator) for c in r.num]
+    assert den == [(c.numerator, c.denominator) for c in r.den]
+    assert all(type(p) is int and type(q) is int and q > 0 for p, q in num + den)
+    assert repr(r) == reference_text(r)
+    assert _value_fields(r) == {
+        "value": {"num": [str(c) for c in r.num], "den": [str(c) for c in r.den]},
+        "value_text": reference_text(r)}
+
+
+@given(st.one_of(ratfuncs(), sharing_pairs().map(lambda ab: ab[0] * ab[1])))
+def test_parts_format_as_the_fraction_views(r):
+    assert_formats_as_before(r)
+
+
+@pytest.mark.parametrize("r", [
+    RatFunc.const(0), RatFunc.const(1), RatFunc.const(-1), RatFunc.const(Fraction(-7, 3)),
+    RatFunc.x(), -RatFunc.x(), RatFunc((0, 0, 1)), RatFunc((0, 1, -1)),
+    RatFunc((Fraction(1, 2), 1), (-2, 0, -4)),       # negative, non-monic denominator
+    RatFunc((3,), (6, -12, 6)),                       # 3/(6 (1 - x)^2)
+    RatFunc((-15,), (-8, 56, -168, 280, -280, 168, -56, 8)),
+    RatFunc((1, 0, -1), (2, 1)), RatFunc((0, 2), (3, 0, 1)),
+])
+def test_parts_format_zero_constants_negative_and_non_monic(r):
+    assert_formats_as_before(r)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dshierarchy import solution
 from dshierarchy.diffalg import DiffPoly, JetMap
-from dshierarchy.hierarchy import Flow
+from dshierarchy.hierarchy import Flow, OmegaTable
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.solution import (NonCommutingFlowsError,
                                   PoleAtExpansionPointError, TSeries,
@@ -161,3 +162,94 @@ def test_evaluations_share_the_jets_of_the_solution(sl2):
     assert sol.jets is jets and jets._powers
     for alpha, m, e, value in memoised_powers(jets):
         assert value == jets(alpha, m) ** e
+
+
+BENCH_SOLVE = ["solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
+               "--eps-order", "2", "--max-k", "1", "--bgw", "1"]
+
+
+@pytest.fixture(scope="module")
+def bench_solve(sl2):
+    """The solution and the table of the benchmark's solve job (``BENCH_SOLVE``)."""
+    flows = [sl2.flow(label) for label in ((1, 0), (1, 1), (1, 2))]
+    sol = integrate_formal(flows, gbgw_initial(sl2.real, [Fraction(1)]), 2, 2)
+    return sol, sl2.omega_table(1, 2)
+
+
+def _counted_evaluations(monkeypatch) -> list:
+    calls = []
+    plain = solution.evaluate_on_solution
+
+    def counted(entry, sol):
+        calls.append(entry)
+        return plain(entry, sol)
+
+    monkeypatch.setattr(solution, "evaluate_on_solution", counted)
+    return calls
+
+
+def reference_two_point(sol, omega, one=(1, 0)):
+    """Every entry evaluated on its own, and the cross-derivative report on those values."""
+    values = {(i, j): evaluate_on_solution(omega.entry(i, j), sol)
+              for i in sol.labels for j in sol.labels}
+    report = []
+    for a, i in enumerate(sol.labels):
+        for b, j in enumerate(sol.labels):
+            lhs = values[(one, j)].dt(a).truncate_t(sol.T - 1)
+            rhs = values[(one, i)].dt(b).truncate_t(sol.T - 1)
+            report.append({"check": "two_point_cross_derivative",
+                           "pair": [list(i), list(j)],
+                           "residual_zero": (lhs - rhs).is_zero()})
+    return values, report
+
+
+def test_each_distinct_entry_is_evaluated_once(bench_solve, monkeypatch):
+    sol, table = bench_solve
+    calls = _counted_evaluations(monkeypatch)
+    tp = two_point_functions(sol, table)
+    values = tp["values"]
+    assert len(values) == 9 and len(calls) == 6
+    for (i, j), value in values.items():
+        assert values[(j, i)] is value
+    monkeypatch.undo()
+    assert (values, tp["cross_derivatives"]) == reference_two_point(sol, table)
+
+
+def test_a_corrupted_entry_is_evaluated_apart_from_its_transpose(bench_solve, monkeypatch):
+    sol, table = bench_solve
+    i, j = (1, 0), (1, 2)
+    entries = dict(table.entries)
+    entries[(i, j)] = entries[(i, j)] + u(1)
+    bad = OmegaTable(entries, table.max_a, table.max_k, table.depth)
+    calls = _counted_evaluations(monkeypatch)
+    tp = two_point_functions(sol, bad)
+    assert len(calls) == 7
+    assert tp["values"][(i, j)] != tp["values"][(j, i)]
+    monkeypatch.undo()
+    values, report = reference_two_point(sol, bad)
+    assert tp["values"] == values and tp["cross_derivatives"] == report
+    assert not all(r["residual_zero"] for r in report)
+
+
+def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
+    # Omega's transposed entries share one TSeries; printing must not touch it
+    from dshierarchy import cli
+    from dshierarchy.commands import solve as command
+    plain = command.two_point_functions
+    kept = []
+
+    def keep(sol, table):
+        tp = plain(sol, table)
+        kept.append((tp["values"], {key: dict(s.data) for key, s in tp["values"].items()}))
+        return tp
+
+    monkeypatch.setattr(command, "two_point_functions", keep)
+    for fmt in ("json", "text"):
+        assert cli.main(BENCH_SOLVE + ["--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(kept) == 2
+    for values, before in kept:
+        assert values[((1, 0), (1, 2))] is values[((1, 2), (1, 0))]
+        for key, series in values.items():
+            assert series.data == before[key]
+            assert all(series.data[k] is v for k, v in before[key].items())
