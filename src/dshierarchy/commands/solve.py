@@ -5,7 +5,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from ..diffalg import fraction_text
 from ..hierarchy import verify_integrability
 from ..ratfunc import rational_text
 from ..serialize import dumps
@@ -16,7 +15,7 @@ from . import flow_labels
 
 def _value_fields(r) -> dict:
     """The JSON ``value`` and the ``value_text`` (``repr``) of r, from one pass."""
-    num, den = ([fraction_text(p, q) for p, q in part] for part in r.parts())
+    num, den = r.texts()
     return {"value": {"num": num, "den": den}, "value_text": rational_text(num, den)}
 
 

@@ -8,8 +8,9 @@ coprime, integer content 1, positive leading denominator coefficient; zero is
 The gcd is a primitive-part Euclid over Z (W. S. Brown, J. ACM 18, 1971), so
 by Gauss's lemma both parts divide by it exactly.  The constructor clears the
 denominators of ``Fraction`` inputs with one ``lcm``; the ``num``/``den`` views
-give ``Fraction`` coefficients over a monic denominator, and ``parts`` gives
-the same coefficients as reduced ``(p, q)`` int pairs, for printing.
+give ``Fraction`` coefficients over a monic denominator, and ``texts`` gives
+the same coefficients as the strings ``repr`` prints, built with no
+``Fraction``.
 
 Sums and products of two values in normal form use Henrici's gcds (P. Henrici,
 J. ACM 3, 1956), which are smaller than the gcd of the whole result:
@@ -63,11 +64,6 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     """Product; over Z the leading coefficients never cancel."""
     if not a or not b:
         return ()
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        c = a[0]
-        return tuple([c * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -176,7 +172,7 @@ def _poly_text(coeffs: Sequence[str]) -> str:
 
 
 def rational_text(num: Sequence[str], den: Sequence[str]) -> str:
-    """``repr`` of a RatFunc, from the coefficient strings of ``parts()``."""
+    """``repr`` of a RatFunc, from the coefficient strings of ``texts()``."""
     if len(den) == 1:
         return _poly_text(num)
     return f"({_poly_text(num)})/({_poly_text(den)})"
@@ -208,16 +204,16 @@ class RatFunc:
         lead = self._d[-1]
         return tuple(Fraction(c, lead) for c in self._d)
 
-    def parts(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """``num`` and ``den`` as (p, q) pairs in lowest terms with q > 0."""
+    def texts(self) -> tuple[list[str], list[str]]:
+        """The coefficients of ``num`` and ``den`` as ``str(Fraction)`` prints them."""
         lead = self._d[-1]
         out = []
         for poly in (self._n, self._d):
-            pairs = []
+            strs = []
             for c in poly:
                 g = gcd(c, lead)
-                pairs.append((c // g, lead // g))
-            out.append(pairs)
+                strs.append(fraction_text(c // g, lead // g))
+            out.append(strs)
         return out[0], out[1]
 
     @classmethod
@@ -332,9 +328,7 @@ class RatFunc:
         return _new(t, _pmul(_pmul(g, e), e))
 
     def __repr__(self) -> str:
-        num, den = self.parts()
-        return rational_text([fraction_text(*c) for c in num],
-                             [fraction_text(*c) for c in den])
+        return rational_text(*self.texts())
 
 
 _ZERO = object.__new__(RatFunc)

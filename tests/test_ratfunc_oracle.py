@@ -311,18 +311,15 @@ def reference_text(r: RatFunc) -> str:
 
 def assert_formats_as_before(r: RatFunc):
     from dshierarchy.commands.solve import _value_fields
-    num, den = r.parts()
-    assert num == [(c.numerator, c.denominator) for c in r.num]
-    assert den == [(c.numerator, c.denominator) for c in r.den]
-    assert all(type(p) is int and type(q) is int and q > 0 for p, q in num + den)
+    num, den = [str(c) for c in r.num], [str(c) for c in r.den]
+    assert r.texts() == (num, den)
     assert repr(r) == reference_text(r)
-    assert _value_fields(r) == {
-        "value": {"num": [str(c) for c in r.num], "den": [str(c) for c in r.den]},
-        "value_text": reference_text(r)}
+    assert _value_fields(r) == {"value": {"num": num, "den": den},
+                                "value_text": reference_text(r)}
 
 
 @given(st.one_of(ratfuncs(), sharing_pairs().map(lambda ab: ab[0] * ab[1])))
-def test_parts_format_as_the_fraction_views(r):
+def test_texts_format_as_the_fraction_views(r):
     assert_formats_as_before(r)
 
 
@@ -334,5 +331,5 @@ def test_parts_format_as_the_fraction_views(r):
     RatFunc((-15,), (-8, 56, -168, 280, -280, 168, -56, 8)),
     RatFunc((1, 0, -1), (2, 1)), RatFunc((0, 2), (3, 0, 1)),
 ])
-def test_parts_format_zero_constants_negative_and_non_monic(r):
+def test_texts_format_zero_constants_negative_and_non_monic(r):
     assert_formats_as_before(r)
