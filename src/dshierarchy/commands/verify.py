@@ -54,10 +54,12 @@ def run(cfg, build) -> int:
                 "pair": [a, b],
                 "residual_zero": not r.pairing_residual(rb),
             })
+    # the commutators come first: tau-symmetry certifies triples from them
+    commutators = verify_integrability(list(flows.values()))
     checks.extend(table.symmetry_report())
-    checks.extend(verify_tau_symmetry(flows, table))
+    checks.extend(verify_tau_symmetry(flows, table, commutators=commutators))
     checks.extend(verify_gauge_invariance(h, table))
-    checks.extend(verify_integrability(list(flows.values())))
+    checks.extend(commutators)
     covered = [l for l in labels if l != (1, 0) and l[1] <= cfg.max_k]
     checks.append(tau_coordinate_check(
         h, table, eps_order=min(cfg.eps_order, cfg.max_k + 1),

@@ -28,12 +28,14 @@ route is kept in the tests as a reference.
 Verification helpers check flow commutativity, the tau-symmetry identities,
 the gauge invariance of every table entry, the translation flow D_{1,0} = -d
 (including the unique-solution recursion that proves it), and the
-reconstruction of flows from tau-coordinates.
+reconstruction of flows from tau-coordinates.  Tau-symmetry and gauge
+invariance certify most of their verdicts from a few direct computations;
+each certificate's argument is in its docstring.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -347,11 +349,40 @@ def verify_integrability(flows: Sequence[Flow]) -> list[dict]:
 
 def verify_tau_symmetry(flows: Mapping[FlowLabel, Flow], omega: OmegaTable,
                         triples: Iterable[tuple[FlowLabel, FlowLabel, FlowLabel]]
-                        | None = None) -> list[dict]:
-    """D_i(Omega_{j;k}) = D_k(Omega_{i;j}) for the requested label triples."""
+                        | None = None, commutators: Iterable[dict] = ()) -> list[dict]:
+    """D_i(Omega_{j;k}) = D_k(Omega_{i;j}) for the requested label triples.
+
+    Most triples are certified by the d-lift of a few computed directly.
+    Write one = (1, 0), h_j = Omega_{j;one} and P(i, j) for the triple
+    (i, j, one), that is D_i(h_j) = D_one(Omega_{i;j}).  A triple (i, j, k)
+    is certified when
+
+    - flow one has characteristics exactly -u_{a,1}, so D_one = -d;
+    - P(i, j) and P(k, j) hold;
+    - Omega_{j;k} = Omega_{k;j};
+    - the ``flow_commutator`` record of (i, k) among ``commutators`` (the
+      records of ``verify_integrability``) passed, so [D_i, D_k] = 0.
+
+    Evolutionary derivations commute with d, so by P(k, j), the symmetry and
+    P(i, j), d(D_i Omega_{j;k} - D_k Omega_{i;j}) = [D_k, D_i] h_j = 0.  The
+    kernel of d is the constants, so the difference is its value at the
+    vacuum, where every jet is 0.  d^m of anything has no constant term for
+    m >= 1, so that value is
+
+        sum_a W_{i,a}(0) [u_{a,0}]Omega_{j;k} - sum_a W_{k,a}(0) [u_{a,0}]Omega_{i;j},
+
+    with W_{i,a}(0) the constant term of a characteristic and [u_{a,0}] the
+    coefficient of the linear monomial; a certified triple holds iff it is
+    zero.  Every P(i, j), and every triple whose premises do not all hold,
+    is computed directly; with no ``commutators`` every triple is.  So each
+    verdict equals the direct route's, which the tests keep as the reference.
+    """
     if triples is None:
         labels = [l for l in omega.labels() if l in flows]
         triples = [(i, j, k) for i in labels for j in labels for k in labels]
+    one = (1, 0)
+    lift = one in flows and flows[one].chars == tuple(
+        -DiffPoly.var(a, 1) for a in range(1, len(flows[one].chars) + 1))
     # D_i(p) memoised on (i, p): Omega is symmetric, so most values recur,
     # and a corrupted entry never shares a key with its transpose
     applied: dict[tuple[FlowLabel, DiffPoly], DiffPoly] = {}
@@ -362,14 +393,36 @@ def verify_tau_symmetry(flows: Mapping[FlowLabel, Flow], omega: OmegaTable,
             got = applied[(label, p)] = flows[label].apply(p)
         return got
 
+    @cache
+    def holds(i: FlowLabel, j: FlowLabel, k: FlowLabel) -> bool:
+        """The triple (i, j, k), computed directly."""
+        return apply(i, omega.entry(j, k)) == apply(k, omega.entry(i, j))
+
+    # the nonzero constant terms W_{i,a}(0) of each flow's characteristics
+    consts = {l: [(a, w.constant_term()) for a, w in enumerate(f.chars, 1)
+                  if w.constant_term()] for l, f in flows.items()}
+
+    def vacuum(label: FlowLabel, p: DiffPoly) -> Fraction:
+        """The constant term of D_label(p)."""
+        return sum(c * p.terms.get((((a, 0), 1),), 0) for a, c in consts[label])
+
+    commuting = set()
+    for c in commutators:
+        if c["residual_zero"]:
+            i, k = (tuple(l) for l in c["pair"])
+            commuting |= {(i, k), (k, i)}
     out = []
     for (i, j, k) in triples:
-        lhs = apply(i, omega.entry(j, k))
-        rhs = apply(k, omega.entry(i, j))
+        if (lift and k != one and (i, k) in commuting
+                and omega.entry(j, k) == omega.entry(k, j)
+                and holds(i, j, one) and holds(k, j, one)):
+            ok = vacuum(i, omega.entry(j, k)) == vacuum(k, omega.entry(i, j))
+        else:
+            ok = holds(i, j, k)
         out.append({
             "check": "tau_symmetry",
             "triple": [list(i), list(j), list(k)],
-            "residual_zero": (lhs - rhs).is_zero(),
+            "residual_zero": ok,
         })
     return out
 
@@ -380,16 +433,26 @@ def verify_gauge_invariance(hierarchy: DSHierarchy,
 
     Every entry is a polynomial in the u-jets, and f is a differential ring
     map, so an entry is fixed by f once every jet d^m u_a(q) it uses is.
-    Each distinct jet of the table is certified once, in the q-ring, through
-    the canonical coordinate expressions; an entry passes when all of its
-    jets do.
+    f is substitution over a jet map, so it commutes with d, and
+    f(d^m u_a) - d^m u_a = d^m(f(u_a) - u_a).  The kernel of d^m, m >= 1, is
+    the constants.  So jet (a, m) is fixed iff f(u_a) = u_a, or m >= 1 and
+    f(u_a) - u_a is a nonzero constant.  Each generator the table uses is
+    decided once, in the q-ring, through its canonical coordinate
+    expression, and f(u_a) - u_a is formed only for a generator f does not
+    fix; an entry passes when all of its jets do.  The tests keep the
+    per-jet route as the reference.
     """
     hom = hierarchy.gauge_homomorphism()
     jets = hierarchy.canform.jets
     used: set = set()
     for val in omega.entries.values():
         used |= val.variables()
-    fixed = {v: hom.is_invariant(jets(*v)) for v in sorted(used)}
+    moved = {}  # a -> f(u_a) - u_a, for each generator f does not fix
+    for a in sorted({a for a, _ in used}):
+        if not hom.is_invariant(jets(a, 0)):
+            moved[a] = hom.apply(jets(a, 0)) - jets(a, 0)
+    fixed = {(a, m): a not in moved or (m >= 1 and moved[a].is_constant())
+             for a, m in used}
     return [{
         "check": "omega_gauge_invariance",
         "pair": [list(i), list(j)],

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
 from dshierarchy.gauge import CanonicalForm, GaugeFrame, _gauge_q
+from dshierarchy.hierarchy import OmegaTable
 from dshierarchy.kacmoody import LoopElement, LoopRealization
 from dshierarchy.miura import MiuraPair
 from dshierarchy.ratfunc import RatFunc
@@ -123,6 +124,50 @@ def gauge_transform(lax: LaxOperator, s: LoopElement) -> LoopElement:
 def lax_can(cf: CanonicalForm) -> LoopElement:
     """Lambda + Q_can, the canonical-form Lax operator without d."""
     return cf.lax.real.cyclic + cf.q_can
+
+
+# -- hierarchy: the direct verify routes ---------------------------------------
+
+def tau_symmetry_direct(flows: Mapping, omega: OmegaTable, triples=None) -> list[dict]:
+    """``verify_tau_symmetry`` with every triple computed directly."""
+    if triples is None:
+        labels = [l for l in omega.labels() if l in flows]
+        triples = [(i, j, k) for i in labels for j in labels for k in labels]
+    # D_i(p) memoised on (i, p): Omega is symmetric, so most values recur,
+    # and a corrupted entry never shares a key with its transpose
+    applied: dict = {}
+
+    def apply(label, p: DiffPoly) -> DiffPoly:
+        got = applied.get((label, p))
+        if got is None:
+            got = applied[(label, p)] = flows[label].apply(p)
+        return got
+
+    out = []
+    for (i, j, k) in triples:
+        lhs = apply(i, omega.entry(j, k))
+        rhs = apply(k, omega.entry(i, j))
+        out.append({
+            "check": "tau_symmetry",
+            "triple": [list(i), list(j), list(k)],
+            "residual_zero": (lhs - rhs).is_zero(),
+        })
+    return out
+
+
+def gauge_invariance_per_jet(hierarchy, omega: OmegaTable) -> list[dict]:
+    """``verify_gauge_invariance`` with f applied to every u-jet the table uses."""
+    hom = hierarchy.gauge_homomorphism()
+    jets = hierarchy.canform.jets
+    used: set = set()
+    for val in omega.entries.values():
+        used |= val.variables()
+    fixed = {v: hom.is_invariant(jets(*v)) for v in sorted(used)}
+    return [{
+        "check": "omega_gauge_invariance",
+        "pair": [list(i), list(j)],
+        "residual_zero": all(fixed[v] for v in val.variables()),
+    } for (i, j), val in sorted(omega.entries.items())]
 
 
 # -- miura ---------------------------------------------------------------------

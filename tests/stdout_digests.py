@@ -64,6 +64,10 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
               "--eps-order", "3", "--flows", "1:0,1:1,1:2"), False),
             (a2_1[1], True)]
     out += [(argv + ("--format", "text"), False) for argv in a2_1]
+    # verify on the rank-2 types, corrupted (exit 1) and one step deeper
+    out += [(("verify", "--type", name, "--max-k", "1", "--self-test-corrupt"), False)
+            for name in ("a2_1", "a2_2")]
+    out.append((("verify", "--type", "a2_1", "--max-k", "2"), False))
     return out
 
 
