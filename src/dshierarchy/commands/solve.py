@@ -5,11 +5,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from ..hierarchy import verify_integrability
 from ..ratfunc import rational_text
 from ..serialize import dumps
-from ..solution import (flow_equation_report, gbgw_initial, integrate_formal,
-                        two_point_functions)
+from ..solution import (NonCommutingFlowsError, flow_equation_report, gbgw_initial,
+                        integrate_formal, two_point_functions)
 from . import flow_labels
 
 
@@ -24,12 +23,11 @@ def run(cfg, build) -> int:
     constants = cfg.bgw or [Fraction(1)] * h.real.ell
     initial = gbgw_initial(h.real, constants)
     flows = [h.flow(tuple(l)) for l in flow_labels(cfg)]
-    commut = verify_integrability(flows)
-    if not all(r["residual_zero"] for r in commut):
-        sys.stderr.write("flows do not commute; refusing to integrate\n")
+    try:
+        sol = integrate_formal(flows, initial, cfg.t_degree, cfg.eps_order)
+    except NonCommutingFlowsError as exc:
+        sys.stderr.write(f"{exc}\n")
         return 1
-    sol = integrate_formal(flows, initial, cfg.t_degree, cfg.eps_order,
-                           commutativity_checked=True)
     table = h.omega_table(h.real.n, max(k for (_, k) in sol.labels))
     tp = two_point_functions(sol, table)
     flow_eq = flow_equation_report(sol, flows)

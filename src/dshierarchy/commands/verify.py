@@ -30,8 +30,7 @@ def run(cfg, build) -> int:
     checks: list[dict] = []
     # translation flow
     f10 = h.flow((1, 0))
-    ok_d10 = all(w == -DiffPoly.var(a + 1, 1) for a, w in enumerate(f10.chars))
-    checks.append({"check": "d10_is_minus_d", "residual_zero": ok_d10})
+    checks.append({"check": "d10_is_minus_d", "residual_zero": f10.is_minus_d()})
     try:
         h.d10_unique_solve()
         checks.append({"check": "d10_unique_solution", "residual_zero": True})

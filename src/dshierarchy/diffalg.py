@@ -903,11 +903,6 @@ class Derivation:
                    kind: Callable[[Sequence[DiffPoly]], JetMap] = JetMap) -> "Derivation":
         return cls([EpsSeries.of_poly(p, order) for p in polys], kind)
 
-    @classmethod
-    def d_x(cls, arity: int, order: int = 0) -> "Derivation":
-        """The total derivative as a derivation (characteristic u_{a,1})."""
-        return cls([EpsSeries.var(a, order, 1) for a in range(1, arity + 1)])
-
     def __call__(self, p: DiffPoly | EpsSeries) -> EpsSeries:
         if isinstance(p, DiffPoly):
             p = EpsSeries.of_poly(p, self.order)

@@ -8,7 +8,7 @@ u_1..u_ell.  The flow D_{a,k} acts by
 
 with R_{m_a} the basic resolvent of L_can and theta the unique n-valued
 compensator that makes the right-hand side V-valued (Drinfeld-Sokolov);
-theta is solved one principal degree at a time by ``GaugeFrame.v_valued``,
+theta is solved one principal degree at a time by ``gauge.v_valued``,
 and the V-coordinates of the right-hand side are the characteristics,
 already in the u-jets.  For D_{1,0} the recursion gives theta = q_u - b and
 the right-hand side -d(q_u), so D_{1,0} = -d.  The tau-structure entries
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
@@ -46,7 +47,7 @@ from .linalg import InconsistentSystemError
 from .resolvent import DepthError, LaxOperator, flow_depth
 
 if TYPE_CHECKING:  # at run time, only the members that use gauge import it
-    from .gauge import CanonicalForm, GaugeFrame, GaugeHomomorphism
+    from .gauge import CanonicalForm, GaugeHomomorphism
 
 FlowLabel = tuple[int, int]
 
@@ -75,6 +76,11 @@ class Flow:
     @cached_property
     def jets(self) -> JetMap:
         return JetMap(self.chars)
+
+    def is_minus_d(self) -> bool:
+        """True when the characteristics are exactly -u_{a,1}: the flow is -d."""
+        return self.chars == tuple(
+            -DiffPoly.var(a, 1) for a in range(1, len(self.chars) + 1))
 
     def apply(self, p: DiffPoly) -> DiffPoly:
         return apply_poly_derivation(self.jets, p)
@@ -153,11 +159,10 @@ class DSHierarchy:
     resolvent solved to the depth its reader needs).  The Borel side, the
     Borel-variable operator ``lax_q`` and its canonical gauge data
     ``canform``, is built on first read: only the gauge-invariance check,
-    ``gauge-fix`` and ``resolvent`` dumps read it, and building ``canform``
-    runs its residual check.  The gauge frame that flows and the Borel side
-    read is built on first read too, so ``omega`` and ``resolvent`` never
-    compile ``gauge``.  ``omega_max_k`` is the default ``max_k`` of
-    ``omega_table``.
+    ``gauge-fix`` and ``resolvent`` dumps read it.  Flows and the Borel side
+    read the realization's Borel frame through ``gauge``, which only they
+    import, so ``omega`` and ``resolvent`` never compile it.
+    ``omega_max_k`` is the default ``max_k`` of ``omega_table``.
     """
 
     def __init__(self, type_name: str, vertex: int = 0,
@@ -172,18 +177,13 @@ class DSHierarchy:
         self._omega: dict[tuple, OmegaTable] = {}
 
     @cached_property
-    def frame(self) -> GaugeFrame:
-        from .gauge import GaugeFrame
-        return GaugeFrame(self.real)
-
-    @cached_property
     def lax_q(self) -> LaxOperator:
         return LaxOperator(self.real, "borel")
 
     @cached_property
     def canform(self) -> CanonicalForm:
         from .gauge import canonical_form
-        return canonical_form(self.lax_q, self.frame)
+        return canonical_form(self.lax_q)
 
     @property
     def ell(self) -> int:
@@ -192,7 +192,7 @@ class DSHierarchy:
     def gauge_homomorphism(self) -> GaugeHomomorphism:
         if self._hom is None:
             from .gauge import GaugeHomomorphism
-            self._hom = GaugeHomomorphism(self.lax_q, self.frame)
+            self._hom = GaugeHomomorphism(self.lax_q)
         return self._hom
 
     # -- flows -------------------------------------------------------------
@@ -219,13 +219,14 @@ class DSHierarchy:
         V-coordinates of psi.  psi must be a Borel-valued lambda^0 element; the
         error names the flow label and the identity when it is not.
         """
+        from .gauge import v_valued
         lu = self.lax_u.lam_plus_q
         phi = x.bracket(lu) - x.dx()
 
         def residual(theta: LoopElement) -> LoopElement:
             return phi + theta.bracket(lu) - theta.dx()
 
-        theta = self.frame.v_valued(residual)
+        theta = v_valued(self.real, residual)
         psi = residual(theta)
         where = f"flow {label}: [X + theta, L_can] - d(X + theta)"
         if any(p != 0 for p in psi.lambda_powers()):
@@ -235,9 +236,9 @@ class DSHierarchy:
             coords = self.real.borel_coords(psi.vector_at(0))
         except InconsistentSystemError as exc:
             raise RuntimeError(f"{where} is not Borel-valued") from exc
-        if any(not c.is_zero() for c in coords[self.frame.ell:]):
+        if any(not c.is_zero() for c in coords[self.ell:]):
             raise RuntimeError(f"{where} is not V-valued")
-        return theta, psi, tuple(coords[: self.frame.ell])
+        return theta, psi, tuple(coords[: self.ell])
 
     # -- the unique-solution recursion behind D_{1,0} = -d -------------------
     def d10_unique_solve(self) -> tuple[LoopElement, LoopElement]:
@@ -348,9 +349,8 @@ def verify_integrability(flows: Sequence[Flow]) -> list[dict]:
 
 
 def verify_tau_symmetry(flows: Mapping[FlowLabel, Flow], omega: OmegaTable,
-                        triples: Iterable[tuple[FlowLabel, FlowLabel, FlowLabel]]
-                        | None = None, commutators: Iterable[dict] = ()) -> list[dict]:
-    """D_i(Omega_{j;k}) = D_k(Omega_{i;j}) for the requested label triples.
+                        commutators: Iterable[dict]) -> list[dict]:
+    """D_i(Omega_{j;k}) = D_k(Omega_{i;j}) over the table labels in ``flows``.
 
     Most triples are certified by the d-lift of a few computed directly.
     Write one = (1, 0), h_j = Omega_{j;one} and P(i, j) for the triple
@@ -374,15 +374,12 @@ def verify_tau_symmetry(flows: Mapping[FlowLabel, Flow], omega: OmegaTable,
     with W_{i,a}(0) the constant term of a characteristic and [u_{a,0}] the
     coefficient of the linear monomial; a certified triple holds iff it is
     zero.  Every P(i, j), and every triple whose premises do not all hold,
-    is computed directly; with no ``commutators`` every triple is.  So each
-    verdict equals the direct route's, which the tests keep as the reference.
+    is computed directly.  So each verdict equals the direct route's, which
+    the tests keep as the reference.
     """
-    if triples is None:
-        labels = [l for l in omega.labels() if l in flows]
-        triples = [(i, j, k) for i in labels for j in labels for k in labels]
+    labels = [l for l in omega.labels() if l in flows]
     one = (1, 0)
-    lift = one in flows and flows[one].chars == tuple(
-        -DiffPoly.var(a, 1) for a in range(1, len(flows[one].chars) + 1))
+    lift = one in flows and flows[one].is_minus_d()
     # D_i(p) memoised on (i, p): Omega is symmetric, so most values recur,
     # and a corrupted entry never shares a key with its transpose
     applied: dict[tuple[FlowLabel, DiffPoly], DiffPoly] = {}
@@ -412,7 +409,7 @@ def verify_tau_symmetry(flows: Mapping[FlowLabel, Flow], omega: OmegaTable,
             i, k = (tuple(l) for l in c["pair"])
             commuting |= {(i, k), (k, i)}
     out = []
-    for (i, j, k) in triples:
+    for i, j, k in product(labels, repeat=3):
         if (lift and k != one and (i, k) in commuting
                 and omega.entry(j, k) == omega.entry(k, j)
                 and holds(i, j, one) and holds(k, j, one)):
@@ -490,13 +487,11 @@ def tau_coordinate_check(hierarchy: DSHierarchy, omega: OmegaTable,
         return report
     pair = invert_miura(tup, jet_depth=jet_depth)
     d_one_flow = hierarchy.flow(one)
-    d_one = d_one_flow.derivation(eps_order)
-    translation = Derivation.d_x(ell, eps_order)
-    if not all((a + b).is_zero()
-               for a, b in zip(d_one.chars, translation.chars)):
+    if not d_one_flow.is_minus_d():
         report["residual_zero"] = False
         report["error"] = "distinguished flow is not -d"
         return report
+    d_one = d_one_flow.derivation(eps_order)
     rows = {}
     for j in check_labels:
         rows[tuple(j)] = [

@@ -495,7 +495,6 @@ class LoopRealization:
 
         self._slice_cache: dict[int, list[tuple[int, int]]] = {}
         self._split_cache: dict[int, _SliceSplitter] = {}
-        self._borel_solver: LinearSolver | None = None
         self._validate()
 
     # -- helpers -----------------------------------------------------------
@@ -573,15 +572,10 @@ class LoopRealization:
     def borel_coords(self, vec: Sequence[DiffPoly]) -> list[DiffPoly]:
         """Coordinates of a Borel-valued vector in the ordered Borel basis.
 
-        The first len(v_basis) coordinates are the gauge (V) components, the
+        The first ell coordinates are the gauge (V) components, the
         remaining ones are the coefficients of [e, p_j].  Raises when the
         vector is not in the Borel span.
         """
-        if self._borel_solver is None:
-            cols = self.borel_vectors()
-            rows = [[cols[c][r] for c in range(len(cols))]
-                    for r in range(self.alg.dim)]
-            self._borel_solver = LinearSolver(rows)
         return self._borel_solver.solve(list(vec), zero=_ZERO_P)
 
     # -- validation ---------------------------------------------------------
@@ -687,15 +681,18 @@ class LoopRealization:
             nv = LoopElement.from_vector(self, 0, self.poly_vector(v))
             if not nv.bracket(lam_tail).is_zero():
                 raise ValueError("[n, e_m lambda] != 0 fails")
-        # gauge splitting b = V (+) [e, n]
+        # gauge splitting b = V (+) [e, n], the frame borel_coords solves in;
+        # its first ell coordinates are the V part
+        if len(self.v_basis) != self.ell:
+            raise ValueError(f"gauge subspace has {len(self.v_basis)} basis vectors, "
+                             f"not rank_affine = {self.ell}")
         dim_b = len(self.nilpotent_basis) + len(self.cartan_basis)
-        cols = [list(v) for v in self.v_basis]
-        for p in self.nilpotent_basis:
-            cols.append(alg.bracket_vec(self.e_nil, p, zero=zero))
+        cols = self.borel_vectors()
         if len(cols) != dim_b:
             raise ValueError("dim V + dim [e,n] != dim b")
         rows = [[cols[c][r] for c in range(len(cols))] for r in range(alg.dim)]
-        if LinearSolver(rows).rank != dim_b:
+        self._borel_solver = LinearSolver(rows)
+        if self._borel_solver.rank != dim_b:
             raise ValueError("V does not complement [e, n] in the Borel")
         # V degrees are minus the exponents of the zero-mode subalgebra
         for v in self.v_basis:

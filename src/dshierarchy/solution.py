@@ -180,14 +180,12 @@ class FormalSolution:
 
 
 def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
-                     t_degree: int, eps_order: int,
-                     commutativity_checked: bool = False) -> FormalSolution:
+                     t_degree: int, eps_order: int) -> FormalSolution:
     """Iterated-flow Taylor solution with the given initial data at t = 0.
 
-    Flows must commute (verified unless the caller vouches); initial data
-    must be regular at the expansion point x = 0.  Every mixed Taylor
-    coefficient is recomputed through a second application order and must
-    agree exactly.
+    Flows must commute and initial data must be regular at the expansion
+    point x = 0; both are checked.  Every mixed Taylor coefficient is
+    recomputed through a second application order and must agree exactly.
     """
     flows = list(flows)
     labels = tuple(f.label for f in flows)
@@ -195,10 +193,8 @@ def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
     for f in flows:
         if len(f.chars) != ell:
             raise ValueError("flow arity does not match the initial data")
-    if not commutativity_checked:
-        rep = verify_integrability(flows)
-        if not all(r["residual_zero"] for r in rep):
-            raise NonCommutingFlowsError("flows do not commute; refusing to integrate")
+    if not all(r["residual_zero"] for r in verify_integrability(flows)):
+        raise NonCommutingFlowsError("flows do not commute; refusing to integrate")
     for f0 in initial:
         if f0.has_pole_at_zero():
             raise PoleAtExpansionPointError(

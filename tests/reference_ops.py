@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
-from dshierarchy.gauge import CanonicalForm, GaugeFrame, _gauge_q
+from dshierarchy.gauge import CanonicalForm, _gauge_q
 from dshierarchy.hierarchy import OmegaTable
 from dshierarchy.kacmoody import LoopElement, LoopRealization
+from dshierarchy.linalg import InconsistentSystemError, LinearSolver
 from dshierarchy.miura import MiuraPair
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.resolvent import DepthError, LaxOperator, Resolvent
@@ -25,6 +26,11 @@ from dshierarchy.solution import FormalSolution
 
 
 # -- diffalg -------------------------------------------------------------------
+
+def d_x(arity: int, order: int = 0) -> Derivation:
+    """The total derivative as a derivation (characteristic u_{a,1})."""
+    return Derivation([EpsSeries.var(a, order, 1) for a in range(1, arity + 1)])
+
 
 def is_graded(s: EpsSeries) -> bool:
     """True when component q is homogeneous of degree q (or zero)."""
@@ -115,9 +121,21 @@ def omega_depth(real: LoopRealization, max_a: int, max_k: int) -> int:
 
 # -- gauge ---------------------------------------------------------------------
 
+def nilpotent_coords(real: LoopRealization, x: LoopElement) -> list[DiffPoly]:
+    """Coordinates of x in the nilpotent basis; raises unless x is n-valued."""
+    if any(k != 0 for k in x.lambda_powers()):
+        raise ValueError("element is not lambda-free")
+    cols = real.nilpotent_basis
+    rows = [[col[r] for col in cols] for r in range(real.alg.dim)]
+    try:
+        return LinearSolver(rows).solve(list(x.vector_at(0)), zero=DiffPoly.zero())
+    except InconsistentSystemError as exc:
+        raise ValueError("element is not nilpotent-valued") from exc
+
+
 def gauge_transform(lax: LaxOperator, s: LoopElement) -> LoopElement:
     """Q with e^{ad S}(d + Lambda + q) = d + Lambda + Q; S must be n-valued."""
-    GaugeFrame(lax.real).nilpotent_coords(s)  # raises when S is not in n
+    nilpotent_coords(lax.real, s)  # raises when S is not in n
     return _gauge_q(lax, s)
 
 

@@ -52,7 +52,7 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     ]
     out += [(argv, False) for argv in bench]
     for name in ("a1_1", "a2_1", "a2_2"):
-        out.append((("gauge-fix", "--type", name), name == "a1_1"))
+        out.append((("gauge-fix", "--type", name), True))
     out += [(argv + ("--format", "text"), False) for argv in bench]
     # solve on the other types, with other BGW constants, flows and orders
     a2_1 = [("solve", "--type", "a2_1", "--bgw", "1,2", "--t-degree", "2"),

@@ -12,7 +12,8 @@ import pytest
 
 from dshierarchy import cli
 from dshierarchy.cli import main
-from dshierarchy.hierarchy import DSHierarchy
+from dshierarchy.diffalg import DiffPoly
+from dshierarchy.hierarchy import DSHierarchy, Flow
 
 
 def run(capsys, *argv):
@@ -202,10 +203,9 @@ def test_import_path_loads_no_dataclasses_or_inspect():
     assert {n for n in loaded if n.startswith("dshierarchy.commands.")} == set()
 
 
-# What each subcommand's hierarchy holds afterwards: which of the gauge frame
-# and the canonical form were built (None: the subcommand builds no hierarchy).
-BUILDS = {"discrete": None, "derive": ["frame"], "solve": ["frame"],
-          "verify": ["canform", "frame"], "gauge-fix": ["canform", "frame"]}
+# What each subcommand's hierarchy holds afterwards: whether the canonical
+# form was built (None: the subcommand builds no hierarchy).
+BUILDS = {"discrete": None, "verify": ["canform"], "gauge-fix": ["canform"]}
 
 
 @pytest.mark.parametrize("argv, unrun", [
@@ -228,7 +228,7 @@ def test_subcommand_runs_only_its_modules(argv, unrun):
         "from dshierarchy import cli; built = []; build = cli._build_hierarchy; "
         "cli._build_hierarchy = lambda cfg: built.append(build(cfg)) or built[-1]; "
         f"assert cli.main({argv!r}) == 0; "
-        "held = [[k for k in ('canform', 'frame') if k in vars(h)] for h in built]; "
+        "held = [[k for k in ('canform',) if k in vars(h)] for h in built]; "
         f"assert held == {held!r}, f'built: {{held}}'")
     unrun = {f"dshierarchy.{m}" for m in unrun}
     assert "dshierarchy.diffalg" in loaded
@@ -486,6 +486,18 @@ def test_solve_without_the_translation_flow_names_it(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: two-point functions need the flow (1, 0) among the "
                    "solution's flows, got [(1, 1)]\n")
+
+
+def test_solve_refuses_non_commuting_flows(capsys, monkeypatch):
+    # a stand-in (1, 1) whose characteristic u^3 does not commute with u^2
+    flow = DSHierarchy.flow
+    stand_in = {(1, 0): Flow((1, 0), (DiffPoly.var(1) ** 2,)),
+                (1, 1): Flow((1, 1), (DiffPoly.var(1) ** 3,))}
+    monkeypatch.setattr(DSHierarchy, "flow",
+                        lambda h, label: stand_in.get(label) or flow(h, label))
+    code, out, err = run(capsys, "solve", "--type", "a1_1", "--flows", "1:0,1:1",
+                         "--t-degree", "1", "--eps-order", "0")
+    assert (code, out, err) == (1, "", "flows do not commute; refusing to integrate\n")
 
 
 def test_verify_rejects_max_a_below_ell(capsys):

@@ -7,8 +7,8 @@ import pytest
 
 from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.kacmoody import (LoopElement, SimpleLieAlgebra, UnsupportedTypeError,
-                                  build_algebra)
+from dshierarchy.kacmoody import (LoopElement, LoopRealization, SimpleLieAlgebra,
+                                  UnsupportedTypeError, build_algebra, load_table)
 from reference_ops import (heisenberg_split, pi_lambda, pi_multi, project_minus,
                            project_plus)
 
@@ -348,3 +348,18 @@ def test_form_pairing_unequal_degrees_names_the_pair(a1, monkeypatch):
                                          r"of principal degrees 1 and 1$"):
         bad._validate()
     assert a1._validate() is None
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+@pytest.mark.parametrize("change", ["rank", "basis"])
+def test_gauge_basis_length_must_be_rank_affine(name, change):
+    # borel_coords reads the first rank_affine coordinates as the V part
+    data = load_table(name)  # a fresh parse on every call
+    if change == "rank":
+        data["rank_affine"] += 1
+    else:
+        data["gauge_v_basis"] = data["gauge_v_basis"][:-1]
+    n_v, ell = len(data["gauge_v_basis"]), data["rank_affine"]
+    with pytest.raises(ValueError, match=rf"^gauge subspace has {n_v} basis "
+                                         rf"vectors, not rank_affine = {ell}$"):
+        LoopRealization(data)
