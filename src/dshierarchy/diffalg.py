@@ -31,7 +31,8 @@ computes the shift ``S^m`` instead.  Derivations and Miura pairs take their
 jets from a jet map, so both rings share them.  Every ring homomorphism
 fixed by the images of the jets (a Miura map, the gauge rewrite, the
 embedding of the difference ring, evaluation along a solution) is
-``DiffPoly.substitute`` over a jet map, which memoises the jets' powers.
+``DiffPoly.substitute`` over a jet map, which memoises the image of each
+monomial.
 
 The monomial container allows negative orders so that the difference ring
 (shift orders in Z) can reuse it; the operations that only make sense
@@ -44,8 +45,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
-from operator import or_
+from math import factorial, gcd, lcm
+from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 JetVar = tuple[int, int]  # (alpha, order)
@@ -574,31 +575,41 @@ class DiffPoly:
         ``jets`` is a :class:`JetMap` whose images are DiffPoly, EpsSeries,
         ``ratfunc.RatFunc`` or ``solution.TSeries`` values; the result lies in
         the ring of the images, constants included (a zero or constant
-        polynomial maps to a multiple of ``jets.unit``).  Each factor is one
-        lookup in the map's memo of powers, keyed by the packed variable, so
-        every power is computed once per map.  DiffPoly products are
-        accumulated in place over numerators.
+        polynomial maps to a multiple of ``jets.unit``).  Each term is one
+        lookup in the map's memo of monomial images, so every monomial image
+        is computed once per map.  DiffPoly images, and each eps power of
+        EpsSeries images, are summed in place over numerators and normalized
+        once.
         """
         if not self._num:
             return jets.unit * 0
-        power = jets.power
+        image = jets.monomial
         acc: dict[int, int] = {}
         den = 1
+        series = None           # EpsSeries images: [numerators, denominator] per eps power
         rest = None
         for m, c in self._num.items():
-            term = None
-            for f, e in _factors(m):
-                factor = power(f, e)
-                term = factor if term is None else term * factor
-            if term is None:
-                term = jets.unit
-            if type(term) is DiffPoly:
+            term = image(m)
+            kind = type(term)
+            if kind is DiffPoly:
                 den = _add_into(acc, den, term, c)
+            elif kind is EpsSeries:
+                if series is None:
+                    order = term.order
+                    series = [[{}, 1] for _ in range(order + 1)]
+                elif term.order != order:
+                    raise ValueError(f"eps truncation mismatch: {order} vs {term.order}")
+                for part, comp in zip(series, term.components):
+                    if comp._num:
+                        part[1] = _add_into(part[0], part[1], comp, c)
             else:
                 term = term * Fraction(c, self._den)
                 rest = term if rest is None else rest + term
-        poly = _normal(acc, den * self._den)
-        return poly if rest is None else rest + poly if poly else rest
+        out = _normal(acc, den * self._den)
+        if series is not None:
+            sums = EpsSeries([_normal(num, d * self._den) for num, d in series], order)
+            out = sums + out if out else sums
+        return out if rest is None else rest + out if out else rest
 
     # -- presentation ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -736,17 +747,9 @@ class EpsSeries:
     def __mul__(self, other) -> "EpsSeries":
         if isinstance(other, (int, Fraction, DiffPoly)):
             return EpsSeries([c * other for c in self.components], self.order)
-        o = self._coerce(other)
-        comps = [DiffPoly.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.components):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = o.components[j]
-                if b.is_zero():
-                    continue
-                comps[i + j] = comps[i + j] + a * b
-        return EpsSeries(comps, self.order)
+        a, b = self.components, self._coerce(other).components
+        return EpsSeries([DiffPoly.dot((a[i], b[q - i]) for i in range(q + 1))
+                          for q in range(self.order + 1)], self.order)
 
     __rmul__ = __mul__
 
@@ -788,19 +791,26 @@ class EpsSeries:
         return max((c.max_order() for c in self.components), default=0)
 
     def exp_dx(self) -> "EpsSeries":
-        """Apply e^{eps d} = sum_j eps^j d^j / j! (d = total derivative)."""
-        comps = [DiffPoly.zero() for _ in range(self.order + 1)]
-        fact = 1
-        for j in range(self.order + 1):
-            if j > 0:
-                fact *= j
-            inv = Fraction(1, fact)
-            for i in range(self.order + 1 - j):
-                c = self.components[i]
-                if c.is_zero():
-                    continue
-                comps[i + j] = comps[i + j] + c.dx_n(j) * inv
-        return EpsSeries(comps, self.order)
+        """Apply e^{eps d} = sum_j eps^j d^j / j! (d = total derivative).
+
+        Each d^j(c_i) is the total derivative of d^{j-1}(c_i).  Component q
+        sums K!/j! d^j(c_{q-j}) in place over numerators and is divided by K!
+        and normalized once.
+        """
+        order = self.order
+        top = factorial(order)
+        sums = [[{}, 1] for _ in range(order + 1)]
+        for i, c in enumerate(self.components):
+            fact = 1
+            for j in range(order + 1 - i):
+                if j:
+                    c = c.dx()
+                    fact *= j
+                if not c:
+                    break
+                part = sums[i + j]
+                part[1] = _add_into(part[0], part[1], c, top // fact)
+        return EpsSeries([_normal(num, den * top) for num, den in sums], order)
 
     def __repr__(self) -> str:
         from .render import render_series
@@ -808,23 +818,23 @@ class EpsSeries:
 
 
 class JetMap:
-    """The jets (alpha, m) -> d^m(images[alpha-1]) and their powers, each computed once.
+    """The jets (alpha, m) -> d^m(images[alpha-1]) and the monomials in them, each computed once.
 
     Images may be DiffPoly, EpsSeries, RatFunc or TSeries values.  A map is
     handed to ``substitute`` as the images of a ring homomorphism; it raises
     ArityMismatchError for a component beyond ``len(images)``.  Each jet comes
     from one call of ``step``, the only place that knows the jet operator; a
     subclass with another step gives the jets of another ring (or of every
-    component, if its step never reads ``images``).  Jets and their powers
+    component, if its step never reads ``images``).  Jets and monomial images
     are memoised for as long as the map lives and never mutated.
     """
 
-    __slots__ = ("images", "_jets", "_powers")
+    __slots__ = ("images", "_jets", "_monomials")
 
     def __init__(self, images: Sequence):
         self.images = tuple(images)
         self._jets: dict[JetVar, object] = {}
-        self._powers: dict[tuple[int, int], object] = {}  # (field, e) -> power
+        self._monomials: dict[int, object] = {}  # packed monomial -> image
 
     def __call__(self, alpha: int, m: int):
         got = self._jets.get((alpha, m))
@@ -846,12 +856,25 @@ class JetMap:
                 f"jet of component {alpha} at order {m}: d^m needs m >= 0")
         return self.image(alpha) if m == 0 else self(alpha, m - 1).dx()
 
-    def power(self, f: int, e: int):
-        """The jet of the packed variable field f to the power e >= 1."""
-        got = self._powers.get((f, e))
+    def monomial(self, m: int):
+        """The image of the packed monomial m (``unit`` for m = 0).
+
+        A monomial in several variables is the product of its factors'
+        powers, and each power is a single-variable monomial of the same memo.
+        """
+        got = self._monomials.get(m)
         if got is None:
-            jet = self(*_VARS[f])
-            got = self._powers[(f, e)] = jet if e == 1 else jet ** e
+            factors = _factors(m)
+            if not factors:
+                got = self.unit
+            elif len(factors) == 1:
+                f, e = factors[0]
+                jet = self(*_VARS[f])
+                got = jet if e == 1 else jet ** e
+            else:
+                monomial = self.monomial
+                got = reduce(mul, (monomial(e << (f * _BITS)) for f, e in factors))
+            self._monomials[m] = got
         return got
 
     @property

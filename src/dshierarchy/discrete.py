@@ -15,8 +15,8 @@ The ring embeds into the eps-completion of the differential ring by
 
 under which S becomes e^{eps d}.  The shift S^k and the embedding are both
 ``DiffPoly.substitute`` over a jet map of every component, kept for the life
-of the ring (one per k) and of the process (one per eps order), so each
-image and each of its powers is computed once.
+of the ring (one per k) and of the process (one per eps order), so each jet
+image and each monomial image is computed once.
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ def embed_differential(p: DiffPoly | EpsSeries, eps_order: int) -> EpsSeries:
     """Embed a difference polynomial into the differential eps-completion.
 
     u_{a,m} -> sum_{j<=K} (eps m)^j / j! u_{a,j}; an algebra homomorphism
-    sending the shift to e^{eps d} modulo eps^{K+1}.  The images and their
-    powers are computed once per process, in the jet map of the embedding.
+    sending the shift to e^{eps d} modulo eps^{K+1}.  The images of the jets
+    and of the monomials are computed once per process, in the jet map of the
+    embedding.
     """
     if isinstance(p, EpsSeries) and p.order != eps_order:
         p = EpsSeries(p.components, eps_order)

@@ -1,13 +1,15 @@
 """Test helpers for ring homomorphisms given by the images of the jets.
 
 ``FunctionJets`` is a jet map whose images come from a function, for tests
-that state the image of every jet by a formula; ``memoised_powers`` reads
-the memo of powers of a jet map.  ``reference_substitute`` is
-the monomial-by-monomial evaluation that ``DiffPoly.substitute`` replaced, kept
+that state the image of every jet by a formula; ``memoised_monomials`` reads
+the memo of monomial images of a jet map, and ``snapshot`` records a value
+so that a later mutation shows.  ``reference_substitute`` is the
+monomial-by-monomial evaluation that ``DiffPoly.substitute`` replaced, kept
 as an independent reference.
 """
 
-from dshierarchy.diffalg import _VARS, JetMap
+from dshierarchy.diffalg import DiffPoly, EpsSeries, JetMap, _monomial
+from dshierarchy.solution import TSeries
 
 
 class FunctionJets(JetMap):
@@ -23,9 +25,20 @@ class FunctionJets(JetMap):
         return self.fn(alpha, m)
 
 
-def memoised_powers(jets):
-    """(alpha, m, e, value) for each power in the memo of a jet map."""
-    return [(*_VARS[f], e, value) for (f, e), value in jets._powers.items()]
+def memoised_monomials(jets):
+    """(monomial, value) for each image in the monomial memo of a jet map."""
+    return [(_monomial(m), value) for m, value in jets._monomials.items()]
+
+
+def snapshot(value):
+    """The stored parts of a DiffPoly, EpsSeries, RatFunc or TSeries, copied."""
+    if isinstance(value, DiffPoly):
+        return value._den, tuple(value._num.items())
+    if isinstance(value, EpsSeries):
+        return value.order, tuple(snapshot(c) for c in value.components)
+    if isinstance(value, TSeries):
+        return tuple((key, snapshot(v)) for key, v in value.data.items())
+    return value._n, value._d
 
 
 def reference_substitute(p, jet, one):

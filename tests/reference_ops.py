@@ -11,6 +11,7 @@ action the canonical form is solved for).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Sequence
 
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
@@ -38,6 +39,24 @@ def is_graded(s: EpsSeries) -> bool:
         if not c.is_zero() and c.degrees() != frozenset({q}):
             return False
     return True
+
+
+def eps_product_fold(a: EpsSeries, b: EpsSeries) -> EpsSeries:
+    """a * b as a fold: each product a_i b_j added on its own at eps^(i+j)."""
+    comps = [DiffPoly.zero()] * (a.order + 1)
+    for i, x in enumerate(a.components):
+        for j, y in enumerate(b.components[: a.order + 1 - i]):
+            comps[i + j] = comps[i + j] + x * y
+    return EpsSeries(comps, a.order)
+
+
+def exp_dx_sum(s: EpsSeries) -> EpsSeries:
+    """sum_j eps^j d^j(s) / j!, each term d^j(c_i) / j! added on its own."""
+    comps = [DiffPoly.zero()] * (s.order + 1)
+    for i, c in enumerate(s.components):
+        for j in range(s.order + 1 - i):
+            comps[i + j] = comps[i + j] + c.dx_n(j) * Fraction(1, factorial(j))
+    return EpsSeries(comps, s.order)
 
 
 # -- kacmoody ------------------------------------------------------------------

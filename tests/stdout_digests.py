@@ -68,6 +68,11 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     out += [(("verify", "--type", name, "--max-k", "1", "--self-test-corrupt"), False)
             for name in ("a2_1", "a2_2")]
     out.append((("verify", "--type", "a2_1", "--max-k", "2"), False))
+    # discrete: the benchmark's job, then a lower and a higher eps order
+    out += [(("discrete", "--eps-order", "4", "--t-degree", "2", "--samples", "100",
+              "--seed", "1"), True),
+            (("discrete", "--eps-order", "3", "--samples", "300", "--seed", "9"), False),
+            (("discrete", "--eps-order", "6", "--samples", "50", "--seed", "2"), False)]
     return out
 
 

@@ -15,10 +15,11 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dshierarchy.diffalg import (MAX_EXPONENT, ArityMismatchError, DiffPoly,
+from dshierarchy.diffalg import (MAX_EXPONENT, ArityMismatchError, DiffPoly, EpsSeries,
                                  ExponentOverflowError, JetMap, NotTotalDerivativeError,
                                  apply_poly_derivation)
-from jet_images import FunctionJets
+from jet_images import FunctionJets, memoised_monomials, reference_substitute
+from reference_ops import eps_product_fold, exp_dx_sum
 
 u = DiffPoly.var
 v = DiffPoly.dvar
@@ -294,3 +295,127 @@ def test_sorted_parts_are_the_sorted_terms(p):
         sorted(p.terms.items())
     for _, num, den in p.sorted_parts():
         assert den > 0 and gcd(num, den) == 1
+
+
+# -- the EpsSeries kernel, against a fold of single products and sums -----------
+
+def eps_series(order: int):
+    comp = st.one_of(st.just(DiffPoly.zero()), small_polys)
+    return st.lists(comp, min_size=order + 1, max_size=order + 1).map(
+        lambda comps: EpsSeries(comps, order))
+
+
+eps_orders = st.integers(0, 5)
+
+
+def hashes(*values):
+    return [hash(x) for x in values]
+
+
+@given(eps_orders.flatmap(lambda k: st.tuples(eps_series(k), eps_series(k))))
+def test_eps_product_is_the_fold_of_component_products(pair):
+    a, b = pair
+    before = hashes(a, b)
+    got = a * b
+    assert got == eps_product_fold(a, b) and got == b * a
+    for c in got.components:
+        assert_normal(c)
+    assert hashes(a, b) == before          # the operands are not mutated
+
+
+@given(eps_orders.flatmap(eps_series))
+def test_exp_dx_is_the_term_by_term_sum(s):
+    before = hashes(s)
+    got = s.exp_dx()
+    assert got == exp_dx_sum(s)
+    for c in got.components:
+        assert_normal(c)
+    assert hashes(s) == before
+
+
+@given(eps_orders.flatmap(lambda k: st.tuples(
+    small_polys, st.lists(eps_series(k), min_size=2, max_size=2))))
+def test_substitute_into_eps_series_images_matches_reference(case):
+    p, images = case
+    jets = JetMap(images)
+    one = EpsSeries.const(1, images[0].order)
+    before = hashes(p, *images)
+    for q in (p, DiffPoly.zero(), DiffPoly.const(Fraction(-3, 2)), p + Fraction(2, 3)):
+        got = q.substitute(jets)
+        assert type(got) is EpsSeries and got == reference_substitute(q, jets, one)
+        for c in got.components:
+            assert_normal(c)
+    memo = [(mono, hash(value)) for mono, value in memoised_monomials(jets)]
+    assert p.substitute(jets) == reference_substitute(p, jets, one)
+    assert hashes(p, *images) == before
+    assert [(mono, hash(value)) for mono, value in memoised_monomials(jets)] == memo
+
+
+def test_substitute_rejects_eps_series_images_of_two_orders():
+    jets = FunctionJets(lambda alpha, m: EpsSeries.var(alpha, alpha, m))
+    assert u(1).substitute(jets) == EpsSeries.var(1, 1)
+    with pytest.raises(ValueError, match="eps truncation mismatch: 1 vs 2"):
+        (u(1) + u(2)).substitute(jets)
+
+
+# -- the monomial memo of a jet map --------------------------------------------
+
+class _Stores(dict):
+    """A dict that lists every key stored into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+class CountingJets(FunctionJets):
+    """FunctionJets that lists its step calls and the images stored in its memo."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.steps = []
+        self._monomials = _Stores()
+
+    def step(self, alpha: int, m: int):
+        self.steps.append((alpha, m))
+        return super().step(alpha, m)
+
+
+def _image(alpha: int, m: int) -> DiffPoly:
+    return Fraction(1, alpha + 1) * u(alpha, m) - u(3 - alpha, m + 1) * u(alpha)
+
+
+SHARED = [u(1) * u(2, 1) + u(1) ** 2,
+          Fraction(1, 3) * u(1) * u(2, 1) * u(1, 2) - u(1) ** 2 * u(2, 1),
+          u(2, 1) ** 3 + 5 - u(1) * u(2, 1)]
+
+
+@pytest.mark.parametrize("order", [None, 0, 3])
+def test_each_monomial_image_is_computed_once_per_map(order):
+    # order None: DiffPoly images; else EpsSeries images of that eps order
+    if order is None:
+        jets, one = CountingJets(_image), DiffPoly.const(1)
+    else:
+        jets = CountingJets(lambda alpha, m: EpsSeries(
+            [_image(alpha, m), DiffPoly.zero(), Fraction(-2, 5) * u(alpha, m + 2)], order))
+        one = EpsSeries.const(1, order)
+    first = [p.substitute(jets) for p in SHARED]
+    monomials = {mono for p in SHARED for mono in p.terms}
+    powers = {((var, e),) for mono in monomials for var, e in mono}
+    stored = jets._monomials.stored
+    assert len(stored) == len(set(stored))                  # each image once
+    assert {mono for mono, _ in memoised_monomials(jets)} == monomials | powers
+    assert sorted(jets.steps) == sorted({var for mono in monomials for var, _ in mono})
+    counts = len(jets.steps), len(stored)
+    assert [p.substitute(jets) for p in SHARED] == first
+    assert (len(jets.steps), len(stored)) == counts         # the second pass only reads
+    for p, got in zip(SHARED, first):
+        assert got == reference_substitute(p, jets, one)
+    for mono, value in memoised_monomials(jets):
+        assert value == reference_substitute(DiffPoly({mono: 1}), jets, jets.unit)

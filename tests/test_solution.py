@@ -14,7 +14,7 @@ from dshierarchy.solution import (NonCommutingFlowsError,
                                   evaluate_on_solution, flow_equation_report,
                                   gbgw_initial, integrate_formal,
                                   two_point_functions)
-from jet_images import memoised_powers, reference_substitute
+from jet_images import memoised_monomials, reference_substitute, snapshot
 from reference_ops import at_t_zero
 
 u = DiffPoly.var
@@ -135,10 +135,10 @@ def _assert_substitute_matches_reference(p, jets, one):
         got = q.substitute(jets)
         assert type(got) is type(one)
         assert got == reference_substitute(q, jets, one)
-        # a second pass reads the memoised powers of the same map
+        # a second pass reads the memoised monomial images of the same map
         assert q.substitute(jets) == got
-    for alpha, m, e, value in memoised_powers(jets):
-        assert value == jets(alpha, m) ** e
+    for mono, value in memoised_monomials(jets):
+        assert value == reference_substitute(DiffPoly({mono: 1}), jets, one)
 
 
 @given(polys, st.lists(ratfuncs, min_size=2, max_size=2))
@@ -159,9 +159,10 @@ def test_evaluations_share_the_jets_of_the_solution(sl2):
     jets = sol.jets
     two_point_functions(sol, sl2.omega_table(1, 1))
     flow_equation_report(sol, flows)
-    assert sol.jets is jets and jets._powers
-    for alpha, m, e, value in memoised_powers(jets):
-        assert value == jets(alpha, m) ** e
+    assert sol.jets is jets and jets._monomials
+    one = TSeries.const(len(sol.labels), sol.T, sol.K, RatFunc.const(1))
+    for mono, value in memoised_monomials(jets):
+        assert value == reference_substitute(DiffPoly({mono: 1}), jets, one)
 
 
 BENCH_SOLVE = ["solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
@@ -253,3 +254,74 @@ def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
         for key, series in values.items():
             assert series.data == before[key]
             assert all(series.data[k] is v for k, v in before[key].items())
+
+
+def reference_flow_equation_report(sol, flows):
+    """Each characteristic evaluated at the full t-degree T, then cut to T-1."""
+    by_label = {f.label: f for f in flows}
+    tcut = sol.T - 1
+    out = []
+    for b, j in enumerate(sol.labels):
+        for alpha in range(1, len(sol.initial) + 1):
+            lhs = sol.series(alpha).dt(b).truncate_t(tcut)
+            rhs = solution.evaluate_flow_char(by_label[j].chars[alpha - 1], sol)
+            out.append({"check": "flow_equation", "label": list(j), "component": alpha,
+                        "residual_zero": (lhs - rhs.truncate_t(tcut)).is_zero()})
+    return out
+
+
+@pytest.fixture(scope="module")
+def deep_solve(sl2):
+    """The solution of ``solve --type a1_1 --bgw 1/2 --t-degree 3 --eps-order 3``."""
+    flows = [sl2.flow(label) for label in ((1, 0), (1, 1), (1, 2))]
+    return integrate_formal(flows, gbgw_initial(sl2.real, [Fraction(1, 2)]), 3, 3)
+
+
+@pytest.mark.parametrize("case", ["bench_solve", "deep_solve"])
+def test_flow_equations_are_read_at_t_degree_t_minus_1(case, request, sl2, monkeypatch):
+    sol = request.getfixturevalue(case)
+    sol = sol[0] if case == "bench_solve" else sol
+    flows = [sl2.flow(label) for label in sol.labels]
+    # a stand-in for flow (1, 1) whose characteristic is off by 2 u_x
+    wrong = [Flow(f.label, (f.chars[0] + 2 * u(1, 1),)) if f.label == (1, 1) else f
+             for f in flows]
+    degrees = []
+    plain = solution.evaluate_flow_char
+
+    def recorded(char, at):
+        degrees.append(at.T)
+        return plain(char, at)
+
+    for stand_in, passes in ((flows, [True] * 3), (wrong, [True, False, True])):
+        monkeypatch.setattr(solution, "evaluate_flow_char", recorded)
+        got = flow_equation_report(sol, stand_in)
+        monkeypatch.undo()
+        assert got == reference_flow_equation_report(sol, stand_in)
+        assert [r["residual_zero"] for r in got] == passes
+    assert degrees == [sol.T - 1] * 6
+
+
+BENCH_DISCRETE = ["discrete", "--eps-order", "4", "--t-degree", "2", "--samples", "100",
+                  "--seed", "1"]
+
+
+def test_no_memoised_monomial_image_is_mutated_by_a_run(monkeypatch, capsys):
+    from dshierarchy import cli, discrete
+    seen = {}
+    plain = JetMap.monomial
+
+    def recorded(jets, m):
+        got = plain(jets, m)
+        seen.setdefault(id(got), (got, snapshot(got)))
+        return got
+
+    monkeypatch.setattr(JetMap, "monomial", recorded)
+    discrete._embedding.cache_clear()
+    for argv in (BENCH_SOLVE, BENCH_DISCRETE):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    discrete._embedding.cache_clear()
+    assert {type(value).__name__ for value, _ in seen.values()} == \
+        {"DiffPoly", "EpsSeries", "RatFunc", "TSeries"}
+    for value, before in seen.values():
+        assert snapshot(value) == before
