@@ -17,6 +17,11 @@ differential-polynomial coefficients; the coefficient of lambda^k must lie in
 the twist eigenspace of class k mod N.  They are finite, so every bracket,
 shift and principal-degree slice is exact.  The principal degree of
 ``x * lambda^k`` is ``pdeg(x) + k * (r h / N)``.
+
+Each slice splits as H (+) im ad Lambda, H the Heisenberg subalgebra, and the
+form makes the two orthogonal.  ``LoopRealization.splitter(d).preimage(x)``
+solves [Lambda, y] = x for the y in im ad Lambda in one linear solve, with
+the form fixing the kernel; a slice x with an H part has no preimage.
 """
 
 from __future__ import annotations
@@ -326,24 +331,11 @@ class LoopElement:
         return {d: LoopElement(real, m) for d, m in out.items()}
 
     def pdeg_slice(self, d: int) -> "LoopElement":
-        real = self.real
-        out: dict[int, list[DiffPoly]] = {}
-        for k, vec in self.coeffs.items():
-            base = k * real.deg_lambda
-            for i, c in enumerate(vec):
-                if not c.is_zero() and base + real.pdeg[i] == d:
-                    out.setdefault(k, [_ZERO_P] * real.alg.dim)[i] = c
-        return LoopElement(real, out)
+        return self.pdeg_slices().get(d, LoopElement.zero(self.real))
 
     def principal_degree(self):
         """Common principal degree, or the frozenset of degrees when mixed."""
-        degs = set()
-        real = self.real
-        for k, vec in self.coeffs.items():
-            base = k * real.deg_lambda
-            for i, c in enumerate(vec):
-                if not c.is_zero():
-                    degs.add(base + real.pdeg[i])
+        degs = self.pdeg_slices().keys()
         if not degs:
             raise ValueError("principal degree undefined for the zero element")
         if len(degs) == 1:
@@ -373,40 +365,41 @@ class LoopElement:
 
 
 class _SliceSplitter:
-    """Direct-sum splitting H (+) im ad Lambda inside one principal-degree slice."""
+    """The preimage under ad Lambda of one principal-degree slice, in one solve.
+
+    ``preimage(x)`` is the unique y of degree d - 1 with [Lambda, y] = x and y
+    in im ad Lambda.  The columns are the ad Lambda images of the slice basis
+    at degree d - 1, whose kernel is H_{d-1} where that exists.  There one
+    more row, (y | G) = 0 with G the Heisenberg element at degree 1 - d,
+    makes y unique: G pairs to zero with im ad Lambda, and (H_{d-1} | G) = h
+    (the normalization checked at load).  The pairing lands at lambda^0.  A
+    slice with a Heisenberg part has no preimage, and the solve raises
+    ``InconsistentSystemError``.
+    """
 
     def __init__(self, real: "LoopRealization", d: int):
-        self.real = real
-        self.d = d
-        self.basis_d = real.slice_basis(d)
+        self.real, self.d = real, d
         self.basis_prev = real.slice_basis(d - 1)
-        self.h_elt = real.heisenberg_at(d)
-        self.index_d = {pair: i for i, pair in enumerate(self.basis_d)}
-        cols: list[list[Fraction]] = []
-        self.n_h = 0
-        if self.h_elt is not None:
-            cols.append([c.constant_term() for c in self.coords(self.h_elt)])
-            self.n_h = 1
+        self.index_d = {pair: i for i, pair in enumerate(real.slice_basis(d))}
         # ad Lambda images of the previous slice basis, from the sparse
         # structure constants [x_a, x_i] of the Lambda terms c lambda^lk x_a.
         lam = [(lk, a, c.constant_term()) for lk, lvec in real.cyclic.coeffs.items()
                for a, c in enumerate(lvec) if c]
-        for (k, i) in self.basis_prev:
-            img: dict[tuple[int, int], Fraction] = {}
+        rows = [[Fraction(0)] * len(self.basis_prev) for _ in self.index_d]
+        for pos, (k, i) in enumerate(self.basis_prev):
             for lk, a, c in lam:
                 for t, b in real.alg.bracket_table.get((a, i), ()):
-                    img[(lk + k, t)] = img.get((lk + k, t), 0) + c * b
-            col = [Fraction(0)] * len(self.basis_d)
-            for key, c in img.items():
-                if c:
-                    col[self.index_d[key]] = c
-            cols.append(col)
-        rows = [[col[r] for col in cols] for r in range(len(self.basis_d))] \
-            if cols else [[] for _ in range(len(self.basis_d))]
+                    rows[self.index_d[(lk + k, t)]][pos] += c * b
+        dual = real.heisenberg_at(1 - d)   # exists exactly where H_{d-1} does
+        if dual is not None:
+            gram = real.alg.gram
+            rows.append([sum(gram[i][j] * c.constant_term()
+                             for j, c in enumerate(dual.coeffs.get(-k, ())) if c)
+                         for k, i in self.basis_prev])
         self.solver = LinearSolver(rows)
 
     def coords(self, elt: LoopElement) -> list[DiffPoly]:
-        col = [_ZERO_P] * len(self.basis_d)
+        col = [_ZERO_P] * self.solver.nrows
         for k, vec in elt.coeffs.items():
             for i, c in enumerate(vec):
                 if not c.is_zero():
@@ -417,34 +410,14 @@ class _SliceSplitter:
                     col[pos] = c
         return col
 
-    def split(self, elt: LoopElement):
-        """elt = h_coeff * Lambda_{(d)} + [Lambda, y]; returns (h_coeff, h_part, y).
-
-        y is the preimage supported on the previous slice (its Heisenberg
-        component is NOT removed here; callers canonicalize when required).
-        """
-        real = self.real
-        rhs = self.coords(elt)
-        if not any(rhs):
-            return _ZERO_P, LoopElement.zero(real), LoopElement.zero(real)
-        try:
-            sol = self.solver.solve(rhs, zero=_ZERO_P)
-        except InconsistentSystemError as exc:
-            # the slice basis is complete, so H and im ad Lambda span it
-            raise RuntimeError(f"the slice of principal degree {self.d} is not in "
-                               f"H + im ad Lambda") from exc
-        h_coeff = sol[0] if self.n_h else _ZERO_P
-        y_map: dict[int, list[DiffPoly]] = {}
-        for pos, (k, i) in enumerate(self.basis_prev):
-            c = sol[self.n_h + pos]
+    def preimage(self, elt: LoopElement) -> LoopElement:
+        """The y in im ad Lambda with [Lambda, y] = elt; raises InconsistentSystemError
+        when elt has a Heisenberg part."""
+        y: dict[int, list[DiffPoly]] = {}
+        for c, (k, i) in zip(self.solver.solve(self.coords(elt), zero=_ZERO_P), self.basis_prev):
             if not c.is_zero():
-                y_map.setdefault(k, [_ZERO_P] * real.alg.dim)[i] = c
-        y = LoopElement(real, y_map)
-        if self.n_h and not h_coeff.is_zero():
-            h_part = self.h_elt.scale(h_coeff)
-        else:
-            h_part = LoopElement.zero(real)
-        return h_coeff, h_part, y
+                y.setdefault(k, [_ZERO_P] * self.real.alg.dim)[i] = c
+        return LoopElement(self.real, y)
 
 
 class LoopRealization:
@@ -547,18 +520,6 @@ class LoopRealization:
             got = _SliceSplitter(self, d)
             self._split_cache[d] = got
         return got
-
-    # -- public operations -------------------------------------------------
-    def split_with_preimage(self, d: int, sl: LoopElement):
-        """Slice split returning (h_coeff, h_part, y) with y in im ad Lambda."""
-        h_coeff, h_part, y = self.splitter(d).split(sl)
-        if not y.is_zero():
-            prev = self.splitter(d - 1)
-            if prev.n_h:  # else y has no Heisenberg part to remove
-                _, h2, _ = prev.split(y)
-                if not h2.is_zero():
-                    y = y - h2
-        return h_coeff, h_part, y
 
     # -- Borel coordinate frame ----------------------------------------------
     def borel_vectors(self) -> list[tuple[Fraction, ...]]:

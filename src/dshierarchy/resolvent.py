@@ -19,8 +19,9 @@ Throughout, [X, d] = -d(X), q_e is the slice of q at degree e <= 0, and R_d
 is slice d of R_a.  Each step solves R_d from the slices above it:
 
 1. one bracket sum: B = d(R_{d+1}) + sum_e [q_e, R_{d+1-e}], degree d + 1;
-2. one split of -B into its H part and [Lambda, y_d] (``split_with_preimage``);
-   y_d, in im ad Lambda, is the rest of R_d, and the H part must be zero;
+2. one preimage solve, [Lambda, y_d] = -B with y_d in im ad Lambda
+   (``LoopRealization.splitter``); y_d is the rest of R_d, and a -B with a
+   Heisenberg part has no preimage;
 3. where H_d exists, R_d = y_d + h_d H_d with h_d = d^{-1}(c_d), the exact
    inverse with no constant term (``DiffPoly.dx_inverse``), where c_d is
    the H coefficient of -sum_e [q_e, R_{d-e}] with R_d read as y_d.
@@ -32,7 +33,8 @@ pi_H sum_e [q_e, R_{d-e}] = 0, where pi_H d(y_d) = 0 and the part h_d H_d
 of R_d drops out of [q_0, R_d]: d(h_d) = c_d.  At the vacuum every lower
 slice vanishes, so h_d has no constant term and is the inverse of c_d.  A
 c_d that is no total derivative raises a RuntimeError naming R_{m_a} and the
-degree; so does a nonzero H part in step 2, which the inverse makes zero.
+degree; so does an inconsistent solve in step 2, a nonzero H part of -B,
+which the inverse makes zero.
 
 c_d needs no bracket sum at degree d.  With G = lambda^s Lambda_m the
 Heisenberg element at degree -d, ([x, y] | z) = (x | [y, z]) and
@@ -42,7 +44,9 @@ Heisenberg element at degree -d, ([x, y] | z) = (x | [y, z]) and
 
 and (H_d | G) = h, the Coxeter number (the normalization checked at load).
 So c_d is one ``pair_sum`` of the slices with the elements [q_e, Lambda_m] / h,
-kept per exponent m and read s powers of lambda lower.
+kept per exponent m and read s powers of lambda lower.  The same G makes y_d
+unique in step 2: the preimage solve has the row (y_d | G) = 0.  So the H
+part of a slice is read by the invariant form alone.
 
 The tests keep the earlier route as a reference: the resolvents of the
 defining representation as powers, P_k = lambda^{-s} R_a = R_1^k for
@@ -58,6 +62,7 @@ from fractions import Fraction
 
 from .diffalg import DiffPoly, NotTotalDerivativeError
 from .kacmoody import LoopElement, LoopRealization
+from .linalg import InconsistentSystemError
 
 _ZERO_P = DiffPoly.zero()
 
@@ -121,11 +126,11 @@ class LaxOperator:
             if degree + 1 - e > top:
                 break
             rhs = rhs + q_e.bracket(r[degree + 1 - e])
-        _, h_part, y = self.real.split_with_preimage(degree + 1, -rhs)
-        if not h_part.is_zero():
-            raise RuntimeError(
-                f"[L, R_{top}] = 0 has a Heisenberg part at principal degree {degree + 1}")
-        return y
+        try:
+            return self.real.splitter(degree + 1).preimage(-rhs)
+        except InconsistentSystemError:
+            raise RuntimeError(f"[L, R_{top}] = 0 has a Heisenberg part at principal "
+                               f"degree {degree + 1}") from None
 
     def _heisenberg_inverse(self, a: int, d: int, y: LoopElement) -> DiffPoly:
         """h_d = d^{-1} sum_e (R_{d-e} | [q_e, G]) / h, with R_d read as y (module docstring)."""

@@ -1,13 +1,13 @@
 """The dressing route to the basic resolvents, as a reference.
 
-The program reads every resolvent off the powers of R_1 in the defining
-representation.  This module computes them the classical way: first the
-dressing U, the unique im(ad Lambda)-valued series of negative principal
-degrees with
+The program solves every resolvent alone, one degree at a time.  This
+module computes them the classical way: first the dressing U, the unique
+im(ad Lambda)-valued series of negative principal degrees with
 
     e^{ad U} (d + Lambda + q) = d + Lambda + H,      H in H^{<0},
 
-solved degree by degree through the Heisenberg splitting, then
+solved degree by degree through the H-column reference split
+(``reference_ops.split_with_preimage``), then
 R_a = e^{-ad U}(Lambda_{m_a}).  Both routes must agree slice for slice; the
 tests assert that they do.
 """
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from reference_ops import split_with_preimage
 
 from dshierarchy.kacmoody import LoopElement
 from dshierarchy.resolvent import LaxOperator
@@ -50,7 +52,7 @@ class Dressing:
                 t_md = self._T_at(m, d)
                 if not t_md.is_zero():
                     known = known - t_md.scale(Fraction(1, fact * (m + 1)))
-            h_coeff, h_part, y = real.split_with_preimage(d, known)
+            h_coeff, h_part, y = split_with_preimage(real, d, known)
             if d == 0 and not h_part.is_zero():
                 raise ValueError("unexpected Heisenberg component at degree 0")
             if not y.is_zero():

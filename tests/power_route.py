@@ -13,7 +13,8 @@ be m_a mod n for exactly one exponent).  So with m_a = s n + k,
 Every R_a is solved one offset j below its top at a time, all together.
 
 - [L, R_a] = 0 at degree m_a - j + 1 gives the im(ad Lambda) part of slice
-  m_a - j (``_im_part``, as in the program).
+  m_a - j (``_im_part``, through the H-column reference split
+  ``reference_ops.split_with_preimage``).
 - The rest of that slice of P_k is a multiple of Lambda^D, D = k - j, fixed
   or certified by one entry of P_1 P_{k-1} at a key where Lambda^D is
   nonzero, summed as one ``matrix_entry`` over the stored matrix forms.  The
@@ -33,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from matrixform import identity, matrix_entry, matrix_form, matrix_product
+from reference_ops import split_with_preimage
 
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.resolvent import LaxOperator
@@ -117,7 +119,7 @@ class PowerRoute:
         for e, q_e in self._q_slices.items():
             if degree + 1 - e <= top:
                 rhs = rhs + q_e.bracket(r[degree + 1 - e])
-        _, h_part, y = self.real.split_with_preimage(degree + 1, -rhs)
+        _, h_part, y = split_with_preimage(self.real, degree + 1, -rhs)
         if not h_part.is_zero():
             raise RuntimeError(
                 f"[L, R_{top}] = 0 has a Heisenberg part at principal degree {degree + 1}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
 from dshierarchy.gauge import CanonicalForm, _gauge_q
@@ -96,13 +97,82 @@ def project_minus(x: LoopElement) -> LoopElement:
     return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k < 0})
 
 
+class HColumnSplit:
+    """x = c H_d + [Lambda, y] in slice d, with H_d as one column of the system.
+
+    The reference for ``LoopRealization.splitter``: the columns are H_d and
+    the brackets of Lambda with the slice basis at d - 1, each taken by
+    ``LoopElement.bracket``.  ``split`` returns (c, c H_d, y) with y of degree
+    d - 1; its Heisenberg part is not removed (``split_with_preimage`` does).
+    """
+
+    def __init__(self, real: LoopRealization, d: int):
+        self.real, self.d = real, d
+        self.h_elt = real.heisenberg_at(d)
+        self.basis_prev = real.slice_basis(d - 1)
+        self.index_d = {pair: i for i, pair in enumerate(real.slice_basis(d))}
+        one, dim = DiffPoly.const(1), real.alg.dim
+        images = [real.cyclic.bracket(LoopElement.from_vector(
+            real, k, [one if t == i else DiffPoly.zero() for t in range(dim)]))
+            for k, i in self.basis_prev]
+        cols = [[c.constant_term() for c in self.coords(x)]
+                for x in ([self.h_elt] if self.h_elt is not None else []) + images]
+        self.solver = LinearSolver([[col[r] for col in cols] for r in range(len(self.index_d))])
+
+    def coords(self, elt: LoopElement) -> list[DiffPoly]:
+        col = [DiffPoly.zero()] * len(self.index_d)
+        for k, vec in elt.coeffs.items():
+            for i, c in enumerate(vec):
+                if c:
+                    pos = self.index_d.get((k, i))
+                    if pos is None:
+                        raise ValueError(f"lambda^{k} {self.real.alg.labels[i]} is not of "
+                                         f"principal degree {self.d}")
+                    col[pos] = c
+        return col
+
+    def split(self, elt: LoopElement) -> tuple[DiffPoly, LoopElement, LoopElement]:
+        real = self.real
+        sol = self.solver.solve(self.coords(elt), zero=DiffPoly.zero())
+        n_h = 0 if self.h_elt is None else 1
+        h_coeff = sol[0] if n_h else DiffPoly.zero()
+        y: dict[int, list[DiffPoly]] = {}
+        for c, (k, i) in zip(sol[n_h:], self.basis_prev):
+            if c:
+                y.setdefault(k, [DiffPoly.zero()] * real.alg.dim)[i] = c
+        h_part = self.h_elt.scale(h_coeff) if n_h else LoopElement.zero(real)
+        return h_coeff, h_part, LoopElement(real, y)
+
+
+_H_COLUMN_SPLITS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def h_column_split(real: LoopRealization, d: int) -> HColumnSplit:
+    """The reference split of slice d of ``real``, built once per realization and degree."""
+    per_degree = _H_COLUMN_SPLITS.setdefault(real, {})
+    if d not in per_degree:
+        per_degree[d] = HColumnSplit(real, d)
+    return per_degree[d]
+
+
+def split_with_preimage(real: LoopRealization, d: int,
+                        sl: LoopElement) -> tuple[DiffPoly, LoopElement, LoopElement]:
+    """(c, c H_d, y) with sl = c H_d + [Lambda, y] and y in im ad Lambda.
+
+    The H part of the preimage is stripped by a second split, one degree lower.
+    """
+    h_coeff, h_part, y = h_column_split(real, d).split(sl)
+    if not y.is_zero():
+        y = y - h_column_split(real, d - 1).split(y)[1]
+    return h_coeff, h_part, y
+
+
 def heisenberg_split(real: LoopRealization,
                      x: LoopElement) -> tuple[LoopElement, LoopElement]:
     """x = h_part + im_part along H (+) im ad Lambda, per degree slice."""
     h_total = LoopElement.zero(real)
     for d, sl in x.pdeg_slices().items():
-        _, h_part, _ = real.splitter(d).split(sl)
-        h_total = h_total + h_part
+        h_total = h_total + h_column_split(real, d).split(sl)[1]
     return h_total, x - h_total
 
 

@@ -40,6 +40,9 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     for name in ("a1_1", "a2_1", "a2_2"):
         out.append((("resolvent", "--type", name), name == "a1_1"))
         out.append((("resolvent", "--type", name, "--depth", "0"), True))
+    # every Borel slice well beyond the default depth
+    for name, depth in (("a2_2", 14), ("a2_1", 10), ("a1_1", 16)):
+        out.append((("resolvent", "--type", name, "--depth", str(depth)), True))
     # the benchmark's jobs, with every option that shapes the work
     bench = [
         ("verify", "--type", "a2_1", "--max-k", "1", "--max-a", "2",

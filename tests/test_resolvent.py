@@ -12,10 +12,11 @@ from dressing_route import Dressing, resolvent_slices
 from jet_images import FunctionJets
 from matrixform import check_table, matrix_form, matrix_product
 from power_route import PowerRoute
-from reference_ops import coefficient, map_coeffs, project_plus
+from reference_ops import coefficient, map_coeffs, project_plus, split_with_preimage
 from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
+from dshierarchy.linalg import InconsistentSystemError, LinearSolver
 from dshierarchy.resolvent import DepthError, LaxOperator, flow_depth
 
 
@@ -294,16 +295,55 @@ def test_heisenberg_part_in_the_commutator_names_the_resolvent(monkeypatch, name
     real = build_algebra(name)
     lax = LaxOperator(real, "canonical")
     m = real.exponents[a - 1]
-    split = real.split_with_preimage
+    splitter, h_m = real.splitter, real.heisenberg_at(m)
 
-    def with_heisenberg_part(d, sl):
-        h_coeff, h_part, y = split(d, sl)
-        return (h_coeff, real.heisenberg_at(d), y) if d == m else (h_coeff, h_part, y)
+    class WithHeisenbergPart:
+        def preimage(self, x):
+            return splitter(m).preimage(x + h_m)
 
-    monkeypatch.setattr(real, "split_with_preimage", with_heisenberg_part)
+    monkeypatch.setattr(real, "splitter", lambda d: WithHeisenbergPart() if d == m else splitter(d))
     with pytest.raises(RuntimeError,
                        match=rf"\[L, R_{m}\] = 0 has a Heisenberg part at principal degree {m}$"):
         lax.resolvent(a, 3)
+
+
+@pytest.mark.parametrize("name, kind, a", [
+    ("a1_1", "borel", 1), ("a2_1", "canonical", 2), ("a2_2", "canonical", 1), ("a2_2", "borel", 2)])
+def test_heisenberg_inverse_off_by_a_non_constant_names_the_resolvent(monkeypatch, name, kind, a):
+    # h_d + u_1 leaves d(u_1) H_d in [L, R_a] one degree down: the next
+    # preimage solve finds it
+    real = build_algebra(name)
+    lax = LaxOperator(real, kind)
+    m = real.exponents[a - 1]
+    d = next(d for d in range(m - 1, m - 40, -1) if real.heisenberg_at(d) is not None)
+    right = lax._heisenberg_inverse
+
+    def off(b, e, y):
+        return right(b, e, y) + (DiffPoly.var(1) if e == d else 0)
+
+    monkeypatch.setattr(lax, "_heisenberg_inverse", off)
+    lax.resolvent(a, m - d)
+    with pytest.raises(RuntimeError,
+                       match=rf"\[L, R_{m}\] = 0 has a Heisenberg part at principal degree {d}$"):
+        lax.resolvent(a, m - d + 1)
+
+
+@pytest.mark.parametrize("name, depth", [("a1_1", 15), ("a2_1", 12), ("a2_2", 20)])
+def test_dressing_makes_one_splitter_solve_per_degree(monkeypatch, name, depth):
+    real = build_algebra(name)
+    lax = LaxOperator(real, "borel")
+    solve, solved = LinearSolver.solve, []
+
+    def counted(self, b, zero=Fraction(0)):
+        solved.append(self)
+        return solve(self, b, zero)
+
+    monkeypatch.setattr(LinearSolver, "solve", counted)
+    lax.dressing(depth)
+    degree_of = {id(real.splitter(d).solver): d
+                 for m in real.exponents for d in range(m - depth + 1, m + 1)}
+    want = sorted(d for m in real.exponents for d in range(m - depth + 1, m + 1))
+    assert sorted(degree_of[id(s)] for s in solved) == want
 
 
 @pytest.mark.parametrize("name, kind, a, d", [
@@ -343,17 +383,43 @@ def test_slice_basis_and_split_at_every_degree(name):
                  and real.twist_class[i] % n == k % n]
         assert real.slice_basis(d) == brute, d
         sl = _random_slice(real, d, rng)
-        h_coeff, h_part, y = real.splitter(d).split(sl)
+        h_coeff, h_part, y = split_with_preimage(real, d, sl)
         assert h_part + real.cyclic.bracket(y) == sl, d
         assert y.is_zero() or y.principal_degree() == d - 1
         h_d = real.heisenberg_at(d)
         assert h_part == (h_d.scale(h_coeff) if h_d else LoopElement.zero(real))
 
 
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_preimage_is_the_reference_preimage_at_every_degree(name):
+    # the one-solve preimage (a row (y | G) = 0) against the H-column split
+    # with its second solve
+    real = build_algebra(name)
+    rng = random.Random(23)
+    for d in range(-80, 13):
+        sl = _random_slice(real, d, rng)
+        _, h_part, y = split_with_preimage(real, d, sl)
+        assert real.splitter(d).preimage(sl - h_part) == y, d
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_preimage_of_a_slice_with_a_heisenberg_part_is_inconsistent(name):
+    real = build_algebra(name)
+    rng = random.Random(29)
+    degrees = [d for d in range(-30, 13) if real.heisenberg_at(d) is not None]
+    assert degrees
+    for d in degrees:
+        sl = _random_slice(real, d, rng)
+        im, h_d = sl - split_with_preimage(real, d, sl)[1], real.heisenberg_at(d)
+        for x in (h_d, im + h_d.scale(DiffPoly.var(2))):
+            with pytest.raises(InconsistentSystemError):
+                real.splitter(d).preimage(x)
+
+
 def test_split_names_the_degree_of_a_foreign_element():
     real = build_algebra("a2_1")
     with pytest.raises(ValueError, match=r"is not of principal degree -3$"):
-        real.splitter(-3).split(_random_slice(real, -2, random.Random(1)))
+        real.splitter(-3).preimage(_random_slice(real, -2, random.Random(1)))
 
 
 @pytest.mark.parametrize("name, kind, depth", [("a1_1", "borel", 15), ("a2_2", "canonical", 34)])

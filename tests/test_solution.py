@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dshierarchy import solution
-from dshierarchy.diffalg import DiffPoly, JetMap
+from dshierarchy.diffalg import DiffPoly, EpsSeries, JetMap
 from dshierarchy.hierarchy import Flow, OmegaTable
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.solution import (NonCommutingFlowsError,
@@ -299,6 +300,34 @@ def test_flow_equations_are_read_at_t_degree_t_minus_1(case, request, sl2, monke
         assert got == reference_flow_equation_report(sol, stand_in)
         assert [r["residual_zero"] for r in got] == passes
     assert degrees == [sol.T - 1] * 6
+
+
+def taylor_through_last_label(flows, initial, t_degree, eps_order) -> dict:
+    """The Taylor coefficients of ``integrate_formal``, each through the flow of its last label."""
+    derivs = [f.derivation(eps_order) for f in flows]
+    jets = JetMap(initial)
+    polys = {(0,) * len(flows): [EpsSeries.var(a, eps_order) for a in range(1, len(initial) + 1)]}
+    for exps in sorted(itertools.product(range(t_degree + 1), repeat=len(flows)), key=sum):
+        if 0 < sum(exps) <= t_degree:
+            last = max(i for i, e in enumerate(exps) if e)
+            prev = tuple(e - (i == last) for i, e in enumerate(exps))
+            polys[exps] = [derivs[last](p) for p in polys[prev]]
+    return {(a, exps): tuple(c.substitute(jets) for c in p.components)
+            for exps, ps in polys.items() for a, p in enumerate(ps, 1)}
+
+
+@pytest.mark.parametrize("case", ["bench_solve", "a2_1_solve"])
+def test_every_taylor_coefficient_matches_the_last_label_order(case, request, sl2, sl3):
+    if case == "bench_solve":
+        sol, h = request.getfixturevalue(case)[0], sl2
+    else:  # solve --type a2_1 --bgw 1,2 --t-degree 2
+        h = sl3
+        sol = integrate_formal([sl3.flow((1, 0)), sl3.flow((1, 1))],
+                               gbgw_initial(sl3.real, [Fraction(1), Fraction(2)]), 2, 4)
+    flows = [h.flow(label) for label in sol.labels]
+    ref = taylor_through_last_label(flows, sol.initial, sol.T, sol.K)
+    assert sol.coeffs == ref
+    assert any(sum(1 for e in exps if e) > 1 for _, exps in ref)   # mixed ones exist
 
 
 BENCH_DISCRETE = ["discrete", "--eps-order", "4", "--t-degree", "2", "--samples", "100",
