@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from ..diffalg import Derivation, DiffPoly, EpsSeries
 from ..discrete import DifferenceRing, embed_differential, invert_discrete_miura
-from ..miura import check_miura
 from ..serialize import dumps
 
 
@@ -43,13 +42,12 @@ def run(cfg, build) -> int:
     # discrete Miura round trip for V = (u + eps u_{,1})
     v0 = EpsSeries.of_poly(DiffPoly.dvar(1, 0), k) + \
         EpsSeries.of_poly(DiffPoly.dvar(1, 1), k, 1)
-    miura_ok, det = check_miura([v0])
     pair = invert_discrete_miura(ring, [v0])
     rt1 = (pair.phi(pair.inverse[0]) - EpsSeries.of_poly(DiffPoly.dvar(1, 0), k)).is_zero()
     rt2 = (pair.psi(pair.phi(DiffPoly.dvar(1, 0))) -
            EpsSeries.of_poly(DiffPoly.dvar(1, 0), k)).is_zero()
     checks.append({"check": "discrete_miura_round_trip",
-                   "jacobian_nonzero": miura_ok,
+                   "jacobian_nonzero": not pair.forward.jacobian_det().is_zero(),
                    "residual_zero": rt1 and rt2})
     # admissibility [D, S] = 0 on a random sample
     ok = True

@@ -24,7 +24,9 @@ storage format for elements of the degree completion of the ring.
 
 Derivations commuting with the jet operator ("evolutionary vector fields")
 are determined by their characteristic, the tuple of values on the
-generators ``u_{a,0}``; see :class:`Derivation`.  The jet operator is the one
+generators ``u_{a,0}``; :class:`Derivation` is the one such type, over
+``EpsSeries`` or plain ``DiffPoly`` characteristics, with one commutator
+(a hierarchy flow is a labelled ``Derivation``).  The jet operator is the one
 thing that tells the differential ring from the difference ring: a
 :class:`JetMap` computes ``d^m`` of its images, and ``discrete.ShiftJetMap``
 computes the shift ``S^m`` instead.  Derivations and Miura pairs take their
@@ -899,35 +901,42 @@ class Derivation:
     The characteristic W_a = D(u_a) determines the action on every jet
     variable through D(u_{a,m}) = J^m(W_a), where J^m is the jet operator of
     ``kind`` (``JetMap``: d^m; ``DifferenceRing.jet_map``: the shift S^m), so
-    every such derivation commutes with it.  Each eps power of the
-    characteristic gets one jet map, applied by ``apply_poly_derivation``.
+    every such derivation commutes with it.  W is a tuple of ``EpsSeries`` of
+    one truncation order, or of ``DiffPoly`` (the plain ring, ``order`` None).
+    Each nonzero eps power of W gets one jet map (the plain ring exactly one),
+    applied by ``apply_poly_derivation``.
     """
 
     __slots__ = ("chars", "order", "arity", "kind", "_jets")
 
-    def __init__(self, chars: Sequence[EpsSeries],
+    def __init__(self, chars: Sequence[EpsSeries] | Sequence[DiffPoly],
                  kind: Callable[[Sequence[DiffPoly]], JetMap] = JetMap):
         chars = tuple(chars)
         if not chars:
             raise ValueError("derivation needs at least one component")
-        order = chars[0].order
+        order = getattr(chars[0], "order", None)
         for c in chars:
-            if c.order != order:
+            if getattr(c, "order", None) != order:
                 raise ValueError("characteristic components disagree on eps order")
         self.chars = chars
         self.order = order
         self.arity = len(chars)
         self.kind = kind
-        self._jets = [(q, kind(part)) for q, part in
-                      enumerate(zip(*(c.components for c in chars))) if any(part)]
+        if order is None:
+            self._jets = [(0, kind(chars))]
+        else:
+            self._jets = [(q, kind(part)) for q, part in
+                          enumerate(zip(*(c.components for c in chars))) if any(part)]
 
     @classmethod
     def from_polys(cls, polys: Sequence[DiffPoly], order: int = 0,
                    kind: Callable[[Sequence[DiffPoly]], JetMap] = JetMap) -> "Derivation":
         return cls([EpsSeries.of_poly(p, order) for p in polys], kind)
 
-    def __call__(self, p: DiffPoly | EpsSeries) -> EpsSeries:
+    def __call__(self, p: DiffPoly | EpsSeries) -> DiffPoly | EpsSeries:
         if isinstance(p, DiffPoly):
+            if self.order is None:
+                return apply_poly_derivation(self._jets[0][1], p)
             p = EpsSeries.of_poly(p, self.order)
         if p.order != self.order:
             raise ValueError("eps truncation mismatch between derivation and argument")

@@ -17,7 +17,8 @@ Derivations transport through a Miura pair by conjugation, and flows can be
 reconstructed from a tau-structure written in the new coordinates: when the
 coordinates are two-point values of a distinguished flow that commutes with
 everything, each flow is recovered from the tau-structure row by the chain
-rule through the inverse map.
+rule through the inverse map, with the jets d^m of the row read from one
+``JetMap``.
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ class MiuraTuple:
 
     def jacobian_det(self) -> DiffPoly:
         return _det(self.jacobian())
-
-
-def check_miura(values: Sequence[EpsSeries]) -> tuple[bool, DiffPoly]:
-    """Nondegeneracy of the dispersionless Jacobian, with the determinant."""
-    t = MiuraTuple(values)
-    det = t.jacobian_det()
-    return (not det.is_zero(), det)
 
 
 def forward_map(tup: MiuraTuple, p: DiffPoly | EpsSeries) -> EpsSeries:
@@ -186,9 +180,9 @@ def reconstruct_flows(omega_rows: Mapping[object, Sequence[EpsSeries]],
     distinguished flow are the new coordinates; ``d_one`` is the
     distinguished derivation (it must commute with every admissible
     derivation).  Returns the characteristic tuples of the reconstructed
-    flows in the u-jets:
+    flows in the u-jets, a sum over the variables (b, m) of U_a:
 
-        D_j(u_a) = sum_{b,m} phi(dU_a/dv_{b,m}) d^m(d_one(Omega_{j; i_b})).
+        D_j(u_a) = sum_{b,m} d^m(d_one(Omega_{j; i_b})) phi(dU_a/dv_{b,m}).
     """
     ell = pair.arity
     out: dict[object, tuple[EpsSeries, ...]] = {}
@@ -196,17 +190,9 @@ def reconstruct_flows(omega_rows: Mapping[object, Sequence[EpsSeries]],
         row = tuple(row)
         if len(row) != ell:
             raise ValueError("tau-structure row length != arity")
-        drow = [d_one(entry) for entry in row]
-        chars = []
-        for alpha in range(ell):
-            u_alpha = pair.inverse[alpha]
-            acc = EpsSeries.zero(pair.order)
-            for beta in range(1, ell + 1):
-                for m in range(0, u_alpha.max_order() + 1):
-                    part = u_alpha.partial((beta, m))
-                    if part.is_zero():
-                        continue
-                    acc = acc + pair.phi(part) * drow[beta - 1].dx_n(m)
-            chars.append(acc)
-        out[j] = tuple(chars)
+        drow = JetMap([d_one(entry) for entry in row])
+        out[j] = tuple(
+            sum((drow(*v) * pair.phi(u.partial(v)) for v in sorted(u.variables())),
+                EpsSeries.zero(pair.order))
+            for u in pair.inverse)
     return out

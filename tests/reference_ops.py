@@ -247,7 +247,7 @@ def tau_symmetry_direct(flows: Mapping, omega: OmegaTable, triples=None) -> list
     def apply(label, p: DiffPoly) -> DiffPoly:
         got = applied.get((label, p))
         if got is None:
-            got = applied[(label, p)] = flows[label].apply(p)
+            got = applied[(label, p)] = flows[label](p)
         return got
 
     out = []
@@ -259,6 +259,33 @@ def tau_symmetry_direct(flows: Mapping, omega: OmegaTable, triples=None) -> list
             "triple": [list(i), list(j), list(k)],
             "residual_zero": (lhs - rhs).is_zero(),
         })
+    return out
+
+
+def evolve(chars: Sequence[DiffPoly], p: DiffPoly) -> DiffPoly:
+    """sum_{a,m} d^m(chars[a-1]) dp/du_{a,m}, each jet by ``dx_n``, no jet map."""
+    return sum((chars[a - 1].dx_n(m) * p.partial((a, m)) for a, m in sorted(p.variables())),
+               DiffPoly.zero())
+
+
+def integrability_per_component(flows: Sequence) -> list[dict]:
+    """``verify_integrability`` as a loop over components, stopping at the first nonzero."""
+    out = []
+    flows = list(flows)
+    for i, fi in enumerate(flows):
+        for fj in flows[i:]:
+            resid_zero = True
+            for alpha in range(1, len(fi.chars) + 1):
+                lhs = evolve(fi.chars, fj.chars[alpha - 1])
+                rhs = evolve(fj.chars, fi.chars[alpha - 1])
+                if not (lhs - rhs).is_zero():
+                    resid_zero = False
+                    break
+            out.append({
+                "check": "flow_commutator",
+                "pair": [list(fi.label), list(fj.label)],
+                "residual_zero": resid_zero,
+            })
     return out
 
 
@@ -287,6 +314,28 @@ def induce_derivation(pair: MiuraPair, d: Derivation) -> Derivation:
         raise ValueError("eps truncation mismatch between derivation and pair")
     chars = [pair.psi(d(v)) for v in pair.forward.values]
     return Derivation(chars, pair.forward.kind)
+
+
+def reconstruct_flows_by_dx(omega_rows: Mapping, pair: MiuraPair,
+                            d_one: Derivation) -> dict:
+    """``reconstruct_flows`` by the chain rule with ``dx_n`` for every (alpha, beta, m)."""
+    ell = pair.arity
+    out = {}
+    for j, row in omega_rows.items():
+        drow = [d_one(entry) for entry in row]
+        chars = []
+        for alpha in range(ell):
+            u_alpha = pair.inverse[alpha]
+            acc = EpsSeries.zero(pair.order)
+            for beta in range(1, ell + 1):
+                for m in range(0, u_alpha.max_order() + 1):
+                    part = u_alpha.partial((beta, m))
+                    if part.is_zero():
+                        continue
+                    acc = acc + pair.phi(part) * drow[beta - 1].dx_n(m)
+            chars.append(acc)
+        out[j] = tuple(chars)
+    return out
 
 
 # -- solution and ratfunc ------------------------------------------------------

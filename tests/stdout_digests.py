@@ -66,6 +66,9 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
             (("solve", "--type", "a1_1", "--bgw", "1/2", "--t-degree", "3",
               "--eps-order", "3", "--flows", "1:0,1:1,1:2"), False),
             (a2_1[1], True)]
+    # the graded iteration where the eps truncation drops terms
+    out.append((("solve", "--type", "a1_1", "--bgw", "1", "--t-degree", "4",
+                 "--eps-order", "2", "--flows", "1:0,1:1,1:2"), False))
     out += [(argv + ("--format", "text"), False) for argv in a2_1]
     # verify on the rank-2 types, corrupted (exit 1) and one step deeper
     out += [(("verify", "--type", name, "--max-k", "1", "--self-test-corrupt"), False)

@@ -130,6 +130,26 @@ def test_jacobi_identity_for_commutators(rng):
         assert (x + y + z).is_zero()
 
 
+def test_plain_derivation_is_apply_poly_derivation(rng):
+    chars = [random_poly(rng), random_poly(rng)]
+    d = Derivation(chars)
+    assert d.order is None and d.arity == 2
+    graded = Derivation.from_polys(chars, 0)
+    for _ in range(8):
+        p = random_poly(rng)
+        got = d(p)
+        assert got == apply_poly_derivation(JetMap(chars), p)
+        assert got == graded(p).component(0)
+
+
+def test_mixed_characteristics_raise():
+    for chars in ([u(1), EpsSeries.var(2, 1)], [EpsSeries.var(1, 1), u(2)]):
+        with pytest.raises(ValueError, match="disagree on eps order"):
+            Derivation(chars)
+    with pytest.raises(ValueError):
+        Derivation([u(1, 1)])(EpsSeries.var(1, 0))
+
+
 def test_arity_mismatch():
     d = Derivation.from_polys([u(1, 1)], 0)
     with pytest.raises(ArityMismatchError):

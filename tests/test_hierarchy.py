@@ -6,17 +6,18 @@ import pytest
 import borel_route
 from jet_images import FunctionJets
 from dshierarchy import gauge
-from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap, \
-    apply_poly_derivation
-from dshierarchy.hierarchy import (DSHierarchy, _counterterm_coefficient,
+from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries, \
+    JetMap, apply_poly_derivation
+from dshierarchy.hierarchy import (DSHierarchy, Flow, _counterterm_coefficient,
                                    tau_coordinate_check, verify_gauge_invariance,
                                    verify_integrability, verify_tau_symmetry)
 from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
 from dshierarchy.miura import invert_miura, MiuraTuple, reconstruct_flows
 from dshierarchy.render import default_names, render_series
 from dshierarchy.resolvent import DepthError, Resolvent, flow_depth
-from reference_ops import (coefficient, induce_derivation, map_coeffs, nilpotent_coords,
-                           omega_depth, pi_multi, tau_symmetry_direct)
+from reference_ops import (coefficient, induce_derivation, integrability_per_component,
+                           map_coeffs, nilpotent_coords, omega_depth, pi_multi,
+                           reconstruct_flows_by_dx, tau_symmetry_direct)
 
 u = DiffPoly.var
 
@@ -126,6 +127,32 @@ def test_translation_commutes_with_all_computed_flows(sl2):
     for label in [(1, 1), (1, 2)]:
         rep = verify_integrability([f10, sl2.flow(label)])
         assert all(r["residual_zero"] for r in rep)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])
+def test_commutator_records_match_per_component_loop(request, name):
+    h = request.getfixturevalue(name)
+    flows = list(h.flows((a, k) for a in range(1, h.real.n + 1) for k in range(3)).values())
+    got = verify_integrability(flows)
+    assert got == integrability_per_component(flows)
+    assert len(got) == len(flows) * (len(flows) + 1) // 2
+    assert all(r["residual_zero"] for r in got)
+
+
+def test_commutator_record_fails_in_the_second_component_only():
+    fi = Flow((1, 1), (u(1, 1), u(1)))
+    fj = Flow((1, 2), (u(1, 1), u(2)))
+    comm = fi.commutator(fj)
+    assert comm.chars[0].is_zero() and not comm.chars[1].is_zero()
+    got = verify_integrability([fi, fj])
+    assert got == integrability_per_component([fi, fj])
+    assert [r["residual_zero"] for r in got] == [True, False, True]
+
+
+def test_flow_commutator_needs_equal_arities():
+    with pytest.raises(ArityMismatchError):
+        verify_integrability([Flow((1, 0), (-u(1, 1),)),
+                              Flow((1, 1), (-u(1, 1), -u(2, 1)))])
 
 
 def test_d10_unique_solve(sl2, sl3, a22):
@@ -448,16 +475,26 @@ def test_tau_coordinates_twisted(a22):
 FULL_ORDER = {"sl2": 9, "sl3": 9, "a22": 21}
 
 
-def _flows_from_tau_structure(h: DSHierarchy, order: int) -> dict:
-    """Every label's flow, rebuilt from the tau-structure alone."""
+def _tau_structure_inputs(h: DSHierarchy, order: int) -> tuple:
+    """(rows, pair, d_one): what ``reconstruct_flows`` reads for every label."""
     table = h.omega_table()
     one = (1, 0)
     coords = MiuraTuple([EpsSeries.regrade(table.entry((a, 0), one), order)
                          for a in range(1, h.ell + 1)])
     rows = {j: [EpsSeries.regrade(table.entry(j, (b, 0)), order)
                 for b in range(1, h.ell + 1)] for j in table.labels()}
-    return reconstruct_flows(rows, invert_miura(coords),
-                             h.flow(one).derivation(order))
+    return rows, invert_miura(coords), h.flow(one).derivation(order)
+
+
+def _flows_from_tau_structure(h: DSHierarchy, order: int) -> dict:
+    """Every label's flow, rebuilt from the tau-structure alone."""
+    return reconstruct_flows(*_tau_structure_inputs(h, order))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])
+def test_reconstruct_flows_matches_chain_rule_by_dx(request, name):
+    inputs = _tau_structure_inputs(request.getfixturevalue(name), FULL_ORDER[name])
+    assert reconstruct_flows(*inputs) == reconstruct_flows_by_dx(*inputs)
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])

@@ -61,9 +61,9 @@ class _Counting(Flow):
         super().__init__(flow.label, flow.chars)
         self.seen = seen
 
-    def apply(self, p):
+    def __call__(self, p):
         self.seen.append((self.label, p))
-        return super().apply(p)
+        return super().__call__(p)
 
 
 @pytest.mark.parametrize("name, max_k", [("sl2", 4), ("sl3", 2), ("a22", 2)])
