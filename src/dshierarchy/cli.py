@@ -65,31 +65,6 @@ _register_engine_lazily()
 JSON_ONLY = ("resolvent", "gauge-fix", "discrete")  # subcommands with no text output
 
 
-class RunConfig:
-    """Resolved run parameters (flags over config file over defaults)."""
-
-    DEFAULTS = {
-        "type": "a1_1",
-        "vertex": 0,
-        "flows": None,  # unset: DEFAULT_FLOWS, or every label for verify
-        "eps_order": 4,
-        "jet_depth": 8,
-        "depth": None,
-        "t_degree": 2,
-        "bgw": None,
-        "format": "json",
-        "max_a": None,
-        "max_k": 1,
-        "exponent": 1,
-        "samples": 100,
-        "seed": 7,
-        "self_test_corrupt": False,
-    }
-
-    def __init__(self):
-        vars(self).update(self.DEFAULTS)
-
-
 def _parse_flows(val) -> list:
     """'a:k,a:k' (flag or config file), or a list of [a, k] pairs (config file)."""
     if isinstance(val, str):
@@ -103,17 +78,40 @@ def _parse_bgw(val) -> list:
     return [Fraction(str(c).strip()) for c in items if str(c).strip()]
 
 
-# RunConfig key -> (the JSON types of its config-file value, the converter
-# of that value and of its flag's text)
+# RunConfig key -> (default, the JSON types of its config-file value, the
+# converter of that value and of its flag's text, the subcommands whose parser
+# has the flag (None: every one), further add_argument keywords).  Flags are
+# added in this order, so it is the order of every --help.
 _OPTIONS = {
-    "type": ((str,), str), "format": ((str,), str),
-    "flows": ((str, list), _parse_flows),
-    "bgw": ((str, list), _parse_bgw),
-    "self_test_corrupt": ((bool,), bool),
-    **{key: ((int,), int) for key in ("vertex", "eps_order", "jet_depth", "depth",
-                                      "t_degree", "max_a", "max_k", "exponent",
-                                      "samples", "seed")},
+    "type": ("a1_1", (str,), str, None,
+             {"help": f"algebra type, one of {supported_types()} (aliases accepted)"}),
+    "vertex": (0, (int,), int, None, {"help": "marked vertex (default 0)"}),
+    # unset flows: DEFAULT_FLOWS, or every label for verify
+    "flows": (None, (str, list), _parse_flows, None, {"help": "comma list a:k, e.g. 1:0,1:1"}),
+    "eps_order": (4, (int,), int, None, {}),
+    "jet_depth": (8, (int,), int, None, {}),
+    "depth": (None, (int,), int, None, {"help": "principal depth"}),
+    "t_degree": (2, (int,), int, None, {}),
+    "bgw": (None, (str, list), _parse_bgw, None,
+            {"help": "comma list of initial-data constants C_1,..,C_ell"}),
+    "format": ("json", (str,), str, None, {"choices": ["json", "text"]}),
+    "max_a": (None, (int,), int, None, {}),
+    "max_k": (1, (int,), int, None, {}),
+    "exponent": (1, (int,), int, ("resolvent",), {"help": "exponent index a (1-based)"}),
+    "samples": (100, (int,), int, ("discrete",), {}),
+    "seed": (7, (int,), int, ("discrete",), {}),
+    "self_test_corrupt": (False, (bool,), bool, ("verify",), {
+        "action": "store_true", "help": "testing aid: corrupt one tau-structure entry "
+                                        "to exercise the failure path"}),
 }
+
+
+class RunConfig:
+    """Resolved run parameters (flags over config file over defaults)."""
+
+    def __init__(self):
+        for key, (default, *_) in _OPTIONS.items():
+            setattr(self, key, default)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -131,7 +129,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for key, val in file_values.items():
             if key not in _OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            types, convert = _OPTIONS[key]
+            _, types, convert, _, _ = _OPTIONS[key]
             if val is None and getattr(cfg, key) is None:
                 continue
             try:
@@ -172,23 +170,13 @@ def _build_hierarchy(cfg: RunConfig) -> DSHierarchy:
     return h
 
 
-def _add_flag(p: argparse.ArgumentParser, key: str, **kw):
-    p.add_argument("--" + key.replace("_", "-"), dest=key, type=_OPTIONS[key][1], **kw)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    _add_flag(p, "type", help=f"algebra type, one of {supported_types()} (aliases accepted)")
-    _add_flag(p, "vertex", help="marked vertex (default 0)")
-    _add_flag(p, "flows", help="comma list a:k, e.g. 1:0,1:1")
-    _add_flag(p, "eps_order")
-    _add_flag(p, "jet_depth")
-    _add_flag(p, "depth", help="principal depth")
-    _add_flag(p, "t_degree")
-    _add_flag(p, "bgw", help="comma list of initial-data constants C_1,..,C_ell")
-    _add_flag(p, "format", choices=["json", "text"])
-    _add_flag(p, "max_a")
-    _add_flag(p, "max_k")
+def _add_flags(p: argparse.ArgumentParser, command: str | None):
+    """Add the ``_OPTIONS`` flags of ``command``, or with None those of every subcommand."""
+    for key, (_, _, convert, commands, kw) in _OPTIONS.items():
+        if (command in commands) if commands else command is None:
+            if "action" not in kw:  # a store_true flag takes no converter
+                kw = {"type": convert, **kw}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **kw)
 
 
 def main(argv=None) -> int:
@@ -201,27 +189,10 @@ def main(argv=None) -> int:
     # every subcommand copies the common flags from one parent parser, so
     # each is built (and its help formatter checked) once per process
     common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
-    for name, extra in [
-        ("derive", []),
-        ("omega", []),
-        ("verify", ["corrupt"]),
-        ("solve", []),
-        ("resolvent", ["exponent"]),
-        ("gauge-fix", []),
-        ("discrete", ["samples"]),
-    ]:
-        p = sub.add_parser(name, parents=[common])
-        if "exponent" in extra:
-            _add_flag(p, "exponent", help="exponent index a (1-based)")
-        if "samples" in extra:
-            _add_flag(p, "samples")
-            _add_flag(p, "seed")
-        if "corrupt" in extra:
-            p.add_argument("--self-test-corrupt", action="store_true",
-                           dest="self_test_corrupt", default=None,
-                           help="testing aid: corrupt one tau-structure entry "
-                                "to exercise the failure path")
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    _add_flags(common, None)
+    for name in ("derive", "omega", "verify", "solve", "resolvent", "gauge-fix", "discrete"):
+        _add_flags(sub.add_parser(name, parents=[common]), name)
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)

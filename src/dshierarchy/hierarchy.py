@@ -6,20 +6,22 @@ u_1..u_ell.  The flow D_{a,k} acts by
 
     D_{a,k}(L_can) = [(lambda^{k N} R_{m_a})_+ + theta, L_can],
 
-with R_{m_a} the basic resolvent of L_can and theta the unique n-valued
-compensator that makes the right-hand side V-valued (Drinfeld-Sokolov);
+with N the twist order, R_{m_a} the basic resolvent of L_can and theta the
+unique n-valued compensator that makes the right-hand side V-valued
+(Drinfeld-Sokolov);
 theta is solved one principal degree at a time by ``gauge.v_valued``,
 and the V-coordinates of the right-hand side are the characteristics,
 already in the u-jets.  For D_{1,0} the recursion gives theta = q_u - b and
-the right-hand side -d(q_u), so D_{1,0} = -d.  The tau-structure entries
-Omega_{a,k1;b,k2} come from the expansion of the two-variable resolvent
-pairing against 1/(lambda-mu)^2 in the region |mu| < |lambda|; the rational
-counterterm that normalizes the diagonal never survives the projection to
-negative powers of the congruence class -1 mod N, but its contribution is
-subtracted literally.  The extraction reads
+the right-hand side -d(q_u), so D_{1,0} = -d.  The tau-structure entry
+Omega_{a,k1;b,k2} is the coefficient of lambda^{-k1 N-1} mu^{-k2 N-1} of the
+two-variable resolvent pairing (R_a(lambda)|R_b(mu))/(lambda-mu)^2, expanded
+in |mu| < |lambda|, minus a rational counterterm that normalizes the diagonal
+(Bertola, Dubrovin and Yang 2016).  The counterterm has no such coefficient:
+each of its two pieces needs a mu power >= 0, and the entry reads
+mu^{-k2 N-1}.  So every entry is one weighted pairing sum,
 
     Omega_{a,k1;b,k2} = sum_{p >= 1-k1 N} (p + k1 N) *
-                        (R_a[p] | R_b[-p-(k1+k2)N])  -  counterterm coeff.
+                        (R_a[p] | R_b[-p-(k1+k2)N]).
 
 Resolvents are gauge covariant, so the Borel-variable operator followed by
 the certified rewrite to the u-jets gives the same flows and entries; that
@@ -119,32 +121,6 @@ class OmegaTable:
 
     def has_nonconstant_entry(self) -> bool:
         return any(not v.dx().is_zero() for v in self.entries.values())
-
-
-def _counterterm_coefficient(real: LoopRealization, a: int, b: int,
-                             k1: int, k2: int) -> Fraction:
-    """Coefficient of lambda^{-k1 N - 1} mu^{-k2 N - 1} of the counterterm.
-
-    (delta_{a+b,n+1}/r) (m_a lambda^N + m_b mu^N) / (lambda - mu)^2 expanded
-    with |mu| < |lambda|:  sum_{i>=1} i mu^{i-1} lambda^{-i-1} times each
-    numerator monomial.  For k1, k2 >= 0 both pieces need a non-negative mu
-    power and give zero; the subtraction is kept literal for uniformity.
-    """
-    if a + b != real.n + 1:
-        return Fraction(0)
-    n_tw = real.twist_order
-    m_a = real.exponents[a - 1]
-    m_b = real.exponents[b - 1]
-    out = Fraction(0)
-    # m_a lambda^N piece: lambda^{N-i-1} mu^{i-1}
-    i = (k1 + 1) * n_tw
-    if i >= 1 and i - 1 == -k2 * n_tw - 1:
-        out += Fraction(m_a, real.r) * i
-    # m_b mu^N piece: lambda^{-i-1} mu^{N+i-1}
-    i = k1 * n_tw
-    if i >= 1 and n_tw + i - 1 == -k2 * n_tw - 1:
-        out += Fraction(m_b, real.r) * i
-    return out
 
 
 class DSHierarchy:
@@ -264,7 +240,10 @@ class DSHierarchy:
         """Tau-structure table for labels (a, k), a <= max_a, k <= max_k.
 
         Read off the resolvents of the canonical-form operator, so the
-        entries come out directly in u-jets.
+        entries come out directly in u-jets.  Each entry is the weighted
+        pairing sum of the module docstring and nothing else: the
+        counterterm's two pieces need a mu power >= 0, and the entry reads
+        mu^{-k2 n_tw - 1}.
 
         The resolvents are solved only as deep as the pairing reads them.
         Write N for the principal degree of lambda and sigma = (k1 + k2) n_tw.
@@ -302,13 +281,9 @@ class DSHierarchy:
                     for k2 in range(0, max_k + 1):
                         sigma = (k1 + k2) * n_tw
                         p_lo = max(1 - k1 * n_tw, -sigma - pmax_b)
-                        val = real.alg.pair_sum(
+                        entries[((a, k1), (b, k2))] = real.alg.pair_sum(
                             (ra.computed_coefficient(p), rb.computed_coefficient(-p - sigma),
-                             p + k1 * n_tw) for p in range(p_lo, pmax_a + 1) if p + k1 * n_tw)
-                        ct = _counterterm_coefficient(real, a, b, k1, k2)
-                        if ct:
-                            val = val - DiffPoly.const(ct)
-                        entries[((a, k1), (b, k2))] = val
+                             p + k1 * n_tw) for p in range(p_lo, pmax_a + 1))
         for (i, j), val in entries.items():
             if val != entries[(j, i)]:
                 raise RuntimeError(

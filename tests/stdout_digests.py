@@ -34,6 +34,8 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
             for extra in ((), ("--max-a", "1")):
                 argv = ("omega", "--type", name, "--max-k", str(k), *extra)
                 out.append((argv, name == "a1_1" and k <= 1))
+    # the table the intersection-number oracle reads (genus 3)
+    out.append((("omega", "--type", "a1_1", "--max-k", "8"), False))
     for name, k in (("a2_2", 2), ("a2_1", 3), ("a1_1", 6)):
         out.append((("verify", "--type", name, "--max-k", str(k)), False))
     out.append((("verify", "--type", "a1_1", "--max-k", "1", "--self-test-corrupt"), False))

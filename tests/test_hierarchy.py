@@ -8,9 +8,9 @@ from jet_images import FunctionJets
 from dshierarchy import gauge
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries, \
     JetMap, apply_poly_derivation
-from dshierarchy.hierarchy import (DSHierarchy, Flow, _counterterm_coefficient,
-                                   tau_coordinate_check, verify_gauge_invariance,
-                                   verify_integrability, verify_tau_symmetry)
+from dshierarchy.hierarchy import (DSHierarchy, Flow, tau_coordinate_check,
+                                   verify_gauge_invariance, verify_integrability,
+                                   verify_tau_symmetry)
 from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
 from dshierarchy.miura import invert_miura, MiuraTuple, reconstruct_flows
 from dshierarchy.render import default_names, render_series
@@ -210,15 +210,6 @@ def test_omega_sl3_regressions(sl3):
     assert table.entry((2, 0), (1, 0)) == u(2) * Fraction(-2, 3)
 
 
-def test_counterterm_vanishes_in_range(sl2):
-    real = sl2.real
-    for a in (1,):
-        for b in (1,):
-            for k1 in range(3):
-                for k2 in range(3):
-                    assert _counterterm_coefficient(real, a, b, k1, k2) == 0
-
-
 def omega_entry_opposite_expansion(h: DSHierarchy, i, j) -> DiffPoly:
     """The (i, j) entry computed with 1/(lambda-mu)^2 expanded in lambda/mu.
 
@@ -237,9 +228,6 @@ def omega_entry_opposite_expansion(h: DSHierarchy, i, j) -> DiffPoly:
     for p in range(-pmax_b - sigma, -k1 * n_tw):
         weight = -k1 * n_tw - p
         val = val + real.alg.pair_vec(coefficient(ra, p), coefficient(rb, -p - sigma)) * weight
-    ct = _counterterm_coefficient(real, a, b, k1, k2)
-    if ct:
-        val = val - DiffPoly.const(ct)
     return val
 
 
@@ -253,7 +241,6 @@ def test_omega_matches_literal_double_laurent_projection(sl2):
     # Build the double expansion of (R(lambda)|R(mu))/(lambda-mu)^2 minus the
     # counterterm in |mu| < |lambda|, project with pi per variable, and read
     # the coefficients; they must reproduce the table.
-    from dshierarchy.hierarchy import _counterterm_coefficient
     real = sl2.real
     max_k = 1
     table = sl2.omega_table(1, max_k)
@@ -272,12 +259,18 @@ def test_omega_matches_literal_double_laurent_projection(sl2):
                     continue
                 key = (p - i - 1, q + i - 1)
                 grid[key] = grid.get(key, DiffPoly.zero()) + val
+    # the counterterm (1/r)(m_1 lambda^N + m_1 mu^N)/(lambda-mu)^2 of the
+    # diagonal a + b = n + 1: each piece has mu powers >= 0 only, so pi drops it
+    n_tw = real.twist_order
+    ct = [(n_tw - i - 1, i - 1, i) for i in range(1, imax + 1)] \
+        + [(-i - 1, n_tw + i - 1, i) for i in range(1, imax + 1)]
+    for p, q, i in ct:
+        grid[(p, q)] = grid.get((p, q), DiffPoly.zero()) \
+            - DiffPoly.const(Fraction(real.exponents[0] * i, real.r))
     projected = pi_multi(grid, real.twist_order)
     for k1 in range(0, max_k + 1):
         for k2 in range(0, max_k + 1):
             got = projected.get((-k1 - 1, -k2 - 1), DiffPoly.zero())
-            got = got - DiffPoly.const(
-                _counterterm_coefficient(real, 1, 1, k1, k2))
             assert got == table.entry((1, k1), (1, k2))
 
 
@@ -315,7 +308,7 @@ def omega_entry_complete(h: DSHierarchy, i, j, depth: int) -> DiffPoly:
     val = DiffPoly.zero()
     for p in range(1 - k1 * n_tw, real.heisenberg_top[ra.m_a] + 1):
         val = val + real.alg.pair_vec(coefficient(ra, p), coefficient(rb, -p - sigma)) * (p + k1 * n_tw)
-    return val - DiffPoly.const(_counterterm_coefficient(real, a, b, k1, k2))
+    return val
 
 
 @pytest.mark.parametrize("name, max_k", [("a1_1", k) for k in range(1, 5)]
