@@ -9,16 +9,17 @@ from ..serialize import dumps, poly_to_obj
 
 
 def _omega_objs(ell: int, table) -> list[dict]:
+    """One output object per entry; an entry equal to its transpose reuses its forms."""
     names = default_names(ell)
+    formatted: dict = {}  # (i, j) -> (value, its obj, its text)
     out = []
     for (i, j), val in sorted(table.entries.items()):
-        terms = val.sorted_parts()  # one sort for both forms
-        out.append({
-            "i": list(i),
-            "j": list(j),
-            "value": poly_to_obj(val, terms),
-            "value_text": render_poly(val, names, terms=terms),
-        })
+        got = formatted.get((j, i))
+        if got is None or got[0] != val:
+            terms = val.sorted_parts()  # one sort for both forms
+            got = formatted[(i, j)] = (
+                val, poly_to_obj(val, terms), render_poly(val, names, terms=terms))
+        out.append({"i": list(i), "j": list(j), "value": got[1], "value_text": got[2]})
     return out
 
 

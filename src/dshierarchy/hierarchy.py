@@ -23,6 +23,12 @@ mu^{-k2 N-1}.  So every entry is one weighted pairing sum,
     Omega_{a,k1;b,k2} = sum_{p >= 1-k1 N} (p + k1 N) *
                         (R_a[p] | R_b[-p-(k1+k2)N]).
 
+The form pairs principal degrees d and -d only, and R_b has no slice above
+m_b, so a table with a, b <= max_a and k1, k2 <= max_k reads every R_a down to
+one principal-degree floor, -(m_max + 2 max_k N deg lambda) with m_max the
+largest m_b read and deg lambda the principal degree of lambda; each R_a is
+solved to that floor and no deeper.
+
 Resolvents are gauge covariant, so the Borel-variable operator followed by
 the certified rewrite to the u-jets gives the same flows and entries; that
 route is kept in the tests as a reference.
@@ -111,11 +117,10 @@ class OmegaTable:
         out = []
         for i in self.labels():
             for j in self.labels():
-                diff = self.entry(i, j) - self.entry(j, i)
                 out.append({
                     "check": "omega_symmetry",
                     "pair": [list(i), list(j)],
-                    "residual_zero": diff.is_zero(),
+                    "residual_zero": self.entry(i, j) == self.entry(j, i),
                 })
         return out
 
@@ -251,11 +256,14 @@ class DSHierarchy:
         invariance, (pdeg_i + pdeg_j)(x_i|x_j) = 0 (checked at load).  So the
         lambda^p x_i part of R_a, at degree d = p N + pdeg_i, meets only the
         part of R_b at degree -sigma N - d, and R_b has no slice above m_b:
-        R_a is read down to offset m_a + m_b + sigma N and no further, and
-        R_b likewise.  Each lambda vector is the sum of the slices solved to
-        that depth (``Resolvent.computed_coefficient``); the parts it misses
-        pair with zero.  Over the table the depth is 2 m_max_a + 2 max_k n_tw N,
-        below the depth that makes every vector complete.
+        R_a is read down to degree -(m_b + sigma N) and no further.  Over the
+        table that is one floor for every resolvent, degree -F with
+        F = m_max_a + 2 max_k n_tw N, so R_a is solved to depth m_a + F.
+        Each lambda vector is the sum of the slices solved to that depth
+        (``Resolvent.computed_coefficient``); the parts it misses pair with
+        zero.  The table's ``depth`` is that of the deepest resolvent,
+        2 m_max_a + 2 max_k n_tw N, below the depth that makes every vector
+        complete.
         """
         real = self.real
         if max_a is None:
@@ -267,9 +275,11 @@ class DSHierarchy:
         if got is not None:
             return got
         n_tw = real.twist_order
-        depth = 2 * max(real.exponents[:max_a]) + 2 * max_k * n_tw * real.deg_lambda
-        resolvents = {a: self.lax_u.resolvent(a, depth)
-                      for a in range(1, max_a + 1)}
+        m_max = max(real.exponents[:max_a])
+        # every R_a is solved down to principal degree -floor (F above)
+        floor = m_max + 2 * max_k * n_tw * real.deg_lambda
+        resolvents = {a: self.lax_u.resolvent(a, m + floor)
+                      for a, m in enumerate(real.exponents[:max_a], 1)}
         entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
         for a in range(1, max_a + 1):
             ra = resolvents[a]
@@ -288,7 +298,7 @@ class DSHierarchy:
             if val != entries[(j, i)]:
                 raise RuntimeError(
                     f"tau-structure symmetry broken at {(i, j)}; engine bug")
-        table = OmegaTable(entries, max_a, max_k, depth)
+        table = OmegaTable(entries, max_a, max_k, m_max + floor)
         if not table.has_nonconstant_entry():
             raise RuntimeError(
                 "tau-structure is degenerate: every entry is constant")

@@ -93,17 +93,21 @@ class SimpleLieAlgebra:
             for c in range(size):
                 rows.append([self.matrices[i][r][c] for i in range(self.dim)])
         self._coords = LinearSolver(rows)
-        # Structure constants from matrix commutators, as sparse rows.
-        self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
+        # Structure constants from matrix commutators, as sparse rows: one
+        # commutator and solve per pair i < j, [x_j, x_i] the negated row.
+        upper = {}
         for i in range(self.dim):
-            for j in range(self.dim):
-                if i == j:
-                    continue
+            for j in range(i + 1, self.dim):
                 mi, mj = self.matrices[i], self.matrices[j]
                 br = [[x - y for x, y in zip(rij, rji)]
                       for rij, rji in zip(_mat_mul(mi, mj), _mat_mul(mj, mi))]
                 coords = self.coordinates_of_matrix(br, zero=0)
-                entries = tuple((k, integral(c)) for k, c in enumerate(coords) if c)
+                upper[(i, j)] = tuple((k, integral(c)) for k, c in enumerate(coords) if c)
+        self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                entries = upper[(i, j)] if i < j else \
+                    tuple((k, -c) for k, c in upper.get((j, i), ()))
                 if entries:
                     self.bracket_table[(i, j)] = entries
         # the same table by first operand: row i lists (j, entries)

@@ -455,6 +455,25 @@ def test_omega_subcommand(capsys):
     assert entries[((1, 0), (1, 0))] == "-1/2*u"
 
 
+def test_omega_output_formats_an_asymmetric_entry_on_its_own():
+    # the output reuses a transpose's forms only when the two entries are equal
+    from dshierarchy.commands.omega import _omega_objs
+    from dshierarchy.hierarchy import OmegaTable
+    from dshierarchy.render import default_names, render_poly
+    from dshierarchy.serialize import poly_to_obj
+    u = DiffPoly.var(1)
+    i, j = (1, 0), (1, 1)
+    entries = {(i, i): u, (i, j): u * u, (j, i): u * u + DiffPoly.var(1, 2),
+               (j, j): u * u}
+    objs = _omega_objs(1, OmegaTable(entries, 1, 1, 0))
+    assert [(tuple(o["i"]), tuple(o["j"])) for o in objs] == sorted(entries)
+    for o in objs:
+        val = entries[(tuple(o["i"]), tuple(o["j"]))]
+        assert o["value"] == poly_to_obj(val)
+        assert o["value_text"] == render_poly(val, default_names(1))
+    assert objs[1]["value_text"] != objs[2]["value_text"]
+
+
 def test_omega_text_mode(capsys):
     code, out, _ = run(capsys, "omega", "--type", "a1_1", "--max-k", "0",
                        "--format", "text")

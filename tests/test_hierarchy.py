@@ -312,7 +312,7 @@ def omega_entry_complete(h: DSHierarchy, i, j, depth: int) -> DiffPoly:
 
 
 @pytest.mark.parametrize("name, max_k", [("a1_1", k) for k in range(1, 5)]
-                         + [("a2_1", 1), ("a2_1", 2), ("a2_2", 1)])
+                         + [("a2_1", 1), ("a2_1", 2), ("a2_2", 1), ("a2_2", 2)])
 def test_omega_table_matches_complete_coefficients(name, max_k):
     # the table reads its resolvents only to the pairing depth; the reference
     # reads complete coefficients at the depth that makes them all complete
@@ -328,12 +328,19 @@ def test_omega_table_matches_complete_coefficients(name, max_k):
 
 @pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
 def test_omega_pairing_depth_is_sharp(name):
+    # one R_a at a time one slice above the floor, the others at it: the table
+    # changes an entry, or the engine finds it asymmetric
     exact = DSHierarchy(name, max_flow_k=0, omega_max_k=1).omega_table(None, 1)
-    h = DSHierarchy(name, max_flow_k=0, omega_max_k=1)
-    resolvent = h.lax_u.resolvent
-    h.lax_u.resolvent = lambda a, depth: resolvent(a, depth - 1)  # one level shallower
-    shallow = h.omega_table(None, 1)
-    assert any(shallow.entries[key] != val for key, val in exact.entries.items())
+    for shallow_a in range(1, exact.max_a + 1):
+        h = DSHierarchy(name, max_flow_k=0, omega_max_k=1)
+        resolvent = h.lax_u.resolvent
+        h.lax_u.resolvent = lambda a, depth: resolvent(a, depth - (a == shallow_a))
+        try:
+            shallow = h.omega_table(None, 1)
+        except RuntimeError as exc:
+            assert "tau-structure symmetry broken" in str(exc)
+        else:
+            assert any(shallow.entries[key] != val for key, val in exact.entries.items())
 
 
 @pytest.mark.parametrize("name, max_a, max_k, depth", [
@@ -341,9 +348,11 @@ def test_omega_pairing_depth_is_sharp(name):
 def test_omega_table_dresses_to_the_pairing_depth(name, max_a, max_k, depth):
     h = DSHierarchy(name, max_flow_k=0, omega_max_k=max_k)
     assert h.omega_table(max_a, max_k).depth == depth
-    # each R_a is solved alone: the families left out stay at their top
+    # every solved R_a ends at the deepest one's floor (-17 on a2_2 at max-a 2,
+    # -8 on a2_1); each is solved alone, so the families left out stay at their top
+    floor = h.real.exponents[max_a - 1] - depth
     for a, m in enumerate(h.real.exponents, 1):
-        assert min(h.lax_u._r[a]) == (m - depth if a <= max_a else m)
+        assert min(h.lax_u._r[a]) == (floor if a <= max_a else m)
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "a22"])
