@@ -28,7 +28,7 @@ def run(cfg, build) -> int:
     name, ell = h.real.name, h.ell
     max_a = cfg.max_a or h.real.n
     table = h.omega_table(max_a, cfg.max_k)
-    # the resolvents' slices and powers are not read from here on; releasing
+    # the resolvents' slices are not read from here on; releasing
     # them keeps the output stage's memory off the process peak
     del h
     payload = {

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .diffalg import Derivation, DiffPoly, EpsSeries
 from .kacmoody import LoopElement, LoopRealization, build_algebra
 from .linalg import InconsistentSystemError
-from .resolvent import DepthError, LaxOperator, flow_depth
+from .resolvent import DepthError, LaxOperator, Resolvent, flow_depth
 
 if TYPE_CHECKING:  # at run time, only the members that use gauge import it
     from .gauge import CanonicalForm, GaugeHomomorphism
@@ -240,6 +240,16 @@ class DSHierarchy:
         return psi, theta
 
     # -- tau-structure ---------------------------------------------------
+    def table_resolvents(self, max_a: int, max_k: int) -> dict[int, Resolvent]:
+        """{a: R_a} for a <= max_a, each solved to depth m_a + F (``omega_table``).
+
+        New views on every call, as ``omega`` drops the slices once the table is read.
+        """
+        real = self.real
+        floor = max(real.exponents[:max_a]) + 2 * max_k * real.twist_order * real.deg_lambda
+        return {a: self.lax_u.resolvent(a, m + floor)
+                for a, m in enumerate(real.exponents[:max_a], 1)}
+
     def omega_table(self, max_a: int | None = None,
                     max_k: int | None = None) -> OmegaTable:
         """Tau-structure table for labels (a, k), a <= max_a, k <= max_k.
@@ -259,9 +269,10 @@ class DSHierarchy:
         R_a is read down to degree -(m_b + sigma N) and no further.  Over the
         table that is one floor for every resolvent, degree -F with
         F = m_max_a + 2 max_k n_tw N, so R_a is solved to depth m_a + F.
-        Each lambda vector is the sum of the slices solved to that depth
-        (``Resolvent.computed_coefficient``); the parts it misses pair with
-        zero.  The table's ``depth`` is that of the deepest resolvent,
+        The resolvents are those of ``table_resolvents``, and each lambda
+        vector is read from the sum of the slices solved to that depth
+        (``Resolvent.element``); the parts it misses pair with zero.  The
+        table's ``depth`` is that of the deepest resolvent,
         2 m_max_a + 2 max_k n_tw N, below the depth that makes every vector
         complete.
         """
@@ -275,30 +286,25 @@ class DSHierarchy:
         if got is not None:
             return got
         n_tw = real.twist_order
-        m_max = max(real.exponents[:max_a])
-        # every R_a is solved down to principal degree -floor (F above)
-        floor = m_max + 2 * max_k * n_tw * real.deg_lambda
-        resolvents = {a: self.lax_u.resolvent(a, m + floor)
-                      for a, m in enumerate(real.exponents[:max_a], 1)}
+        resolvents = self.table_resolvents(max_a, max_k)
         entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
-        for a in range(1, max_a + 1):
-            ra = resolvents[a]
+        for a, ra in resolvents.items():
             pmax_a = real.heisenberg_top[ra.m_a]
-            for b in range(1, max_a + 1):
-                rb = resolvents[b]
+            for b, rb in resolvents.items():
                 pmax_b = real.heisenberg_top[rb.m_a]
                 for k1 in range(0, max_k + 1):
                     for k2 in range(0, max_k + 1):
                         sigma = (k1 + k2) * n_tw
                         p_lo = max(1 - k1 * n_tw, -sigma - pmax_b)
                         entries[((a, k1), (b, k2))] = real.alg.pair_sum(
-                            (ra.computed_coefficient(p), rb.computed_coefficient(-p - sigma),
+                            (ra.element.vector_at(p), rb.element.vector_at(-p - sigma),
                              p + k1 * n_tw) for p in range(p_lo, pmax_a + 1))
         for (i, j), val in entries.items():
             if val != entries[(j, i)]:
                 raise RuntimeError(
                     f"tau-structure symmetry broken at {(i, j)}; engine bug")
-        table = OmegaTable(entries, max_a, max_k, m_max + floor)
+        depth = max(r.depth for r in resolvents.values())
+        table = OmegaTable(entries, max_a, max_k, depth)
         if not table.has_nonconstant_entry():
             raise RuntimeError(
                 "tau-structure is degenerate: every entry is constant")

@@ -53,12 +53,17 @@ defining representation as powers, P_k = lambda^{-s} R_a = R_1^k for
 m_a = s n + k, fixed by one matrix entry per degree (``tests/power_route.py``),
 and the dressing route (``tests/dressing_route.py``).  The defining
 properties of each R_a ([L, R_a] = 0, leading term, pairing normalization)
-are verified as exact residuals through the computed depth.
+are verified as exact residuals through the computed depth; ``verify``
+reads each R_a at the depth of the tau-structure table
+(``DSHierarchy.table_resolvents``), so they cover every slice the table's
+pairings read, down to its floor.  Every reader takes R_a from one view, a
+``Resolvent``, whose slices are summed once into ``element``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .diffalg import DiffPoly, NotTotalDerivativeError
 from .kacmoody import LoopElement, LoopRealization
@@ -176,7 +181,6 @@ class Resolvent:
         self.a = a
         self.m_a = lax.real.exponents[a - 1]
         self.depth = depth
-        self._coefficients: dict[int, tuple[DiffPoly, ...]] = {}
 
     def slice(self, d: int) -> LoopElement:
         if d > self.m_a or d < self.m_a - self.depth:
@@ -185,39 +189,21 @@ class Resolvent:
                 f"[{self.m_a - self.depth}, {self.m_a}]")
         return self.lax._r[self.a][d]
 
-    def _slices(self) -> list[LoopElement]:
-        return [self.slice(self.m_a - j) for j in range(self.depth + 1)]
-
-    def _powers(self) -> list[int]:
-        return sorted({k for sl in self._slices() for k in sl.coeffs})
-
+    @cached_property
     def element(self) -> LoopElement:
-        return LoopElement(self.real, {k: self.computed_coefficient(k) for k in self._powers()})
+        """The slices solved to this depth, summed once.
+
+        Its lambda^k vector is complete for k >= ``min_complete_power()``; below
+        that it holds only the parts of principal degree >= m_a - depth (see
+        ``DSHierarchy.omega_table``).
+        """
+        return sum((self.slice(self.m_a - j) for j in range(self.depth + 1)),
+                   LoopElement.zero(self.real))
 
     def min_complete_power(self) -> int:
         """Smallest lambda power whose coefficient is complete at this depth."""
-        real = self.real
-        maxp = max(real.pdeg)
-        k = self.m_a - self.depth + maxp
-        # smallest k0 with k0*deg_lambda - maxp >= m_a - depth
-        q, rem = divmod(k, real.deg_lambda)
-        return q + (1 if rem else 0)
-
-    def computed_coefficient(self, k: int) -> tuple[DiffPoly, ...]:
-        """The lambda^k vector summed over the slices computed to this depth.
-
-        Complete for k >= ``min_complete_power()``; below that it holds only the
-        parts of principal degree >= m_a - depth (see ``DSHierarchy.omega_table``).
-        """
-        got = self._coefficients.get(k)
-        if got is None:
-            out = [_ZERO_P] * self.real.alg.dim
-            for sl in self._slices():
-                vec = sl.coeffs.get(k)
-                if vec:
-                    out = [a + b for a, b in zip(out, vec)]
-            got = self._coefficients[k] = tuple(out)
-        return got
+        # smallest k with k*deg_lambda - max pdeg >= m_a - depth
+        return -((self.depth - self.m_a - max(self.real.pdeg)) // self.real.deg_lambda)
 
     def shifted_plus(self, k: int) -> LoopElement:
         """(lambda^{k N} R)_+ in the standard gradation, for k >= 0."""
@@ -230,13 +216,13 @@ class Resolvent:
             raise DepthError(
                 f"(lambda^{shift} R)_+ needs lambda^{need} complete; "
                 f"increase depth beyond {self.depth}")
-        return LoopElement(real, {p + shift: self.computed_coefficient(p)
-                                  for p in self._powers() if p >= need})
+        return LoopElement(real, {p + shift: vec for p, vec in self.element.coeffs.items()
+                                  if p >= need})
 
     # -- defining-property residuals ------------------------------------------
     def commutator_residual_slices(self) -> dict[int, LoopElement]:
         """Slices of [L, R] at degrees above the truncation floor (all must vanish)."""
-        res = self.lax.bracket_with(self.element())
+        res = self.lax.bracket_with(self.element)
         out = {}
         for d, sl in res.pdeg_slices().items():
             if d >= self.m_a - self.depth + 1 and not sl.is_zero():
@@ -254,8 +240,8 @@ class Resolvent:
         need = self.m_a + other.m_a - min(self.depth, other.depth)
         lo = -((-need) // real.deg_lambda)
         triples: dict[int, list] = {}
-        theirs = other.element().coeffs.items()
-        for k1, v1 in self.element().coeffs.items():
+        theirs = other.element.coeffs.items()
+        for k1, v1 in self.element.coeffs.items():
             for k2, v2 in theirs:
                 if k1 + k2 >= lo:
                     triples.setdefault(k1 + k2, []).append((v1, v2, 1))

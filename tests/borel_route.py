@@ -41,7 +41,7 @@ def flow_chars(h: DSHierarchy, label) -> tuple[DiffPoly, ...]:
     a, k = label
     real, cf = h.real, h.canform
     r = h.lax_q.resolvent(a, flow_depth(real, a, k) + 1)
-    conj = ad_exp_series(cf.s_can, r.element())
+    conj = ad_exp_series(cf.s_can, r.element)
     x = project_plus(conj.lambda_shift(k * real.twist_order))
     dpre = JetMap(pre_flow_chars(h, label))
     dpre_s = map_coeffs(cf.s_can, lambda p: apply_poly_derivation(dpre, p))

@@ -57,8 +57,9 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
         ("solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
          "--eps-order", "2", "--max-k", "1", "--bgw", "1"),
     ]
-    # the omega job is quick: the twisted rank-2 table in Tier-1
-    out += [(argv, argv[0] == "omega") for argv in bench]
+    # the omega and verify jobs are quick: the twisted rank-2 table and a
+    # whole verify report in Tier-1
+    out += [(argv, argv[0] in ("omega", "verify")) for argv in bench]
     for name in ("a1_1", "a2_1", "a2_2"):
         out.append((("gauge-fix", "--type", name), True))
     out += [(argv + ("--format", "text"), False) for argv in bench]

@@ -14,6 +14,7 @@ from dshierarchy import cli
 from dshierarchy.cli import main
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.hierarchy import DSHierarchy, Flow
+from dshierarchy.kacmoody import LoopElement
 
 
 def run(capsys, *argv):
@@ -95,6 +96,26 @@ def test_verify_corrupts_a_copy_of_the_cached_table(capsys, monkeypatch):
     assert cached.entries == fresh.entries
     assert (cached.max_a, cached.max_k, cached.depth) == \
         (fresh.max_a, fresh.max_k, fresh.depth)
+
+
+def test_verify_checks_each_resolvent_down_to_the_table_floor(capsys, monkeypatch):
+    # the a2_1 max-k 1 table reads every R_a down to degree -8; a nonconstant
+    # term on slice -7 of R_2 breaks [L, R_2] = 0 at degree -7
+    h = DSHierarchy("a2_1", omega_max_k=1)
+    h.omega_table(2, 1)
+    real = h.real
+    k, i = next((k, i) for k in range(-3, 0) for i, p in enumerate(real.pdeg)
+                if k * real.deg_lambda + p == -7)
+    vec = [DiffPoly.zero()] * real.alg.dim
+    vec[i] = DiffPoly.var(1)
+    r2 = h.lax_u._r[2]
+    r2[-7] = r2[-7] + LoopElement.from_vector(real, k, vec)
+    monkeypatch.setattr(cli, "_build_hierarchy", lambda cfg: h)
+    code, out, _ = run(capsys, "verify", "--type", "a2_1", "--max-k", "1")
+    assert code == 1
+    verdicts = {c["exponent_index"]: c["residual_zero"] for c in json.loads(out)["checks"]
+                if c["check"] == "resolvent_commutator"}
+    assert verdicts == {1: True, 2: False}
 
 
 COMMON_FLAGS = {"--config", "--type", "--vertex", "--flows", "--eps-order",

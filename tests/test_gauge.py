@@ -114,8 +114,8 @@ def test_f_of_resolvent_is_gauged_resolvent(ctx):
     depth = 5
     r = lax.resolvent(1, depth)
     hom = GaugeHomomorphism(lax)
-    lhs = map_coeffs(r.element(), hom.apply)
-    rhs = ad_exp_series(hom.s_generic, r.element())
+    lhs = map_coeffs(r.element, hom.apply)
+    rhs = ad_exp_series(hom.s_generic, r.element)
     diff = lhs - rhs
     for d, sl in diff.pdeg_slices().items():
         if d >= r.m_a - depth:
