@@ -75,7 +75,11 @@ def _parse_flows(val) -> list:
 def _parse_bgw(val) -> list:
     """'C_1,..,C_ell' (flag or config file), or a list of constants (config file)."""
     items = val.split(",") if isinstance(val, str) else val
-    return [Fraction(str(c).strip()) for c in items if str(c).strip()]
+    try:
+        return [Fraction(str(c).strip()) for c in items if str(c).strip()]
+    except ZeroDivisionError:
+        raise ConfigError(f"bgw (--bgw) constants need nonzero denominators, "
+                          f"got {val!r}") from None
 
 
 # RunConfig key -> (default, the JSON types of its config-file value, the
@@ -123,7 +127,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file (--config) "
                               f"{args.config}: {exc.strerror}") from None
-        file_values = json.loads(text)
+        try:
+            file_values = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"config file (--config) {args.config} is not valid JSON: "
+                              f"{exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file (--config) {args.config} must hold a JSON object")
         for key, val in file_values.items():
@@ -136,6 +144,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 if type(val) not in types:
                     raise TypeError(val)
                 setattr(cfg, key, convert(val))
+            except ConfigError:
+                raise
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"bad value {val!r} for config key {key!r}, which takes "

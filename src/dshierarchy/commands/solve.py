@@ -45,7 +45,7 @@ def run(cfg, build) -> int:
     two_point_rows = []
     for (i, j), series in sorted(tp["values"].items()):
         entries = []
-        for (exps, q), v in sorted(series.data.items()):
+        for (exps, q), v in sorted(series.items()):
             entries.append({"t_exponents": list(exps), "eps": q, **_value_fields(v)})
         two_point_rows.append({"i": list(i), "j": list(j), "series": entries})
     all_pass = all(r["residual_zero"] for r in tp["cross_derivatives"]) and \

@@ -574,14 +574,16 @@ class DiffPoly:
     def substitute(self, jets: "JetMap"):
         """The ring homomorphism u_{a,m} -> jets(a, m), applied to self.
 
-        ``jets`` is a :class:`JetMap` whose images are DiffPoly, EpsSeries,
-        ``ratfunc.RatFunc`` or ``solution.TSeries`` values; the result lies in
-        the ring of the images, constants included (a zero or constant
-        polynomial maps to a multiple of ``jets.unit``).  Each term is one
-        lookup in the map's memo of monomial images, so every monomial image
-        is computed once per map.  DiffPoly images, and each eps power of
-        EpsSeries images, are summed in place over numerators and normalized
-        once.
+        ``jets`` is a :class:`JetMap` whose images are DiffPoly, EpsSeries or
+        ``ratfunc.RatFunc`` values; the result lies in the ring of the images,
+        constants included (a zero or constant polynomial maps to a multiple
+        of ``jets.unit``).  Each term is one lookup in the map's memo of
+        monomial images, so every monomial image is computed once per map.
+        DiffPoly images, and each eps power of EpsSeries images, are summed in
+        place over numerators and normalized once.  Images of any other ring
+        are summed by that ring's ``dot`` over (image, int numerator) pairs
+        and divided by the common denominator once; ``RatFunc.dot`` reduces
+        once per distinct denominator.
         """
         if not self._num:
             return jets.unit * 0
@@ -589,7 +591,7 @@ class DiffPoly:
         acc: dict[int, int] = {}
         den = 1
         series = None           # EpsSeries images: [numerators, denominator] per eps power
-        rest = None
+        rest = []               # other images: (image, numerator) pairs for one dot
         for m, c in self._num.items():
             term = image(m)
             kind = type(term)
@@ -605,13 +607,15 @@ class DiffPoly:
                     if comp._num:
                         part[1] = _add_into(part[0], part[1], comp, c)
             else:
-                term = term * Fraction(c, self._den)
-                rest = term if rest is None else rest + term
+                rest.append((term, c))
         out = _normal(acc, den * self._den)
         if series is not None:
             sums = EpsSeries([_normal(num, d * self._den) for num, d in series], order)
             out = sums + out if out else sums
-        return out if rest is None else rest + out if out else rest
+        if not rest:
+            return out
+        rest = type(rest[0][0]).dot(rest) * Fraction(1, self._den)
+        return rest + out if out else rest
 
     # -- presentation ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -822,7 +826,7 @@ class EpsSeries:
 class JetMap:
     """The jets (alpha, m) -> d^m(images[alpha-1]) and the monomials in them, each computed once.
 
-    Images may be DiffPoly, EpsSeries, RatFunc or TSeries values.  A map is
+    Images may be DiffPoly, EpsSeries or RatFunc values.  A map is
     handed to ``substitute`` as the images of a ring homomorphism; it raises
     ArityMismatchError for a component beyond ``len(images)``.  Each jet comes
     from one call of ``step``, the only place that knows the jet operator; a

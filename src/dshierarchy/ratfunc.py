@@ -290,17 +290,20 @@ class RatFunc:
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
+    def dot(pairs: Iterable[tuple["RatFunc", "RatFunc | int"]]) -> "RatFunc":
         """The sum of a * b over the pairs, one reduction per distinct denominator.
 
-        The numerators of the products that share a denominator tuple are added
-        unreduced; each such sum is then reduced once, and the sums are added.
+        b is a RatFunc or an int.  The numerators of the products that share a
+        denominator tuple are added unreduced; each such sum is then reduced
+        once, and the sums are added.
         """
         by_den: dict[Poly, Poly] = {}
         for a, b in pairs:
-            n = _pmul(a._n, b._n)
+            if type(b) is int:
+                n, d = (tuple(x * b for x in a._n) if b else ()), a._d
+            else:
+                n, d = _pmul(a._n, b._n), _pmul(a._d, b._d)
             if n:
-                d = _pmul(a._d, b._d)
                 got = by_den.get(d)
                 by_den[d] = n if got is None else _padd(got, n)
         out = _ZERO

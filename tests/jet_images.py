@@ -9,7 +9,6 @@ as an independent reference.
 """
 
 from dshierarchy.diffalg import DiffPoly, EpsSeries, JetMap, _monomial
-from dshierarchy.solution import TSeries
 
 
 class FunctionJets(JetMap):
@@ -31,13 +30,11 @@ def memoised_monomials(jets):
 
 
 def snapshot(value):
-    """The stored parts of a DiffPoly, EpsSeries, RatFunc or TSeries, copied."""
+    """The stored parts of a DiffPoly, EpsSeries or RatFunc, copied."""
     if isinstance(value, DiffPoly):
         return value._den, tuple(value._num.items())
     if isinstance(value, EpsSeries):
         return value.order, tuple(snapshot(c) for c in value.components)
-    if isinstance(value, TSeries):
-        return tuple((key, snapshot(v)) for key, v in value.data.items())
     return value._n, value._d
 
 

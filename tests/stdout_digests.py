@@ -85,6 +85,10 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
               "--seed", "1"), True),
             (("discrete", "--eps-order", "3", "--samples", "300", "--seed", "9"), False),
             (("discrete", "--eps-order", "6", "--samples", "50", "--seed", "2"), False)]
+    # solve at the BGW point, and at t-degree 0, where no flow equation is read
+    out += [(("solve", "--type", "a1_1", "--bgw=-1/4", "--flows", "1:0,1:1,1:2",
+              "--max-k", "2"), True),
+            (("solve", "--type", "a1_1", "--t-degree", "0", "--eps-order", "1"), True)]
     return out
 
 

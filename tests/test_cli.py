@@ -269,6 +269,7 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     (["--help"], 0),
     (["verify", "--self-test-corrupt"], 1),
     (["derive", "--type", "nosuch"], 2),
+    (["solve", "--bgw", "1/0"], 2),
 ])
 def test_module_entry_point_keeps_the_exit_code(argv, code):
     done = subprocess.run([sys.executable, "-m", "dshierarchy.cli", *argv],
@@ -383,6 +384,26 @@ def test_config_errors(capsys, tmp_path):
     cfgfile.write_text("[1]")
     code, out, err = run(capsys, "derive", "--config", str(cfgfile))
     assert code == 2 and not out and "must hold a JSON object" in err
+    # a config file that is not JSON at all is named, as an unreadable one is
+    cfgfile.write_text('{"bgw": ')
+    code, out, err = run(capsys, "derive", "--config", str(cfgfile))
+    assert code == 2 and not out
+    assert err.startswith(f"error: config file (--config) {cfgfile} is not valid JSON: ")
+
+
+def test_bgw_with_a_zero_denominator_names_the_flag(capsys, tmp_path):
+    # Fraction('1/0') raises ZeroDivisionError, which neither argparse nor
+    # main turns into a usage error by itself
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--bgw", "1/0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --bgw" in err and "Traceback" not in err
+    cfgfile = tmp_path / "run.json"
+    for bgw in ("1/0", ["1", "2/0"]):
+        cfgfile.write_text(json.dumps({"bgw": bgw}))
+        code, out, err = run(capsys, "solve", "--config", str(cfgfile))
+        assert code == 2 and not out
+        assert err.startswith("error: bgw (--bgw) constants need nonzero denominators")
 
 
 def test_json_only_subcommands_reject_text_format(capsys, tmp_path):

@@ -17,8 +17,12 @@ The third derivatives of log tau are the flows applied to the table.  The
 flow D_(1,0) is -d/dx, so d/dt_k = -D_(1,k), and the coefficient of x^n/n!
 in the degree-(2g+1) part of -D_(1,k) Omega_{(1,i);(1,j)}, read in the same
 way, is <tau_0^n tau_i tau_j tau_k>_g.  No new scale or sign is fitted.
+
+The last test reads the other tau-function of KdV, at the Brezin-Gross-Witten
+point, through ``dshier solve`` with the same scales.
 """
 
+import json
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -124,3 +128,39 @@ def test_genus_one_three_point_numbers(three_point, ks, value):
     # every order of the three labels: the flow may act on any of them
     for i, j, k in set(permutations(ks)):
         assert three_point(i, j, k, 1) == {0: value}, (i, j, k)
+
+
+# The Brezin-Gross-Witten point, read through ``dshier solve``.  On KdV the
+# initial data u(x, 0) = -1/(4(1 - x)^2) gives the BGW tau-function, the
+# generating function of Norbury's Theta-class intersection numbers (Norbury,
+# "A new cohomology class on the moduli space of curves", 2017; Do and
+# Norbury, "Topological recursion on the Bessel curve", 2018).  Its free energy
+# begins -(1/8) log(1 - t_0) + (3/128) t_1/(1 - t_0)^3
+# + (15/1024) t_2/(1 - t_0)^5 + (63/1024) t_1^2/(1 - t_0)^6, so with x = t_0
+# and t_k scaled by (2k+1)!!, as above, its second derivatives at
+# t_1 = t_2 = 0 are these; solve's value at t = 0, summed over eps, must match.
+BGW_SOLVE = ["solve", "--type", "a1_1", "--bgw=-1/4", "--flows", "1:0,1:1,1:2",
+             "--max-k", "2"]
+BGW_SECOND_DERIVATIVES = {  # (i, j) -> (c, n): c / (1 - x)^n
+    (0, 0): (Fraction(1, 8), 2),  # d0 d0: (1/8) / (1 - x)^2
+    (0, 1): (Fraction(27, 128), 4),  # d0 d1: 3 (3/128) 3 / (1 - x)^4
+    (1, 1): (Fraction(567, 512), 6),  # d1 d1: 3^2 (2 (63/1024)) / (1 - x)^6
+    (0, 2): (Fraction(1125, 1024), 6),  # d0 d2: 15 (5 (15/1024)) / (1 - x)^6
+}
+
+
+def test_bgw_point_second_derivatives_through_solve(capsys):
+    from dshierarchy.cli import main
+    assert main(BGW_SOLVE) == 0
+    payload = json.loads(capsys.readouterr().out)
+    at_zero = {}
+    for row in payload["two_point"]:
+        value = RatFunc.const(0)
+        for e in row["series"]:
+            if not any(e["t_exponents"]):
+                value = value + RatFunc([Fraction(c) for c in e["value"]["num"]],
+                                        [Fraction(c) for c in e["value"]["den"]])
+        at_zero[(row["i"][1], row["j"][1])] = value
+    one_minus_x = 1 - RatFunc.x()
+    for (i, j), (c, n) in BGW_SECOND_DERIVATIVES.items():
+        assert at_zero[(i, j)] == at_zero[(j, i)] == c * one_minus_x ** -n, (i, j)

@@ -278,6 +278,15 @@ def test_dot_of_a_sum_that_cancels_is_zero(pairs):
     assert got.is_zero() and (got._n, got._d) == ((), (1,))
 
 
+@given(st.lists(st.tuples(ratfuncs(), st.integers(-4, 4)), max_size=4))
+def test_dot_with_integer_weights_matches_sympy_and_the_fold(pairs):
+    # the sum DiffPoly.substitute asks for: images weighted by int numerators
+    got = RatFunc.dot(pairs)
+    assert_normal(got)
+    assert got == fold(pairs) == RatFunc.dot([(a, RatFunc.const(b)) for a, b in pairs])
+    assert same(got, sum((to_sympy(a) * b for a, b in pairs), K(0)))
+
+
 def test_dot_of_nothing_and_of_zeros():
     zero = RatFunc.const(0)
     assert RatFunc.dot([]) == 0 and RatFunc.dot(iter(())) == 0

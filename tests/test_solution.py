@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dshierarchy import solution
+import solution_route as ref
 from dshierarchy.diffalg import DiffPoly, EpsSeries, JetMap
 from dshierarchy.hierarchy import Flow, OmegaTable
 from dshierarchy.ratfunc import RatFunc
-from dshierarchy.solution import (NonCommutingFlowsError,
-                                  PoleAtExpansionPointError, TSeries,
-                                  evaluate_on_solution, flow_equation_report,
+from dshierarchy.solution import (FormalSolution, NonCommutingFlowsError,
+                                  PoleAtExpansionPointError, flow_equation_report,
                                   gbgw_initial, integrate_formal,
                                   two_point_functions)
 from jet_images import memoised_monomials, reference_substitute, snapshot
 from reference_ops import at_t_zero
+from solution_route import TSeries
 
 u = DiffPoly.var
 
@@ -51,10 +51,11 @@ def test_t_zero_echoes_initial(sl2):
 def test_translation_flow_taylor(sl2):
     init = gbgw_initial(sl2.real, [Fraction(1)])
     sol = integrate_formal([sl2.flow((1, 0))], init, t_degree=3, eps_order=0)
-    s = sol.series(1)
     d = init[0]
     for k in range(0, 4):
-        assert s.coefficient((k,), 0) == d * Fraction((-1) ** k, math.factorial(k))
+        assert sol.coeffs[(1, (k,))] == (d * (-1) ** k,)
+        assert ref.series(sol, 1).coefficient((k,), 0) == \
+            d * Fraction((-1) ** k, math.factorial(k))
         d = d.dx()
 
 
@@ -78,7 +79,7 @@ def test_constant_solution_has_constant_two_point_values(sl2):
     table = sl2.omega_table(1, 1)
     tp = two_point_functions(sol, table)
     for series in tp["values"].values():
-        for (exps, q), val in series.data.items():
+        for (exps, q), val in series.items():
             if sum(exps) > 0:
                 assert val.is_zero()
 
@@ -98,9 +99,9 @@ def test_two_point_value_at_t_zero_matches_initial_evaluation(sl2):
     flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
     sol = integrate_formal(flows, init, t_degree=1, eps_order=1)
     table = sl2.omega_table(1, 1)
-    val = evaluate_on_solution(table.entry((1, 0), (1, 0)), sol)
+    val = two_point_functions(sol, table)["values"][((1, 0), (1, 0))]
     # Omega_{1,0;1,0} = -u/2 evaluated at the initial data
-    assert val.coefficient((0, 0), 0) == init[0] * Fraction(-1, 2)
+    assert val[((0, 0), 0)] == init[0] * Fraction(-1, 2)
 
 
 def test_tseries_dt_and_truncation():
@@ -117,7 +118,7 @@ def test_tseries_rejects_negative_powers():
         s ** -1
 
 
-# -- DiffPoly.substitute into RatFunc and TSeries, against the reference ---
+# -- DiffPoly.substitute into RatFunc and (the reference's) TSeries ------------
 
 small = st.integers(-3, 3)
 ratfuncs = st.builds(RatFunc, st.lists(small, max_size=3),
@@ -158,12 +159,12 @@ def test_evaluations_share_the_jets_of_the_solution(sl2):
     flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
     sol = integrate_formal(flows, init, t_degree=1, eps_order=1)
     jets = sol.jets
+    assert jets.images == sol.initial
     two_point_functions(sol, sl2.omega_table(1, 1))
     flow_equation_report(sol, flows)
     assert sol.jets is jets and jets._monomials
-    one = TSeries.const(len(sol.labels), sol.T, sol.K, RatFunc.const(1))
     for mono, value in memoised_monomials(jets):
-        assert value == reference_substitute(DiffPoly({mono: 1}), jets, one)
+        assert value == reference_substitute(DiffPoly({mono: 1}), jets, RatFunc.const(1))
 
 
 BENCH_SOLVE = ["solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
@@ -178,43 +179,30 @@ def bench_solve(sl2):
     return sol, sl2.omega_table(1, 2)
 
 
-def _counted_evaluations(monkeypatch) -> list:
+def _recorded_taylor(monkeypatch) -> list:
+    """The (series, t-degree) of each ``FormalSolution.taylor`` call from now on."""
     calls = []
-    plain = solution.evaluate_on_solution
+    plain = FormalSolution.taylor
 
-    def counted(entry, sol):
-        calls.append(entry)
-        return plain(entry, sol)
+    def recorded(sol, p, T):
+        calls.append((p, T))
+        return plain(sol, p, T)
 
-    monkeypatch.setattr(solution, "evaluate_on_solution", counted)
+    monkeypatch.setattr(FormalSolution, "taylor", recorded)
     return calls
-
-
-def reference_two_point(sol, omega, one=(1, 0)):
-    """Every entry evaluated on its own, and the cross-derivative report on those values."""
-    values = {(i, j): evaluate_on_solution(omega.entry(i, j), sol)
-              for i in sol.labels for j in sol.labels}
-    report = []
-    for a, i in enumerate(sol.labels):
-        for b, j in enumerate(sol.labels):
-            lhs = values[(one, j)].dt(a).truncate_t(sol.T - 1)
-            rhs = values[(one, i)].dt(b).truncate_t(sol.T - 1)
-            report.append({"check": "two_point_cross_derivative",
-                           "pair": [list(i), list(j)],
-                           "residual_zero": (lhs - rhs).is_zero()})
-    return values, report
 
 
 def test_each_distinct_entry_is_evaluated_once(bench_solve, monkeypatch):
     sol, table = bench_solve
-    calls = _counted_evaluations(monkeypatch)
+    calls = _recorded_taylor(monkeypatch)
     tp = two_point_functions(sol, table)
     values = tp["values"]
     assert len(values) == 9 and len(calls) == 6
+    assert {T for _, T in calls} == {sol.T}
     for (i, j), value in values.items():
         assert values[(j, i)] is value
     monkeypatch.undo()
-    assert (values, tp["cross_derivatives"]) == reference_two_point(sol, table)
+    assert (values, tp["cross_derivatives"]) == ref.two_point(sol, table)
 
 
 def test_a_corrupted_entry_is_evaluated_apart_from_its_transpose(bench_solve, monkeypatch):
@@ -223,18 +211,18 @@ def test_a_corrupted_entry_is_evaluated_apart_from_its_transpose(bench_solve, mo
     entries = dict(table.entries)
     entries[(i, j)] = entries[(i, j)] + u(1)
     bad = OmegaTable(entries, table.max_a, table.max_k, table.depth)
-    calls = _counted_evaluations(monkeypatch)
+    calls = _recorded_taylor(monkeypatch)
     tp = two_point_functions(sol, bad)
     assert len(calls) == 7
     assert tp["values"][(i, j)] != tp["values"][(j, i)]
     monkeypatch.undo()
-    values, report = reference_two_point(sol, bad)
+    values, report = ref.two_point(sol, bad)
     assert tp["values"] == values and tp["cross_derivatives"] == report
     assert not all(r["residual_zero"] for r in report)
 
 
 def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
-    # Omega's transposed entries share one TSeries; printing must not touch it
+    # Omega's transposed entries share one value; printing must not touch it
     from dshierarchy import cli
     from dshierarchy.commands import solve as command
     plain = command.two_point_functions
@@ -242,7 +230,7 @@ def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
 
     def keep(sol, table):
         tp = plain(sol, table)
-        kept.append((tp["values"], {key: dict(s.data) for key, s in tp["values"].items()}))
+        kept.append((tp["values"], {key: dict(s) for key, s in tp["values"].items()}))
         return tp
 
     monkeypatch.setattr(command, "two_point_functions", keep)
@@ -253,22 +241,8 @@ def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
     for values, before in kept:
         assert values[((1, 0), (1, 2))] is values[((1, 2), (1, 0))]
         for key, series in values.items():
-            assert series.data == before[key]
-            assert all(series.data[k] is v for k, v in before[key].items())
-
-
-def reference_flow_equation_report(sol, flows):
-    """Each characteristic evaluated at the full t-degree T, then cut to T-1."""
-    by_label = {f.label: f for f in flows}
-    tcut = sol.T - 1
-    out = []
-    for b, j in enumerate(sol.labels):
-        for alpha in range(1, len(sol.initial) + 1):
-            lhs = sol.series(alpha).dt(b).truncate_t(tcut)
-            rhs = solution.evaluate_flow_char(by_label[j].chars[alpha - 1], sol)
-            out.append({"check": "flow_equation", "label": list(j), "component": alpha,
-                        "residual_zero": (lhs - rhs.truncate_t(tcut)).is_zero()})
-    return out
+            assert series == before[key]
+            assert all(series[k] is v for k, v in before[key].items())
 
 
 @pytest.fixture(scope="module")
@@ -287,17 +261,12 @@ def test_flow_equations_are_read_at_t_degree_t_minus_1(case, request, sl2, monke
     wrong = [Flow(f.label, (f.chars[0] + 2 * u(1, 1),)) if f.label == (1, 1) else f
              for f in flows]
     degrees = []
-    plain = solution.evaluate_flow_char
-
-    def recorded(char, at):
-        degrees.append(at.T)
-        return plain(char, at)
-
     for stand_in, passes in ((flows, [True] * 3), (wrong, [True, False, True])):
-        monkeypatch.setattr(solution, "evaluate_flow_char", recorded)
+        calls = _recorded_taylor(monkeypatch)
         got = flow_equation_report(sol, stand_in)
         monkeypatch.undo()
-        assert got == reference_flow_equation_report(sol, stand_in)
+        degrees += [T for _, T in calls]
+        assert got == ref.flow_equation_report(sol, stand_in)
         assert [r["residual_zero"] for r in got] == passes
     assert degrees == [sol.T - 1] * 6
 
@@ -351,6 +320,42 @@ def test_no_memoised_monomial_image_is_mutated_by_a_run(monkeypatch, capsys):
     capsys.readouterr()
     discrete._embedding.cache_clear()
     assert {type(value).__name__ for value, _ in seen.values()} == \
-        {"DiffPoly", "EpsSeries", "RatFunc", "TSeries"}
+        {"DiffPoly", "EpsSeries", "RatFunc"}
     for value, before in seen.values():
         assert snapshot(value) == before
+
+
+# -- every value and report against the series route (solution_route) ----------
+
+SOLVES = {  # name -> (hierarchy fixture, flows, BGW constants, t-degree, eps order)
+    "bench": ("sl2", ((1, 0), (1, 1), (1, 2)), (1,), 2, 2),
+    "a1_1-bgw-1/2-T3-K3": ("sl2", ((1, 0), (1, 1), (1, 2)), (Fraction(1, 2),), 3, 3),
+    "a2_1-three-flows": ("sl3", ((1, 0), (2, 0), (1, 1)), (1, -1), 2, 4),
+    "a2_2-bgw-3": ("a22", ((1, 0), (1, 1)), (3,), 2, 4),
+    "a1_1-T0": ("sl2", ((1, 0), (1, 1)), (1,), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_values_and_reports_match_the_series_route(name, request):
+    fixture, labels, constants, T, K = SOLVES[name]
+    h = request.getfixturevalue(fixture)
+    flows = [h.flow(label) for label in labels]
+    sol = integrate_formal(flows, gbgw_initial(h.real, constants), T, K)
+    table = h.omega_table(h.real.n, max(k for _, k in labels))
+    # stand-ins: an entry off by u_1 apart from its transpose, and flow (1, 1)
+    # off by 2 u_x in its first component
+    entries = dict(table.entries)
+    entries[((1, 0), labels[-1])] = entries[((1, 0), labels[-1])] + u(1)
+    corrupted = OmegaTable(entries, table.max_a, table.max_k, table.depth)
+    wrong = [Flow(f.label, (f.chars[0] + 2 * u(1, 1),) + f.chars[1:])
+             if f.label == (1, 1) else f for f in flows]
+    for omega in (table, corrupted):
+        tp = two_point_functions(sol, omega)
+        assert (tp["values"], tp["cross_derivatives"]) == ref.two_point(sol, omega)
+    for stand_in in (flows, wrong):
+        assert flow_equation_report(sol, stand_in) == ref.flow_equation_report(sol, stand_in)
+    if T > 0:  # both stand-ins show from t-degree 1 on
+        assert not all(r["residual_zero"] for r in two_point_functions(sol, corrupted)
+                       ["cross_derivatives"])
+        assert not all(r["residual_zero"] for r in flow_equation_report(sol, wrong))
