@@ -333,6 +333,8 @@ SOLVES = {  # name -> (hierarchy fixture, flows, BGW constants, t-degree, eps or
     "a2_1-three-flows": ("sl3", ((1, 0), (2, 0), (1, 1)), (1, -1), 2, 4),
     "a2_2-bgw-3": ("a22", ((1, 0), (1, 1)), (3,), 2, 4),
     "a1_1-T0": ("sl2", ((1, 0), (1, 1)), (1,), 0, 1),
+    # at T = 1 each check reads |I| = 0 only, so a report cut one degree short shows
+    "a1_1-T1": ("sl2", ((1, 0), (1, 1)), (1,), 1, 1),
 }
 
 
