@@ -66,10 +66,22 @@ JSON_ONLY = ("resolvent", "gauge-fix", "discrete")  # subcommands with no text o
 
 
 def _parse_flows(val) -> list:
-    """'a:k,a:k' (flag or config file), or a list of [a, k] pairs (config file)."""
+    """'a:k,a:k' (flag or config file), or a list of [a, k] pairs (config file).
+
+    A label given twice is refused: its rows would collapse in the two-point table.
+    """
+    pairs = val
     if isinstance(val, str):
-        val = [c.strip().partition(":")[::2] for c in val.split(",")] if val.strip() else []
-    return [(int(str(a)), int(str(k))) for a, k in val]  # str: refuse 1.5 and true
+        pairs = [c.strip().partition(":")[::2] for c in val.split(",")] if val.strip() else []
+    try:
+        labels = [(int(str(a)), int(str(k))) for a, k in pairs]  # str: refuse 1.5 and true
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"flows (--flows) takes a comma list of integer pairs a:k, got {val!r}") from None
+    for i, (a, k) in enumerate(labels):
+        if (a, k) in labels[:i]:
+            raise argparse.ArgumentTypeError(f"flows (--flows) name the label {a}:{k} twice")
+    return labels
 
 
 def _parse_bgw(val) -> list:
@@ -78,13 +90,17 @@ def _parse_bgw(val) -> list:
     try:
         return [Fraction(str(c).strip()) for c in items if str(c).strip()]
     except ZeroDivisionError:
-        raise ConfigError(f"bgw (--bgw) constants need nonzero denominators, "
-                          f"got {val!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"bgw (--bgw) constants need nonzero denominators, got {val!r}") from None
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"bgw (--bgw) takes a comma list of rational constants, got {val!r}") from None
 
 
 # RunConfig key -> (default, the JSON types of its config-file value, the
 # converter of that value and of its flag's text, the subcommands whose parser
-# has the flag (None: every one), further add_argument keywords).  Flags are
+# has the flag (None: every one), further add_argument keywords).  argparse
+# prints the message of a converter's ArgumentTypeError as it is.  Flags are
 # added in this order, so it is the order of every --help.
 _OPTIONS = {
     "type": ("a1_1", (str,), str, None,
@@ -144,8 +160,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 if type(val) not in types:
                     raise TypeError(val)
                 setattr(cfg, key, convert(val))
-            except ConfigError:
-                raise
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"{exc} (config key {key!r})") from None
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"bad value {val!r} for config key {key!r}, which takes "

@@ -575,15 +575,16 @@ class DiffPoly:
         """The ring homomorphism u_{a,m} -> jets(a, m), applied to self.
 
         ``jets`` is a :class:`JetMap` whose images are DiffPoly, EpsSeries or
-        ``ratfunc.RatFunc`` values; the result lies in the ring of the images,
-        constants included (a zero or constant polynomial maps to a multiple
-        of ``jets.unit``).  Each term is one lookup in the map's memo of
-        monomial images, so every monomial image is computed once per map.
-        DiffPoly images, and each eps power of EpsSeries images, are summed in
-        place over numerators and normalized once.  Images of any other ring
-        are summed by that ring's ``dot`` over (image, int numerator) pairs
-        and divided by the common denominator once; ``RatFunc.dot`` reduces
-        once per distinct denominator.
+        ``ratfunc.RatFunc`` values (Laurent polynomials in 1 - x); the result
+        lies in the ring of the images, constants included (a zero or constant
+        polynomial maps to a multiple of ``jets.unit``).  Each term is one
+        lookup in the map's memo of monomial images, so every monomial image
+        is computed once per map.  DiffPoly images, and each eps power of
+        EpsSeries images, are summed in place over numerators and normalized
+        once.  Images of any other ring are summed by that ring's ``dot`` over
+        (image, int numerator) pairs and divided by the common denominator
+        once; ``RatFunc.dot`` sums them as ``DiffPoly.dot`` does, with one gcd
+        pass.
         """
         if not self._num:
             return jets.unit * 0
@@ -826,7 +827,8 @@ class EpsSeries:
 class JetMap:
     """The jets (alpha, m) -> d^m(images[alpha-1]) and the monomials in them, each computed once.
 
-    Images may be DiffPoly, EpsSeries or RatFunc values.  A map is
+    Images may be DiffPoly, EpsSeries or RatFunc values; the ring of RatFunc
+    values, Laurent polynomials in 1 - x, is closed under d/dx.  A map is
     handed to ``substitute`` as the images of a ring homomorphism; it raises
     ArityMismatchError for a component beyond ``len(images)``.  Each jet comes
     from one call of ``step``, the only place that knows the jet operator; a

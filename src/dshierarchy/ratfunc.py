@@ -1,174 +1,52 @@
-"""Exact univariate rational functions of x over Q.
+"""Exact Laurent polynomials in y = 1 - x over Q: the values of ``dshier solve``.
 
-Ring operations, integer powers (negative ones too), d/dx and exact equality,
-for formal-in-time solutions.  A value is a numerator over a denominator, each
-a tuple of ``int`` coefficients in ascending powers of x, in one normal form:
-coprime, integer content 1, positive leading denominator coefficient; zero is
-``((), (1,))``.  The form is unique, so equality and hashing compare tuples.
-The gcd is a primitive-part Euclid over Z (W. S. Brown, J. ACM 18, 1971), so
-by Gauss's lemma both parts divide by it exactly.  The constructor clears the
-denominators of ``Fraction`` inputs with one ``lcm``; the ``num``/``den`` views
-give ``Fraction`` coefficients over a monic denominator, and ``texts`` gives
-the same coefficients as the strings ``repr`` prints, built with no
-``Fraction``.
+The generalized BGW initial data u_a(x, 0) = C_a (1 - x)^{-(m'_a + 1)} lie in
+Q[y, 1/y], and so does every value along the solution: the ring is closed
+under sums, products and d/dx y^k = -k y^{k-1}.  A value is a dict from each
+exponent k of y to an ``int`` numerator, over one positive ``int``
+denominator, normalized as ``DiffPoly`` is: no zero numerator, numerators and
+denominator coprime as integers, zero is ``{}`` over 1.  The form is unique,
+so equality and hashing compare the parts, and no polynomial gcd is ever
+needed.  Only a monomial c y^k is a unit, so only a monomial has a negative
+power.  No value has a pole at the expansion point x = 0, where y = 1.
 
-Sums and products of two values in normal form use Henrici's gcds (P. Henrici,
-J. ACM 3, 1956), which are smaller than the gcd of the whole result:
-
-- ``n1/d + n2/d`` divides by ``gcd(n1 + n2, d)``;
-- otherwise, with ``g = gcd(d1, d2)``, ``d1 = g e1`` and ``d2 = g e2``, the sum
-  is ``t / (g e1 e2)`` with ``t = n1 e2 + n2 e1``.  ``t`` is coprime to ``e1``
-  and ``e2``, so it divides by ``gcd(t, g)`` only, and by nothing when ``g`` is
-  a constant;
-- ``(n1/d1)(n2/d2)`` divides by the cross gcds ``gcd(n1, d2)`` and
-  ``gcd(n2, d1)``, since ``n1`` is coprime to ``d1`` and ``n2`` to ``d2``;
-- ``(n/d)' = t / (g e^2)`` with ``g = gcd(d, d')``, ``d = g e``, ``d' = g h``
-  and ``t = n' e - n h``, in lowest terms with no further gcd: a factor of
-  multiplicity m in d has multiplicity m - 1 in ``d'`` and in ``g``
-  (characteristic 0), so it divides ``e`` once and ``h`` not at all, and
-  ``t`` is coprime to ``e``, whose factors are all those of ``g``.
-
-``RatFunc.dot`` sums many products at once: it adds the raw numerators of the
-products that share a denominator tuple, with no gcd, and reduces once per
-distinct denominator.  Every result is brought to the one normal form above, so
-the route taken never shows in a value, its hash or its printed text.
+``texts`` prints a value as a fraction in powers of x in lowest terms: the
+numerator over the monic denominator (x - 1)^{-e}, where e < 0 is the lowest
+exponent, or over 1 when e >= 0.  That fraction is already reduced, since the
+numerator at x = 1 is a multiple of the nonzero coefficient of y^e.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import comb, gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
-from .diffalg import _power, fraction_text
-
-Poly = tuple[int, ...]
+from .diffalg import _lift, _power, fraction_text
 
 
-def _trim(p: list[int]) -> Poly:
-    while p and not p[-1]:
-        p.pop()
-    return tuple(p)
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    return _trim(out)
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    """Product; over Z the leading coefficients never cancel."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _pdx(a: Poly) -> Poly:
-    return tuple(i * a[i] for i in range(1, len(a)))
-
-
-def _primitive(a: Poly) -> Poly:
-    c = gcd(*a)
-    return a if c == 1 else tuple(x // c for x in a)
-
-
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Primitive part of a pseudo-remainder of a by b, for deg a >= deg b."""
-    r = list(a)
-    lb, nb = b[-1], len(b)
-    while len(r) >= nb:
-        g = gcd(r[-1], lb)
-        m, c = lb // g, r[-1] // g
-        if m != 1:
-            r = [x * m for x in r]
-        s = len(r) - nb
-        for i, y in enumerate(b):
-            r[s + i] -= c * y
-        r.pop()                      # its coefficient is now zero
-        while r and not r[-1]:
-            r.pop()
-    return _primitive(tuple(r)) if r else ()
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """gcd of two nonzero polynomials, primitive, up to sign."""
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        a, b = b, _prem(a, b)
-    return a if not b else (1,)
-
-
-def _pquo(a: Poly, g: Poly) -> Poly:
-    """a / g for a primitive g that divides a; by Gauss's lemma it is integral."""
-    r = list(a)
-    lg, ng = g[-1], len(g)
-    q = [0] * (len(a) - ng + 1)
-    for s in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[s + ng - 1], lg)
-        assert not rem, "inexact polynomial division"
-        q[s] = c
-        if c:
-            for i, y in enumerate(g):
-                r[s + i] -= c * y
-    assert not any(r), "inexact polynomial division"
-    return tuple(q)
-
-
-def _new(n: Poly, d: Poly) -> RatFunc:
-    """The value n/d, with gcd(n, d) = 1 already: divide out content and sign."""
-    if not n:
+def _normal(num: dict[int, int], den: int) -> "RatFunc":
+    """num/den in normal form: zero numerators dropped, one gcd pass."""
+    num = {k: c for k, c in num.items() if c}
+    if not num:
         return _ZERO
-    c = gcd(*n, *d)
-    if d[-1] < 0:
-        c = -c
-    if c != 1:
-        n = tuple(x // c for x in n)
-        d = tuple(x // c for x in d)
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
     out = object.__new__(RatFunc)
-    out._n, out._d = n, d
+    out._num, out._den = num, den
     return out
-
-
-def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """a and b divided by their gcd; a zero or constant a or b is left as it is."""
-    if len(a) > 1 and len(b) > 1:
-        g = _pgcd(a, b)
-        if len(g) > 1:
-            return _pquo(a, g), _pquo(b, g)
-    return a, b
-
-
-def _reduced(n: Poly, d: Poly) -> RatFunc:
-    """The value n/d in normal form, for d != 0."""
-    return _new(*_cancel(n, d))
 
 
 def _poly_text(coeffs: Sequence[str]) -> str:
     """``c0 + c1*x + c2*x^2 ...`` from coefficient strings; zeros are left out."""
-    if not coeffs:
-        return "0"
     out = []
     for i, c in enumerate(coeffs):
-        if c == "0":
-            continue
-        if i == 0:
-            out.append(c)
-        elif c == "1":
-            out.append("x" if i == 1 else f"x^{i}")
-        else:
-            out.append(f"{c}*x" if i == 1 else f"{c}*x^{i}")
-    return " + ".join(out)
+        if c != "0":
+            power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            out.append(c if not power else power if c == "1" else f"{c}*{power}")
+    return " + ".join(out) or "0"
 
 
 def rational_text(num: Sequence[str], den: Sequence[str]) -> str:
@@ -179,161 +57,118 @@ def rational_text(num: Sequence[str], den: Sequence[str]) -> str:
 
 
 class RatFunc:
-    """num/den in the normal form of the module docstring."""
+    """sum_k c_k (1 - x)^k in the normal form of the module docstring."""
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, num: Sequence, den: Sequence = (1,)):
-        num = [Fraction(x) for x in num]
-        den = [Fraction(x) for x in den]
-        scale = lcm(*(c.denominator for c in num + den))
-        n = _trim([c.numerator * (scale // c.denominator) for c in num])
-        d = _trim([c.numerator * (scale // c.denominator) for c in den])
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        out = _reduced(n, d)
-        self._n, self._d = out._n, out._d
-
-    @property
-    def num(self) -> tuple[Fraction, ...]:
-        lead = self._d[-1]
-        return tuple(Fraction(c, lead) for c in self._n)
-
-    @property
-    def den(self) -> tuple[Fraction, ...]:
-        lead = self._d[-1]
-        return tuple(Fraction(c, lead) for c in self._d)
-
-    def texts(self) -> tuple[list[str], list[str]]:
-        """The coefficients of ``num`` and ``den`` as ``str(Fraction)`` prints them."""
-        lead = self._d[-1]
-        out = []
-        for poly in (self._n, self._d):
-            strs = []
-            for c in poly:
-                g = gcd(c, lead)
-                strs.append(fraction_text(c // g, lead // g))
-            out.append(strs)
-        return out[0], out[1]
+    def __init__(self, terms: Mapping[int, Fraction] | None = None):
+        """The value sum_k terms[k] (1 - x)^k, for rational coefficients."""
+        terms = {k: Fraction(c) for k, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in terms.values()))
+        out = _normal({k: c.numerator * (den // c.denominator)
+                       for k, c in terms.items()}, den)
+        self._num, self._den = out._num, out._den
 
     @classmethod
     def const(cls, c) -> "RatFunc":
         c = Fraction(c)
-        return _new((c.numerator,), (c.denominator,)) if c else _ZERO
+        return _normal({0: c.numerator}, c.denominator)
 
     @classmethod
     def x(cls) -> "RatFunc":
-        return _new((0, 1), (1,))
+        return _normal({0: 1, 1: -1}, 1)
 
     def is_zero(self) -> bool:
-        return not self._n
+        return not self._num
 
-    def has_pole_at_zero(self) -> bool:
-        return not self._d[0]
+    def texts(self) -> tuple[list[str], list[str]]:
+        """The coefficients of the fraction of the module docstring, as ``str(Fraction)``."""
+        num, den = self._num, self._den
+        if not num:
+            return [], ["1"]
+        n = max(0, -min(num))   # value = (-1)^n sum_k c_k y^(k+n) / (den (x - 1)^n)
+        sign = -1 if n & 1 else 1
+        strs = []
+        for i in range(max(num) + n + 1):
+            # y^j = (1 - x)^j has x^i coefficient (-1)^i C(j, i)
+            c = sum(v * comb(k + n, i) for k, v in num.items())
+            c = -sign * c if i & 1 else sign * c
+            g = gcd(c, den)
+            strs.append(fraction_text(c // g, den // g))
+        return strs, [str(comb(n, i) * (-1) ** (n - i)) for i in range(n + 1)]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __add__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
-        if not n1:
-            return other
-        if not n2:
-            return self
-        if d1 == d2:
-            return _reduced(_padd(n1, n2), d1)
-        g = _pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else (1,)
-        if len(g) == 1:
-            return _new(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
-        e1, e2 = _pquo(d1, g), _pquo(d2, g)
-        t, g = _cancel(_padd(_pmul(n1, e2), _pmul(n2, e1)), g)
-        return _new(t, _pmul(_pmul(g, e1), e2))
+        return RatFunc.dot(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        out = object.__new__(RatFunc)
-        out._n, out._d = tuple(-c for c in self._n), self._d
-        return out
+        return _normal({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return _ZERO
-            return _new(tuple(x * c.numerator for x in self._n),
-                        tuple(x * c.denominator for x in self._d))
-        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
-        if not n1 or not n2:
-            return _ZERO
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
-        return _new(_pmul(n1, n2), _pmul(d1, d2))
+        return RatFunc.dot(((self, other),))
 
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(pairs: Iterable[tuple["RatFunc", "RatFunc | int"]]) -> "RatFunc":
-        """The sum of a * b over the pairs, one reduction per distinct denominator.
+    def dot(pairs: Iterable[tuple]) -> "RatFunc":
+        """The sum of a * b over the pairs, normalized once.
 
-        b is a RatFunc or an int.  The numerators of the products that share a
-        denominator tuple are added unreduced; each such sum is then reduced
-        once, and the sums are added.
+        a and b are RatFunc values or rationals.  Every term product goes into
+        one numerator dict over one running denominator, as in ``DiffPoly.dot``.
         """
-        by_den: dict[Poly, Poly] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        den = 1
         for a, b in pairs:
-            if type(b) is int:
-                n, d = (tuple(x * b for x in a._n) if b else ()), a._d
-            else:
-                n, d = _pmul(a._n, b._n), _pmul(a._d, b._d)
-            if n:
-                got = by_den.get(d)
-                by_den[d] = n if got is None else _padd(got, n)
-        out = _ZERO
-        for d, n in by_den.items():
-            if n:
-                out = out + _reduced(n, d)
-        return out
+            if type(a) is not RatFunc:
+                a = RatFunc.const(a)
+            if type(b) is not RatFunc:
+                b = RatFunc.const(b)
+            d = a._den * b._den
+            den = _lift(acc, den, d)
+            f = den // d
+            b_items = b._num.items()
+            for k1, c1 in a._num.items():
+                c1 *= f
+                for k2, c2 in b_items:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        return _normal(acc, den)
 
     def __pow__(self, n: int) -> "RatFunc":
-        base = self
-        if n < 0:
-            if not self._n:
-                raise ZeroDivisionError("zero to a negative power")
-            base, n = _new(self._d, self._n), -n
-        return _power(_ONE, base, n)
+        if not isinstance(n, int) or n >= 0:
+            return _power(_ONE, self, n)
+        if len(self._num) != 1:
+            raise ValueError(f"({self!r}) ** {n}: only a monomial c (1 - x)^k "
+                             f"has a negative power")
+        (k, c), = self._num.items()
+        num, den = self._den ** -n, c ** -n
+        return _normal({k * n: num if den > 0 else -num}, abs(den))
 
     def dx(self) -> "RatFunc":
-        n, d = self._n, self._d
-        if len(d) == 1:
-            return _new(_pdx(n), d)
-        dd = _pdx(d)
-        g = _pgcd(d, dd)
-        e, h = (_pquo(d, g), _pquo(dd, g)) if len(g) > 1 else (d, dd)
-        t = _padd(_pmul(_pdx(n), e), tuple(-c for c in _pmul(n, h)))
-        return _new(t, _pmul(_pmul(g, e), e))
+        return _normal({k - 1: -k * c for k, c in self._num.items()}, self._den)
 
     def __repr__(self) -> str:
         return rational_text(*self.texts())
 
 
 _ZERO = object.__new__(RatFunc)
-_ZERO._n, _ZERO._d = (), (1,)
-_ONE = _new((1,), (1,))
+_ZERO._num, _ZERO._den = {}, 1
+_ONE = RatFunc.const(1)

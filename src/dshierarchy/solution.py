@@ -1,12 +1,12 @@
 """Formal-in-time solutions and two-point values of the tau-structure.
 
 A solution is a Taylor series in the flow times with coefficients that are
-exact rational functions of x, layered by powers of eps.  Every coefficient
-along it is read one way, ``FormalSolution.taylor``: for a graded series p,
-d^I p / dt^I at t = 0 is D^I p, the flow of the first label of I applied to
-D^{I - e_first} p, then evaluated at the initial data by one
-``DiffPoly.substitute`` over the solution's one ``JetMap(initial)`` per eps
-power.  This serves the coefficients of u, the two-point values Omega_{i;j}
+exact Laurent polynomials in 1 - x (``ratfunc.RatFunc``), layered by powers
+of eps.  Every coefficient along it is read one way, ``FormalSolution.taylor``:
+for a graded series p, d^I p / dt^I at t = 0 is D^I p, the flow of the first
+label of I applied to D^{I - e_first} p, then evaluated at the initial data by
+one ``DiffPoly.substitute`` over the solution's one ``JetMap(initial)`` per
+eps power.  This serves the coefficients of u, the two-point values Omega_{i;j}
 along the solution and both sides of the flow equations.
 
 Why D^I at t = 0 is exact at |I| <= T and eps^q, q <= K: along a solution
@@ -37,10 +37,6 @@ from .ratfunc import RatFunc
 TIndex = tuple[int, ...]
 
 
-class PoleAtExpansionPointError(ValueError):
-    pass
-
-
 class NonCommutingFlowsError(ValueError):
     pass
 
@@ -59,7 +55,7 @@ def _raised(exps: TIndex, j: int) -> TIndex:
 
 
 class FormalSolution:
-    """Taylor-in-time solution with rational-in-x coefficients, per eps power.
+    """Taylor-in-time solution with Laurent-in-(1 - x) coefficients, per eps power.
 
     ``coeffs[(alpha, I)]`` is d^I u_alpha / dt^I at t = 0 for |I| <= T, one
     RatFunc per eps power through eps^K; the Taylor coefficient of t^I is
@@ -109,8 +105,9 @@ def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
                      t_degree: int, eps_order: int) -> FormalSolution:
     """Iterated-flow Taylor solution with the given initial data at t = 0.
 
-    Flows must commute and initial data must be regular at the expansion
-    point x = 0; both are checked.  The coefficients are
+    Flows must commute, which is checked.  The initial data are Laurent
+    polynomials in 1 - x (``ratfunc.RatFunc``), so they are regular at the
+    expansion point x = 0 by construction.  The coefficients are
     ``FormalSolution.taylor`` of each u_alpha.
     """
     flows = list(flows)
@@ -120,10 +117,6 @@ def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
             raise ValueError("flow arity does not match the initial data")
     if not all(r["residual_zero"] for r in verify_integrability(flows)):
         raise NonCommutingFlowsError("flows do not commute; refusing to integrate")
-    for f0 in initial:
-        if f0.has_pole_at_zero():
-            raise PoleAtExpansionPointError(
-                "initial data has a pole at the expansion point x = 0")
     return FormalSolution(flows, initial, t_degree, eps_order)
 
 
@@ -201,9 +194,8 @@ def gbgw_initial(real, constants: Sequence[Fraction]) -> list[RatFunc]:
     out = []
     if len(constants) != real.ell:
         raise ValueError(f"need {real.ell} constants, got {len(constants)}")
-    one_minus_x = 1 - RatFunc.x()
     for alpha, v in enumerate(real.v_basis):
         elt = LoopElement.from_vector(real, 0, real.poly_vector(v))
         m_a = -elt.principal_degree()
-        out.append(Fraction(constants[alpha]) * one_minus_x ** -(m_a + 1))
+        out.append(RatFunc({-(m_a + 1): constants[alpha]}))
     return out

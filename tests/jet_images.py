@@ -8,7 +8,7 @@ monomial-by-monomial evaluation that ``DiffPoly.substitute`` replaced, kept
 as an independent reference.
 """
 
-from dshierarchy.diffalg import DiffPoly, EpsSeries, JetMap, _monomial
+from dshierarchy.diffalg import EpsSeries, JetMap, _monomial
 
 
 class FunctionJets(JetMap):
@@ -31,11 +31,9 @@ def memoised_monomials(jets):
 
 def snapshot(value):
     """The stored parts of a DiffPoly, EpsSeries or RatFunc, copied."""
-    if isinstance(value, DiffPoly):
-        return value._den, tuple(value._num.items())
     if isinstance(value, EpsSeries):
         return value.order, tuple(snapshot(c) for c in value.components)
-    return value._n, value._d
+    return value._den, tuple(value._num.items())   # DiffPoly and RatFunc alike
 
 
 def reference_substitute(p, jet, one):

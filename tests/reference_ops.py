@@ -345,9 +345,9 @@ def at_t_zero(sol: FormalSolution, alpha: int) -> tuple[RatFunc, ...]:
 
 
 def eval_at_zero(r: RatFunc) -> Fraction:
-    if r.has_pole_at_zero():
-        raise ZeroDivisionError("pole at the expansion point x = 0")
-    return r.num[0] / r.den[0] if r.num else Fraction(0)
+    """r at x = 0, from its printed fraction in powers of x; 1 - x = 1 there, so no pole."""
+    num, den = r.texts()
+    return Fraction(num[0]) / Fraction(den[0]) if num else Fraction(0)
 
 
 # -- serialize: reading the JSON forms back ------------------------------------

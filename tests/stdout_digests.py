@@ -57,9 +57,9 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
         ("solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree", "2",
          "--eps-order", "2", "--max-k", "1", "--bgw", "1"),
     ]
-    # the omega and verify jobs are quick: the twisted rank-2 table and a
-    # whole verify report in Tier-1
-    out += [(argv, argv[0] in ("omega", "verify")) for argv in bench]
+    # every job is quick: the twisted rank-2 table, a whole verify report and
+    # the printed solve values in Tier-1
+    out += [(argv, argv[0] != "derive") for argv in bench]
     for name in ("a1_1", "a2_1", "a2_2"):
         out.append((("gauge-fix", "--type", name), True))
     out += [(argv + ("--format", "text"), False) for argv in bench]
@@ -67,10 +67,11 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     a2_1 = [("solve", "--type", "a2_1", "--bgw", "1,2", "--t-degree", "2"),
             ("solve", "--type", "a2_1", "--bgw", "1,-1", "--t-degree", "2",
              "--flows", "1:0,2:0,1:1")]
+    # the printed values of every type are quick
     out += [(a2_1[0], False),
-            (("solve", "--type", "a2_2", "--bgw", "3", "--t-degree", "2"), False),
+            (("solve", "--type", "a2_2", "--bgw", "3", "--t-degree", "2"), True),
             (("solve", "--type", "a1_1", "--bgw", "1/2", "--t-degree", "3",
-              "--eps-order", "3", "--flows", "1:0,1:1,1:2"), False),
+              "--eps-order", "3", "--flows", "1:0,1:1,1:2"), True),
             (a2_1[1], True)]
     # the graded iteration where the eps truncation drops terms
     out.append((("solve", "--type", "a1_1", "--bgw", "1", "--t-degree", "4",

@@ -393,17 +393,41 @@ def test_config_errors(capsys, tmp_path):
 
 def test_bgw_with_a_zero_denominator_names_the_flag(capsys, tmp_path):
     # Fraction('1/0') raises ZeroDivisionError, which neither argparse nor
-    # main turns into a usage error by itself
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--bgw", "1/0"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and "argument --bgw" in err and "Traceback" not in err
+    # main turns into a usage error by itself; a malformed flag value gets a
+    # message of its own, never the converter's name
+    for flag, value, message in (
+            ("--bgw", "1/0", "bgw (--bgw) constants need nonzero denominators, got '1/0'"),
+            ("--bgw", "x", "bgw (--bgw) takes a comma list of rational constants, got 'x'"),
+            ("--flows", "x", "flows (--flows) takes a comma list of integer pairs a:k, "
+                             "got 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"argument {flag}: {message}\n" in err
+        assert "Traceback" not in err and "_parse_" not in err
     cfgfile = tmp_path / "run.json"
     for bgw in ("1/0", ["1", "2/0"]):
         cfgfile.write_text(json.dumps({"bgw": bgw}))
         code, out, err = run(capsys, "solve", "--config", str(cfgfile))
         assert code == 2 and not out
         assert err.startswith("error: bgw (--bgw) constants need nonzero denominators")
+
+
+def test_a_repeated_flow_label_is_refused_by_flag_and_config_file(capsys, tmp_path):
+    # the two-point table is keyed by label pair, so a repeated time would
+    # collapse its rows while the cross-derivative report kept them
+    argv = ["solve", "--type", "a1_1", "--t-degree", "1", "--eps-order", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--flows", "1:0,1:0,1:1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert "argument --flows: flows (--flows) name the label 1:0 twice\n" in err
+    cfgfile = tmp_path / "run.json"
+    for flows in ("1:0,1:1,1:1", [[1, 0], [1, 1], [1, 1]]):
+        cfgfile.write_text(json.dumps({"flows": flows}))
+        code, out, err = run(capsys, *argv, "--config", str(cfgfile))
+        assert (code, out) == (2, "")
+        assert err == "error: flows (--flows) name the label 1:1 twice (config key 'flows')\n"
 
 
 def test_json_only_subcommands_reject_text_format(capsys, tmp_path):
