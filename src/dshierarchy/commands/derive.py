@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 
-from ..diffalg import EpsSeries
 from ..render import default_names, render_series
 from ..serialize import dumps, series_to_obj
 from . import flow_labels
@@ -14,8 +13,7 @@ def _flow_obj(h, label, eps_order: int) -> dict:
     f = h.flow(tuple(label))
     names = default_names(h.ell)
     comps = []
-    for alpha, w in enumerate(f.chars, start=1):
-        series = EpsSeries.regrade(w, eps_order, shift=-1)
+    for alpha, series in enumerate(f.derivation(eps_order).chars, start=1):
         parts = [c.sorted_parts() for c in series.components]  # one sort for both forms
         comps.append({
             "component": alpha,

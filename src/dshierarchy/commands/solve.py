@@ -28,7 +28,8 @@ def run(cfg, build) -> int:
     except NonCommutingFlowsError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    table = h.omega_table(h.real.n, max(k for (_, k) in sol.labels))
+    # no flows at all still reaches two_point_functions, which names the missing (1, 0)
+    table = h.omega_table(h.real.n, max((k for (_, k) in sol.labels), default=0))
     tp = two_point_functions(sol, table)
     flow_eq = flow_equation_report(sol, flows)
     coeff_rows = []

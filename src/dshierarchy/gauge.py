@@ -10,7 +10,9 @@ with the convention [S, d] = -d(S).  The canonical form is the unique pair
 by degree through the splitting b = V (+) [e, n], which is immediate in the
 ordered Borel frame [V-basis | [e, p_j]-basis] that the loop realization
 holds.  The same recursion, ``v_valued``, solves for the n-valued
-compensator of each hierarchy flow.
+compensator of each hierarchy flow.  An n-valued element sum_j c_j p_j over
+the nilpotent basis is built by ``LoopRealization.combination``, the one
+constructor from basis coordinates.
 
 The gauge homomorphism f sends each generator q_i to the corresponding
 entry of Q computed with fresh indeterminates S_1..S_{dim n}; an element is
@@ -61,16 +63,6 @@ def ad_exp_series(u: LoopElement, x: LoopElement, shift: int = 0) -> LoopElement
         out = out + term.scale(Fraction(1, factorial(m + shift)))
 
 
-def nilpotent_element(real: LoopRealization, coeffs: list[DiffPoly]) -> LoopElement:
-    """sum_j c_j p_j over the nilpotent basis p_1..p_{dim n}."""
-    vec = [DiffPoly.zero()] * real.alg.dim
-    for c, p in zip(coeffs, real.nilpotent_basis):
-        for t, pc in enumerate(p):
-            if pc:
-                vec[t] = vec[t] + c * pc
-    return LoopElement(real, {0: tuple(vec)})
-
-
 def v_valued(real: LoopRealization, residual) -> LoopElement:
     """The n-valued x that makes residual(x) V-valued, degree by degree.
 
@@ -84,7 +76,7 @@ def v_valued(real: LoopRealization, residual) -> LoopElement:
         m = residual(x).pdeg_slice(-k)
         if not m.is_zero():
             coords = real.borel_coords(m.vector_at(0))
-            x = x + nilpotent_element(real, coords[real.ell:])
+            x = x + real.combination(coords[real.ell:], real.nilpotent_basis)
     return x
 
 
@@ -127,7 +119,7 @@ class GaugeHomomorphism:
         # S = sum_j S_j p_j, the S_j fresh generators after the q_i; f fixes them
         s_gens = [DiffPoly.var(self.n_q + j + 1)
                   for j in range(len(real.nilpotent_basis))]
-        self.s_generic = nilpotent_element(real, s_gens)
+        self.s_generic = real.combination(s_gens, real.nilpotent_basis)
         self.images = real.borel_coords(_gauge_q(lax, self.s_generic).vector_at(0))
         self.jets = JetMap(list(self.images) + s_gens)
 

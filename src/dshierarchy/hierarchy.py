@@ -80,7 +80,11 @@ class Flow(Derivation):
         self.label = label
 
     def derivation(self, eps_order: int) -> Derivation:
-        """Graded form: the degree-d part of each characteristic at eps^{d-1}."""
+        """Graded form: the degree-d part of each characteristic at eps^{d-1}.
+
+        The one place that knows where a flow's graded pieces go; its ``chars``
+        are the graded characteristics that ``derive`` prints.
+        """
         return Derivation(
             [EpsSeries.regrade(w, eps_order, shift=-1) for w in self.chars])
 
@@ -190,18 +194,20 @@ class DSHierarchy:
         return {tuple(l): self.flow(tuple(l)) for l in labels}
 
     def _compensate(self, label: FlowLabel, x: LoopElement):
-        """(theta, psi, chars): psi = [x + theta, L_can] - d(x + theta) is V-valued.
+        """(theta, psi, chars): psi = [x + theta, L_can] is V-valued.
 
+        psi = [x + theta, Lambda + q_u] - d(x + theta), read as
+        -``LaxOperator.bracket_with``(x + theta), the one action of L_can.
         theta is the unique n-valued compensator and chars are the
         V-coordinates of psi.  psi must be a Borel-valued lambda^0 element; the
         error names the flow label and the identity when it is not.
         """
         from .gauge import v_valued
-        lu = self.lax_u.lam_plus_q
-        phi = x.bracket(lu) - x.dx()
+        act = self.lax_u.bracket_with
+        phi = -act(x)
 
         def residual(theta: LoopElement) -> LoopElement:
-            return phi + theta.bracket(lu) - theta.dx()
+            return phi - act(theta)
 
         theta = v_valued(self.real, residual)
         psi = residual(theta)
@@ -477,8 +483,8 @@ def tau_coordinate_check(hierarchy: DSHierarchy, omega: OmegaTable,
     matches = {}
     for j in check_labels:
         j = tuple(j)
-        ok_j = all((rc - EpsSeries.regrade(w, eps_order, shift=-1)).is_zero()
-                   for rc, w in zip(recon[j], hierarchy.flow(j).chars))
+        ok_j = all((rc - w).is_zero()
+                   for rc, w in zip(recon[j], hierarchy.flow(j).derivation(eps_order).chars))
         matches[str(list(j))] = ok_j
     report["reconstruction_matches"] = matches
     report["residual_zero"] = all(matches.values())

@@ -22,6 +22,13 @@ Each slice splits as H (+) im ad Lambda, H the Heisenberg subalgebra, and the
 form makes the two orthogonal.  ``LoopRealization.splitter(d).preimage(x)``
 solves [Lambda, y] = x for the y in im ad Lambda in one linear solve, with
 the form fixing the kernel; a slice x with an H part has no preimage.
+
+Each loop-algebra job has one helper here, which every layer calls:
+``LoopRealization.combination`` builds sum_j c_j v_j lambda^k from basis
+coordinates (the Lax operator's q, the nilpotent gauge elements, the table's
+elements); ``LoopElement.pair`` is the loop pairing, from a floor power up if
+asked; ``LoopRealization.heisenberg_index`` is the one period rule that places
+the Heisenberg element of a degree, H_d = lambda^s Lambda_m.
 """
 
 from __future__ import annotations
@@ -204,13 +211,6 @@ class SimpleLieAlgebra:
                     raise ValueError(f"bilinear form is not symmetric on pair {i},{j}")
 
 
-def _poly_coeffs(mapping: Mapping[str, str], alg: SimpleLieAlgebra) -> tuple:
-    v = [DiffPoly.zero()] * alg.dim
-    for lab, c in mapping.items():
-        v[alg.index[lab]] = DiffPoly.const(Fraction(c))
-    return tuple(v)
-
-
 class LoopElement:
     """Element of the twisted loop algebra: a Laurent polynomial in lambda.
 
@@ -233,10 +233,6 @@ class LoopElement:
     @classmethod
     def zero(cls, real) -> "LoopElement":
         return cls(real, {})
-
-    @classmethod
-    def from_vector(cls, real, k: int, vec) -> "LoopElement":
-        return cls(real, {k: tuple(vec)})
 
     # -- basics ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -299,13 +295,14 @@ class LoopElement:
                     out[k] = list(br)
         return LoopElement(real, out)
 
-    def pair(self, other: "LoopElement") -> dict[int, DiffPoly]:
-        """Invariant bilinear form; a Laurent polynomial in lambda."""
+    def pair(self, other: "LoopElement", lo: int | None = None) -> dict[int, DiffPoly]:
+        """Invariant bilinear form; a Laurent polynomial in lambda, from lambda^lo up if given."""
         self._same(other)
         triples: dict[int, list] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
-                triples.setdefault(k1 + k2, []).append((v1, v2, 1))
+                if lo is None or k1 + k2 >= lo:
+                    triples.setdefault(k1 + k2, []).append((v1, v2, 1))
         out = {k: self.real.alg.pair_sum(t) for k, t in triples.items()}
         return {k: v for k, v in out.items() if v}
 
@@ -451,17 +448,12 @@ class LoopRealization:
         self.rho = tuple(Fraction(x) for x in self._rat_vector(data["jm_rho"]))
         self.e_nil = tuple(Fraction(x) for x in self._rat_vector(data["jm_e"]))
         self.f_jm = tuple(Fraction(x) for x in self._rat_vector(data["jm_f"]))
-        cyc = {0: _poly_coeffs(data["jm_e"], alg),
-               1: _poly_coeffs(data["cyclic_lambda_part"], alg)}
-        self.cyclic = LoopElement(self, cyc)
-        self.affine_f = LoopElement(
-            self, {-1: _poly_coeffs(data["affine_f_lambda_part"], alg)})
+        self.cyclic = self._table_element({0: data["jm_e"], 1: data["cyclic_lambda_part"]})
+        self.affine_f = self._table_element({-1: data["affine_f_lambda_part"]})
         self.exponents = list(data["exponents"])
-        self._heis_base: dict[int, LoopElement] = {}
-        for item in data["heisenberg"]:
-            elt = LoopElement(self, {
-                int(k): _poly_coeffs(v, alg) for k, v in item["element"].items()})
-            self._heis_base[int(item["exponent"])] = elt
+        self._heis_base: dict[int, LoopElement] = {
+            int(item["exponent"]): self._table_element(item["element"])
+            for item in data["heisenberg"]}
         self.heisenberg_top = {m: max(elt.lambda_powers())
                                for m, elt in self._heis_base.items()}
         self.nilpotent_basis = [self._rat_vector(v) for v in data["nilpotent_basis"]]
@@ -478,15 +470,25 @@ class LoopRealization:
     def _rat_vector(self, mapping) -> tuple[Fraction, ...]:
         return self.alg.vector({k: Fraction(v) for k, v in mapping.items()})
 
-    def poly_vector(self, vec: Sequence[Fraction]) -> tuple[DiffPoly, ...]:
-        return tuple(DiffPoly.const(c) for c in vec)
+    def combination(self, coeffs: Sequence, vectors: Sequence[Sequence[Fraction]],
+                    k: int = 0) -> LoopElement:
+        """sum_j c_j v_j lambda^k, for DiffPoly or rational c_j over rational basis vectors v_j.
 
-    def element(self, coeffs: Mapping[int, Sequence]) -> LoopElement:
-        out = {}
-        for k, vec in coeffs.items():
-            out[k] = tuple(c if isinstance(c, DiffPoly) else DiffPoly.const(c)
-                           for c in vec)
-        return LoopElement(self, out)
+        The one constructor of loop elements from basis coordinates: the Lax
+        operator's q, the nilpotent gauge elements and the type table's
+        elements are all built here.
+        """
+        vec = [_ZERO_P] * self.alg.dim
+        for c, v in zip(coeffs, vectors, strict=True):
+            for t, vc in enumerate(v):
+                if vc:
+                    vec[t] = vec[t] + c * vc
+        return LoopElement(self, {k: vec})
+
+    def _table_element(self, powers: Mapping) -> LoopElement:
+        """sum_k v_k lambda^k for the type table's label -> value maps v_k."""
+        return sum((self.combination([1], [self._rat_vector(v)], int(k))
+                    for k, v in powers.items()), LoopElement.zero(self))
 
     def slice_basis(self, d: int) -> list[tuple[int, int]]:
         """The basis elements x_i lambda^k of principal degree d, as sorted (k, i)."""
@@ -501,16 +503,25 @@ class LoopRealization:
             got = self._slice_cache[d] = sorted(got)
         return got
 
+    def heisenberg_index(self, d: int) -> tuple[int, int] | None:
+        """(m, s) with H_d = lambda^s Lambda_m, or None where H has no element of degree d.
+
+        The principal degree of lambda^N is r h, N the twist order, so H_d
+        exists iff d = m + j r h for an exponent m, and then s = j N.
+        """
+        period = self.r * self.h
+        for m in self._heis_base:
+            if (d - m) % period == 0:
+                return m, (d - m) // period * self.twist_order
+        return None
+
     def heisenberg_at(self, d: int) -> LoopElement | None:
         """The basis element of the Heisenberg subalgebra at principal degree d."""
-        period = self.r * self.h
-        for m_a, base in self._heis_base.items():
-            if (d - m_a) % period == 0:
-                shift = (d - m_a) // period
-                if shift == 0:
-                    return base
-                return base.lambda_shift(shift * self.twist_order)
-        return None
+        index = self.heisenberg_index(d)
+        if index is None:
+            return None
+        m, s = index
+        return self._heis_base[m] if s == 0 else self._heis_base[m].lambda_shift(s)
 
     def heisenberg_element(self, degree: int) -> LoopElement:
         elt = self.heisenberg_at(degree)
@@ -643,8 +654,7 @@ class LoopRealization:
         # [n, e_m(lambda)] = 0
         lam_tail = LoopElement(self, {1: self.cyclic.vector_at(1)})
         for v in self.nilpotent_basis:
-            nv = LoopElement.from_vector(self, 0, self.poly_vector(v))
-            if not nv.bracket(lam_tail).is_zero():
+            if not self.combination([1], [v]).bracket(lam_tail).is_zero():
                 raise ValueError("[n, e_m lambda] != 0 fails")
         # gauge splitting b = V (+) [e, n], the frame borel_coords solves in;
         # its first ell coordinates are the V part
@@ -660,11 +670,9 @@ class LoopRealization:
         if self._borel_solver.rank != dim_b:
             raise ValueError("V does not complement [e, n] in the Borel")
         # V degrees are minus the exponents of the zero-mode subalgebra
-        for v in self.v_basis:
-            elt = LoopElement.from_vector(self, 0, self.poly_vector(v))
-            d = elt.principal_degree()
-            if not isinstance(d, int) or d >= 0:
-                raise ValueError("gauge subspace basis must be homogeneous of negative degree")
+        self.v_degrees = [self.combination([1], [v]).principal_degree() for v in self.v_basis]
+        if any(not isinstance(d, int) or d >= 0 for d in self.v_degrees):
+            raise ValueError("gauge subspace basis must be homogeneous of negative degree")
 
 
 def build_algebra(type_name: str, vertex: int = 0) -> LoopRealization:

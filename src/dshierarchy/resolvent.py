@@ -37,7 +37,8 @@ degree; so does an inconsistent solve in step 2, a nonzero H part of -B,
 which the inverse makes zero.
 
 c_d needs no bracket sum at degree d.  With G = lambda^s Lambda_m the
-Heisenberg element at degree -d, ([x, y] | z) = (x | [y, z]) and
+Heisenberg element at degree -d (``LoopRealization.heisenberg_index`` gives m
+and s), ([x, y] | z) = (x | [y, z]) and
 ([Lambda, y] | G) = -(y | [Lambda, G]) = 0 give
 
     c_d (H_d | G) = (-sum_e [q_e, R_{d-e}] | G) = sum_e (R_{d-e} | [q_e, G]),
@@ -57,7 +58,11 @@ are verified as exact residuals through the computed depth; ``verify``
 reads each R_a at the depth of the tau-structure table
 (``DSHierarchy.table_resolvents``), so they cover every slice the table's
 pairings read, down to its floor.  Every reader takes R_a from one view, a
-``Resolvent``, whose slices are summed once into ``element``.
+``Resolvent``, whose slices are summed once into ``element``.  The action of
+L on a loop element is written once, ``LaxOperator.bracket_with``, which the
+commutator residual and the flows' compensator (``DSHierarchy._compensate``)
+read; the pairing residual is ``LoopElement.pair`` from its floor power, and
+q is built by ``LoopRealization.combination``.
 """
 
 from __future__ import annotations
@@ -84,19 +89,9 @@ class LaxOperator:
             raise ValueError("kind must be 'borel' or 'canonical'")
         self.real = real
         self.kind = kind
-        if kind == "borel":
-            vectors = real.borel_vectors()
-        else:
-            vectors = [tuple(v) for v in real.v_basis]
+        vectors = real.borel_vectors() if kind == "borel" else real.v_basis
         self.arity = len(vectors)
-        dim = real.alg.dim
-        vec = [DiffPoly.zero()] * dim
-        for i, bv in enumerate(vectors):
-            g = DiffPoly.var(i + 1)
-            for t, c in enumerate(bv):
-                if c:
-                    vec[t] = vec[t] + g * c
-        self.q = LoopElement(real, {0: tuple(vec)})
+        self.q = real.combination([DiffPoly.var(i) for i in range(1, self.arity + 1)], vectors)
         self.lam_plus_q = real.cyclic + self.q
         self._q_slices = sorted(self.q.pdeg_slices().items(), reverse=True)
         # _r[a][D]: the solved slices of R_a, from Lambda_{m_a} down
@@ -140,9 +135,7 @@ class LaxOperator:
     def _heisenberg_inverse(self, a: int, d: int, y: LoopElement) -> DiffPoly:
         """h_d = d^{-1} sum_e (R_{d-e} | [q_e, G]) / h, with R_d read as y (module docstring)."""
         real = self.real
-        period = real.r * real.h
-        m = next(m for m in real.exponents if (-d - m) % period == 0)
-        s = (-d - m) // period * real.twist_order     # G = lambda^s Lambda_m
+        m, s = real.heisenberg_index(-d)     # G = lambda^s Lambda_m
         r, top = self._r[a], real.exponents[a - 1]
         pairs = []
         for e, z in self._dual(m):
@@ -239,13 +232,7 @@ class Resolvent:
         # c*deg_lambda - m_b >= m_a - depth  (and symmetrically).
         need = self.m_a + other.m_a - min(self.depth, other.depth)
         lo = -((-need) // real.deg_lambda)
-        triples: dict[int, list] = {}
-        theirs = other.element.coeffs.items()
-        for k1, v1 in self.element.coeffs.items():
-            for k2, v2 in theirs:
-                if k1 + k2 >= lo:
-                    triples.setdefault(k1 + k2, []).append((v1, v2, 1))
-        out = {k: real.alg.pair_sum(t) for k, t in triples.items()}
+        out = self.element.pair(other.element, lo)
         target = (self.m_a + other.m_a) // real.deg_lambda
         if self.a + other.a == real.n + 1 and target >= lo:
             out[target] = out.get(target, _ZERO_P) - real.h

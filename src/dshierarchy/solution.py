@@ -18,6 +18,11 @@ the coefficients of p(u) at |I| <= T read only the coefficients of u at
 the truncation at eps^K is an ideal, so the eps^q parts read only parts that
 are kept.  Nothing is truncated that a kept coefficient needs.
 
+The flows act by their graded form, ``Flow.derivation``, the one place that
+places a flow's degree-d part at eps^(d-1).  The gBGW initial data read the
+exponents of the gauge subspace from ``LoopRealization.v_degrees``, stored when
+the realization checks that subspace.
+
 The cross-derivative compatibility of the values against the distinguished
 flow is the exactness condition for a log of a tau-function to exist.
 ``two_point_functions`` evaluates each distinct entry once: Omega is
@@ -189,13 +194,11 @@ def flow_equation_report(sol: FormalSolution, flows: Sequence[Flow]) -> list[dic
 
 
 def gbgw_initial(real, constants: Sequence[Fraction]) -> list[RatFunc]:
-    """Generalized BGW initial data: u_a(x, 0) = C_a / (1 - x)^{m'_a + 1}."""
-    from .kacmoody import LoopElement
-    out = []
+    """Generalized BGW initial data: u_a(x, 0) = C_a / (1 - x)^{m'_a + 1}.
+
+    m'_a is minus the principal degree of the a-th gauge-subspace vector,
+    which the loop realization stores when it checks them (``v_degrees``).
+    """
     if len(constants) != real.ell:
         raise ValueError(f"need {real.ell} constants, got {len(constants)}")
-    for alpha, v in enumerate(real.v_basis):
-        elt = LoopElement.from_vector(real, 0, real.poly_vector(v))
-        m_a = -elt.principal_degree()
-        out.append(RatFunc({-(m_a + 1): constants[alpha]}))
-    return out
+    return [RatFunc({d - 1: c}) for d, c in zip(real.v_degrees, constants)]

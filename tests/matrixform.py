@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.kacmoody import SimpleLieAlgebra, _poly_coeffs
+from dshierarchy.kacmoody import SimpleLieAlgebra
 
 _ZERO_P = DiffPoly.zero()
 
@@ -103,8 +103,12 @@ def check_table(data: dict) -> None:
     """``check_cyclic`` on a type table as loaded from its JSON."""
     alg = SimpleLieAlgebra(data["name"], [b["matrix"] for b in data["basis"]],
                            [b["label"] for b in data["basis"]])
-    cyclic = {0: _poly_coeffs(data["jm_e"], alg), 1: _poly_coeffs(data["cyclic_lambda_part"], alg)}
-    heisenberg = {int(item["exponent"]): {int(k): _poly_coeffs(v, alg)
+
+    def coeffs(mapping: Mapping) -> tuple:
+        return tuple(DiffPoly.const(c) for c in alg.vector(mapping))
+
+    cyclic = {0: coeffs(data["jm_e"]), 1: coeffs(data["cyclic_lambda_part"])}
+    heisenberg = {int(item["exponent"]): {int(k): coeffs(v)
                                           for k, v in item["element"].items()}
                   for item in data["heisenberg"]}
     check_cyclic(alg, (data["r"] * data["coxeter"]) // data["twist_order"], cyclic,

@@ -112,8 +112,8 @@ class HColumnSplit:
         self.basis_prev = real.slice_basis(d - 1)
         self.index_d = {pair: i for i, pair in enumerate(real.slice_basis(d))}
         one, dim = DiffPoly.const(1), real.alg.dim
-        images = [real.cyclic.bracket(LoopElement.from_vector(
-            real, k, [one if t == i else DiffPoly.zero() for t in range(dim)]))
+        images = [real.cyclic.bracket(LoopElement(
+            real, {k: [one if t == i else DiffPoly.zero() for t in range(dim)]}))
             for k, i in self.basis_prev]
         cols = [[c.constant_term() for c in self.coords(x)]
                 for x in ([self.h_elt] if self.h_elt is not None else []) + images]
@@ -188,6 +188,31 @@ def coefficient(r: Resolvent, k: int) -> tuple[DiffPoly, ...]:
         if vec:
             out = [a + b for a, b in zip(out, vec)]
     return tuple(out)
+
+
+def pairing_residual_loop(ra: Resolvent, rb: Resolvent) -> dict[int, DiffPoly]:
+    """(R_a|R_b) minus its normalization on all complete lambda powers, by its own loop.
+
+    The reference for ``Resolvent.pairing_residual``: every pair of lambda
+    powers (k1, k2) of the two summed views with k1 + k2 >= lo is collected
+    here and summed per power, with no call of ``LoopElement.pair``.
+    """
+    real = ra.real
+    # lambda^c is complete once every contributing slice pair is stored:
+    # c*deg_lambda - m_b >= m_a - depth  (and symmetrically).
+    need = ra.m_a + rb.m_a - min(ra.depth, rb.depth)
+    lo = -((-need) // real.deg_lambda)
+    triples: dict[int, list] = {}
+    theirs = rb.element.coeffs.items()
+    for k1, v1 in ra.element.coeffs.items():
+        for k2, v2 in theirs:
+            if k1 + k2 >= lo:
+                triples.setdefault(k1 + k2, []).append((v1, v2, 1))
+    out = {k: real.alg.pair_sum(t) for k, t in triples.items()}
+    target = (ra.m_a + rb.m_a) // real.deg_lambda
+    if ra.a + rb.a == real.n + 1 and target >= lo:
+        out[target] = out.get(target, DiffPoly.zero()) - real.h
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def omega_depth(real: LoopRealization, max_a: int, max_k: int) -> int:

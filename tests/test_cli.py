@@ -109,7 +109,7 @@ def test_verify_checks_each_resolvent_down_to_the_table_floor(capsys, monkeypatc
     vec = [DiffPoly.zero()] * real.alg.dim
     vec[i] = DiffPoly.var(1)
     r2 = h.lax_u._r[2]
-    r2[-7] = r2[-7] + LoopElement.from_vector(real, k, vec)
+    r2[-7] = r2[-7] + LoopElement(real, {k: vec})
     monkeypatch.setattr(cli, "_build_hierarchy", lambda cfg: h)
     code, out, _ = run(capsys, "verify", "--type", "a2_1", "--max-k", "1")
     assert code == 1
@@ -570,6 +570,32 @@ def test_solve_without_the_translation_flow_names_it(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: two-point functions need the flow (1, 0) among the "
                    "solution's flows, got [(1, 1)]\n")
+
+
+def test_solve_with_no_flows_names_the_translation_flow(capsys):
+    # an explicit empty flow set has no k to size the table by
+    code, out, err = run(capsys, "solve", "--type", "a1_1", "--flows", "",
+                         "--t-degree", "1", "--eps-order", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: two-point functions need the flow (1, 0) among the "
+                   "solution's flows, got []\n")
+
+
+def test_verify_with_an_empty_flow_set_checks_every_label(capsys):
+    argv = ("verify", "--type", "a1_1", "--max-k", "1")
+    every = run(capsys, *argv)
+    assert every[0] == 0
+    assert run(capsys, *argv, "--flows", "") == every
+
+
+def test_solve_config_with_no_flows_names_the_translation_flow(capsys, tmp_path):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"type": "a1_1", "flows": [], "t_degree": 1,
+                                   "eps_order": 0}))
+    code, out, err = run(capsys, "solve", "--config", str(cfgfile))
+    assert (code, out) == (2, "")
+    assert err == ("error: two-point functions need the flow (1, 0) among the "
+                   "solution's flows, got []\n")
 
 
 def test_solve_refuses_non_commuting_flows(capsys, monkeypatch):

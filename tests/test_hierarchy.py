@@ -64,7 +64,7 @@ def test_flow_error_names_label_off_lambda_zero(monkeypatch):
     # negative control: X plus a lambda^1 element leaves the lambda^0 slice
     h = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1)
     plain = Resolvent.shifted_plus
-    extra = LoopElement.from_vector(h.real, 1, h.real.cyclic.vector_at(0))
+    extra = LoopElement(h.real, {1: h.real.cyclic.vector_at(0)})
     monkeypatch.setattr(Resolvent, "shifted_plus",
                         lambda r, k: plain(r, k) + extra)
     with pytest.raises(RuntimeError, match=r"flow \(1, 1\): .* lambda powers"):

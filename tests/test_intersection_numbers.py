@@ -17,6 +17,11 @@ The third derivatives of log tau are the flows applied to the table.  The
 flow D_(1,0) is -d/dx, so d/dt_k = -D_(1,k), and the coefficient of x^n/n!
 in the degree-(2g+1) part of -D_(1,k) Omega_{(1,i);(1,j)}, read in the same
 way, is <tau_0^n tau_i tau_j tau_k>_g.  No new scale or sign is fitted.
+Two flows give the four-point numbers: the two minus signs cancel, so the
+degree-(2g+2) part of D_(1,l) D_(1,k) Omega_{(1,i);(1,j)} reads
+<tau_0^n tau_i tau_j tau_k tau_l>_g.  They see the terms u u_xxx and u_x u_xx
+of D_(1,2), which vanish on u = -2x and so are invisible to the three-point
+numbers; the string and dilaton equations tie them to the fewer-point ones.
 
 The last test reads the other tau-function of KdV, at the Brezin-Gross-Witten
 point, through ``dshier solve`` with the same scales.
@@ -24,6 +29,7 @@ point, through ``dshier solve`` with the same scales.
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import comb, factorial, prod
 
@@ -35,6 +41,7 @@ from dshierarchy.ratfunc import RatFunc
 
 MAX_K = 8  # reaches genus 3 through <tau_0 tau_8>_3
 THREE_POINT_K = 4  # the flows D_(1,k), k <= 4, on the entries with i, j <= 4
+FOUR_POINT_K = 3  # two flows D_(1,k), D_(1,l), k, l <= 3, on the entries with i, j <= 3
 
 JETS = JetMap([RatFunc.x() * -2])  # u = -2x
 
@@ -88,6 +95,54 @@ def three_point(hierarchy):
     return read
 
 
+@pytest.fixture(scope="module")
+def four_point_values(hierarchy):
+    """{(i, j, k, l, g): {n: <tau_0^n tau_i tau_j tau_k tau_l>_g}}, from D_(1,l) D_(1,k) Omega_{i;j}.
+
+    Every order of four labels <= 3, at every genus with a value
+    (3g + 1 + n = i + j + k + l).  Also (0, j, 2, 5): d^5 of the
+    characteristic of D_(1,l) vanishes on u = -2x for l < 5, so only l >= 5
+    sees the u_xxxxx term of D_(1,2), at genus 2.
+    """
+    table = hierarchy.omega_table(1, MAX_K)
+    once = {}
+    out = {}
+    for i, j, k, l in [*product(range(FOUR_POINT_K + 1), repeat=4),
+                       *((0, j, 2, 5) for j in range(3))]:
+        if (i, j, k) not in once:
+            once[(i, j, k)] = hierarchy.flow((1, k))(table.entry((1, i), (1, j)))
+        twice = hierarchy.flow((1, l))(once[(i, j, k)])
+        for g in range(4):
+            got = numbers(twice, 2 * g + 2, (i, j, k, l))
+            if got:
+                out[(i, j, k, l, g)] = got
+    return out
+
+
+@pytest.fixture(scope="module")
+def any_points(correlator, three_point, four_point_values):
+    def read(ds: list[int], g: int) -> Fraction:
+        """<prod tau_d>_g over ds, by the reader with the fewest labels; 0 if some d < 0.
+
+        Every d > 0 is a label, and tau_0 fills the labels up to two.
+        """
+        if min(ds) < 0:
+            return Fraction(0)
+        marked = sorted((d for d in ds if d), reverse=True)
+        marked += [0] * (2 - len(marked))
+        n = len(ds) - len(marked)
+        assert len(marked) <= 4 and n >= 0, ds
+        return readers[len(marked)](*marked, g).get(n, Fraction(0))
+
+    def four(*key):
+        assert max(key[:4]) <= FOUR_POINT_K, key  # a label set not read counts as no value
+        return four_point_values.get(key, {})
+
+    readers = {2: cache(correlator), 3: cache(three_point), 4: four}
+
+    return read
+
+
 def test_genus_zero_two_point_numbers(correlator):
     # <tau_0^{i+j+1} tau_i tau_j>_0 = C(i+j, i), from Witten's genus-0 formula
     # <tau_d1 ... tau_dn>_0 = (n-3)!/(d1! ... dn!) (Witten 1991)
@@ -134,6 +189,50 @@ def test_genus_one_three_point_numbers(three_point, ks, value):
     # every order of the three labels: the flow may act on any of them
     for i, j, k in set(permutations(ks)):
         assert three_point(i, j, k, 1) == {0: value}, (i, j, k)
+
+
+def test_genus_zero_four_point_numbers(four_point_values):
+    # <tau_0^n tau_i tau_j tau_k tau_l>_0 = (n+1)!/(i! j! k! l!) with
+    # n + 1 = i + j + k + l, Witten's genus-0 formula (Witten 1991)
+    for i, j, k, l in product(range(FOUR_POINT_K + 1), repeat=4):
+        n = i + j + k + l - 1
+        want = {} if n < 0 else {n: Fraction(factorial(n + 1), prod(
+            factorial(d) for d in (i, j, k, l)))}
+        assert four_point_values.get((i, j, k, l, 0), {}) == want, (i, j, k, l)
+
+
+def test_four_point_string_equation(four_point_values, any_points):
+    # <tau_0 prod tau_d>_g = sum_m <tau_{d_m - 1} prod_{d != d_m} tau_d>_g
+    # (Witten 1991), on every four-point value that has a tau_0 among its
+    # points; the right side is read by the reader with the fewest labels, so
+    # a tau_0 among the flow labels is checked against the three-point numbers
+    checked = 0
+    for (*ijkl, g), values in four_point_values.items():
+        for n, value in values.items():
+            ds = ijkl + [0] * n
+            if 0 not in ds:
+                continue
+            ds.remove(0)
+            rhs = sum(any_points(ds[:m] + [ds[m] - 1] + ds[m + 1:], g)
+                      for m in range(len(ds)) if ds[m])
+            assert value == rhs, (ijkl, n, g)
+            checked += 1
+    assert checked > 100
+
+
+def test_four_point_dilaton_equation(four_point_values, any_points):
+    # <tau_1 prod_{m=1}^{p} tau_{d_m}>_g = (2g - 2 + p) <prod tau_{d_m}>_g
+    # (Witten 1991), on every four-point value that has a tau_1 among its points
+    checked = 0
+    for (*ijkl, g), values in four_point_values.items():
+        if 1 not in ijkl:
+            continue
+        for n, value in values.items():
+            rest = ijkl + [0] * n
+            rest.remove(1)
+            assert value == (2 * g - 2 + len(rest)) * any_points(rest, g), (ijkl, n, g)
+            checked += 1
+    assert checked > 100
 
 
 # The Brezin-Gross-Witten point, read through ``dshier solve``.  On KdV the

@@ -78,9 +78,9 @@ def test_exponent_symmetry(a1, a2, tw):
 
 
 def test_bracket_examples(a1):
-    e = LoopElement.from_vector(a1, 0, a1.poly_vector(a1.e_nil))
-    f = LoopElement.from_vector(a1, 0, a1.poly_vector(a1.f_jm))
-    rho = LoopElement.from_vector(a1, 0, a1.poly_vector(a1.rho))
+    e = a1.combination([1], [a1.e_nil])
+    f = a1.combination([1], [a1.f_jm])
+    rho = a1.combination([1], [a1.rho])
     assert e.bracket(f) == rho
     assert e.bracket(e).is_zero()
     # Heisenberg is abelian across lambda shifts: [Lambda_1, Lambda_3] = 0
@@ -151,7 +151,7 @@ def test_heisenberg_split(a1, rng):
     h, im = heisenberg_split(a1, x)
     assert h.is_zero() and im == x
     # generic split re-sums and the H part commutes with Lambda
-    e = LoopElement.from_vector(a1, 0, a1.poly_vector(a1.e_nil))
+    e = a1.combination([1], [a1.e_nil])
     h, im = heisenberg_split(a1, e)
     assert h + im == e
     assert a1.cyclic.bracket(h).is_zero()
@@ -191,7 +191,7 @@ def test_pi_three_variables(rng):
 
 def test_principal_degree_examples(a1):
     assert a1.cyclic.principal_degree() == 1
-    e = LoopElement.from_vector(a1, 0, a1.poly_vector(a1.e_nil))
+    e = a1.combination([1], [a1.e_nil])
     assert e.principal_degree() == 1
     f_aff = a1.affine_f
     assert f_aff.principal_degree() == -1
@@ -200,7 +200,7 @@ def test_principal_degree_examples(a1):
     fvec[a1.alg.index["f"]] = DiffPoly.const(1)
     lam_f = LoopElement(a1, {1: fvec})
     assert lam_f.principal_degree() == 1
-    mixed = e + LoopElement.from_vector(a1, 0, a1.poly_vector(a1.rho))
+    mixed = e + a1.combination([1], [a1.rho])
     assert mixed.principal_degree() == frozenset({0, 1})
     with pytest.raises(ValueError):
         LoopElement.zero(a1).principal_degree()

@@ -12,9 +12,11 @@ from dressing_route import Dressing, resolvent_slices
 from jet_images import FunctionJets
 from matrixform import check_table, matrix_form, matrix_product
 from power_route import PowerRoute
-from reference_ops import coefficient, map_coeffs, project_plus, split_with_preimage
+from reference_ops import (coefficient, map_coeffs, pairing_residual_loop, project_plus,
+                           split_with_preimage)
 from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
+from dshierarchy.hierarchy import DSHierarchy
 from dshierarchy.kacmoody import LoopElement, LoopRealization, build_algebra
 from dshierarchy.linalg import InconsistentSystemError, LinearSolver
 from dshierarchy.resolvent import DepthError, LaxOperator, flow_depth
@@ -365,9 +367,9 @@ def test_non_exact_heisenberg_projection_names_the_resolvent(name, kind, a, d):
 def _random_slice(real: LoopRealization, d: int, rng: random.Random) -> LoopElement:
     coeffs: dict = {}
     for k, i in real.slice_basis(d):
-        vec = coeffs.setdefault(k, [0] * real.alg.dim)
+        vec = coeffs.setdefault(k, [DiffPoly.zero()] * real.alg.dim)
         vec[i] = rng.randint(-2, 2) + rng.randint(-1, 1) * DiffPoly.var(1)
-    return real.element(coeffs)
+    return LoopElement(real, coeffs)
 
 
 @pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
@@ -492,6 +494,41 @@ def test_resolvent_defining_residuals(lax):
     assert r.leading_is_heisenberg()
     assert r.commutator_residual_slices() == {}
     assert r.pairing_residual(r) == {}
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_pairing_residual_matches_the_reference_loop(name):
+    # the table's resolvents at max-k 2, as verify reads them; then again with
+    # the second slice of R_1 moved by a non-constant, so that both sides are
+    # nonzero somewhere
+    h = DSHierarchy(name, max_flow_k=2, omega_max_k=2)
+    real = h.real
+
+    def residuals():
+        rs = h.table_resolvents(real.n, 2)
+        got = {(a, b): ra.pairing_residual(rb) for a, ra in rs.items() for b, rb in rs.items()}
+        assert got == {(a, b): pairing_residual_loop(ra, rb)
+                       for a, ra in rs.items() for b, rb in rs.items()}
+        return got
+
+    assert not any(residuals().values())
+    d = real.exponents[0] - 1
+    k, i = real.slice_basis(d)[0]
+    vec = [DiffPoly.zero()] * real.alg.dim
+    vec[i] = DiffPoly.var(1)
+    h.lax_u._r[1][d] = h.lax_u._r[1][d] + LoopElement(real, {k: vec})
+    assert any(residuals().values())
+
+
+def test_pair_from_a_floor_is_the_full_pairing_above_it():
+    h = DSHierarchy("a2_2", max_flow_k=1, omega_max_k=1)
+    rs = h.table_resolvents(2, 1)
+    x, y = rs[1].element, rs[2].element
+    full = x.pair(y)
+    powers = sorted(full)
+    assert len(powers) > 2
+    for lo in range(powers[0] - 1, powers[-1] + 2):
+        assert x.pair(y, lo) == {k: v for k, v in full.items() if k >= lo}
 
 
 def test_resolvent_coefficients_and_depth_error(lax):
