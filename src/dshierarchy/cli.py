@@ -85,10 +85,13 @@ def _parse_flows(val) -> list:
 
 
 def _parse_bgw(val) -> list:
-    """'C_1,..,C_ell' (flag or config file), or a list of constants (config file)."""
+    """'C_1,..,C_ell' (flag or config file), or a list of constants (config file).
+
+    An empty item is refused, as ``_parse_flows`` refuses one.
+    """
     items = val.split(",") if isinstance(val, str) else val
     try:
-        return [Fraction(str(c).strip()) for c in items if str(c).strip()]
+        return [Fraction(str(c).strip()) for c in items]
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"bgw (--bgw) constants need nonzero denominators, got {val!r}") from None

@@ -9,10 +9,11 @@ with the convention [S, d] = -d(S).  The canonical form is the unique pair
 (S_can, Q_can) with Q_can valued in the gauge subspace V; it is found degree
 by degree through the splitting b = V (+) [e, n], which is immediate in the
 ordered Borel frame [V-basis | [e, p_j]-basis] that the loop realization
-holds.  The same recursion, ``v_valued``, solves for the n-valued
-compensator of each hierarchy flow.  An n-valued element sum_j c_j p_j over
-the nilpotent basis is built by ``LoopRealization.combination``, the one
-constructor from basis coordinates.
+holds.  That recursion is ``LoopRealization.v_valued``, which also solves for
+the n-valued compensator of each hierarchy flow, so flows never import this
+module.  An n-valued element sum_j c_j p_j over the nilpotent basis is built
+by ``LoopRealization.combination``, the one constructor from basis
+coordinates.
 
 The gauge homomorphism f sends each generator q_i to the corresponding
 entry of Q computed with fresh indeterminates S_1..S_{dim n}; an element is
@@ -33,7 +34,7 @@ from itertools import count
 from math import factorial
 
 from .diffalg import DiffPoly, JetMap
-from .kacmoody import LoopElement, LoopRealization
+from .kacmoody import LoopElement
 from .resolvent import LaxOperator
 
 
@@ -63,23 +64,6 @@ def ad_exp_series(u: LoopElement, x: LoopElement, shift: int = 0) -> LoopElement
         out = out + term.scale(Fraction(1, factorial(m + shift)))
 
 
-def v_valued(real: LoopRealization, residual) -> LoopElement:
-    """The n-valued x that makes residual(x) V-valued, degree by degree.
-
-    ``residual`` must be triangular: the principal-degree -(k+1) part of x
-    moves the degree -k slice of residual(x) by [x, e] and touches no
-    higher slice.  So the [e, n] coordinates of slice -k, read in the
-    Borel frame, give that part of x, for k = 0, 1, ... in turn.
-    """
-    x = LoopElement.zero(real)
-    for k in range(0, -min(real.pdeg) + 1):
-        m = residual(x).pdeg_slice(-k)
-        if not m.is_zero():
-            coords = real.borel_coords(m.vector_at(0))
-            x = x + real.combination(coords[real.ell:], real.nilpotent_basis)
-    return x
-
-
 def _gauge_q(lax: LaxOperator, s: LoopElement) -> LoopElement:
     conj = ad_exp_series(s, lax.lam_plus_q)
     correction = ad_exp_series(s, s.dx(), shift=1)
@@ -103,7 +87,7 @@ class CanonicalForm:
 
 def canonical_form(lax: LaxOperator) -> CanonicalForm:
     """Solve for (S_can, Q_can) degree by degree in the Borel frame."""
-    s = v_valued(lax.real, lambda s: _gauge_q(lax, s))
+    s = lax.real.v_valued(lambda s: _gauge_q(lax, s))
     return CanonicalForm(lax, s, _gauge_q(lax, s))
 
 

@@ -9,11 +9,12 @@ u_1..u_ell.  The flow D_{a,k} acts by
 with N the twist order, R_{m_a} the basic resolvent of L_can and theta the
 unique n-valued compensator that makes the right-hand side V-valued
 (Drinfeld-Sokolov);
-theta is solved one principal degree at a time by ``gauge.v_valued``,
-and the V-coordinates of the right-hand side are the characteristics,
-already in the u-jets.  For D_{1,0} the recursion gives theta = q_u - b and
-the right-hand side -d(q_u), so D_{1,0} = -d.  The tau-structure entry
-Omega_{a,k1;b,k2} is the coefficient of lambda^{-k1 N-1} mu^{-k2 N-1} of the
+theta is solved one principal degree at a time by
+``LoopRealization.v_valued``, and the V-coordinates of the right-hand side
+are the characteristics, already in the u-jets.  For D_{1,0} the recursion
+gives theta = q_u - b and the right-hand side -d(q_u), so D_{1,0} = -d.
+The tau-structure entry Omega_{a,k1;b,k2} is the coefficient of
+lambda^{-k1 N-1} mu^{-k2 N-1} of the
 two-variable resolvent pairing (R_a(lambda)|R_b(mu))/(lambda-mu)^2, expanded
 in |mu| < |lambda|, minus a rational counterterm that normalizes the diagonal
 (Bertola, Dubrovin and Yang 2016).  The counterterm has no such coefficient:
@@ -140,9 +141,10 @@ class DSHierarchy:
     resolvent solved to the depth its reader needs).  The Borel side, the
     Borel-variable operator ``lax_q`` and its canonical gauge data
     ``canform``, is built on first read: only the gauge-invariance check,
-    ``gauge-fix`` and ``resolvent`` dumps read it.  Flows and the Borel side
-    read the realization's Borel frame through ``gauge``, which only they
-    import, so ``omega`` and ``resolvent`` never compile it.
+    ``gauge-fix`` and ``resolvent`` dumps read it.  Only the Borel side
+    imports ``gauge``; flows solve their compensator in the realization's
+    Borel frame (``LoopRealization.v_valued``), so ``derive``, ``omega``,
+    ``resolvent`` and ``solve`` never compile it.
     ``omega_max_k`` is the default ``max_k`` of ``omega_table``.
     """
 
@@ -202,14 +204,13 @@ class DSHierarchy:
         V-coordinates of psi.  psi must be a Borel-valued lambda^0 element; the
         error names the flow label and the identity when it is not.
         """
-        from .gauge import v_valued
         act = self.lax_u.bracket_with
         phi = -act(x)
 
         def residual(theta: LoopElement) -> LoopElement:
             return phi - act(theta)
 
-        theta = v_valued(self.real, residual)
+        theta = self.real.v_valued(residual)
         psi = residual(theta)
         where = f"flow {label}: [X + theta, L_can] - d(X + theta)"
         if any(p != 0 for p in psi.lambda_powers()):

@@ -7,10 +7,18 @@ Jacobson-Morozov triple (e, rho, f) of the zero-mode subalgebra, the cyclic
 element data, the exponents and normalized Heisenberg generators, and the
 nilpotent/Cartan/gauge bases.  Everything else (structure constants, the
 invariant bilinear form, gradations, splittings) is derived from the matrices
-at load time and validated exactly.  Integral matrix entries, structure
-constants and form values are stored as ``int``, so the load runs in integer
-arithmetic, and the Lie algebra identities are checked on every basis triple
-through the sparse rows of the structure-constant table.
+at load time.  Integral matrix entries, structure constants and form values
+are stored as ``int``, so the load runs in integer arithmetic.
+
+The Lie algebra identities rest on one premise, which the load checks: the
+basis matrices are linearly independent.  Then the bracket is the matrix
+commutator read in the basis, so it is alternating and satisfies Jacobi, and
+the form is the trace form, so it is symmetric and ad-invariant; none of these
+is re-checked.  What the table claims beyond its matrices is checked exactly
+at every load, so a wrong table fails to load: ad-rho homogeneity of the
+basis, the sigma eigenvalues and the twist classes of brackets and of the
+form, the Jacobson-Morozov triple, the exponents, the Heisenberg
+normalization, [n, e lambda] = 0 and the splitting b = V (+) [e, n].
 
 Loop elements are Laurent polynomials in the spectral parameter lambda with
 differential-polynomial coefficients; the coefficient of lambda^k must lie in
@@ -28,7 +36,9 @@ Each loop-algebra job has one helper here, which every layer calls:
 coordinates (the Lax operator's q, the nilpotent gauge elements, the table's
 elements); ``LoopElement.pair`` is the loop pairing, from a floor power up if
 asked; ``LoopRealization.heisenberg_index`` is the one period rule that places
-the Heisenberg element of a degree, H_d = lambda^s Lambda_m.
+the Heisenberg element of a degree, H_d = lambda^s Lambda_m;
+``LoopRealization.v_valued`` is the one recursion in the Borel frame that makes
+a residual V-valued (the canonical form and each flow's compensator).
 """
 
 from __future__ import annotations
@@ -85,7 +95,17 @@ def _trace_of_product(a, b) -> int | Fraction:
 
 
 class SimpleLieAlgebra:
-    """Finite-dimensional simple Lie algebra given by exact matrices."""
+    """Finite-dimensional simple Lie algebra given by exact matrices.
+
+    The matrices must be linearly independent, and the load raises unless
+    they are.  Then every commutator has unique coordinates in the basis, so
+    ``bracket_table`` is the matrix commutator read in the basis: alternating
+    and Jacobi hold because they hold for commutators.  ``gram`` is the trace
+    form, tr(XY), which is symmetric and ad-invariant, tr([Z, X] Y) +
+    tr(X [Z, Y]) = 0.  With ad-rho homogeneity of the basis (checked by
+    ``LoopRealization``), invariance under rho gives (pdeg_i + pdeg_j)
+    (x_i|x_j) = 0: the form pairs opposite principal degrees only.
+    """
 
     def __init__(self, name: str, matrices: Sequence, labels: Sequence[str]):
         self.name = name
@@ -100,6 +120,9 @@ class SimpleLieAlgebra:
             for c in range(size):
                 rows.append([self.matrices[i][r][c] for i in range(self.dim)])
         self._coords = LinearSolver(rows)
+        if self._coords.rank != self.dim:
+            raise ValueError(f"{name}: the {self.dim} basis matrices have rank "
+                             f"{self._coords.rank}; they must be linearly independent")
         # Structure constants from matrix commutators, as sparse rows: one
         # commutator and solve per pair i < j, [x_j, x_i] the negated row.
         upper = {}
@@ -172,43 +195,6 @@ class SimpleLieAlgebra:
         return DiffPoly.dot((xi, y[j] if g * w == 1 else y[j] * (g * w))
                             for x, y, w in triples for i, xi in enumerate(x) if xi
                             for j, g in rows[i] if y[j])
-
-    def validate(self):
-        """Alternation, Jacobi and form invariance on all basis triples, and symmetry.
-
-        Works on the sparse rows {k: c} of ``bracket_table``; the error names
-        the identity and the basis indices at which it fails.
-        """
-        dim, gram = self.dim, self.gram
-        rows = [[{} for _ in range(dim)] for _ in range(dim)]
-        for (i, j), entries in self.bracket_table.items():
-            rows[i][j] = dict(entries)
-        for i in range(dim):
-            if rows[i][i]:
-                raise ValueError(f"bracket not alternating at basis index {i}")
-        for i in range(dim):
-            for j in range(dim):
-                ij = rows[i][j]
-                for k in range(dim):
-                    # [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]
-                    jac: dict[int, int | Fraction] = {}
-                    for a, inner in ((i, rows[j][k]), (j, rows[k][i]), (k, ij)):
-                        outer = rows[a]
-                        for m, c in inner.items():
-                            for t, d in outer[m].items():
-                                jac[t] = jac.get(t, 0) + c * d
-                    if any(jac.values()):
-                        raise ValueError(f"Jacobi identity fails on triple {i},{j},{k}")
-                    # ([x_i, x_j] | x_k) + (x_j | [x_i, x_k])
-                    lhs = sum(c * gram[m][k] for m, c in ij.items())
-                    rhs = sum(gram[j][m] * c for m, c in rows[i][k].items())
-                    if lhs + rhs:
-                        raise ValueError(
-                            f"bilinear form is not invariant on triple {i},{j},{k}")
-        for i in range(dim):
-            for j in range(dim):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"bilinear form is not symmetric on pair {i},{j}")
 
 
 class LoopElement:
@@ -445,9 +431,9 @@ class LoopRealization:
         self._sigma_J = data.get("sigma_J")
 
         alg = self.alg
-        self.rho = tuple(Fraction(x) for x in self._rat_vector(data["jm_rho"]))
-        self.e_nil = tuple(Fraction(x) for x in self._rat_vector(data["jm_e"]))
-        self.f_jm = tuple(Fraction(x) for x in self._rat_vector(data["jm_f"]))
+        self.rho = self._rat_vector(data["jm_rho"])
+        self.e_nil = self._rat_vector(data["jm_e"])
+        self.f_jm = self._rat_vector(data["jm_f"])
         self.cyclic = self._table_element({0: data["jm_e"], 1: data["cyclic_lambda_part"]})
         self.affine_f = self._table_element({-1: data["affine_f_lambda_part"]})
         self.exponents = list(data["exponents"])
@@ -554,10 +540,27 @@ class LoopRealization:
         """
         return self._borel_solver.solve(list(vec), zero=_ZERO_P)
 
+    def v_valued(self, residual) -> LoopElement:
+        """The n-valued x that makes residual(x) V-valued, degree by degree.
+
+        ``residual`` must be triangular: the principal-degree -(k+1) part of x
+        moves the degree -k slice of residual(x) by [x, e] and touches no
+        higher slice.  So the [e, n] coordinates of slice -k, read in the
+        Borel frame, give that part of x, for k = 0, 1, ... in turn.  The
+        canonical form of the gauge action and each flow's compensator are
+        solved here.
+        """
+        x = LoopElement.zero(self)
+        for k in range(0, -min(self.pdeg) + 1):
+            m = residual(x).pdeg_slice(-k)
+            if not m.is_zero():
+                coords = self.borel_coords(m.vector_at(0))
+                x = x + self.combination(coords[self.ell:], self.nilpotent_basis)
+        return x
+
     # -- validation ---------------------------------------------------------
     def _validate(self):
         alg = self.alg
-        alg.validate()
         zero = Fraction(0)
         rho = self.rho
         # basis homogeneity: [rho, x_i] = pdeg_i x_i
@@ -586,18 +589,11 @@ class LoopRealization:
             for k, _ in entries:
                 if self.twist_class[k] % n != cls:
                     raise ValueError("structure constants break the twist grading")
-        # form pairs opposite twist classes only (needed for loop pairings) and
-        # opposite principal degrees only (the depth of the Omega table)
-        for i in range(alg.dim):
-            for jj in range(alg.dim):
-                if not alg.gram[i][jj]:
-                    continue
-                if (self.twist_class[i] + self.twist_class[jj]) % n:
+        # form pairs opposite twist classes only (needed for loop pairings)
+        for i, row in enumerate(alg.gram):
+            for jj, g in enumerate(row):
+                if g and (self.twist_class[i] + self.twist_class[jj]) % n:
                     raise ValueError("bilinear form mixes twist classes")
-                if self.pdeg[i] + self.pdeg[jj]:
-                    raise ValueError(
-                        f"bilinear form pairs {alg.labels[i]} and {alg.labels[jj]}, "
-                        f"of principal degrees {self.pdeg[i]} and {self.pdeg[jj]}")
         # JM triple
         e, f = self.e_nil, self.f_jm
         if alg.bracket_vec(rho, e, zero=zero) != list(e):

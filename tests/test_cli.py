@@ -231,11 +231,11 @@ BUILDS = {"discrete": None, "verify": ["canform"], "gauge-fix": ["canform"]}
 @pytest.mark.parametrize("argv, unrun", [
     (["discrete", "--samples", "5", "--eps-order", "1"],
      {"kacmoody", "resolvent", "gauge", "hierarchy", "solution", "ratfunc"}),
-    (["derive", "--type", "a1_1"], {"solution", "ratfunc", "discrete", "miura"}),
+    (["derive", "--type", "a1_1"], {"gauge", "solution", "ratfunc", "discrete", "miura"}),
     (["omega", "--type", "a1_1", "--max-k", "0"],
      {"gauge", "solution", "ratfunc", "discrete", "miura"}),
     (["solve", "--type", "a1_1", "--flows", "1:0", "--t-degree", "0", "--eps-order", "0"],
-     {"discrete", "miura", "render"}),
+     {"gauge", "discrete", "miura", "render"}),
     (["resolvent", "--type", "a1_1", "--depth", "2"],
      {"gauge", "solution", "ratfunc", "discrete", "miura", "render"}),
     (["verify", "--type", "a1_1", "--max-k", "0"], {"solution", "ratfunc", "discrete"}),
@@ -398,6 +398,8 @@ def test_bgw_with_a_zero_denominator_names_the_flag(capsys, tmp_path):
     for flag, value, message in (
             ("--bgw", "1/0", "bgw (--bgw) constants need nonzero denominators, got '1/0'"),
             ("--bgw", "x", "bgw (--bgw) takes a comma list of rational constants, got 'x'"),
+            *(("--bgw", v, f"bgw (--bgw) takes a comma list of rational constants, got {v!r}")
+              for v in ("1,", ",1", "1,,2")),
             ("--flows", "x", "flows (--flows) takes a comma list of integer pairs a:k, "
                              "got 'x'")):
         with pytest.raises(SystemExit) as exc:
@@ -411,6 +413,12 @@ def test_bgw_with_a_zero_denominator_names_the_flag(capsys, tmp_path):
         code, out, err = run(capsys, "solve", "--config", str(cfgfile))
         assert code == 2 and not out
         assert err.startswith("error: bgw (--bgw) constants need nonzero denominators")
+    # an empty item is refused, as --flows refuses one
+    cfgfile.write_text(json.dumps({"bgw": ["1", ""]}))
+    code, out, err = run(capsys, "solve", "--config", str(cfgfile))
+    assert code == 2 and not out
+    assert err.startswith("error: bgw (--bgw) takes a comma list of rational constants, "
+                          "got ['1', '']")
 
 
 def test_a_repeated_flow_label_is_refused_by_flag_and_config_file(capsys, tmp_path):

@@ -5,13 +5,12 @@ import pytest
 
 import borel_route
 from jet_images import FunctionJets
-from dshierarchy import gauge
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries, \
     JetMap, apply_poly_derivation
 from dshierarchy.hierarchy import (DSHierarchy, Flow, tau_coordinate_check,
                                    verify_gauge_invariance, verify_integrability,
                                    verify_tau_symmetry)
-from dshierarchy.kacmoody import LoopElement, SimpleLieAlgebra
+from dshierarchy.kacmoody import LoopElement, LoopRealization
 from dshierarchy.miura import invert_miura, MiuraTuple, reconstruct_flows
 from dshierarchy.render import default_names, render_series
 from dshierarchy.resolvent import DepthError, Resolvent, flow_depth
@@ -74,7 +73,7 @@ def test_flow_error_names_label_off_lambda_zero(monkeypatch):
 def test_flow_error_names_label_off_v(monkeypatch):
     # negative control: without the compensator the flow is not V-valued
     h = DSHierarchy("a2_1", max_flow_k=1, omega_max_k=1)
-    monkeypatch.setattr(gauge, "v_valued",
+    monkeypatch.setattr(LoopRealization, "v_valued",
                         lambda real, residual: LoopElement.zero(real))
     with pytest.raises(RuntimeError,
                        match=r"flow \(2, 1\): .* is not V-valued"):
@@ -525,9 +524,9 @@ def test_flows_from_tau_structure_commute(request, name):
 
 def test_realization_built_and_validated_once(monkeypatch):
     calls = []
-    validate = SimpleLieAlgebra.validate
-    monkeypatch.setattr(SimpleLieAlgebra, "validate",
-                        lambda alg: calls.append(alg) or validate(alg))
+    validate = LoopRealization._validate
+    monkeypatch.setattr(LoopRealization, "_validate",
+                        lambda real: calls.append(real) or validate(real))
     DSHierarchy("a2_1")
     assert len(calls) == 1
 
