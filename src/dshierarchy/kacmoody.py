@@ -21,10 +21,14 @@ form, the Jacobson-Morozov triple, the exponents, the Heisenberg
 normalization, [n, e lambda] = 0 and the splitting b = V (+) [e, n].
 
 Loop elements are Laurent polynomials in the spectral parameter lambda with
-differential-polynomial coefficients; the coefficient of lambda^k must lie in
-the twist eigenspace of class k mod N.  They are finite, so every bracket,
-shift and principal-degree slice is exact.  The principal degree of
-``x * lambda^k`` is ``pdeg(x) + k * (r h / N)``.
+differential-polynomial coefficients, stored sparsely as the map from each
+basis element lambda^k x_i to its nonzero coefficient; x_i may appear with
+lambda^k only if its twist class is k mod N.  They are finite, so every
+bracket, shift and principal-degree slice is exact.  The principal degree of
+``x_i * lambda^k`` is ``pdeg_i + k * (r h / N)``, so a principal-degree slice,
+a lambda shift and the twist check are filters or re-keyings of the map.
+The bracket reads the structure constants ``bracket_table`` directly, and
+the load's rational checks use the same bracket on constant elements.
 
 Each slice splits as H (+) im ad Lambda, H the Heisenberg subalgebra, and the
 form makes the two orthogonal.  ``LoopRealization.splitter(d).preimage(x)``
@@ -89,11 +93,6 @@ def _mat_mul(a, b):
     )
 
 
-def _trace_of_product(a, b) -> int | Fraction:
-    n = len(a)
-    return sum(a[i][k] * b[k][i] for i in range(n) for k in range(n))
-
-
 class SimpleLieAlgebra:
     """Finite-dimensional simple Lie algebra given by exact matrices.
 
@@ -123,60 +122,45 @@ class SimpleLieAlgebra:
         if self._coords.rank != self.dim:
             raise ValueError(f"{name}: the {self.dim} basis matrices have rank "
                              f"{self._coords.rank}; they must be linearly independent")
-        # Structure constants from matrix commutators, as sparse rows: one
-        # commutator and solve per pair i < j, [x_j, x_i] the negated row.
+        # Structure constants from matrix commutators over the nonzero matrix
+        # entries, nonzero[i][r] listing (c, m) for each entry m at (r, c):
+        # one commutator and solve per pair i < j, [x_j, x_i] the negated row.
+        nonzero = [[[(c, m) for c, m in enumerate(row) if m] for row in mat]
+                   for mat in self.matrices]
         upper = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                mi, mj = self.matrices[i], self.matrices[j]
-                br = [[x - y for x, y in zip(rij, rji)]
-                      for rij, rji in zip(_mat_mul(mi, mj), _mat_mul(mj, mi))]
-                coords = self.coordinates_of_matrix(br, zero=0)
-                upper[(i, j)] = tuple((k, integral(c)) for k, c in enumerate(coords) if c)
+                flat = [0] * (size * size)
+                for a, b, sign in ((i, j, 1), (j, i, -1)):
+                    for r, row in enumerate(nonzero[a]):
+                        for c, m in row:
+                            for s, n in nonzero[b][c]:
+                                flat[r * size + s] += sign * m * n
+                if any(flat):
+                    try:
+                        coords = self._coords.solve(flat, zero=0)
+                    except InconsistentSystemError as exc:
+                        raise ValueError("matrix not in the span of the basis") from exc
+                    upper[(i, j)] = tuple((k, integral(c)) for k, c in enumerate(coords) if c)
         self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         for i in range(self.dim):
             for j in range(self.dim):
-                entries = upper[(i, j)] if i < j else \
+                entries = upper.get((i, j), ()) if i < j else \
                     tuple((k, -c) for k, c in upper.get((j, i), ()))
                 if entries:
                     self.bracket_table[(i, j)] = entries
-        # the same table by first operand: row i lists (j, entries)
-        self._bracket_rows = [[] for _ in range(self.dim)]
-        for (i, j), entries in self.bracket_table.items():
-            self._bracket_rows[i].append((j, entries))
         # Normalized invariant form: trace form in the defining representation.
-        self.gram = [[integral(_trace_of_product(self.matrices[i], self.matrices[j]))
-                      for j in range(self.dim)]
+        self.gram = [[integral(sum(m * mat[c][r] for r, row in enumerate(nonzero[i])
+                                   for c, m in row))
+                      for mat in self.matrices]
                      for i in range(self.dim)]
         self._gram_rows = [[(j, g) for j, g in enumerate(row) if g] for row in self.gram]
-
-    def coordinates_of_matrix(self, mat, zero=Fraction(0)) -> list:
-        flat = [mat[r][c] for r in range(self.size) for c in range(self.size)]
-        try:
-            return self._coords.solve(flat, zero=zero)
-        except InconsistentSystemError as exc:
-            raise ValueError("matrix not in the span of the basis") from exc
 
     def vector(self, coeffs: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
         v = [Fraction(0)] * self.dim
         for lab, c in coeffs.items():
             v[self.index[lab]] = Fraction(c)
         return tuple(v)
-
-    def bracket_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
-        """[x, y] for coefficient vectors with entries in any commutative ring."""
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, entries in self._bracket_rows[i]:
-                yj = y[j]
-                if not yj:
-                    continue
-                prod = xi * yj
-                for k, c in entries:
-                    out[k] = out[k] + prod * c
-        return out
 
     def pair_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
         """(x|y) for coefficient vectors; DiffPoly entries are summed by one ``DiffPoly.dot``."""
@@ -200,20 +184,17 @@ class SimpleLieAlgebra:
 class LoopElement:
     """Element of the twisted loop algebra: a Laurent polynomial in lambda.
 
-    ``coeffs`` maps a lambda power to a coefficient vector over the algebra
-    basis with DiffPoly entries; powers with a zero vector are not stored.
+    ``coeffs`` maps a basis element lambda^k x_i, keyed (k, i), to its
+    DiffPoly coefficient; only nonzero coefficients are stored.
+    ``vector_at(k)`` reads the lambda^k coefficient as a vector over the
+    algebra basis.
     """
 
     __slots__ = ("real", "coeffs")
 
-    def __init__(self, real: "LoopRealization", coeffs: Mapping[int, Sequence[DiffPoly]]):
+    def __init__(self, real: "LoopRealization", coeffs: Mapping[tuple[int, int], DiffPoly]):
         self.real = real
-        clean: dict[int, tuple[DiffPoly, ...]] = {}
-        for k, vec in coeffs.items():
-            vec = tuple(vec)
-            if any(vec):
-                clean[k] = vec
-        self.coeffs = clean
+        self.coeffs = {key: c for key, c in coeffs.items() if c}
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -230,35 +211,33 @@ class LoopElement:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset((k, v) for k, v in self.coeffs.items()))
+        return hash(frozenset(self.coeffs.items()))
 
     def vector_at(self, k: int) -> tuple[DiffPoly, ...]:
-        got = self.coeffs.get(k)
-        if got is None:
-            return tuple([_ZERO_P] * self.real.alg.dim)
-        return got
+        vec = [_ZERO_P] * self.real.alg.dim
+        for (p, i), c in self.coeffs.items():
+            if p == k:
+                vec[i] = c
+        return tuple(vec)
 
     def lambda_powers(self) -> list[int]:
-        return sorted(self.coeffs)
+        return sorted({k for k, _ in self.coeffs})
 
     def __add__(self, other: "LoopElement") -> "LoopElement":
         self._same(other)
-        out = {k: list(v) for k, v in self.coeffs.items()}
-        for k, vec in other.coeffs.items():
-            if k in out:
-                out[k] = [a + b for a, b in zip(out[k], vec)]
-            else:
-                out[k] = list(vec)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out[key] + c if key in out else c
         return LoopElement(self.real, out)
 
     def __neg__(self) -> "LoopElement":
-        return LoopElement(self.real, {k: [-c for c in v] for k, v in self.coeffs.items()})
+        return LoopElement(self.real, {key: -c for key, c in self.coeffs.items()})
 
     def __sub__(self, other: "LoopElement") -> "LoopElement":
         return self + (-other)
 
     def scale(self, c) -> "LoopElement":
-        return LoopElement(self.real, {k: [x * c for x in v] for k, v in self.coeffs.items()})
+        return LoopElement(self.real, {key: x * c for key, x in self.coeffs.items()})
 
     def _same(self, other: "LoopElement"):
         if other.real is not self.real:
@@ -267,33 +246,41 @@ class LoopElement:
     # -- structure operations ------------------------------------------------
     def bracket(self, other: "LoopElement") -> "LoopElement":
         self._same(other)
-        real = self.real
-        out: dict[int, list[DiffPoly]] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                br = real.alg.bracket_vec(v1, v2)
-                if not any(br):
-                    continue
-                if k in out:
-                    out[k] = [a + b for a, b in zip(out[k], br)]
-                else:
-                    out[k] = list(br)
-        return LoopElement(real, out)
+        table = self.real.alg.bracket_table
+        out: dict[tuple[int, int], DiffPoly] = {}
+        theirs = other.coeffs.items()
+        for (k1, i), x in self.coeffs.items():
+            for (k2, j), y in theirs:
+                entries = table.get((i, j))
+                if entries:
+                    prod = x * y
+                    for t, c in entries:
+                        key = (k1 + k2, t)
+                        out[key] = out[key] + prod * c if key in out else prod * c
+        return LoopElement(self.real, out)
 
     def pair(self, other: "LoopElement", lo: int | None = None) -> dict[int, DiffPoly]:
-        """Invariant bilinear form; a Laurent polynomial in lambda, from lambda^lo up if given."""
+        """Invariant bilinear form; a Laurent polynomial in lambda, from lambda^lo up if given.
+
+        ``other`` is indexed by basis element, so only the pairs (x_i, x_j)
+        with (x_i|x_j) != 0 are visited; each power is one ``DiffPoly.dot``.
+        """
         self._same(other)
-        triples: dict[int, list] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                if lo is None or k1 + k2 >= lo:
-                    triples.setdefault(k1 + k2, []).append((v1, v2, 1))
-        out = {k: self.real.alg.pair_sum(t) for k, t in triples.items()}
+        by_index: dict[int, list] = {}
+        for (k, j), y in other.coeffs.items():
+            by_index.setdefault(j, []).append((k, y))
+        rows = self.real.alg._gram_rows
+        terms: dict[int, list] = {}
+        for (k1, i), x in self.coeffs.items():
+            for j, g in rows[i]:
+                for k2, y in by_index.get(j, ()):
+                    if lo is None or k1 + k2 >= lo:
+                        terms.setdefault(k1 + k2, []).append((x, y if g == 1 else y * g))
+        out = {k: DiffPoly.dot(t) for k, t in terms.items()}
         return {k: v for k, v in out.items() if v}
 
     def dx(self) -> "LoopElement":
-        return LoopElement(self.real, {k: [c.dx() for c in v] for k, v in self.coeffs.items()})
+        return LoopElement(self.real, {key: c.dx() for key, c in self.coeffs.items()})
 
     def lambda_shift(self, j: int) -> "LoopElement":
         """Multiply by lambda^j; j must be divisible by the twist order."""
@@ -301,20 +288,14 @@ class LoopElement:
         if j % real.twist_order:
             raise ValueError(
                 f"lambda shift by {j} breaks the twist (order {real.twist_order})")
-        return LoopElement(real, {k + j: v for k, v in self.coeffs.items()})
+        return LoopElement(real, {(k + j, i): c for (k, i), c in self.coeffs.items()})
 
     # -- principal grading --------------------------------------------------
     def pdeg_slices(self) -> dict[int, "LoopElement"]:
         real = self.real
-        out: dict[int, dict[int, list[DiffPoly]]] = {}
-        for k, vec in self.coeffs.items():
-            base = k * real.deg_lambda
-            for i, c in enumerate(vec):
-                if c.is_zero():
-                    continue
-                d = base + real.pdeg[i]
-                slot = out.setdefault(d, {}).setdefault(k, [_ZERO_P] * real.alg.dim)
-                slot[i] = c
+        out: dict[int, dict[tuple[int, int], DiffPoly]] = {}
+        for (k, i), c in self.coeffs.items():
+            out.setdefault(k * real.deg_lambda + real.pdeg[i], {})[(k, i)] = c
         return {d: LoopElement(real, m) for d, m in out.items()}
 
     def pdeg_slice(self, d: int) -> "LoopElement":
@@ -330,25 +311,15 @@ class LoopElement:
         return frozenset(degs)
 
     def check_twist(self) -> bool:
-        real = self.real
-        n = real.twist_order
-        if n == 1:
-            return True
-        for k, vec in self.coeffs.items():
-            for i, c in enumerate(vec):
-                if not c.is_zero() and real.twist_class[i] % n != k % n:
-                    return False
-        return True
+        n, cls = self.real.twist_order, self.real.twist_class
+        return all(cls[i] % n == k % n for k, i in self.coeffs)
 
     def __repr__(self):
-        real = self.real
-        parts = []
-        for k in self.lambda_powers():
-            vec = self.coeffs[k]
-            entries = [f"{real.alg.labels[i]}:{c!r}" for i, c in enumerate(vec)
-                       if not c.is_zero()]
-            parts.append(f"lambda^{k}(" + ", ".join(entries) + ")")
-        return " + ".join(parts) if parts else "0"
+        labels = self.real.alg.labels
+        parts: dict[int, list[str]] = {}
+        for (k, i), c in sorted(self.coeffs.items()):
+            parts.setdefault(k, []).append(f"{labels[i]}:{c!r}")
+        return " + ".join(f"lambda^{k}(" + ", ".join(e) + ")" for k, e in parts.items()) or "0"
 
 
 class _SliceSplitter:
@@ -370,8 +341,7 @@ class _SliceSplitter:
         self.index_d = {pair: i for i, pair in enumerate(real.slice_basis(d))}
         # ad Lambda images of the previous slice basis, from the sparse
         # structure constants [x_a, x_i] of the Lambda terms c lambda^lk x_a.
-        lam = [(lk, a, c.constant_term()) for lk, lvec in real.cyclic.coeffs.items()
-               for a, c in enumerate(lvec) if c]
+        lam = [(lk, a, c.constant_term()) for (lk, a), c in real.cyclic.coeffs.items()]
         rows = [[Fraction(0)] * len(self.basis_prev) for _ in self.index_d]
         for pos, (k, i) in enumerate(self.basis_prev):
             for lk, a, c in lam:
@@ -381,30 +351,25 @@ class _SliceSplitter:
         if dual is not None:
             gram = real.alg.gram
             rows.append([sum(gram[i][j] * c.constant_term()
-                             for j, c in enumerate(dual.coeffs.get(-k, ())) if c)
+                             for (p, j), c in dual.coeffs.items() if p == -k)
                          for k, i in self.basis_prev])
         self.solver = LinearSolver(rows)
 
     def coords(self, elt: LoopElement) -> list[DiffPoly]:
         col = [_ZERO_P] * self.solver.nrows
-        for k, vec in elt.coeffs.items():
-            for i, c in enumerate(vec):
-                if not c.is_zero():
-                    pos = self.index_d.get((k, i))
-                    if pos is None:
-                        raise ValueError(f"lambda^{k} {self.real.alg.labels[i]} is not of "
-                                         f"principal degree {self.d}")
-                    col[pos] = c
+        for (k, i), c in elt.coeffs.items():
+            pos = self.index_d.get((k, i))
+            if pos is None:
+                raise ValueError(f"lambda^{k} {self.real.alg.labels[i]} is not of "
+                                 f"principal degree {self.d}")
+            col[pos] = c
         return col
 
     def preimage(self, elt: LoopElement) -> LoopElement:
         """The y in im ad Lambda with [Lambda, y] = elt; raises InconsistentSystemError
         when elt has a Heisenberg part."""
-        y: dict[int, list[DiffPoly]] = {}
-        for c, (k, i) in zip(self.solver.solve(self.coords(elt), zero=_ZERO_P), self.basis_prev):
-            if not c.is_zero():
-                y.setdefault(k, [_ZERO_P] * self.real.alg.dim)[i] = c
-        return LoopElement(self.real, y)
+        y = self.solver.solve(self.coords(elt), zero=_ZERO_P)
+        return LoopElement(self.real, dict(zip(self.basis_prev, y)))
 
 
 class LoopRealization:
@@ -464,12 +429,12 @@ class LoopRealization:
         operator's q, the nilpotent gauge elements and the type table's
         elements are all built here.
         """
-        vec = [_ZERO_P] * self.alg.dim
+        out: dict[tuple[int, int], DiffPoly] = {}
         for c, v in zip(coeffs, vectors, strict=True):
             for t, vc in enumerate(v):
                 if vc:
-                    vec[t] = vec[t] + c * vc
-        return LoopElement(self, {k: vec})
+                    out[(k, t)] = out.get((k, t), _ZERO_P) + c * vc
+        return LoopElement(self, out)
 
     def _table_element(self, powers: Mapping) -> LoopElement:
         """sum_k v_k lambda^k for the type table's label -> value maps v_k."""
@@ -525,11 +490,10 @@ class LoopRealization:
     # -- Borel coordinate frame ----------------------------------------------
     def borel_vectors(self) -> list[tuple[Fraction, ...]]:
         """Ordered Borel basis: gauge subspace V first, then [e, n]-images."""
-        out = [tuple(v) for v in self.v_basis]
-        zero = Fraction(0)
-        for p in self.nilpotent_basis:
-            out.append(tuple(self.alg.bracket_vec(self.e_nil, p, zero=zero)))
-        return out
+        e = self.combination([1], [self.e_nil])
+        return [tuple(v) for v in self.v_basis] + [
+            tuple(c.constant_term() for c in e.bracket(self.combination([1], [p])).vector_at(0))
+            for p in self.nilpotent_basis]
 
     def borel_coords(self, vec: Sequence[DiffPoly]) -> list[DiffPoly]:
         """Coordinates of a Borel-valued vector in the ordered Borel basis.
@@ -561,17 +525,13 @@ class LoopRealization:
     # -- validation ---------------------------------------------------------
     def _validate(self):
         alg = self.alg
-        zero = Fraction(0)
-        rho = self.rho
+        labels = alg.labels
+        rho, e, f = (self.combination([1], [v]) for v in (self.rho, self.e_nil, self.f_jm))
         # basis homogeneity: [rho, x_i] = pdeg_i x_i
         for i in range(alg.dim):
-            v = [zero] * alg.dim
-            v[i] = Fraction(1)
-            br = alg.bracket_vec(rho, v, zero=zero)
-            for t in range(alg.dim):
-                want = self.pdeg[i] * v[t]
-                if br[t] != want:
-                    raise ValueError(f"basis element {alg.labels[i]} is not ad-rho homogeneous")
+            x = LoopElement(self, {(0, i): DiffPoly.const(1)})
+            if rho.bracket(x) != x.scale(self.pdeg[i]):
+                raise ValueError(f"basis element {labels[i]} is not ad-rho homogeneous")
         # twist classes: sigma eigenspaces and bracket compatibility
         n = self.twist_order
         if self._sigma_J is not None:
@@ -588,19 +548,20 @@ class LoopRealization:
             cls = (self.twist_class[i] + self.twist_class[jj]) % n
             for k, _ in entries:
                 if self.twist_class[k] % n != cls:
-                    raise ValueError("structure constants break the twist grading")
+                    raise ValueError(f"structure constants break the twist grading: "
+                                     f"[{labels[i]}, {labels[jj]}] has a {labels[k]} term")
         # form pairs opposite twist classes only (needed for loop pairings)
         for i, row in enumerate(alg.gram):
             for jj, g in enumerate(row):
                 if g and (self.twist_class[i] + self.twist_class[jj]) % n:
-                    raise ValueError("bilinear form mixes twist classes")
+                    raise ValueError(f"bilinear form mixes twist classes: "
+                                     f"({labels[i]}|{labels[jj]}) != 0")
         # JM triple
-        e, f = self.e_nil, self.f_jm
-        if alg.bracket_vec(rho, e, zero=zero) != list(e):
+        if rho.bracket(e) != e:
             raise ValueError("[rho, e] != e")
-        if alg.bracket_vec(rho, f, zero=zero) != [-c for c in f]:
+        if rho.bracket(f) != -f:
             raise ValueError("[rho, f] != -f")
-        if alg.bracket_vec(e, f, zero=zero) != list(rho):
+        if e.bracket(f) != rho:
             raise ValueError("[e, f] != rho")
         # cyclic element is homogeneous of principal degree 1
         if self.cyclic.principal_degree() != 1:
@@ -610,10 +571,12 @@ class LoopRealization:
         # affine Chevalley degrees +-1
         for idx in self.chevalley_e:
             if self.pdeg[idx] != 1:
-                raise ValueError("finite Chevalley raising generator not of degree 1")
+                raise ValueError(f"finite Chevalley raising generator {labels[idx]} "
+                                 f"not of degree 1")
         for idx in self.chevalley_f:
             if self.pdeg[idx] != -1:
-                raise ValueError("finite Chevalley lowering generator not of degree -1")
+                raise ValueError(f"finite Chevalley lowering generator {labels[idx]} "
+                                 f"not of degree -1")
         if self.affine_f.principal_degree() != -1:
             raise ValueError("affine lowering generator not of degree -1")
         # exponent symmetry m_a + m_{n+1-a} = r h
@@ -626,18 +589,18 @@ class LoopRealization:
                 raise ValueError("exponents fail m_a + m_{n+1-a} = r h")
         if ms[0] != 1 or ms[-1] != rh - 1:
             raise ValueError("exponents must run from 1 to r h - 1")
-        # Heisenberg: abelian, normalized pairings, twist
+        # Heisenberg: twist, degrees, abelian, normalized pairings
+        for ma in ms:
+            if not self._heis_base[ma].check_twist():
+                raise ValueError(f"Heisenberg element Lambda_{ma} breaks the twist")
+            if self._heis_base[ma].principal_degree() != ma:
+                raise ValueError(f"Heisenberg element Lambda_{ma} is not of principal degree {ma}")
         for a, ma in enumerate(ms):
             ea = self._heis_base[ma]
-            if not ea.check_twist():
-                raise ValueError("Heisenberg element breaks the twist")
-            if ea.principal_degree() != ma:
-                raise ValueError("Heisenberg element has wrong principal degree")
             for b, mb in enumerate(ms):
                 eb = self._heis_base[mb]
-                br = ea.bracket(eb)
-                if not br.is_zero():
-                    raise ValueError("Heisenberg is not abelian")
+                if not ea.bracket(eb).is_zero():
+                    raise ValueError(f"Heisenberg is not abelian: [Lambda_{ma}, Lambda_{mb}] != 0")
                 pairing = ea.pair(eb)
                 want_power = (ma + mb) // self.deg_lambda
                 want = {} if a + b != self.n - 1 else \
@@ -648,10 +611,11 @@ class LoopRealization:
         if self._heis_base[ms[0]] != self.cyclic:
             raise ValueError("Lambda_1 must equal the cyclic element")
         # [n, e_m(lambda)] = 0
-        lam_tail = LoopElement(self, {1: self.cyclic.vector_at(1)})
-        for v in self.nilpotent_basis:
+        lam_tail = LoopElement(self, {key: c for key, c in self.cyclic.coeffs.items()
+                                      if key[0] == 1})
+        for idx, v in enumerate(self.nilpotent_basis):
             if not self.combination([1], [v]).bracket(lam_tail).is_zero():
-                raise ValueError("[n, e_m lambda] != 0 fails")
+                raise ValueError(f"[n, e_m lambda] != 0 fails on nilpotent basis vector {idx}")
         # gauge splitting b = V (+) [e, n], the frame borel_coords solves in;
         # its first ell coordinates are the V part
         if len(self.v_basis) != self.ell:

@@ -44,8 +44,10 @@ and s), ([x, y] | z) = (x | [y, z]) and
     c_d (H_d | G) = (-sum_e [q_e, R_{d-e}] | G) = sum_e (R_{d-e} | [q_e, G]),
 
 and (H_d | G) = h, the Coxeter number (the normalization checked at load).
-So c_d is one ``pair_sum`` of the slices with the elements [q_e, Lambda_m] / h,
-kept per exponent m and read s powers of lambda lower.  The same G makes y_d
+So c_d is the sum of the pairings (``LoopElement.pair``) of the slices with
+the elements [q_e, Lambda_m] / h, kept per exponent m.  Both factors are
+homogeneous and the form pairs opposite principal degrees only, so each
+pairing lands at the one power lambda^{-s}.  The same G makes y_d
 unique in step 2: the preimage solve has the row (y_d | G) = 0.  So the H
 part of a slice is read by the invariant form alone.
 
@@ -58,7 +60,7 @@ are verified as exact residuals through the computed depth; ``verify``
 reads each R_a at the depth of the tau-structure table
 (``DSHierarchy.table_resolvents``), so they cover every slice the table's
 pairings read, down to its floor.  Every reader takes R_a from one view, a
-``Resolvent``, whose slices are summed once into ``element``.  The action of
+``Resolvent``, whose slices are joined once into ``element``.  The action of
 L on a loop element is written once, ``LaxOperator.bracket_with``, which the
 commutator residual and the flows' compensator (``DSHierarchy._compensate``)
 read; the pairing residual is ``LoopElement.pair`` from its floor power, and
@@ -137,14 +139,13 @@ class LaxOperator:
         real = self.real
         m, s = real.heisenberg_index(-d)     # G = lambda^s Lambda_m
         r, top = self._r[a], real.exponents[a - 1]
-        pairs = []
+        c = _ZERO_P
         for e, z in self._dual(m):
             x = y if e == 0 else r.get(d - e)
             if x is not None:
-                pairs += [(vec, z.coeffs[-s - k], 1) for k, vec in x.coeffs.items()
-                          if -s - k in z.coeffs]
+                c = c + x.pair(z).get(-s, _ZERO_P)
         try:
-            return real.alg.pair_sum(pairs).dx_inverse()
+            return c.dx_inverse()
         except NotTotalDerivativeError as exc:
             raise RuntimeError(f"[L, R_{top}] = 0: the Heisenberg part at principal degree "
                                f"{d} is no total derivative ({exc})") from None
@@ -184,14 +185,16 @@ class Resolvent:
 
     @cached_property
     def element(self) -> LoopElement:
-        """The slices solved to this depth, summed once.
+        """The slices solved to this depth, as the union of their disjoint coefficient maps.
 
         Its lambda^k vector is complete for k >= ``min_complete_power()``; below
         that it holds only the parts of principal degree >= m_a - depth (see
         ``DSHierarchy.omega_table``).
         """
-        return sum((self.slice(self.m_a - j) for j in range(self.depth + 1)),
-                   LoopElement.zero(self.real))
+        coeffs = {}
+        for j in range(self.depth + 1):
+            coeffs.update(self.slice(self.m_a - j).coeffs)
+        return LoopElement(self.real, coeffs)
 
     def min_complete_power(self) -> int:
         """Smallest lambda power whose coefficient is complete at this depth."""
@@ -209,7 +212,7 @@ class Resolvent:
             raise DepthError(
                 f"(lambda^{shift} R)_+ needs lambda^{need} complete; "
                 f"increase depth beyond {self.depth}")
-        return LoopElement(real, {p + shift: vec for p, vec in self.element.coeffs.items()
+        return LoopElement(real, {(p + shift, i): c for (p, i), c in self.element.coeffs.items()
                                   if p >= need})
 
     # -- defining-property residuals ------------------------------------------

@@ -43,7 +43,7 @@ def loop_to_obj(elt) -> list[dict]:
     labels = elt.real.alg.labels
     return [{"lambda": k,
              "coeffs": [{"basis": labels[i], "poly": poly_to_obj(c)}
-                        for i, c in enumerate(elt.coeffs[k]) if not c.is_zero()]}
+                        for i, c in enumerate(elt.vector_at(k)) if not c.is_zero()]}
             for k in elt.lambda_powers()]
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from matrixform import identity, matrix_entry, matrix_form, matrix_product
-from reference_ops import split_with_preimage
+from reference_ops import split_with_preimage, to_dense
 
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.resolvent import LaxOperator
@@ -49,7 +49,7 @@ class PowerRoute:
         real = self.real = lax.real
         self._q_slices = lax.q.pdeg_slices()
         n = real.alg.size
-        lam = matrix_form(real.alg, real.cyclic.coeffs)
+        lam = matrix_form(real.alg, to_dense(real.cyclic))
         self._lam_powers = [identity(n)]
         for _ in range(n - 1):
             self._lam_powers.append(matrix_product([(self._lam_powers[-1], lam)]))
@@ -79,7 +79,7 @@ class PowerRoute:
                 s = real.exponents[a - 1] // n
                 ys[k] = self._im_part(a, s * n + k - j)
                 im[k] = {(p - s, i, l): c for (p, i, l), c in
-                         matrix_form(real.alg, ys[k].coeffs).items()}
+                         matrix_form(real.alg, to_dense(ys[k])).items()}
                 if k > 1:
                     z[k] = (entry - im[k].get(key, _ZERO_P)) * (1 / v)
             # R_1^n = lambda Id at degree n - j fixes c, or certifies the slice

@@ -84,17 +84,100 @@ def pi_multi(laurent: Mapping[tuple, object], twist_order: int,
     return out
 
 
+# The dense form of a loop element, {k: the lambda^k coefficient vector over
+# the algebra basis}, and the operations on it that the sparse
+# ``LoopElement`` replaced; they are the reference the sparse ones are
+# compared with.
+
+def to_dense(x: LoopElement) -> dict[int, tuple[DiffPoly, ...]]:
+    """{k: lambda^k coefficient vector} for the lambda powers of x."""
+    out: dict[int, list[DiffPoly]] = {}
+    for (k, i), c in x.coeffs.items():
+        out.setdefault(k, [DiffPoly.zero()] * x.real.alg.dim)[i] = c
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def from_dense(real: LoopRealization, dense: Mapping[int, Sequence[DiffPoly]]) -> LoopElement:
+    """The loop element with lambda^k coefficient vector dense[k]; zero entries are dropped."""
+    return LoopElement(real, {(k, i): c for k, vec in dense.items() for i, c in enumerate(vec)})
+
+
+def _dense_clean(dense: Mapping[int, Sequence]) -> dict[int, tuple]:
+    return {k: tuple(v) for k, v in dense.items() if any(v)}
+
+
+def bracket_vec(alg, x: Sequence, y: Sequence, zero=DiffPoly.zero()) -> list:
+    """[x, y] for dense coefficient vectors with entries in any commutative ring."""
+    out = [zero] * alg.dim
+    for (i, j), entries in alg.bracket_table.items():
+        if x[i] and y[j]:
+            prod = x[i] * y[j]
+            for k, c in entries:
+                out[k] = out[k] + prod * c
+    return out
+
+
+def dense_add(a: Mapping, b: Mapping) -> dict[int, tuple]:
+    out = {k: list(v) for k, v in a.items()}
+    for k, vec in b.items():
+        out[k] = [x + y for x, y in zip(out[k], vec)] if k in out else list(vec)
+    return _dense_clean(out)
+
+
+def dense_scale(a: Mapping, c) -> dict[int, tuple]:
+    return _dense_clean({k: [x * c for x in v] for k, v in a.items()})
+
+
+def dense_bracket(real: LoopRealization, a: Mapping, b: Mapping) -> dict[int, tuple]:
+    out: dict[int, list] = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            br = bracket_vec(real.alg, v1, v2)
+            k = k1 + k2
+            out[k] = [x + y for x, y in zip(out[k], br)] if k in out else br
+    return _dense_clean(out)
+
+
+def dense_pair(real: LoopRealization, a: Mapping, b: Mapping,
+               lo: int | None = None) -> dict[int, DiffPoly]:
+    """The loop pairing over every pair of lambda powers and of basis indices."""
+    out: dict[int, DiffPoly] = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            if lo is None or k1 + k2 >= lo:
+                val = sum((v1[i] * v2[j] * g for i, row in enumerate(real.alg.gram)
+                           for j, g in enumerate(row) if g), DiffPoly.zero())
+                out[k1 + k2] = out.get(k1 + k2, DiffPoly.zero()) + val
+    return {k: v for k, v in out.items() if v}
+
+
+def dense_pdeg_slices(real: LoopRealization, a: Mapping) -> dict[int, dict[int, tuple]]:
+    out: dict[int, dict[int, list]] = {}
+    for k, vec in a.items():
+        for i, c in enumerate(vec):
+            if c:
+                d = k * real.deg_lambda + real.pdeg[i]
+                out.setdefault(d, {}).setdefault(k, [DiffPoly.zero()] * real.alg.dim)[i] = c
+    return {d: _dense_clean(m) for d, m in out.items()}
+
+
+def dense_check_twist(real: LoopRealization, a: Mapping) -> bool:
+    n = real.twist_order
+    return all(real.twist_class[i] % n == k % n
+               for k, vec in a.items() for i, c in enumerate(vec) if c)
+
+
 def map_coeffs(x: LoopElement, fn) -> LoopElement:
-    return LoopElement(x.real, {k: [fn(c) for c in v] for k, v in x.coeffs.items()})
+    return LoopElement(x.real, {key: fn(c) for key, c in x.coeffs.items()})
 
 
 def project_plus(x: LoopElement) -> LoopElement:
     """Keep lambda powers >= 0 (standard gradation projection)."""
-    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k >= 0})
+    return from_dense(x.real, {k: v for k, v in to_dense(x).items() if k >= 0})
 
 
 def project_minus(x: LoopElement) -> LoopElement:
-    return LoopElement(x.real, {k: v for k, v in x.coeffs.items() if k < 0})
+    return from_dense(x.real, {k: v for k, v in to_dense(x).items() if k < 0})
 
 
 class HColumnSplit:
@@ -112,7 +195,7 @@ class HColumnSplit:
         self.basis_prev = real.slice_basis(d - 1)
         self.index_d = {pair: i for i, pair in enumerate(real.slice_basis(d))}
         one, dim = DiffPoly.const(1), real.alg.dim
-        images = [real.cyclic.bracket(LoopElement(
+        images = [real.cyclic.bracket(from_dense(
             real, {k: [one if t == i else DiffPoly.zero() for t in range(dim)]}))
             for k, i in self.basis_prev]
         cols = [[c.constant_term() for c in self.coords(x)]
@@ -121,7 +204,7 @@ class HColumnSplit:
 
     def coords(self, elt: LoopElement) -> list[DiffPoly]:
         col = [DiffPoly.zero()] * len(self.index_d)
-        for k, vec in elt.coeffs.items():
+        for k, vec in to_dense(elt).items():
             for i, c in enumerate(vec):
                 if c:
                     pos = self.index_d.get((k, i))
@@ -141,7 +224,7 @@ class HColumnSplit:
             if c:
                 y.setdefault(k, [DiffPoly.zero()] * real.alg.dim)[i] = c
         h_part = self.h_elt.scale(h_coeff) if n_h else LoopElement.zero(real)
-        return h_coeff, h_part, LoopElement(real, y)
+        return h_coeff, h_part, from_dense(real, y)
 
 
 _H_COLUMN_SPLITS: WeakKeyDictionary = WeakKeyDictionary()
@@ -184,7 +267,7 @@ def coefficient(r: Resolvent, k: int) -> tuple[DiffPoly, ...]:
         raise DepthError(f"lambda^{k} coefficient of R_{r.m_a} needs depth > {r.depth}")
     out = [DiffPoly.zero()] * r.real.alg.dim
     for j in range(r.depth + 1):
-        vec = r.slice(r.m_a - j).coeffs.get(k)
+        vec = to_dense(r.slice(r.m_a - j)).get(k)
         if vec:
             out = [a + b for a, b in zip(out, vec)]
     return tuple(out)
@@ -203,8 +286,8 @@ def pairing_residual_loop(ra: Resolvent, rb: Resolvent) -> dict[int, DiffPoly]:
     need = ra.m_a + rb.m_a - min(ra.depth, rb.depth)
     lo = -((-need) // real.deg_lambda)
     triples: dict[int, list] = {}
-    theirs = rb.element.coeffs.items()
-    for k1, v1 in ra.element.coeffs.items():
+    theirs = to_dense(rb.element).items()
+    for k1, v1 in to_dense(ra.element).items():
         for k2, v2 in theirs:
             if k1 + k2 >= lo:
                 triples.setdefault(k1 + k2, []).append((v1, v2, 1))

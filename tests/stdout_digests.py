@@ -90,6 +90,11 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     out += [(("solve", "--type", "a1_1", "--bgw=-1/4", "--flows", "1:0,1:1,1:2",
               "--max-k", "2"), True),
             (("solve", "--type", "a1_1", "--t-degree", "0", "--eps-order", "1"), True)]
+    # the next scale: each takes 4-9 s on 2 vCPUs
+    out += [(("verify", "--type", "a2_2", "--max-k", "3"), False),
+            (("verify", "--type", "a2_1", "--max-k", "4"), False),
+            (("verify", "--type", "a1_1", "--max-k", "10"), False),
+            (("omega", "--type", "a2_2", "--max-k", "3"), False)]
     return out
 
 

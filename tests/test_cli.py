@@ -14,7 +14,7 @@ from dshierarchy import cli
 from dshierarchy.cli import main
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.hierarchy import DSHierarchy, Flow
-from dshierarchy.kacmoody import LoopElement
+from reference_ops import from_dense
 
 
 def run(capsys, *argv):
@@ -109,7 +109,7 @@ def test_verify_checks_each_resolvent_down_to_the_table_floor(capsys, monkeypatc
     vec = [DiffPoly.zero()] * real.alg.dim
     vec[i] = DiffPoly.var(1)
     r2 = h.lax_u._r[2]
-    r2[-7] = r2[-7] + LoopElement(real, {k: vec})
+    r2[-7] = r2[-7] + from_dense(real, {k: vec})
     monkeypatch.setattr(cli, "_build_hierarchy", lambda cfg: h)
     code, out, _ = run(capsys, "verify", "--type", "a2_1", "--max-k", "1")
     assert code == 1

@@ -14,9 +14,9 @@ from dshierarchy.kacmoody import LoopElement, LoopRealization
 from dshierarchy.miura import invert_miura, MiuraTuple, reconstruct_flows
 from dshierarchy.render import default_names, render_series
 from dshierarchy.resolvent import DepthError, Resolvent, flow_depth
-from reference_ops import (coefficient, induce_derivation, integrability_per_component,
-                           map_coeffs, nilpotent_coords, omega_depth, pi_multi,
-                           reconstruct_flows_by_dx, tau_symmetry_direct)
+from reference_ops import (coefficient, from_dense, induce_derivation,
+                           integrability_per_component, map_coeffs, nilpotent_coords,
+                           omega_depth, pi_multi, reconstruct_flows_by_dx, tau_symmetry_direct)
 
 u = DiffPoly.var
 
@@ -63,7 +63,7 @@ def test_flow_error_names_label_off_lambda_zero(monkeypatch):
     # negative control: X plus a lambda^1 element leaves the lambda^0 slice
     h = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1)
     plain = Resolvent.shifted_plus
-    extra = LoopElement(h.real, {1: h.real.cyclic.vector_at(0)})
+    extra = from_dense(h.real, {1: h.real.cyclic.vector_at(0)})
     monkeypatch.setattr(Resolvent, "shifted_plus",
                         lambda r, k: plain(r, k) + extra)
     with pytest.raises(RuntimeError, match=r"flow \(1, 1\): .* lambda powers"):

@@ -3,13 +3,17 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import random_poly
 
 from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import (LoopElement, LoopRealization, UnsupportedTypeError,
                                   build_algebra, load_table)
-from reference_ops import (heisenberg_split, pi_lambda, pi_multi, project_minus,
-                           project_plus)
+from dshierarchy.resolvent import LaxOperator
+from reference_ops import (bracket_vec, dense_add, dense_bracket, dense_check_twist,
+                           dense_pair, dense_pdeg_slices, dense_scale, from_dense,
+                           heisenberg_split, pi_lambda, pi_multi, project_minus,
+                           project_plus, to_dense)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +121,7 @@ def _random_element(real, rng, window=(-2, 2)):
             if rng.random() < 0.4:
                 vec[i] = DiffPoly.const(rng.randint(-3, 3))
         coeffs[k] = vec
-    return LoopElement(real, coeffs)
+    return from_dense(real, coeffs)
 
 
 def test_loop_jacobi_random(a2, rng):
@@ -197,7 +201,7 @@ def test_principal_degree_examples(a1):
     # lambda f has degree -1 + 2 = 1
     fvec = [DiffPoly.zero()] * a1.alg.dim
     fvec[a1.alg.index["f"]] = DiffPoly.const(1)
-    lam_f = LoopElement(a1, {1: fvec})
+    lam_f = from_dense(a1, {1: fvec})
     assert lam_f.principal_degree() == 1
     mixed = e + a1.combination([1], [a1.rho])
     assert mixed.principal_degree() == frozenset({0, 1})
@@ -233,14 +237,14 @@ def test_struct_constants_twist_compatible(tw):
 def reference_validate(alg):
     """Alternation, Jacobi, form invariance and symmetry on every basis triple.
 
-    Dense, through bracket_vec and pair_vec on Fraction unit vectors.  The
+    Dense, through ``reference_ops.bracket_vec`` and pair_vec on Fraction unit vectors.  The
     load checks none of these: they follow from independent basis matrices
     (see ``SimpleLieAlgebra``), and this oracle confirms them on every table.
     """
     dim = alg.dim
     zero = Fraction(0)
     basis = [tuple(Fraction(int(t == i)) for t in range(dim)) for i in range(dim)]
-    br = lambda a, b: alg.bracket_vec(a, b, zero=zero)
+    br = lambda a, b: bracket_vec(alg, a, b, zero=zero)
     for i in range(dim):
         if any(br(basis[i], basis[i])):
             raise ValueError(f"bracket not alternating at basis index {i}")
@@ -301,4 +305,127 @@ def test_dependent_basis_fails_to_load(name, label):
     with pytest.raises(ValueError, match=rf"^{re.escape(data['name'])}: the {dim} basis "
                                          rf"matrices have rank {dim - 1}; they must be "
                                          rf"linearly independent$"):
+        LoopRealization(data)
+
+
+# -- the sparse coefficient map against the dense reference ----------------------
+
+def _random_poly_element(real, rng, window=(-2, 2), twisted=True):
+    """Random DiffPoly coefficients on about half the lambda^k x_i of the window;
+    with ``twisted`` False the twist classes are ignored."""
+    n = real.twist_order
+    return LoopElement(real, {(k, i): random_poly(rng, terms=2, degree=1)
+                              for k in range(window[0], window[1] + 1)
+                              for i in range(real.alg.dim)
+                              if (not twisted or real.twist_class[i] % n == k % n)
+                              and rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_sparse_operations_equal_the_dense_reference(name):
+    real = build_algebra(name)
+    rng = random.Random(35)
+    n = real.twist_order
+    twist_checked = set()
+    for trial in range(12):
+        x = _random_poly_element(real, rng, twisted=trial % 3 != 0)
+        y = _random_poly_element(real, rng, (-1, 2))
+        c = random_poly(rng, terms=2, degree=1)
+        dx, dy = to_dense(x), to_dense(y)
+        assert from_dense(real, dx) == x
+        assert to_dense(x + y) == dense_add(dx, dy)
+        assert to_dense(x - y) == dense_add(dx, dense_scale(dy, -1))
+        assert to_dense(-x) == dense_scale(dx, -1)
+        assert to_dense(x.scale(c)) == dense_scale(dx, c)
+        assert to_dense(x.scale(0)) == {} == dense_scale(dx, 0)
+        assert to_dense(x.bracket(y)) == dense_bracket(real, dx, dy)
+        assert x.pair(y) == dense_pair(real, dx, dy)
+        for lo in range(-5, 6):
+            assert x.pair(y, lo) == dense_pair(real, dx, dy, lo)
+        assert {d: to_dense(s) for d, s in x.pdeg_slices().items()} == \
+            dense_pdeg_slices(real, dx)
+        assert to_dense(x.lambda_shift(2 * n)) == {k + 2 * n: v for k, v in dx.items()}
+        assert x.check_twist() == dense_check_twist(real, dx)
+        twist_checked.add(x.check_twist())
+    # on the twisted table both verdicts are compared
+    assert twist_checked == ({True, False} if n > 1 else {True})
+
+
+def _no_zero_stored(x: LoopElement) -> bool:
+    return all(not c.is_zero() for c in x.coeffs.values())
+
+
+def test_no_zero_coefficient_is_stored(a1, rng):
+    x = _random_poly_element(a1, rng)
+    assert not x.is_zero() and (x - x).coeffs == {}
+    # [e + f + h, e + f]: [e, f] + [f, e] cancels on h, 2e - 2f stays
+    e, f, h = (a1.combination([1], [a1.alg.vector({lab: 1})]) for lab in ("e", "f", "h"))
+    z = (e + f + h).bracket(e + f)
+    assert z == e.scale(2) - f.scale(2) and _no_zero_stored(z)
+    # the preimage of [Lambda, x_i lambda^k] solves every other slice coordinate to zero
+    one, dropped = DiffPoly.const(1), 0
+    for real in (a1, build_algebra("a2_1"), build_algebra("a2_2")):
+        for d in range(-6, 7):
+            basis = real.slice_basis(d - 1)
+            for key in basis:
+                y = real.splitter(d).preimage(real.cyclic.bracket(LoopElement(real, {key: one})))
+                assert _no_zero_stored(y)
+                dropped += len(basis) - len(y.coeffs)
+    assert dropped > 0
+    # the resolvent's element is the union of its slices, with their own coefficients
+    r = LaxOperator(a1, "borel").resolvent(1, 6)
+    slices = [r.slice(r.m_a - j).coeffs for j in range(r.depth + 1)]
+    assert len(r.element.coeffs) == sum(len(s) for s in slices)
+    for s in slices:
+        assert all(r.element.coeffs[key] is c for key, c in s.items())
+
+
+# -- load errors name what failed ----------------------------------------------------
+
+def _set_class(label, cls):
+    def corrupt(data):
+        data["twist_order"] = 2
+        next(b for b in data["basis"] if b["label"] == label)["twist_class"] = cls
+    return corrupt
+
+
+def _append_identity(data):
+    # gl3 in place of sl3: the identity pairs with itself, and class 1 + 1
+    # is not 0 mod 3, though it brackets to zero with everything
+    data["twist_order"] = 3
+    data["basis"].append({"label": "one", "pdeg": 0, "twist_class": 1,
+                          "matrix": [[int(r == c) for c in range(3)] for r in range(3)]})
+
+
+def _heisenberg(m):
+    return lambda data: next(item["element"] for item in data["heisenberg"]
+                             if item["exponent"] == m)
+
+
+def _move_heisenberg_up(data):
+    elt = _heisenberg(2)(data)
+    elt["1"], elt["2"] = elt.pop("0"), elt.pop("1")
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("a1_1", _set_class("e", 1),
+     r"structure constants break the twist grading: \[e, f\] has a h term"),
+    ("a2_1", _append_identity, r"bilinear form mixes twist classes: \(one\|one\) != 0"),
+    ("a2_2", lambda data: _heisenberg(5)(data)["2"].update(P0="1"),
+     r"Heisenberg element Lambda_5 breaks the twist"),
+    ("a2_1", _move_heisenberg_up, r"Heisenberg element Lambda_2 is not of principal degree 2"),
+    ("a2_1", lambda data: _heisenberg(2)(data)["1"].update(f1="2"),
+     r"Heisenberg is not abelian: \[Lambda_1, Lambda_2\] != 0"),
+    ("a2_1", lambda data: data["nilpotent_basis"].__setitem__(1, {"e1": "1"}),
+     r"\[n, e_m lambda\] != 0 fails on nilpotent basis vector 1"),
+    ("a2_1", lambda data: data.update(chevalley_e=["e1", "h1"]),
+     r"finite Chevalley raising generator h1 not of degree 1"),
+    ("a2_1", lambda data: data.update(chevalley_f=["f1", "fth"]),
+     r"finite Chevalley lowering generator fth not of degree -1"),
+], ids=["bracket-twist", "form-twist", "heisenberg-twist", "heisenberg-degree",
+        "heisenberg-abelian", "n-e-lambda", "chevalley-e", "chevalley-f"])
+def test_corrupted_table_error_names_the_index(name, corrupt, message):
+    data = load_table(name)  # a fresh parse on every call
+    corrupt(data)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         LoopRealization(data)
