@@ -26,7 +26,7 @@ def run(cfg, build) -> int:
         # a corrupted copy: the table cached in the hierarchy stays intact
         key = sorted(table.entries)[0]
         entries = {**table.entries, key: table.entries[key] + DiffPoly.var(1, 1)}
-        table = OmegaTable(entries, table.max_a, table.max_k, table.depth)
+        table = OmegaTable(entries, table.max_a, table.max_k)
     checks: list[dict] = []
     # translation flow
     f10 = h.flow((1, 0))

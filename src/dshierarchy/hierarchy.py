@@ -24,11 +24,12 @@ mu^{-k2 N-1}.  So every entry is one weighted pairing sum,
     Omega_{a,k1;b,k2} = sum_{p >= 1-k1 N} (p + k1 N) *
                         (R_a[p] | R_b[-p-(k1+k2)N]).
 
-The form pairs principal degrees d and -d only, and R_b has no slice above
-m_b, so a table with a, b <= max_a and k1, k2 <= max_k reads every R_a down to
-one principal-degree floor, -(m_max + 2 max_k N deg lambda) with m_max the
-largest m_b read and deg lambda the principal degree of lambda; each R_a is
-solved to that floor and no deeper.
+With p' = p + k1 N this is the lambda^{-k2 N} coefficient of the loop pairing
+
+    (lambda d/dlambda (lambda^{k1 N} R_a)_+ | R_b),
+
+so one ``LoopElement.pair`` gives the entries for every k2.  Each R_a is
+solved only as deep as the table reads it (``DSHierarchy.table_resolvents``).
 
 Resolvents are gauge covariant, so the Borel-variable operator followed by
 the certified rewrite to the u-jets gives the same flows and entries; that
@@ -99,11 +100,10 @@ class OmegaTable:
     """Tau-structure entries indexed by pairs of flow labels, in u-jets."""
 
     def __init__(self, entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly],
-                 max_a: int, max_k: int, depth: int):
+                 max_a: int, max_k: int):
         self.entries = entries
         self.max_a = max_a
         self.max_k = max_k
-        self.depth = depth
 
     def entry(self, i: FlowLabel, j: FlowLabel) -> DiffPoly:
         try:
@@ -248,9 +248,18 @@ class DSHierarchy:
 
     # -- tau-structure ---------------------------------------------------
     def table_resolvents(self, max_a: int, max_k: int) -> dict[int, Resolvent]:
-        """{a: R_a} for a <= max_a, each solved to depth m_a + F (``omega_table``).
+        """{a: R_a} for a <= max_a, each solved to depth m_a + F, as deep as ``omega_table`` reads.
 
-        New views on every call, as ``omega`` drops the slices once the table is read.
+        Write N for the principal degree of lambda and sigma = (k1 + k2) n_tw.
+        The form pairs x_i with x_j only if pdeg_i + pdeg_j = 0, by ad rho
+        invariance, (pdeg_i + pdeg_j)(x_i|x_j) = 0.  So the lambda^p x_i part
+        of R_a, at degree d = p N + pdeg_i, meets only the part of R_b at
+        degree -sigma N - d, and R_b has no slice above m_b: R_a is read down
+        to degree -(m_b + sigma N) and no further.  Over the table that is one
+        floor for every resolvent, degree -F with F = m_max_a + 2 max_k n_tw N.
+        Below the floor ``Resolvent.element`` misses parts of its lambda
+        vectors, and they pair with zero.  New views on every call, as
+        ``omega`` drops the slices once the table is read.
         """
         real = self.real
         floor = max(real.exponents[:max_a]) + 2 * max_k * real.twist_order * real.deg_lambda
@@ -259,35 +268,29 @@ class DSHierarchy:
 
     def omega_table(self, max_a: int | None = None,
                     max_k: int | None = None) -> OmegaTable:
-        """Tau-structure table for labels (a, k), a <= max_a, k <= max_k.
+        """Tau-structure table for labels (a, k), a in 1..max_a, k in 0..max_k.
 
-        Read off the resolvents of the canonical-form operator, so the
-        entries come out directly in u-jets.  Each entry is the weighted
-        pairing sum of the module docstring and nothing else: the
-        counterterm's two pieces need a mu power >= 0, and the entry reads
-        mu^{-k2 n_tw - 1}.
-
-        The resolvents are solved only as deep as the pairing reads them.
-        Write N for the principal degree of lambda and sigma = (k1 + k2) n_tw.
-        The form pairs x_i with x_j only if pdeg_i + pdeg_j = 0, by ad rho
-        invariance, (pdeg_i + pdeg_j)(x_i|x_j) = 0 (checked at load).  So the
-        lambda^p x_i part of R_a, at degree d = p N + pdeg_i, meets only the
-        part of R_b at degree -sigma N - d, and R_b has no slice above m_b:
-        R_a is read down to degree -(m_b + sigma N) and no further.  Over the
-        table that is one floor for every resolvent, degree -F with
-        F = m_max_a + 2 max_k n_tw N, so R_a is solved to depth m_a + F.
-        The resolvents are those of ``table_resolvents``, and each lambda
-        vector is read from the sum of the slices solved to that depth
-        (``Resolvent.element``); the parts it misses pair with zero.  The
-        table's ``depth`` is that of the deepest resolvent,
-        2 m_max_a + 2 max_k n_tw N, below the depth that makes every vector
-        complete.
+        Read off the resolvents of ``table_resolvents`` for the canonical-form
+        operator, so the entries come out directly in u-jets.  Each entry is
+        the weighted pairing sum of the module docstring and nothing else:
+        the counterterm's two pieces need a mu power >= 0, and the entry
+        reads mu^{-k2 n_tw - 1}.  Entry (a, k1; b, k2) is the lambda^{-k2 n_tw}
+        coefficient of (lambda d/dlambda (lambda^{k1 n_tw} R_a)_+ | R_b): the
+        weighted element keeps the powers p + k1 n_tw >= 1 of R_a, re-keyed
+        and scaled by p + k1 n_tw, and one ``LoopElement.pair`` from
+        lambda^{-max_k n_tw} up gives the row k2 = 0..max_k.  Not
+        ``Resolvent.shifted_plus``: it needs lambda^0 complete, and the
+        weight kills that power.
         """
         real = self.real
         if max_a is None:
             max_a = real.n
         if max_k is None:
             max_k = self.omega_max_k
+        if not (1 <= max_a <= real.n):
+            raise ValueError(f"max_a {max_a} out of range 1..{real.n}")
+        if max_k < 0:
+            raise ValueError("max_k must be >= 0")
         key = (max_a, max_k)
         got = self._omega.get(key)
         if got is not None:
@@ -296,22 +299,20 @@ class DSHierarchy:
         resolvents = self.table_resolvents(max_a, max_k)
         entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
         for a, ra in resolvents.items():
-            pmax_a = real.heisenberg_top[ra.m_a]
-            for b, rb in resolvents.items():
-                pmax_b = real.heisenberg_top[rb.m_a]
-                for k1 in range(0, max_k + 1):
-                    for k2 in range(0, max_k + 1):
-                        sigma = (k1 + k2) * n_tw
-                        p_lo = max(1 - k1 * n_tw, -sigma - pmax_b)
-                        entries[((a, k1), (b, k2))] = real.alg.pair_sum(
-                            (ra.element.vector_at(p), rb.element.vector_at(-p - sigma),
-                             p + k1 * n_tw) for p in range(p_lo, pmax_a + 1))
+            for k1 in range(max_k + 1):
+                shift = k1 * n_tw
+                w = LoopElement(real, {(p + shift, i): c * (p + shift)
+                                       for (p, i), c in ra.element.coeffs.items()
+                                       if p + shift >= 1})
+                for b, rb in resolvents.items():
+                    row = w.pair(rb.element, -max_k * n_tw)
+                    for k2 in range(max_k + 1):
+                        entries[((a, k1), (b, k2))] = row.get(-k2 * n_tw, DiffPoly.zero())
         for (i, j), val in entries.items():
             if val != entries[(j, i)]:
                 raise RuntimeError(
                     f"tau-structure symmetry broken at {(i, j)}; engine bug")
-        depth = max(r.depth for r in resolvents.values())
-        table = OmegaTable(entries, max_a, max_k, depth)
+        table = OmegaTable(entries, max_a, max_k)
         if not table.has_nonconstant_entry():
             raise RuntimeError(
                 "tau-structure is degenerate: every entry is constant")

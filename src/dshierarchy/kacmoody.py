@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import _TYPE_FILES, supported_types
 from .diffalg import DiffPoly
@@ -165,20 +165,14 @@ class SimpleLieAlgebra:
     def pair_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
         """(x|y) for coefficient vectors; DiffPoly entries are summed by one ``DiffPoly.dot``."""
         if isinstance(zero, DiffPoly):
-            return self.pair_sum([(x, y, 1)])
+            return DiffPoly.dot((xi, y[j] if g == 1 else y[j] * g) for i, xi in enumerate(x)
+                                if xi for j, g in self._gram_rows[i] if y[j])
         out = zero
         for i, row in enumerate(self.gram):
             for j, g in enumerate(row):
                 if g and x[i] and y[j]:
                     out = out + (x[i] * y[j]) * g
         return out
-
-    def pair_sum(self, triples: Iterable[tuple[Sequence, Sequence, int | Fraction]]) -> DiffPoly:
-        """The sum of w (x|y) over the triples (x, y, w) of DiffPoly vectors, as one ``DiffPoly.dot``."""
-        rows = self._gram_rows
-        return DiffPoly.dot((xi, y[j] if g * w == 1 else y[j] * (g * w))
-                            for x, y, w in triples for i, xi in enumerate(x) if xi
-                            for j, g in rows[i] if y[j])
 
 
 class LoopElement:
@@ -405,8 +399,6 @@ class LoopRealization:
         self._heis_base: dict[int, LoopElement] = {
             int(item["exponent"]): self._table_element(item["element"])
             for item in data["heisenberg"]}
-        self.heisenberg_top = {m: max(elt.lambda_powers())
-                               for m, elt in self._heis_base.items()}
         self.nilpotent_basis = [self._rat_vector(v) for v in data["nilpotent_basis"]]
         self.cartan_basis = [self._rat_vector(v) for v in data["cartan_basis"]]
         self.v_basis = [self._rat_vector(v) for v in data["gauge_v_basis"]]

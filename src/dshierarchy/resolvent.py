@@ -189,7 +189,7 @@ class Resolvent:
 
         Its lambda^k vector is complete for k >= ``min_complete_power()``; below
         that it holds only the parts of principal degree >= m_a - depth (see
-        ``DSHierarchy.omega_table``).
+        ``DSHierarchy.table_resolvents``).
         """
         coeffs = {}
         for j in range(self.depth + 1):

@@ -277,21 +277,25 @@ def pairing_residual_loop(ra: Resolvent, rb: Resolvent) -> dict[int, DiffPoly]:
     """(R_a|R_b) minus its normalization on all complete lambda powers, by its own loop.
 
     The reference for ``Resolvent.pairing_residual``: every pair of lambda
-    powers (k1, k2) of the two summed views with k1 + k2 >= lo is collected
-    here and summed per power, with no call of ``LoopElement.pair``.
+    powers (k1, k2) of the two summed views with k1 + k2 >= lo is paired
+    here over the dense Gram matrix and summed per power, with no call of
+    ``LoopElement.pair``.
     """
     real = ra.real
     # lambda^c is complete once every contributing slice pair is stored:
     # c*deg_lambda - m_b >= m_a - depth  (and symmetrically).
     need = ra.m_a + rb.m_a - min(ra.depth, rb.depth)
     lo = -((-need) // real.deg_lambda)
-    triples: dict[int, list] = {}
+    gram = real.alg.gram
+    out: dict[int, DiffPoly] = {}
     theirs = to_dense(rb.element).items()
     for k1, v1 in to_dense(ra.element).items():
         for k2, v2 in theirs:
             if k1 + k2 >= lo:
-                triples.setdefault(k1 + k2, []).append((v1, v2, 1))
-    out = {k: real.alg.pair_sum(t) for k, t in triples.items()}
+                for i, row in enumerate(gram):
+                    for j, g in enumerate(row):
+                        if g and v1[i] and v2[j]:
+                            out[k1 + k2] = out.get(k1 + k2, DiffPoly.zero()) + v1[i] * v2[j] * g
     target = (ra.m_a + rb.m_a) // real.deg_lambda
     if ra.a + rb.a == real.n + 1 and target >= lo:
         out[target] = out.get(target, DiffPoly.zero()) - real.h
@@ -305,7 +309,7 @@ def omega_depth(real: LoopRealization, max_a: int, max_k: int) -> int:
     n_tw = real.twist_order
     for a in range(1, max_a + 1):
         m_a = real.exponents[a - 1]
-        pmax = real.heisenberg_top[m_a]
+        pmax = max(real.heisenberg_element(m_a).lambda_powers())
         for b in range(1, max_a + 1):
             m_b = real.exponents[b - 1]
             q_min = -pmax - 2 * max_k * n_tw

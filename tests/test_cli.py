@@ -94,8 +94,7 @@ def test_verify_corrupts_a_copy_of_the_cached_table(capsys, monkeypatch):
     (cached,) = built[0]._omega.values()
     fresh = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1).omega_table(1, 1)
     assert cached.entries == fresh.entries
-    assert (cached.max_a, cached.max_k, cached.depth) == \
-        (fresh.max_a, fresh.max_k, fresh.depth)
+    assert (cached.max_a, cached.max_k) == (fresh.max_a, fresh.max_k)
 
 
 def test_verify_checks_each_resolvent_down_to_the_table_floor(capsys, monkeypatch):
@@ -539,7 +538,7 @@ def test_omega_output_formats_an_asymmetric_entry_on_its_own():
     i, j = (1, 0), (1, 1)
     entries = {(i, i): u, (i, j): u * u, (j, i): u * u + DiffPoly.var(1, 2),
                (j, j): u * u}
-    objs = _omega_objs(1, OmegaTable(entries, 1, 1, 0))
+    objs = _omega_objs(1, OmegaTable(entries, 1, 1))
     assert [(tuple(o["i"]), tuple(o["j"])) for o in objs] == sorted(entries)
     for o in objs:
         val = entries[(tuple(o["i"]), tuple(o["j"]))]

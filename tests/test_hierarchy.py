@@ -219,7 +219,7 @@ def omega_entry_opposite_expansion(h: DSHierarchy, i, j) -> DiffPoly:
     real = h.real
     n_tw = real.twist_order
     sigma = (k1 + k2) * n_tw
-    pmax_b = real.heisenberg_top[real.exponents[b - 1]]
+    pmax_b = max(real.heisenberg_element(real.exponents[b - 1]).lambda_powers())
     depth = omega_depth(real, max(a, b), max(k1, k2)) + 1
     ra = h.lax_u.resolvent(a, depth)
     rb = h.lax_u.resolvent(b, depth)
@@ -296,6 +296,14 @@ def test_omega_missing_entry_reports_depth(sl3):
         table.entry((2, 0), (1, 0))
 
 
+@pytest.mark.parametrize("max_a, max_k, message", [
+    (3, 1, r"max_a 3 out of range 1\.\.1"), (0, 1, r"max_a 0 out of range 1\.\.1"),
+    (1, -1, r"max_k must be >= 0")], ids=["max_a-above-n", "max_a-zero", "max_k-negative"])
+def test_omega_table_refuses_bad_bounds(max_a, max_k, message):
+    with pytest.raises(ValueError, match=message):
+        DSHierarchy("a1_1", max_flow_k=0, omega_max_k=1).omega_table(max_a, max_k)
+
+
 def omega_entry_complete(h: DSHierarchy, i, j, depth: int) -> DiffPoly:
     """The (i, j) entry from complete lambda coefficients of resolvents at ``depth``."""
     (a, k1), (b, k2) = i, j
@@ -305,13 +313,14 @@ def omega_entry_complete(h: DSHierarchy, i, j, depth: int) -> DiffPoly:
     ra = h.lax_u.resolvent(a, depth)
     rb = h.lax_u.resolvent(b, depth)
     val = DiffPoly.zero()
-    for p in range(1 - k1 * n_tw, real.heisenberg_top[ra.m_a] + 1):
+    for p in range(1 - k1 * n_tw, max(real.heisenberg_element(ra.m_a).lambda_powers()) + 1):
         val = val + real.alg.pair_vec(coefficient(ra, p), coefficient(rb, -p - sigma)) * (p + k1 * n_tw)
     return val
 
 
-@pytest.mark.parametrize("name, max_k", [("a1_1", k) for k in range(1, 5)]
-                         + [("a2_1", 1), ("a2_1", 2), ("a2_2", 1), ("a2_2", 2)])
+@pytest.mark.parametrize("name, max_k", [("a1_1", k) for k in range(0, 5)]
+                         + [("a2_1", 0), ("a2_1", 1), ("a2_1", 2),
+                            ("a2_2", 0), ("a2_2", 1), ("a2_2", 2)])
 def test_omega_table_matches_complete_coefficients(name, max_k):
     # the table reads its resolvents only to the pairing depth; the reference
     # reads complete coefficients at the depth that makes them all complete
@@ -320,7 +329,7 @@ def test_omega_table_matches_complete_coefficients(name, max_k):
     for max_a in sorted({1, real.n}):
         table = h.omega_table(max_a, max_k)
         depth = omega_depth(real, max_a, max_k) + 1
-        assert table.depth < depth
+        assert max(r.depth for r in h.table_resolvents(max_a, max_k).values()) < depth
         assert table.entries == {(i, j): omega_entry_complete(h, i, j, depth)
                                  for i in table.labels() for j in table.labels()}
 
@@ -346,7 +355,8 @@ def test_omega_pairing_depth_is_sharp(name):
     ("a2_2", 2, 1, 22), ("a2_2", 1, 1, 14), ("a2_1", 2, 1, 10), ("a1_1", 1, 2, 10)])
 def test_omega_table_dresses_to_the_pairing_depth(name, max_a, max_k, depth):
     h = DSHierarchy(name, max_flow_k=0, omega_max_k=max_k)
-    assert h.omega_table(max_a, max_k).depth == depth
+    h.omega_table(max_a, max_k)
+    assert max(r.depth for r in h.table_resolvents(max_a, max_k).values()) == depth
     # every solved R_a ends at the deepest one's floor (-17 on a2_2 at max-a 2,
     # -8 on a2_1); each is solved alone, so the families left out stay at their top
     floor = h.real.exponents[max_a - 1] - depth

@@ -203,7 +203,7 @@ def test_a_corrupted_entry_is_evaluated_apart_from_its_transpose(bench_solve, mo
     i, j = (1, 0), (1, 2)
     entries = dict(table.entries)
     entries[(i, j)] = entries[(i, j)] + u(1)
-    bad = OmegaTable(entries, table.max_a, table.max_k, table.depth)
+    bad = OmegaTable(entries, table.max_a, table.max_k)
     calls = _recorded_taylor(monkeypatch)
     tp = two_point_functions(sol, bad)
     assert len(calls) == 7
@@ -342,7 +342,7 @@ def test_values_and_reports_match_the_series_route(name, request):
     # off by 2 u_x in its first component
     entries = dict(table.entries)
     entries[((1, 0), labels[-1])] = entries[((1, 0), labels[-1])] + u(1)
-    corrupted = OmegaTable(entries, table.max_a, table.max_k, table.depth)
+    corrupted = OmegaTable(entries, table.max_a, table.max_k)
     wrong = [Flow(f.label, (f.chars[0] + 2 * u(1, 1),) + f.chars[1:])
              if f.label == (1, 1) else f for f in flows]
     for omega in (table, corrupted):

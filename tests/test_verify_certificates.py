@@ -49,7 +49,7 @@ def _synthetic(chars, entries):
     full = {(i, j): DiffPoly.zero() for i in labels for j in labels}
     for (i, j), val in entries.items():
         full[(i, j)] = full[(j, i)] = val
-    return flows, OmegaTable(full, 1, len(chars), 0)
+    return flows, OmegaTable(full, 1, len(chars))
 
 
 # -- tau-symmetry --------------------------------------------------------------
@@ -89,7 +89,7 @@ def _corrupt(table, keys, delta):
     entries = dict(table.entries)
     for key in keys:
         entries[key] = entries[key] + delta
-    return OmegaTable(entries, table.max_a, table.max_k, table.depth)
+    return OmegaTable(entries, table.max_a, table.max_k)
 
 
 @pytest.mark.parametrize("keys", [
@@ -240,7 +240,7 @@ def test_gauge_stand_in_shift(c):
     labels = [(1, k) for k in range(len(values))]
     entries = {(i, j): values[(i[1] + j[1]) % len(values)]
                for i in labels for j in labels}
-    table = OmegaTable(entries, 1, len(values) - 1, 0)
+    table = OmegaTable(entries, 1, len(values) - 1)
     got = verify_gauge_invariance(stand_in, table)
     assert got == gauge_invariance_per_jet(stand_in, table)
     for r in got:
