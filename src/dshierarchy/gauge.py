@@ -78,7 +78,7 @@ class CanonicalForm:
         self.s_can = s_can
         self.q_can = q_can
         real = lax.real
-        coords = real.borel_coords(q_can.vector_at(0))
+        coords = real.borel_coords(q_can)
         if any(not c.is_zero() for c in coords[real.ell:]):
             raise ValueError("canonical form is not V-valued")
         self.u_exprs = list(coords[: real.ell])
@@ -104,7 +104,7 @@ class GaugeHomomorphism:
         s_gens = [DiffPoly.var(self.n_q + j + 1)
                   for j in range(len(real.nilpotent_basis))]
         self.s_generic = real.combination(s_gens, real.nilpotent_basis)
-        self.images = real.borel_coords(_gauge_q(lax, self.s_generic).vector_at(0))
+        self.images = real.borel_coords(_gauge_q(lax, self.s_generic))
         self.jets = JetMap(list(self.images) + s_gens)
 
     def apply(self, w: DiffPoly) -> DiffPoly:

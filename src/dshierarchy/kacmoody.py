@@ -5,10 +5,10 @@ the underlying simple Lie algebra by exact matrices in the defining
 representation, the principal degrees, the twist classes, the
 Jacobson-Morozov triple (e, rho, f) of the zero-mode subalgebra, the cyclic
 element data, the exponents and normalized Heisenberg generators, and the
-nilpotent/Cartan/gauge bases.  Everything else (structure constants, the
-invariant bilinear form, gradations, splittings) is derived from the matrices
-at load time.  Integral matrix entries, structure constants and form values
-are stored as ``int``, so the load runs in integer arithmetic.
+nilpotent/gauge bases.  Everything else (structure constants, the invariant
+form, gradations, the Borel subalgebra b, splittings) is derived at load
+time.  Integral matrix entries, structure constants and form values are
+stored as ``int``, so the load runs in integer arithmetic.
 
 The Lie algebra identities rest on one premise, which the load checks: the
 basis matrices are linearly independent.  Then the bracket is the matrix
@@ -23,10 +23,11 @@ normalization, [n, e lambda] = 0 and the splitting b = V (+) [e, n].
 Loop elements are Laurent polynomials in the spectral parameter lambda with
 differential-polynomial coefficients, stored sparsely as the map from each
 basis element lambda^k x_i to its nonzero coefficient; x_i may appear with
-lambda^k only if its twist class is k mod N.  They are finite, so every
-bracket, shift and principal-degree slice is exact.  The principal degree of
-``x_i * lambda^k`` is ``pdeg_i + k * (r h / N)``, so a principal-degree slice,
-a lambda shift and the twist check are filters or re-keyings of the map.
+lambda^k only if its twist class is k mod N.  This map is the one form of an
+algebra element; each vector of the type table is loaded as one.  They are
+finite, so every bracket, shift and principal-degree slice is exact.  The
+principal degree of ``x_i * lambda^k`` is ``pdeg_i + k * (r h / N)``, so a
+slice, a lambda shift and the twist check are filters or re-keyings of the map.
 The bracket reads the structure constants ``bracket_table`` directly, and
 the load's rational checks use the same bracket on constant elements.
 
@@ -36,9 +37,9 @@ solves [Lambda, y] = x for the y in im ad Lambda in one linear solve, with
 the form fixing the kernel; a slice x with an H part has no preimage.
 
 Each loop-algebra job has one helper here, which every layer calls:
-``LoopRealization.combination`` builds sum_j c_j v_j lambda^k from basis
-coordinates (the Lax operator's q, the nilpotent gauge elements, the table's
-elements); ``LoopElement.pair`` is the loop pairing, from a floor power up if
+``LoopRealization.combination`` builds sum_j c_j e_j over loop elements e_j
+from coordinates (the Lax operator's q, the nilpotent gauge elements);
+``LoopElement.pair`` is the loop pairing, from a floor power up if
 asked; ``LoopRealization.heisenberg_index`` is the one period rule that places
 the Heisenberg element of a degree, H_d = lambda^s Lambda_m;
 ``LoopRealization.v_valued`` is the one recursion in the Borel frame that makes
@@ -156,12 +157,6 @@ class SimpleLieAlgebra:
                      for i in range(self.dim)]
         self._gram_rows = [[(j, g) for j, g in enumerate(row) if g] for row in self.gram]
 
-    def vector(self, coeffs: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * self.dim
-        for lab, c in coeffs.items():
-            v[self.index[lab]] = Fraction(c)
-        return tuple(v)
-
     def pair_vec(self, x: Sequence, y: Sequence, zero=_ZERO_P):
         """(x|y) for coefficient vectors; DiffPoly entries are summed by one ``DiffPoly.dot``."""
         if isinstance(zero, DiffPoly):
@@ -180,8 +175,6 @@ class LoopElement:
 
     ``coeffs`` maps a basis element lambda^k x_i, keyed (k, i), to its
     DiffPoly coefficient; only nonzero coefficients are stored.
-    ``vector_at(k)`` reads the lambda^k coefficient as a vector over the
-    algebra basis.
     """
 
     __slots__ = ("real", "coeffs")
@@ -206,13 +199,6 @@ class LoopElement:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def vector_at(self, k: int) -> tuple[DiffPoly, ...]:
-        vec = [_ZERO_P] * self.real.alg.dim
-        for (p, i), c in self.coeffs.items():
-            if p == k:
-                vec[i] = c
-        return tuple(vec)
 
     def lambda_powers(self) -> list[int]:
         return sorted({k for k, _ in self.coeffs})
@@ -390,18 +376,16 @@ class LoopRealization:
         self._sigma_J = data.get("sigma_J")
 
         alg = self.alg
-        self.rho = self._rat_vector(data["jm_rho"])
-        self.e_nil = self._rat_vector(data["jm_e"])
-        self.f_jm = self._rat_vector(data["jm_f"])
+        self.rho, self.e_nil, self.f_jm = (self._table_element({0: data[key]})
+                                           for key in ("jm_rho", "jm_e", "jm_f"))
         self.cyclic = self._table_element({0: data["jm_e"], 1: data["cyclic_lambda_part"]})
         self.affine_f = self._table_element({-1: data["affine_f_lambda_part"]})
         self.exponents = list(data["exponents"])
         self._heis_base: dict[int, LoopElement] = {
             int(item["exponent"]): self._table_element(item["element"])
             for item in data["heisenberg"]}
-        self.nilpotent_basis = [self._rat_vector(v) for v in data["nilpotent_basis"]]
-        self.cartan_basis = [self._rat_vector(v) for v in data["cartan_basis"]]
-        self.v_basis = [self._rat_vector(v) for v in data["gauge_v_basis"]]
+        self.nilpotent_basis = [self._table_element({0: v}) for v in data["nilpotent_basis"]]
+        self.v_basis = [self._table_element({0: v}) for v in data["gauge_v_basis"]]
         self.chevalley_e = [alg.index[lab] for lab in data["chevalley_e"]]
         self.chevalley_f = [alg.index[lab] for lab in data["chevalley_f"]]
 
@@ -410,28 +394,24 @@ class LoopRealization:
         self._validate()
 
     # -- helpers -----------------------------------------------------------
-    def _rat_vector(self, mapping) -> tuple[Fraction, ...]:
-        return self.alg.vector({k: Fraction(v) for k, v in mapping.items()})
-
-    def combination(self, coeffs: Sequence, vectors: Sequence[Sequence[Fraction]],
-                    k: int = 0) -> LoopElement:
-        """sum_j c_j v_j lambda^k, for DiffPoly or rational c_j over rational basis vectors v_j.
+    def combination(self, coeffs: Sequence, elements: Sequence[LoopElement]) -> LoopElement:
+        """sum_j c_j e_j, for DiffPoly or rational c_j over the loop elements e_j.
 
         The one constructor of loop elements from basis coordinates: the Lax
-        operator's q, the nilpotent gauge elements and the type table's
-        elements are all built here.
+        operator's q and the nilpotent gauge elements are built here.
         """
         out: dict[tuple[int, int], DiffPoly] = {}
-        for c, v in zip(coeffs, vectors, strict=True):
-            for t, vc in enumerate(v):
-                if vc:
-                    out[(k, t)] = out.get((k, t), _ZERO_P) + c * vc
+        for c, e in zip(coeffs, elements, strict=True):
+            for key, ec in e.coeffs.items():
+                term = ec * c
+                out[key] = out[key] + term if key in out else term
         return LoopElement(self, out)
 
     def _table_element(self, powers: Mapping) -> LoopElement:
         """sum_k v_k lambda^k for the type table's label -> value maps v_k."""
-        return sum((self.combination([1], [self._rat_vector(v)], int(k))
-                    for k, v in powers.items()), LoopElement.zero(self))
+        index = self.alg.index
+        return LoopElement(self, {(int(k), index[lab]): DiffPoly.const(c)
+                                  for k, v in powers.items() for lab, c in v.items()})
 
     def slice_basis(self, d: int) -> list[tuple[int, int]]:
         """The basis elements x_i lambda^k of principal degree d, as sorted (k, i)."""
@@ -480,21 +460,23 @@ class LoopRealization:
         return got
 
     # -- Borel coordinate frame ----------------------------------------------
-    def borel_vectors(self) -> list[tuple[Fraction, ...]]:
+    def borel_vectors(self) -> list[LoopElement]:
         """Ordered Borel basis: gauge subspace V first, then [e, n]-images."""
-        e = self.combination([1], [self.e_nil])
-        return [tuple(v) for v in self.v_basis] + [
-            tuple(c.constant_term() for c in e.bracket(self.combination([1], [p])).vector_at(0))
-            for p in self.nilpotent_basis]
+        return self.v_basis + [self.e_nil.bracket(p) for p in self.nilpotent_basis]
 
-    def borel_coords(self, vec: Sequence[DiffPoly]) -> list[DiffPoly]:
-        """Coordinates of a Borel-valued vector in the ordered Borel basis.
+    def borel_coords(self, elt: LoopElement) -> list[DiffPoly]:
+        """Coordinates of a Borel-valued element in the ordered Borel basis.
 
         The first ell coordinates are the gauge (V) components, the
-        remaining ones are the coefficients of [e, p_j].  Raises when the
-        vector is not in the Borel span.
+        remaining ones are the coefficients of [e, p_j].  Raises
+        ``InconsistentSystemError`` off b, on a lambda^k part with k != 0 too.
         """
-        return self._borel_solver.solve(list(vec), zero=_ZERO_P)
+        col = [_ZERO_P] * len(self._borel_rows)
+        for (k, i), c in elt.coeffs.items():
+            if (k, i) not in self._borel_rows:
+                raise InconsistentSystemError(f"lambda^{k} {self.alg.labels[i]} is not in b")
+            col[self._borel_rows[(k, i)]] = c
+        return self._borel_solver.solve(col, zero=_ZERO_P)
 
     def v_valued(self, residual) -> LoopElement:
         """The n-valued x that makes residual(x) V-valued, degree by degree.
@@ -510,7 +492,7 @@ class LoopRealization:
         for k in range(0, -min(self.pdeg) + 1):
             m = residual(x).pdeg_slice(-k)
             if not m.is_zero():
-                coords = self.borel_coords(m.vector_at(0))
+                coords = self.borel_coords(m)
                 x = x + self.combination(coords[self.ell:], self.nilpotent_basis)
         return x
 
@@ -518,7 +500,7 @@ class LoopRealization:
     def _validate(self):
         alg = self.alg
         labels = alg.labels
-        rho, e, f = (self.combination([1], [v]) for v in (self.rho, self.e_nil, self.f_jm))
+        rho, e, f = self.rho, self.e_nil, self.f_jm
         # basis homogeneity: [rho, x_i] = pdeg_i x_i
         for i in range(alg.dim):
             x = LoopElement(self, {(0, i): DiffPoly.const(1)})
@@ -605,24 +587,29 @@ class LoopRealization:
         # [n, e_m(lambda)] = 0
         lam_tail = LoopElement(self, {key: c for key, c in self.cyclic.coeffs.items()
                                       if key[0] == 1})
-        for idx, v in enumerate(self.nilpotent_basis):
-            if not self.combination([1], [v]).bracket(lam_tail).is_zero():
+        for idx, p in enumerate(self.nilpotent_basis):
+            if not p.bracket(lam_tail).is_zero():
                 raise ValueError(f"[n, e_m lambda] != 0 fails on nilpotent basis vector {idx}")
         # gauge splitting b = V (+) [e, n], the frame borel_coords solves in;
-        # its first ell coordinates are the V part
+        # its first ell coordinates are the V part.  b is read off the
+        # grading: the lambda^0 basis elements of degree <= 0 and class 0.
         if len(self.v_basis) != self.ell:
             raise ValueError(f"gauge subspace has {len(self.v_basis)} basis vectors, "
                              f"not rank_affine = {self.ell}")
-        dim_b = len(self.nilpotent_basis) + len(self.cartan_basis)
+        b = [(0, i) for i in range(alg.dim) if self.pdeg[i] <= 0 and self.twist_class[i] % n == 0]
+        self._borel_rows = {key: r for r, key in enumerate(b)}
         cols = self.borel_vectors()
-        if len(cols) != dim_b:
+        for c, v in enumerate(cols):
+            if not v.coeffs.keys() <= self._borel_rows.keys():
+                raise ValueError(f"Borel frame vector {c} is not in b")
+        if len(cols) != len(b):
             raise ValueError("dim V + dim [e,n] != dim b")
-        rows = [[cols[c][r] for c in range(len(cols))] for r in range(alg.dim)]
-        self._borel_solver = LinearSolver(rows)
-        if self._borel_solver.rank != dim_b:
+        self._borel_solver = LinearSolver([[v.coeffs.get(key, _ZERO_P).constant_term()
+                                            for v in cols] for key in b])
+        if self._borel_solver.rank != len(b):
             raise ValueError("V does not complement [e, n] in the Borel")
         # V degrees are minus the exponents of the zero-mode subalgebra
-        self.v_degrees = [self.combination([1], [v]).principal_degree() for v in self.v_basis]
+        self.v_degrees = [v.principal_degree() for v in self.v_basis]
         if any(not isinstance(d, int) or d >= 0 for d in self.v_degrees):
             raise ValueError("gauge subspace basis must be homogeneous of negative degree")
 

@@ -41,10 +41,10 @@ def series_to_obj(s: EpsSeries, parts=None) -> list[dict]:
 
 def loop_to_obj(elt) -> list[dict]:
     labels = elt.real.alg.labels
-    return [{"lambda": k,
-             "coeffs": [{"basis": labels[i], "poly": poly_to_obj(c)}
-                        for i, c in enumerate(elt.vector_at(k)) if not c.is_zero()]}
-            for k in elt.lambda_powers()]
+    powers: dict[int, list[dict]] = {}
+    for (k, i), c in sorted(elt.coeffs.items()):
+        powers.setdefault(k, []).append({"basis": labels[i], "poly": poly_to_obj(c)})
+    return [{"lambda": k, "coeffs": coeffs} for k, coeffs in powers.items()]
 
 
 def dumps(obj) -> str:

@@ -28,7 +28,7 @@ def pre_flow_chars(h: DSHierarchy, label) -> list[DiffPoly]:
     xp = r.shifted_plus(k)
     res = xp.bracket(h.lax_q.lam_plus_q) - xp.dx()
     assert set(res.lambda_powers()) <= {0}
-    return h.real.borel_coords(res.vector_at(0))
+    return h.real.borel_coords(res)
 
 
 def flow_chars(h: DSHierarchy, label) -> tuple[DiffPoly, ...]:
@@ -48,7 +48,7 @@ def flow_chars(h: DSHierarchy, label) -> tuple[DiffPoly, ...]:
     x = x + ad_exp_series(cf.s_can, dpre_s, shift=1)
     res = x.bracket(lax_can(cf)) - x.dx()
     assert set(res.lambda_powers()) <= {0}
-    coords = real.borel_coords(res.vector_at(0))
+    coords = real.borel_coords(res)
     assert all(c.is_zero() for c in coords[h.ell:])
     return tuple(to_invariant_coordinates(cf, c) for c in coords[: h.ell])
 

@@ -105,7 +105,7 @@ def check_table(data: dict) -> None:
                            [b["label"] for b in data["basis"]])
 
     def coeffs(mapping: Mapping) -> tuple:
-        return tuple(DiffPoly.const(c) for c in alg.vector(mapping))
+        return tuple(DiffPoly.const(mapping.get(lab, 0)) for lab in alg.labels)
 
     cyclic = {0: coeffs(data["jm_e"]), 1: coeffs(data["cyclic_lambda_part"])}
     heisenberg = {int(item["exponent"]): {int(k): coeffs(v)

@@ -97,6 +97,11 @@ def to_dense(x: LoopElement) -> dict[int, tuple[DiffPoly, ...]]:
     return {k: tuple(v) for k, v in out.items()}
 
 
+def vector_at(x: LoopElement, k: int = 0) -> tuple[DiffPoly, ...]:
+    """The lambda^k coefficient of x as a dense vector over the algebra basis."""
+    return to_dense(x).get(k, (DiffPoly.zero(),) * x.real.alg.dim)
+
+
 def from_dense(real: LoopRealization, dense: Mapping[int, Sequence[DiffPoly]]) -> LoopElement:
     """The loop element with lambda^k coefficient vector dense[k]; zero entries are dropped."""
     return LoopElement(real, {(k, i): c for k, vec in dense.items() for i, c in enumerate(vec)})
@@ -326,10 +331,10 @@ def nilpotent_coords(real: LoopRealization, x: LoopElement) -> list[DiffPoly]:
     """Coordinates of x in the nilpotent basis; raises unless x is n-valued."""
     if any(k != 0 for k in x.lambda_powers()):
         raise ValueError("element is not lambda-free")
-    cols = real.nilpotent_basis
-    rows = [[col[r] for col in cols] for r in range(real.alg.dim)]
+    cols = [vector_at(p) for p in real.nilpotent_basis]
+    rows = [[col[r].constant_term() for col in cols] for r in range(real.alg.dim)]
     try:
-        return LinearSolver(rows).solve(list(x.vector_at(0)), zero=DiffPoly.zero())
+        return LinearSolver(rows).solve(list(vector_at(x)), zero=DiffPoly.zero())
     except InconsistentSystemError as exc:
         raise ValueError("element is not nilpotent-valued") from exc
 

@@ -95,6 +95,9 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
             (("verify", "--type", "a2_1", "--max-k", "4"), False),
             (("verify", "--type", "a1_1", "--max-k", "10"), False),
             (("omega", "--type", "a2_2", "--max-k", "3"), False)]
+    # the second basic resolvent, dumped from its sparse loop elements
+    out += [(("resolvent", "--type", name, "--exponent", "2"), True)
+            for name in ("a2_1", "a2_2")]
     return out
 
 

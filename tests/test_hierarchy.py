@@ -16,7 +16,8 @@ from dshierarchy.render import default_names, render_series
 from dshierarchy.resolvent import DepthError, Resolvent, flow_depth
 from reference_ops import (coefficient, from_dense, induce_derivation,
                            integrability_per_component, map_coeffs, nilpotent_coords,
-                           omega_depth, pi_multi, reconstruct_flows_by_dx, tau_symmetry_direct)
+                           omega_depth, pi_multi, reconstruct_flows_by_dx, tau_symmetry_direct,
+                           vector_at)
 
 u = DiffPoly.var
 
@@ -63,7 +64,7 @@ def test_flow_error_names_label_off_lambda_zero(monkeypatch):
     # negative control: X plus a lambda^1 element leaves the lambda^0 slice
     h = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1)
     plain = Resolvent.shifted_plus
-    extra = from_dense(h.real, {1: h.real.cyclic.vector_at(0)})
+    extra = from_dense(h.real, {1: vector_at(h.real.cyclic)})
     monkeypatch.setattr(Resolvent, "shifted_plus",
                         lambda r, k: plain(r, k) + extra)
     with pytest.raises(RuntimeError, match=r"flow \(1, 1\): .* lambda powers"):
@@ -146,6 +147,23 @@ def test_commutator_record_fails_in_the_second_component_only():
     got = verify_integrability([fi, fj])
     assert got == integrability_per_component([fi, fj])
     assert [r["residual_zero"] for r in got] == [True, False, True]
+
+
+def test_diagonal_commutators_are_not_computed(sl2):
+    # [D, D] = 0 for every derivation, so the record of (i, i) holds unread
+    class SelfRaising:
+        def __init__(self, flow):
+            self.flow, self.label = flow, flow.label
+
+        def commutator(self, other):
+            if other is self:
+                raise AssertionError(f"[D, D] computed for {self.label}")
+            return self.flow.commutator(other.flow)
+
+    flows = [SelfRaising(sl2.flow((1, k))) for k in range(3)]
+    got = verify_integrability(flows)
+    assert got == integrability_per_component([f.flow for f in flows])
+    assert len(got) == 6 and all(r["residual_zero"] for r in got)
 
 
 def test_flow_commutator_needs_equal_arities():

@@ -9,6 +9,7 @@ from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
 from dshierarchy.kacmoody import (LoopElement, LoopRealization, UnsupportedTypeError,
                                   build_algebra, load_table)
+from dshierarchy.linalg import InconsistentSystemError
 from dshierarchy.resolvent import LaxOperator
 from reference_ops import (bracket_vec, dense_add, dense_bracket, dense_check_twist,
                            dense_pair, dense_pdeg_slices, dense_scale, from_dense,
@@ -81,9 +82,9 @@ def test_exponent_symmetry(a1, a2, tw):
 
 
 def test_bracket_examples(a1):
-    e = a1.combination([1], [a1.e_nil])
-    f = a1.combination([1], [a1.f_jm])
-    rho = a1.combination([1], [a1.rho])
+    e = a1.e_nil
+    f = a1.f_jm
+    rho = a1.rho
     assert e.bracket(f) == rho
     assert e.bracket(e).is_zero()
     # Heisenberg is abelian across lambda shifts: [Lambda_1, Lambda_3] = 0
@@ -154,7 +155,7 @@ def test_heisenberg_split(a1, rng):
     h, im = heisenberg_split(a1, x)
     assert h.is_zero() and im == x
     # generic split re-sums and the H part commutes with Lambda
-    e = a1.combination([1], [a1.e_nil])
+    e = a1.e_nil
     h, im = heisenberg_split(a1, e)
     assert h + im == e
     assert a1.cyclic.bracket(h).is_zero()
@@ -194,7 +195,7 @@ def test_pi_three_variables(rng):
 
 def test_principal_degree_examples(a1):
     assert a1.cyclic.principal_degree() == 1
-    e = a1.combination([1], [a1.e_nil])
+    e = a1.e_nil
     assert e.principal_degree() == 1
     f_aff = a1.affine_f
     assert f_aff.principal_degree() == -1
@@ -203,7 +204,7 @@ def test_principal_degree_examples(a1):
     fvec[a1.alg.index["f"]] = DiffPoly.const(1)
     lam_f = from_dense(a1, {1: fvec})
     assert lam_f.principal_degree() == 1
-    mixed = e + a1.combination([1], [a1.rho])
+    mixed = e + a1.rho
     assert mixed.principal_degree() == frozenset({0, 1})
     with pytest.raises(ValueError):
         LoopElement.zero(a1).principal_degree()
@@ -293,6 +294,19 @@ def test_gauge_basis_length_must_be_rank_affine(name, change):
         LoopRealization(data)
 
 
+@pytest.mark.parametrize("name", ["a1_1", "a2_1", "a2_2"])
+def test_borel_coords_refuse_a_lambda_power(name):
+    # the Borel frame is lambda^0: a lambda^1 part is refused, not dropped
+    real = build_algebra(name)
+    v = real.v_basis[0]
+    frame = real.borel_vectors()
+    assert real.borel_coords(v) == [DiffPoly.const(int(j == 0)) for j in range(len(frame))]
+    tail = LoopElement(real, {key: c for key, c in real.cyclic.coeffs.items() if key[0] == 1})
+    assert tail.lambda_powers() == [1]
+    with pytest.raises(InconsistentSystemError, match=r"^lambda\^1 \w+ is not in b$"):
+        real.borel_coords(v + tail)
+
+
 @pytest.mark.parametrize("name, label", [("a1_1", "h"), ("a2_1", "h1"), ("a2_2", "H")])
 def test_dependent_basis_fails_to_load(name, label):
     # the identities the load no longer checks rest on independent matrices;
@@ -359,7 +373,8 @@ def test_no_zero_coefficient_is_stored(a1, rng):
     x = _random_poly_element(a1, rng)
     assert not x.is_zero() and (x - x).coeffs == {}
     # [e + f + h, e + f]: [e, f] + [f, e] cancels on h, 2e - 2f stays
-    e, f, h = (a1.combination([1], [a1.alg.vector({lab: 1})]) for lab in ("e", "f", "h"))
+    e, f, h = (LoopElement(a1, {(0, a1.alg.index[lab]): DiffPoly.const(1)})
+               for lab in ("e", "f", "h"))
     z = (e + f + h).bracket(e + f)
     assert z == e.scale(2) - f.scale(2) and _no_zero_stored(z)
     # the preimage of [Lambda, x_i lambda^k] solves every other slice coordinate to zero
@@ -422,8 +437,16 @@ def _move_heisenberg_up(data):
      r"finite Chevalley raising generator h1 not of degree 1"),
     ("a2_1", lambda data: data.update(chevalley_f=["f1", "fth"]),
      r"finite Chevalley lowering generator fth not of degree -1"),
+    # a class-1 term at lambda^0 is off the twisted loop algebra's b
+    ("a2_2", lambda data: data.update(gauge_v_basis=[{"F": "1", "Pm1": "1"}]),
+     r"Borel frame vector 0 is not in b"),
+    ("a2_1", lambda data: data.update(nilpotent_basis=[{"f1": "1"}, {"f2": "1"}]),
+     r"dim V \+ dim \[e,n\] != dim b"),
+    ("a2_1", lambda data: data.update(gauge_v_basis=[{"f1": "1", "f2": "1"}, {"f1": "1"}]),
+     r"V does not complement \[e, n\] in the Borel"),
 ], ids=["bracket-twist", "form-twist", "heisenberg-twist", "heisenberg-degree",
-        "heisenberg-abelian", "n-e-lambda", "chevalley-e", "chevalley-f"])
+        "heisenberg-abelian", "n-e-lambda", "chevalley-e", "chevalley-f", "borel-frame",
+        "borel-dim", "borel-complement"])
 def test_corrupted_table_error_names_the_index(name, corrupt, message):
     data = load_table(name)  # a fresh parse on every call
     corrupt(data)
