@@ -13,7 +13,7 @@ def _flow_obj(h, label, eps_order: int) -> dict:
     f = h.flow(tuple(label))
     names = default_names(h.ell)
     comps = []
-    for alpha, series in enumerate(f.derivation(eps_order).chars, start=1):
+    for alpha, series in enumerate(f.graded(eps_order).chars, start=1):
         parts = [c.sorted_parts() for c in series.components]  # one sort for both forms
         comps.append({
             "component": alpha,

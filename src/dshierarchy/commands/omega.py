@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+from ..certify import verify_symmetry
 from ..render import default_names, render_poly
 from ..serialize import dumps, poly_to_obj
 
@@ -36,7 +37,7 @@ def run(cfg, build) -> int:
         "max_a": max_a,
         "max_k": cfg.max_k,
         "entries": _omega_objs(ell, table),
-        "symmetry": table.symmetry_report(),
+        "symmetry": verify_symmetry(table.entries),
     }
     if cfg.format == "text":
         for e in payload["entries"]:

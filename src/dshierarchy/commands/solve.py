@@ -22,7 +22,7 @@ def run(cfg, build) -> int:
     h = build(cfg)
     constants = cfg.bgw or [Fraction(1)] * h.real.ell
     initial = gbgw_initial(h.real, constants)
-    flows = [h.flow(tuple(l)) for l in flow_labels(cfg)]
+    flows = h.flows(flow_labels(cfg))
     try:
         sol = integrate_formal(flows, initial, cfg.t_degree, cfg.eps_order)
     except NonCommutingFlowsError as exc:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import sys
 
+from ..certify import (tau_coordinate_check, verify_integrability, verify_symmetry,
+                       verify_tau_symmetry)
 from ..diffalg import DiffPoly
-from ..hierarchy import (OmegaTable, tau_coordinate_check, verify_gauge_invariance,
-                         verify_integrability, verify_tau_symmetry)
+from ..hierarchy import OmegaTable, verify_gauge_invariance
 from ..serialize import dumps
 from . import ConfigError
 
@@ -54,14 +55,16 @@ def run(cfg, build) -> int:
             "residual_zero": normalized[min(a, b), max(a, b)],
         } for b in rs)
     # the commutators come first: tau-symmetry certifies triples from them
-    commutators = verify_integrability(list(flows.values()))
-    checks.extend(table.symmetry_report())
-    checks.extend(verify_tau_symmetry(flows, table, commutators=commutators))
+    commutators = verify_integrability(flows)
+    checks.extend(verify_symmetry(table.entries))
+    checks.extend(verify_tau_symmetry(flows, table.entries, commutators=commutators))
     checks.extend(verify_gauge_invariance(h, table))
     checks.extend(commutators)
-    covered = [l for l in labels if l != (1, 0) and l[1] <= cfg.max_k]
+    # the first flow other than (1, 0) that the table has a row for
+    covered = [l for l in labels if l != (1, 0) and l in table.labels()]
     checks.append(tau_coordinate_check(
-        h, table, eps_order=min(cfg.eps_order, cfg.max_k + 1),
+        {(1, 0): f10, **flows}, table.entries, real.ell,
+        eps_order=min(cfg.eps_order, cfg.max_k + 1),
         jet_depth=cfg.jet_depth, check_labels=covered[:1] or [(1, 0)]))
     all_pass = all(c.get("residual_zero", False) for c in checks)
     payload = {"algebra": real.name, "all_pass": all_pass, "checks": checks}

@@ -26,7 +26,7 @@ Derivations commuting with the jet operator ("evolutionary vector fields")
 are determined by their characteristic, the tuple of values on the
 generators ``u_{a,0}``; :class:`Derivation` is the one such type, over
 ``EpsSeries`` or plain ``DiffPoly`` characteristics, with one commutator
-(a hierarchy flow is a labelled ``Derivation``).  The jet operator is the one
+(every hierarchy flow is one).  The jet operator is the one
 thing that tells the differential ring from the difference ring: a
 :class:`JetMap` computes ``d^m`` of its images, and ``discrete.ShiftJetMap``
 computes the shift ``S^m`` instead.  Derivations and Miura pairs take their
@@ -460,12 +460,6 @@ class DiffPoly:
                 out[new] = get(new, 0) + c * e
         return _normal(out, self._den)
 
-    def dx_n(self, n: int) -> "DiffPoly":
-        p = self
-        for _ in range(n):
-            p = p.dx()
-        return p
-
     def dx_inverse(self) -> "DiffPoly":
         """The c with no constant term and c.dx() == self.
 
@@ -767,12 +761,6 @@ class EpsSeries:
     def dx(self) -> "EpsSeries":
         return EpsSeries([c.dx() for c in self.components], self.order)
 
-    def dx_n(self, n: int) -> "EpsSeries":
-        s = self
-        for _ in range(n):
-            s = s.dx()
-        return s
-
     def partial(self, v: JetVar) -> "EpsSeries":
         return EpsSeries([c.partial(v) for c in self.components], self.order)
 
@@ -964,6 +952,19 @@ class Derivation:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.chars)
+
+    def is_minus_d(self) -> bool:
+        """True when the characteristics are exactly -u_{a,1}: the derivation is -d."""
+        return self.chars == tuple(-DiffPoly.var(a, 1) for a in range(1, self.arity + 1))
+
+    def graded(self, eps_order: int) -> "Derivation":
+        """Of plain characteristics: the degree-d part of each at eps^{d-1}.
+
+        The one place that grades a flow; its ``chars`` are the graded
+        characteristics that ``derive`` prints.
+        """
+        return Derivation([EpsSeries.regrade(w, eps_order, shift=-1) for w in self.chars],
+                          self.kind)
 
     def __repr__(self) -> str:
         return f"Derivation(arity={self.arity}, eps_order={self.order})"

@@ -18,7 +18,7 @@ the coefficients of p(u) at |I| <= T read only the coefficients of u at
 the truncation at eps^K is an ideal, so the eps^q parts read only parts that
 are kept.  Nothing is truncated that a kept coefficient needs.
 
-The flows act by their graded form, ``Flow.derivation``, the one place that
+The flows act by their graded form, ``Derivation.graded``, the one place that
 places a flow's degree-d part at eps^(d-1).  The gBGW initial data read the
 exponents of the gauge subspace from ``LoopRealization.v_degrees``, stored when
 the realization checks that subspace.
@@ -33,10 +33,11 @@ mutates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .diffalg import DiffPoly, EpsSeries, JetMap
-from .hierarchy import Flow, FlowLabel, OmegaTable, verify_integrability
+from .certify import verify_integrability
+from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap
+from .hierarchy import FlowLabel, OmegaTable
 from .ratfunc import RatFunc
 
 TIndex = tuple[int, ...]
@@ -67,12 +68,13 @@ class FormalSolution:
     that over I!.
     """
 
-    def __init__(self, flows: Sequence[Flow], initial: Sequence[RatFunc], T: int, K: int):
-        self.labels = tuple(f.label for f in flows)
+    def __init__(self, flows: Mapping[FlowLabel, Derivation], initial: Sequence[RatFunc],
+                 T: int, K: int):
+        self.labels = tuple(flows)
         self.T = T
         self.K = K
         self.initial = tuple(initial)
-        self.derivations = [f.derivation(K) for f in flows]
+        self.derivations = [f.graded(K) for f in flows.values()]
         self.jets = JetMap(self.initial)   # the one jet map at t = 0
         self.coeffs = {(alpha, exps): per_eps
                        for alpha in range(1, len(self.initial) + 1)
@@ -106,7 +108,7 @@ class FormalSolution:
                 for exps, s in polys.items()}
 
 
-def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
+def integrate_formal(flows: Mapping[FlowLabel, Derivation], initial: Sequence[RatFunc],
                      t_degree: int, eps_order: int) -> FormalSolution:
     """Iterated-flow Taylor solution with the given initial data at t = 0.
 
@@ -115,9 +117,8 @@ def integrate_formal(flows: Sequence[Flow], initial: Sequence[RatFunc],
     expansion point x = 0 by construction.  The coefficients are
     ``FormalSolution.taylor`` of each u_alpha.
     """
-    flows = list(flows)
     ell = len(initial)
-    for f in flows:
+    for f in flows.values():
         if len(f.chars) != ell:
             raise ValueError("flow arity does not match the initial data")
     if not all(r["residual_zero"] for r in verify_integrability(flows)):
@@ -171,16 +172,16 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
     return {"values": values, "cross_derivatives": report}
 
 
-def flow_equation_report(sol: FormalSolution, flows: Sequence[Flow]) -> list[dict]:
+def flow_equation_report(sol: FormalSolution,
+                         flows: Mapping[FlowLabel, Derivation]) -> list[dict]:
     """d u / d t_j equals the flow characteristic along the solution (to T-1).
 
     For |I| <= T-1 the coefficient D^{I+e_j} u_alpha is compared with D^I of
     the graded characteristic of flow j, both at t = 0.
     """
-    by_label = {f.label: f for f in flows}
     out = []
     for b, j in enumerate(sol.labels):
-        chars = by_label[j].derivation(sol.K).chars
+        chars = flows[j].graded(sol.K).chars
         for alpha in range(1, len(sol.initial) + 1):
             rhs = sol.taylor(chars[alpha - 1], sol.T - 1)
             out.append({

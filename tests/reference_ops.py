@@ -17,7 +17,6 @@ from weakref import WeakKeyDictionary
 
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
 from dshierarchy.gauge import CanonicalForm, _gauge_q
-from dshierarchy.hierarchy import OmegaTable
 from dshierarchy.kacmoody import LoopElement, LoopRealization
 from dshierarchy.linalg import InconsistentSystemError, LinearSolver
 from dshierarchy.miura import MiuraPair
@@ -55,8 +54,10 @@ def exp_dx_sum(s: EpsSeries) -> EpsSeries:
     """sum_j eps^j d^j(s) / j!, each term d^j(c_i) / j! added on its own."""
     comps = [DiffPoly.zero()] * (s.order + 1)
     for i, c in enumerate(s.components):
+        jet = c
         for j in range(s.order + 1 - i):
-            comps[i + j] = comps[i + j] + c.dx_n(j) * Fraction(1, factorial(j))
+            comps[i + j] = comps[i + j] + jet * Fraction(1, factorial(j))
+            jet = jet.dx()
     return EpsSeries(comps, s.order)
 
 
@@ -352,10 +353,25 @@ def lax_can(cf: CanonicalForm) -> LoopElement:
 
 # -- hierarchy: the direct verify routes ---------------------------------------
 
-def tau_symmetry_direct(flows: Mapping, omega: OmegaTable, triples=None) -> list[dict]:
-    """``verify_tau_symmetry`` with every triple computed directly."""
+class Recording(Derivation):
+    """A flow that appends (its label, p) to ``seen`` for every p it is applied to."""
+
+    def __init__(self, label, flow: Derivation, seen: list):
+        super().__init__(flow.chars)
+        self.label, self.seen = label, seen
+
+    def __call__(self, p):
+        self.seen.append((self.label, p))
+        return super().__call__(p)
+
+
+def tau_symmetry_direct(flows: Mapping, omega: Mapping, triples=None) -> list[dict]:
+    """``verify_tau_symmetry`` with every triple computed directly.
+
+    ``omega`` maps label pairs to entries, as the certificate reads it.
+    """
     if triples is None:
-        labels = [l for l in omega.labels() if l in flows]
+        labels = [l for l in sorted({i for i, _ in omega}) if l in flows]
         triples = [(i, j, k) for i in labels for j in labels for k in labels]
     # D_i(p) memoised on (i, p): Omega is symmetric, so most values recur,
     # and a corrupted entry never shares a key with its transpose
@@ -369,8 +385,8 @@ def tau_symmetry_direct(flows: Mapping, omega: OmegaTable, triples=None) -> list
 
     out = []
     for (i, j, k) in triples:
-        lhs = apply(i, omega.entry(j, k))
-        rhs = apply(k, omega.entry(i, j))
+        lhs = apply(i, omega[j, k])
+        rhs = apply(k, omega[i, j])
         out.append({
             "check": "tau_symmetry",
             "triple": [list(i), list(j), list(k)],
@@ -380,17 +396,22 @@ def tau_symmetry_direct(flows: Mapping, omega: OmegaTable, triples=None) -> list
 
 
 def evolve(chars: Sequence[DiffPoly], p: DiffPoly) -> DiffPoly:
-    """sum_{a,m} d^m(chars[a-1]) dp/du_{a,m}, each jet by ``dx_n``, no jet map."""
-    return sum((chars[a - 1].dx_n(m) * p.partial((a, m)) for a, m in sorted(p.variables())),
-               DiffPoly.zero())
+    """sum_{a,m} d^m(chars[a-1]) dp/du_{a,m}, each jet by m calls of ``dx``, no jet map."""
+    out = DiffPoly.zero()
+    for a, m in sorted(p.variables()):
+        jet = chars[a - 1]
+        for _ in range(m):
+            jet = jet.dx()
+        out = out + jet * p.partial((a, m))
+    return out
 
 
-def integrability_per_component(flows: Sequence) -> list[dict]:
+def integrability_per_component(flows: Mapping) -> list[dict]:
     """``verify_integrability`` as a loop over components, stopping at the first nonzero."""
     out = []
-    flows = list(flows)
-    for i, fi in enumerate(flows):
-        for fj in flows[i:]:
+    items = list(flows.items())
+    for i, (li, fi) in enumerate(items):
+        for lj, fj in items[i:]:
             resid_zero = True
             for alpha in range(1, len(fi.chars) + 1):
                 lhs = evolve(fi.chars, fj.chars[alpha - 1])
@@ -400,13 +421,13 @@ def integrability_per_component(flows: Sequence) -> list[dict]:
                     break
             out.append({
                 "check": "flow_commutator",
-                "pair": [list(fi.label), list(fj.label)],
+                "pair": [list(li), list(lj)],
                 "residual_zero": resid_zero,
             })
     return out
 
 
-def gauge_invariance_per_jet(hierarchy, omega: OmegaTable) -> list[dict]:
+def gauge_invariance_per_jet(hierarchy, omega) -> list[dict]:
     """``verify_gauge_invariance`` with f applied to every u-jet the table uses."""
     hom = hierarchy.gauge_homomorphism()
     jets = hierarchy.canform.jets
@@ -435,7 +456,7 @@ def induce_derivation(pair: MiuraPair, d: Derivation) -> Derivation:
 
 def reconstruct_flows_by_dx(omega_rows: Mapping, pair: MiuraPair,
                             d_one: Derivation) -> dict:
-    """``reconstruct_flows`` by the chain rule with ``dx_n`` for every (alpha, beta, m)."""
+    """``reconstruct_flows`` by the chain rule for each (alpha, beta, m), d^m by repeated ``dx``."""
     ell = pair.arity
     out = {}
     for j, row in omega_rows.items():
@@ -445,11 +466,12 @@ def reconstruct_flows_by_dx(omega_rows: Mapping, pair: MiuraPair,
             u_alpha = pair.inverse[alpha]
             acc = EpsSeries.zero(pair.order)
             for beta in range(1, ell + 1):
+                jet = drow[beta - 1]
                 for m in range(0, u_alpha.max_order() + 1):
                     part = u_alpha.partial((beta, m))
-                    if part.is_zero():
-                        continue
-                    acc = acc + pair.phi(part) * drow[beta - 1].dx_n(m)
+                    if not part.is_zero():
+                        acc = acc + pair.phi(part) * jet
+                    jet = jet.dx()
             chars.append(acc)
         out[j] = tuple(chars)
     return out

@@ -168,14 +168,13 @@ def two_point(sol, omega, one=(1, 0)):
 
 def flow_equation_report(sol, flows):
     """d u / d t_j against each characteristic evaluated at the full t-degree T, cut to T-1."""
-    by_label = {f.label: f for f in flows}
     jets = solution_jets(sol)
     tcut = sol.T - 1
     out = []
     for b, j in enumerate(sol.labels):
         for alpha in range(1, len(sol.initial) + 1):
             lhs = jets(alpha, 0).dt(b).truncate_t(tcut)
-            rhs = evaluate_graded(by_label[j].chars[alpha - 1], sol, jets, -1)
+            rhs = evaluate_graded(flows[j].chars[alpha - 1], sol, jets, -1)
             out.append({"check": "flow_equation", "label": list(j), "component": alpha,
                         "residual_zero": (lhs - rhs.truncate_t(tcut)).is_zero()})
     return out

@@ -12,8 +12,8 @@ import pytest
 
 from dshierarchy import cli
 from dshierarchy.cli import main
-from dshierarchy.diffalg import DiffPoly
-from dshierarchy.hierarchy import DSHierarchy, Flow
+from dshierarchy.diffalg import Derivation, DiffPoly
+from dshierarchy.hierarchy import DSHierarchy
 from reference_ops import from_dense
 
 
@@ -608,8 +608,8 @@ def test_solve_config_with_no_flows_names_the_translation_flow(capsys, tmp_path)
 def test_solve_refuses_non_commuting_flows(capsys, monkeypatch):
     # a stand-in (1, 1) whose characteristic u^3 does not commute with u^2
     flow = DSHierarchy.flow
-    stand_in = {(1, 0): Flow((1, 0), (DiffPoly.var(1) ** 2,)),
-                (1, 1): Flow((1, 1), (DiffPoly.var(1) ** 3,))}
+    stand_in = {(1, 0): Derivation((DiffPoly.var(1) ** 2,)),
+                (1, 1): Derivation((DiffPoly.var(1) ** 3,))}
     monkeypatch.setattr(DSHierarchy, "flow",
                         lambda h, label: stand_in.get(label) or flow(h, label))
     code, out, err = run(capsys, "solve", "--type", "a1_1", "--flows", "1:0,1:1",
@@ -694,16 +694,21 @@ def test_omega_a2_2_max_k_2_digest(capsys):
     assert hashlib.sha1(data).hexdigest() == "4b39746c60d612a5d3a3af52f54ea4be9eff5a82"
 
 
-def test_traced_run_spans_resolve(monkeypatch):
-    # the benchmark's traced run wraps each SPANS entry, looked up exactly as
-    # its install() does; a renamed or deleted entry point must fail here
+def _traced_job(monkeypatch):
+    """The benchmark's ``perfbench/traced_job.py``, loaded without writing bytecode."""
     import importlib.util
-    import sys
     path = Path(__file__).parents[1] / "perfbench" / "traced_job.py"
     spec = importlib.util.spec_from_file_location("traced_job", path)
     traced_job = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(traced_job)
+    return traced_job
+
+
+def test_traced_run_spans_resolve(monkeypatch):
+    # the benchmark's traced run wraps each SPANS entry, looked up exactly as
+    # its install() does; a renamed or deleted entry point must fail here
+    traced_job = _traced_job(monkeypatch)
     assert traced_job.SPANS
     for mod_name, attr_path, _ in traced_job.SPANS:
         owner = sys.modules[f"dshierarchy.{mod_name}"]
@@ -711,3 +716,39 @@ def test_traced_run_spans_resolve(monkeypatch):
         for part in outer:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(attr)), f"{mod_name}.{attr_path}"
+
+
+# the proofs in certify that the traced run wraps under their hierarchy names,
+# with the modules that call each one
+TRACED_PROOFS = {
+    "verify_integrability": ("commands.verify", "solution"),
+    "verify_tau_symmetry": ("commands.verify",),
+    "tau_coordinate_check": ("commands.verify",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_PROOFS))
+def test_traced_proof_is_the_one_its_callers_call(monkeypatch, name):
+    # the traced run wraps hierarchy.<name> and rebinds the wrapper wherever
+    # the same object is bound, so a caller holding another object would run
+    # unspanned and its span would read 0
+    import importlib
+    assert ("hierarchy", name) in {(m, attr) for m, attr, _ in _traced_job(monkeypatch).SPANS}
+    from dshierarchy import certify, hierarchy
+    proof = getattr(certify, name)
+    assert getattr(hierarchy, name) is proof
+    for caller in TRACED_PROOFS[name]:
+        assert getattr(importlib.import_module(f"dshierarchy.{caller}"), name) is proof, caller
+
+
+def test_verify_reconstructs_a_flow_the_table_has_a_row_for(capsys):
+    # flow (2, 0) lies outside a table with max-a 1: the tau-coordinate check
+    # rebuilds (1, 0), which the table holds, and names no missing entry
+    code, out, err = run(capsys, "verify", "--type", "a2_2", "--max-a", "1", "--max-k", "1",
+                         "--flows", "1:0,2:0")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["all_pass"] is True and len(payload["checks"]) == 17
+    tau = payload["checks"][-1]
+    assert tau["check"] == "tau_coordinates"
+    assert tau["reconstruction_matches"] == {"[1, 0]": True}

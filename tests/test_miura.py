@@ -135,7 +135,7 @@ def test_reconstruct_distinguished_flow_consistency():
 def test_reconstruct_matches_chain_rule_by_dx_on_a_non_graded_pair(rng):
     # eps^1 and eps^2 parts of mixed differential degree, a derivation that is
     # not -d, and rows of random series: the jet map route and the per-term
-    # dx_n route are the same sum
+    # route through repeated dx are the same sum
     v = MiuraTuple([series(u(1)) + series(u(1) ** 2 * u(2, 2), 1) + series(u(2) * u(1, 1), 2),
                     series(u(2)) + series(u(1) * u(2) + u(1, 1), 1)])
     pair = invert_miura(v)

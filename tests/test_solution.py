@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import solution_route as ref
-from dshierarchy.diffalg import DiffPoly, EpsSeries, JetMap
-from dshierarchy.hierarchy import Flow, OmegaTable
+from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap
+from dshierarchy.hierarchy import OmegaTable
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.solution import (FormalSolution, NonCommutingFlowsError,
                                   flow_equation_report, gbgw_initial,
@@ -44,13 +44,13 @@ def test_gbgw_initial_data(sl2, sl3):
 
 def test_t_zero_echoes_initial(sl2):
     init = gbgw_initial(sl2.real, [Fraction(1)])
-    sol = integrate_formal([sl2.flow((1, 0))], init, t_degree=0, eps_order=1)
+    sol = integrate_formal(sl2.flows([(1, 0)]), init, t_degree=0, eps_order=1)
     assert at_t_zero(sol, 1)[0] == init[0]
 
 
 def test_translation_flow_taylor(sl2):
     init = gbgw_initial(sl2.real, [Fraction(1)])
-    sol = integrate_formal([sl2.flow((1, 0))], init, t_degree=3, eps_order=0)
+    sol = integrate_formal(sl2.flows([(1, 0)]), init, t_degree=3, eps_order=0)
     d = init[0]
     for k in range(0, 4):
         assert sol.coeffs[(1, (k,))] == (d * (-1) ** k,)
@@ -60,15 +60,14 @@ def test_translation_flow_taylor(sl2):
 
 
 def test_noncommuting_flows_refused():
-    f1 = Flow((1, 0), (u(1) ** 2,))
-    f2 = Flow((1, 1), (u(1) ** 3,))
+    flows = {(1, 0): Derivation((u(1) ** 2,)), (1, 1): Derivation((u(1) ** 3,))}
     with pytest.raises(NonCommutingFlowsError):
-        integrate_formal([f1, f2], [RatFunc.const(1)], 2, 0)
+        integrate_formal(flows, [RatFunc.const(1)], 2, 0)
 
 
 def test_constant_solution_has_constant_two_point_values(sl2):
     init = [RatFunc.const(Fraction(3, 2))]
-    flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
+    flows = sl2.flows([(1, 0), (1, 1)])
     sol = integrate_formal(flows, init, t_degree=2, eps_order=2)
     table = sl2.omega_table(1, 1)
     tp = two_point_functions(sol, table)
@@ -80,7 +79,7 @@ def test_constant_solution_has_constant_two_point_values(sl2):
 
 def test_gbgw_cross_derivatives_and_flow_equations(sl2):
     init = gbgw_initial(sl2.real, [Fraction(1)])
-    flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
+    flows = sl2.flows([(1, 0), (1, 1)])
     sol = integrate_formal(flows, init, t_degree=2, eps_order=2)
     table = sl2.omega_table(1, 1)
     tp = two_point_functions(sol, table)
@@ -90,7 +89,7 @@ def test_gbgw_cross_derivatives_and_flow_equations(sl2):
 
 def test_two_point_value_at_t_zero_matches_initial_evaluation(sl2):
     init = gbgw_initial(sl2.real, [Fraction(1)])
-    flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
+    flows = sl2.flows([(1, 0), (1, 1)])
     sol = integrate_formal(flows, init, t_degree=1, eps_order=1)
     table = sl2.omega_table(1, 1)
     val = two_point_functions(sol, table)["values"][((1, 0), (1, 0))]
@@ -149,7 +148,7 @@ def test_substitute_matches_reference_on_tseries_images(p, images):
 
 def test_evaluations_share_the_jets_of_the_solution(sl2):
     init = gbgw_initial(sl2.real, [Fraction(1)])
-    flows = [sl2.flow((1, 0)), sl2.flow((1, 1))]
+    flows = sl2.flows([(1, 0), (1, 1)])
     sol = integrate_formal(flows, init, t_degree=1, eps_order=1)
     jets = sol.jets
     assert jets.images == sol.initial
@@ -167,7 +166,7 @@ BENCH_SOLVE = ["solve", "--type", "a1_1", "--flows", "1:0,1:1,1:2", "--t-degree"
 @pytest.fixture(scope="module")
 def bench_solve(sl2):
     """The solution and the table of the benchmark's solve job (``BENCH_SOLVE``)."""
-    flows = [sl2.flow(label) for label in ((1, 0), (1, 1), (1, 2))]
+    flows = sl2.flows([(1, 0), (1, 1), (1, 2)])
     sol = integrate_formal(flows, gbgw_initial(sl2.real, [Fraction(1)]), 2, 2)
     return sol, sl2.omega_table(1, 2)
 
@@ -241,7 +240,7 @@ def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
 @pytest.fixture(scope="module")
 def deep_solve(sl2):
     """The solution of ``solve --type a1_1 --bgw 1/2 --t-degree 3 --eps-order 3``."""
-    flows = [sl2.flow(label) for label in ((1, 0), (1, 1), (1, 2))]
+    flows = sl2.flows([(1, 0), (1, 1), (1, 2)])
     return integrate_formal(flows, gbgw_initial(sl2.real, [Fraction(1, 2)]), 3, 3)
 
 
@@ -249,10 +248,10 @@ def deep_solve(sl2):
 def test_flow_equations_are_read_at_t_degree_t_minus_1(case, request, sl2, monkeypatch):
     sol = request.getfixturevalue(case)
     sol = sol[0] if case == "bench_solve" else sol
-    flows = [sl2.flow(label) for label in sol.labels]
+    flows = sl2.flows(sol.labels)
     # a stand-in for flow (1, 1) whose characteristic is off by 2 u_x
-    wrong = [Flow(f.label, (f.chars[0] + 2 * u(1, 1),)) if f.label == (1, 1) else f
-             for f in flows]
+    wrong = {l: Derivation((f.chars[0] + 2 * u(1, 1),)) if l == (1, 1) else f
+             for l, f in flows.items()}
     degrees = []
     for stand_in, passes in ((flows, [True] * 3), (wrong, [True, False, True])):
         calls = _recorded_taylor(monkeypatch)
@@ -266,7 +265,7 @@ def test_flow_equations_are_read_at_t_degree_t_minus_1(case, request, sl2, monke
 
 def taylor_through_last_label(flows, initial, t_degree, eps_order) -> dict:
     """The Taylor coefficients of ``integrate_formal``, each through the flow of its last label."""
-    derivs = [f.derivation(eps_order) for f in flows]
+    derivs = [f.graded(eps_order) for f in flows.values()]
     jets = JetMap(initial)
     polys = {(0,) * len(flows): [EpsSeries.var(a, eps_order) for a in range(1, len(initial) + 1)]}
     for exps in sorted(itertools.product(range(t_degree + 1), repeat=len(flows)), key=sum):
@@ -284,9 +283,9 @@ def test_every_taylor_coefficient_matches_the_last_label_order(case, request, sl
         sol, h = request.getfixturevalue(case)[0], sl2
     else:  # solve --type a2_1 --bgw 1,2 --t-degree 2
         h = sl3
-        sol = integrate_formal([sl3.flow((1, 0)), sl3.flow((1, 1))],
+        sol = integrate_formal(sl3.flows([(1, 0), (1, 1)]),
                                gbgw_initial(sl3.real, [Fraction(1), Fraction(2)]), 2, 4)
-    flows = [h.flow(label) for label in sol.labels]
+    flows = h.flows(sol.labels)
     ref = taylor_through_last_label(flows, sol.initial, sol.T, sol.K)
     assert sol.coeffs == ref
     assert any(sum(1 for e in exps if e) > 1 for _, exps in ref)   # mixed ones exist
@@ -335,7 +334,7 @@ SOLVES = {  # name -> (hierarchy fixture, flows, BGW constants, t-degree, eps or
 def test_values_and_reports_match_the_series_route(name, request):
     fixture, labels, constants, T, K = SOLVES[name]
     h = request.getfixturevalue(fixture)
-    flows = [h.flow(label) for label in labels]
+    flows = h.flows(labels)
     sol = integrate_formal(flows, gbgw_initial(h.real, constants), T, K)
     table = h.omega_table(h.real.n, max(k for _, k in labels))
     # stand-ins: an entry off by u_1 apart from its transpose, and flow (1, 1)
@@ -343,8 +342,8 @@ def test_values_and_reports_match_the_series_route(name, request):
     entries = dict(table.entries)
     entries[((1, 0), labels[-1])] = entries[((1, 0), labels[-1])] + u(1)
     corrupted = OmegaTable(entries, table.max_a, table.max_k)
-    wrong = [Flow(f.label, (f.chars[0] + 2 * u(1, 1),) + f.chars[1:])
-             if f.label == (1, 1) else f for f in flows]
+    wrong = {l: Derivation((f.chars[0] + 2 * u(1, 1),) + f.chars[1:])
+             if l == (1, 1) else f for l, f in flows.items()}
     for omega in (table, corrupted):
         tp = two_point_functions(sol, omega)
         assert (tp["values"], tp["cross_derivatives"]) == ref.two_point(sol, omega)

@@ -14,11 +14,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from dshierarchy.diffalg import DiffPoly, JetMap
+from dshierarchy.certify import verify_integrability, verify_tau_symmetry
+from dshierarchy.diffalg import Derivation, DiffPoly, JetMap
 from dshierarchy.gauge import GaugeHomomorphism
-from dshierarchy.hierarchy import (Flow, OmegaTable, verify_gauge_invariance,
-                                   verify_integrability, verify_tau_symmetry)
-from reference_ops import gauge_invariance_per_jet, tau_symmetry_direct
+from dshierarchy.hierarchy import OmegaTable, verify_gauge_invariance
+from reference_ops import Recording, gauge_invariance_per_jet, tau_symmetry_direct
 
 u = DiffPoly.var
 ONE = (1, 0)
@@ -26,7 +26,7 @@ ONE = (1, 0)
 
 def _both(flows, table):
     """(certified, direct) reports; the certificate reads the commutator records."""
-    commutators = verify_integrability(list(flows.values()))
+    commutators = verify_integrability(flows)
     return (verify_tau_symmetry(flows, table, commutators=commutators),
             tau_symmetry_direct(flows, table))
 
@@ -40,31 +40,19 @@ def _synthetic(chars, entries):
     """Flows (1, k) with the given characteristics, on a symmetric table.
 
     ``chars`` lists the characteristics of (1, 1), (1, 2), ...; (1, 0) is
-    -d.  Entries not given are 0.
+    -d.  Entries not given are 0.  The table is a plain map of label pairs.
     """
     arity = len(chars[0])
     labels = [(1, k) for k in range(len(chars) + 1)]
-    flows = {ONE: Flow(ONE, tuple(-u(a, 1) for a in range(1, arity + 1)))}
-    flows.update({l: Flow(l, tuple(c)) for l, c in zip(labels[1:], chars)})
+    flows = {ONE: Derivation(tuple(-u(a, 1) for a in range(1, arity + 1)))}
+    flows.update({l: Derivation(tuple(c)) for l, c in zip(labels[1:], chars)})
     full = {(i, j): DiffPoly.zero() for i in labels for j in labels}
     for (i, j), val in entries.items():
         full[(i, j)] = full[(j, i)] = val
-    return flows, OmegaTable(full, 1, len(chars))
+    return flows, full
 
 
 # -- tau-symmetry --------------------------------------------------------------
-
-class _Counting(Flow):
-    """A flow that records every polynomial it is applied to."""
-
-    def __init__(self, flow: Flow, seen: list):
-        super().__init__(flow.label, flow.chars)
-        self.seen = seen
-
-    def __call__(self, p):
-        self.seen.append((self.label, p))
-        return super().__call__(p)
-
 
 @pytest.mark.parametrize("name, max_k", [("sl2", 4), ("sl3", 2), ("a22", 2)])
 def test_tau_symmetry_certificate_matches_direct(request, name, max_k):
@@ -72,11 +60,11 @@ def test_tau_symmetry_certificate_matches_direct(request, name, max_k):
     table = h.omega_table(h.real.n, max_k)
     direct = h.flows(table.labels())
     seen: list = []
-    flows = {l: _Counting(f, seen) for l, f in direct.items()}
-    commutators = verify_integrability(list(flows.values()))
+    flows = {l: Recording(l, f, seen) for l, f in direct.items()}
+    commutators = verify_integrability(flows)
     seen.clear()
-    got = verify_tau_symmetry(flows, table, commutators=commutators)
-    assert got == tau_symmetry_direct(direct, table)
+    got = verify_tau_symmetry(flows, table.entries, commutators=commutators)
+    assert got == tau_symmetry_direct(direct, table.entries)
     assert len(got) == len(table.labels()) ** 3
     assert all(r["residual_zero"] for r in got)
     # every premise holds, so flows are applied only in the triples P(i, j):
@@ -89,7 +77,7 @@ def _corrupt(table, keys, delta):
     entries = dict(table.entries)
     for key in keys:
         entries[key] = entries[key] + delta
-    return OmegaTable(entries, table.max_a, table.max_k)
+    return entries
 
 
 @pytest.mark.parametrize("keys", [
@@ -104,8 +92,8 @@ def _corrupt(table, keys, delta):
 @pytest.mark.parametrize("delta", [u(1, 1), u(2, 0), u(1, 0) * u(2, 1)],
                          ids=["u1_x", "u2", "u1*u2_x"])
 def test_tau_symmetry_corrupted_entry_matches_direct(sl3, keys, delta):
-    table = _corrupt(sl3.omega_table(2, 1), keys, delta)
-    got, want = _both(sl3.flows(table.labels()), table)
+    table = sl3.omega_table(2, 1)
+    got, want = _both(sl3.flows(table.labels()), _corrupt(table, keys, delta))
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -113,9 +101,9 @@ def test_tau_symmetry_corrupted_entry_matches_direct(sl3, keys, delta):
 def test_tau_symmetry_stand_in_flow_whose_commutator_fails(sl3):
     table = sl3.omega_table(2, 1)
     flows = sl3.flows(table.labels())
-    flows[(2, 1)] = Flow((2, 1), tuple(w + u(1, 0) ** 2 for w in flows[(2, 1)].chars))
-    assert not all(r["residual_zero"] for r in verify_integrability(list(flows.values())))
-    got, want = _both(flows, table)
+    flows[(2, 1)] = Derivation(tuple(w + u(1, 0) ** 2 for w in flows[(2, 1)].chars))
+    assert not all(r["residual_zero"] for r in verify_integrability(flows))
+    got, want = _both(flows, table.entries)
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -124,10 +112,9 @@ def test_tau_symmetry_commutator_premise_is_read_from_the_records(sl3):
     # records that report every commutator failed: every triple is direct
     table = sl3.omega_table(2, 1)
     flows = sl3.flows(table.labels())
-    failed = [{**r, "residual_zero": False}
-              for r in verify_integrability(list(flows.values()))]
-    got = verify_tau_symmetry(flows, table, commutators=failed)
-    assert got == tau_symmetry_direct(flows, table)
+    failed = [{**r, "residual_zero": False} for r in verify_integrability(flows)]
+    got = verify_tau_symmetry(flows, table.entries, commutators=failed)
+    assert got == tau_symmetry_direct(flows, table.entries)
 
 
 def test_tau_symmetry_noncommuting_flows_with_every_other_premise():
@@ -141,7 +128,7 @@ def test_tau_symmetry_noncommuting_flows_with_every_other_premise():
     got, want = _both(flows, table)
     assert got == want
     assert _verdict(want, (i, j, ONE)) and _verdict(want, (k, j, ONE))
-    assert not verify_integrability([flows[i], flows[k]])[1]["residual_zero"]
+    assert not verify_integrability({i: flows[i], k: flows[k]})[1]["residual_zero"]
     assert _verdict(want, (i, j, k)) is False
 
 
@@ -157,7 +144,7 @@ def test_tau_symmetry_nonzero_vacuum_term():
     got, want = _both(flows, table)
     assert got == want
     assert _verdict(want, (i, j, ONE)) and _verdict(want, (k, j, ONE))
-    assert verify_integrability([flows[i], flows[k]])[1]["residual_zero"]
+    assert verify_integrability({i: flows[i], k: flows[k]})[1]["residual_zero"]
     assert _verdict(want, (i, j, k)) is False
     assert _verdict(want, (k, j, i)) is False
 
@@ -165,9 +152,9 @@ def test_tau_symmetry_nonzero_vacuum_term():
 def test_tau_symmetry_stand_in_characteristic_with_a_constant_term(sl3):
     table = sl3.omega_table(2, 1)
     flows = sl3.flows(table.labels())
-    flows[(1, 1)] = Flow((1, 1), (flows[(1, 1)].chars[0] + Fraction(3, 2),)
-                         + flows[(1, 1)].chars[1:])
-    got, want = _both(flows, table)
+    flows[(1, 1)] = Derivation((flows[(1, 1)].chars[0] + Fraction(3, 2),)
+                               + flows[(1, 1)].chars[1:])
+    got, want = _both(flows, table.entries)
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -176,8 +163,8 @@ def test_tau_symmetry_stand_in_translation_flow(sl3):
     # D_(1,0) = -2d: the lift premise fails, and every triple is direct
     table = sl3.omega_table(2, 1)
     flows = sl3.flows(table.labels())
-    flows[ONE] = Flow(ONE, tuple(w + w for w in flows[ONE].chars))
-    got, want = _both(flows, table)
+    flows[ONE] = Derivation(tuple(w + w for w in flows[ONE].chars))
+    got, want = _both(flows, table.entries)
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -188,7 +175,7 @@ def test_tau_symmetry_translation_flow_that_is_not_d():
     i, k, j = (1, 1), (1, 2), (1, 3)
     flows, table = _synthetic([[u(1, 1)], [u(1, 1)], [u(1, 1)]],
                               {(j, k): u(1), (i, j): u(1) ** 2})
-    flows[ONE] = Flow(ONE, (DiffPoly.zero(),))
+    flows[ONE] = Derivation((DiffPoly.zero(),))
     got, want = _both(flows, table)
     assert got == want
     assert _verdict(want, (i, j, ONE)) and _verdict(want, (k, j, ONE))
