@@ -3,11 +3,12 @@
 The source paper proves that for any system of evolutionary PDEs, a
 tau-structure with a non-degeneracy condition implies integrability; the
 Drinfeld-Sokolov hierarchy (``hierarchy``) is its worked example.  So no
-certificate reads how a system was built.  ``flows`` maps each label (a, k)
-to a ``diffalg.Derivation`` over plain ``DiffPoly`` characteristics; the
-distinguished flow is one = (1, 0), with densities h_j = Omega_{j;one}.
-``omega`` maps every pair of its labels to a ``DiffPoly``.  What each
-certificate assumes (its argument is in its docstring):
+certificate reads how a system was built.  This module owns the
+vocabulary: ``flows`` maps each ``Label`` (a, k) to a ``diffalg.Derivation``
+over plain ``DiffPoly`` characteristics; the distinguished flow is
+``ONE`` = (1, 0), with densities h_j = Omega_{j;one}.  A ``Table`` maps every
+pair of its labels to a ``DiffPoly``, and ``labels`` lists those labels.
+What each certificate assumes (its argument is in its docstring):
 
 - ``verify_symmetry`` and ``verify_integrability``: nothing; each pair is
   compared, each commutator [D_i, D_k], i != k, computed.
@@ -33,14 +34,19 @@ Table = Mapping[tuple[Label, Label], DiffPoly]
 ONE: Label = (1, 0)
 
 
+def labels(omega: Table) -> list[Label]:
+    """The labels of the table's rows, sorted."""
+    return sorted({i for i, _ in omega})
+
+
 def verify_symmetry(omega: Table) -> list[dict]:
     """Omega_{i;j} = Omega_{j;i}, compared for every ordered pair of labels."""
-    labels = sorted({i for i, _ in omega})
+    rows = labels(omega)
     return [{
         "check": "omega_symmetry",
         "pair": [list(i), list(j)],
         "residual_zero": omega[i, j] == omega[j, i],
-    } for i in labels for j in labels]
+    } for i in rows for j in rows]
 
 
 def verify_integrability(flows: Mapping[Label, Derivation]) -> list[dict]:
@@ -63,7 +69,7 @@ def verify_tau_symmetry(flows: Mapping[Label, Derivation], omega: Table,
     Write P(i, j) for the triple (i, j, one), that is
     D_i(h_j) = D_one(Omega_{i;j}).  A triple (i, j, k) is certified when
 
-    - flow one has characteristics exactly -u_{a,1}, so D_one = -d;
+    - flow one is -d (``Derivation.is_minus_d``);
     - P(i, j) and P(k, j) hold;
     - Omega_{j;k} = Omega_{k;j};
     - the ``flow_commutator`` record of (i, k) among ``commutators`` (the
@@ -83,7 +89,7 @@ def verify_tau_symmetry(flows: Mapping[Label, Derivation], omega: Table,
     is computed directly.  So each verdict equals the direct route's, which
     the tests keep as the reference.
     """
-    labels = [l for l in sorted({i for i, _ in omega}) if l in flows]
+    rows = [l for l in labels(omega) if l in flows]
     lift = ONE in flows and flows[ONE].is_minus_d()
     # D_i(p) memoised on (i, p): Omega is symmetric, so most values recur,
     # and a corrupted entry never shares a key with its transpose
@@ -114,7 +120,7 @@ def verify_tau_symmetry(flows: Mapping[Label, Derivation], omega: Table,
             i, k = (tuple(l) for l in c["pair"])
             commuting |= {(i, k), (k, i)}
     out = []
-    for i, j, k in product(labels, repeat=3):
+    for i, j, k in product(rows, repeat=3):
         if (lift and k != ONE and (i, k) in commuting
                 and omega[j, k] == omega[k, j]
                 and holds(i, j, ONE) and holds(k, j, ONE)):

@@ -14,7 +14,7 @@ def _omega_objs(ell: int, table) -> list[dict]:
     names = default_names(ell)
     formatted: dict = {}  # (i, j) -> (value, its obj, its text)
     out = []
-    for (i, j), val in sorted(table.entries.items()):
+    for (i, j), val in sorted(table.items()):
         got = formatted.get((j, i))
         if got is None or got[0] != val:
             terms = val.sorted_parts()  # one sort for both forms
@@ -37,7 +37,7 @@ def run(cfg, build) -> int:
         "max_a": max_a,
         "max_k": cfg.max_k,
         "entries": _omega_objs(ell, table),
-        "symmetry": verify_symmetry(table.entries),
+        "symmetry": verify_symmetry(table),
     }
     if cfg.format == "text":
         for e in payload["entries"]:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import sys
 
-from ..certify import (tau_coordinate_check, verify_integrability, verify_symmetry,
-                       verify_tau_symmetry)
+from ..certify import (ONE, labels, tau_coordinate_check, verify_integrability,
+                       verify_symmetry, verify_tau_symmetry)
 from ..diffalg import DiffPoly
-from ..hierarchy import OmegaTable, verify_gauge_invariance
+from ..hierarchy import verify_gauge_invariance
 from ..serialize import dumps
 from . import ConfigError
 
@@ -20,17 +20,22 @@ def run(cfg, build) -> int:
         raise ConfigError(
             f"max_a (--max-a) {max_a} is below ell = {real.ell} for {real.name}: the "
             f"tau-coordinate check reads Omega_(a,0);(1,0) for a = 1..{real.ell}")
+    # every flow must have a table row, or no triple and no reconstruction reads it
+    for a, k in cfg.flows or ():
+        if not (a <= max_a and 0 <= k <= cfg.max_k):  # a >= 1: checked by build
+            raise ConfigError(
+                f"flow {a}:{k} (--flows) has no row in the table of labels a:k with "
+                f"a in 1..{max_a} (--max-a) and k in 0..{cfg.max_k} (--max-k)")
     table = h.omega_table(max_a, cfg.max_k)
-    labels = cfg.flows or table.labels()
-    flows = h.flows(labels)
+    chosen = cfg.flows or labels(table)
+    flows = h.flows(chosen)
     if cfg.self_test_corrupt:
         # a corrupted copy: the table cached in the hierarchy stays intact
-        key = sorted(table.entries)[0]
-        entries = {**table.entries, key: table.entries[key] + DiffPoly.var(1, 1)}
-        table = OmegaTable(entries, table.max_a, table.max_k)
+        key = min(table)
+        table = {**table, key: table[key] + DiffPoly.var(1, 1)}
     checks: list[dict] = []
     # translation flow
-    f10 = h.flow((1, 0))
+    f10 = h.flow(ONE)
     checks.append({"check": "d10_is_minus_d", "residual_zero": f10.is_minus_d()})
     try:
         h.d10_unique_solve()
@@ -56,16 +61,15 @@ def run(cfg, build) -> int:
         } for b in rs)
     # the commutators come first: tau-symmetry certifies triples from them
     commutators = verify_integrability(flows)
-    checks.extend(verify_symmetry(table.entries))
-    checks.extend(verify_tau_symmetry(flows, table.entries, commutators=commutators))
+    checks.extend(verify_symmetry(table))
+    checks.extend(verify_tau_symmetry(flows, table, commutators=commutators))
     checks.extend(verify_gauge_invariance(h, table))
     checks.extend(commutators)
-    # the first flow other than (1, 0) that the table has a row for
-    covered = [l for l in labels if l != (1, 0) and l in table.labels()]
+    # the tau-coordinate check rebuilds the first flow other than (1, 0)
     checks.append(tau_coordinate_check(
-        {(1, 0): f10, **flows}, table.entries, real.ell,
-        eps_order=min(cfg.eps_order, cfg.max_k + 1),
-        jet_depth=cfg.jet_depth, check_labels=covered[:1] or [(1, 0)]))
+        {ONE: f10, **flows}, table, real.ell,
+        eps_order=min(cfg.eps_order, cfg.max_k + 1), jet_depth=cfg.jet_depth,
+        check_labels=[l for l in chosen if l != ONE][:1] or [ONE]))
     all_pass = all(c.get("residual_zero", False) for c in checks)
     payload = {"algebra": real.name, "all_pass": all_pass, "checks": checks}
     if cfg.format == "text":

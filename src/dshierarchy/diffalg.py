@@ -954,8 +954,13 @@ class Derivation:
         return all(c.is_zero() for c in self.chars)
 
     def is_minus_d(self) -> bool:
-        """True when the characteristics are exactly -u_{a,1}: the derivation is -d."""
-        return self.chars == tuple(-DiffPoly.var(a, 1) for a in range(1, self.arity + 1))
+        """True when the derivation is -d: characteristics exactly -u_{a,1} over ``JetMap``.
+
+        Over another jet kind the same characteristics are another derivation
+        (over ``DifferenceRing.jet_map``, -S).
+        """
+        return self.kind is JetMap and \
+            self.chars == tuple(-DiffPoly.var(a, 1) for a in range(1, self.arity + 1))
 
     def graded(self, eps_order: int) -> "Derivation":
         """Of plain characteristics: the degree-d part of each at eps^{d-1}.

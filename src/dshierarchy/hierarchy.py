@@ -36,9 +36,10 @@ the certified rewrite to the u-jets gives the same flows and entries; that
 route is kept in the tests as a reference.
 
 A flow is a ``diffalg.Derivation`` over plain u-jet characteristics,
-kept by its label.  The proofs that read only flows and the table live in
-``certify``; ``verify_gauge_invariance`` stays here, as it needs the gauge
-map, and its argument is in its docstring.
+kept by its label, and the table is a plain ``certify.Table``, a dict from
+label pairs to ``DiffPoly``, memoised per (max_a, max_k).  The proofs that
+read only flows and the table live in ``certify``; ``verify_gauge_invariance``
+stays here, as it needs the gauge map, and its argument is in its docstring.
 """
 
 from __future__ import annotations
@@ -51,47 +52,20 @@ from .certify import tau_coordinate_check, verify_integrability, verify_tau_symm
 from .diffalg import Derivation, DiffPoly
 from .kacmoody import LoopElement, LoopRealization, build_algebra
 from .linalg import InconsistentSystemError
-from .resolvent import DepthError, LaxOperator, Resolvent, flow_depth
+from .resolvent import LaxOperator, Resolvent, flow_depth
 
-if TYPE_CHECKING:  # at run time, only the members that use gauge import it
+if TYPE_CHECKING:  # annotations; at run time only the members that use gauge import it
+    from .certify import Label, Table
     from .gauge import CanonicalForm, GaugeHomomorphism
 
-FlowLabel = tuple[int, int]
 
-
-def _check_label(real: LoopRealization, label: FlowLabel) -> FlowLabel:
+def _check_label(real: LoopRealization, label: Label) -> Label:
     a, k = label
     if not (1 <= a <= real.n):
         raise ValueError(f"flow family index {a} out of range 1..{real.n}")
     if k < 0:
         raise ValueError("flow index k must be >= 0")
     return (a, k)
-
-
-class OmegaTable:
-    """Tau-structure entries indexed by pairs of flow labels, in u-jets."""
-
-    def __init__(self, entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly],
-                 max_a: int, max_k: int):
-        self.entries = entries
-        self.max_a = max_a
-        self.max_k = max_k
-
-    def entry(self, i: FlowLabel, j: FlowLabel) -> DiffPoly:
-        try:
-            return self.entries[(i, j)]
-        except KeyError:
-            why = [f"a = {a} > max_a = {self.max_a}" for a, _ in (i, j) if a > self.max_a] + \
-                [f"k = {k} > max_k = {self.max_k}" for _, k in (i, j) if k > self.max_k]
-            raise DepthError(f"Omega entry {(i, j)} not computed: "
-                             f"{', '.join(why) or 'no such label'}") from None
-
-    def labels(self) -> list[FlowLabel]:
-        return [(a, k) for a in range(1, self.max_a + 1)
-                for k in range(0, self.max_k + 1)]
-
-    def has_nonconstant_entry(self) -> bool:
-        return any(not v.dx().is_zero() for v in self.entries.values())
 
 
 class DSHierarchy:
@@ -117,8 +91,8 @@ class DSHierarchy:
         self.omega_max_k = omega_max_k
         self.lax_u = LaxOperator(self.real, "canonical")
         self._hom: GaugeHomomorphism | None = None
-        self._flows: dict[FlowLabel, Derivation] = {}
-        self._omega: dict[tuple, OmegaTable] = {}
+        self._flows: dict[Label, Derivation] = {}
+        self._omega: dict[tuple[int, int], Table] = {}
 
     @cached_property
     def lax_q(self) -> LaxOperator:
@@ -140,7 +114,7 @@ class DSHierarchy:
         return self._hom
 
     # -- flows -------------------------------------------------------------
-    def flow(self, label: FlowLabel) -> Derivation:
+    def flow(self, label: Label) -> Derivation:
         """The flow D_{a,k} on the canonical coordinates, in u-jets."""
         label = _check_label(self.real, label)
         got = self._flows.get(label)
@@ -153,10 +127,10 @@ class DSHierarchy:
         self._flows[label] = flow
         return flow
 
-    def flows(self, labels: Iterable[FlowLabel]) -> dict[FlowLabel, Derivation]:
+    def flows(self, labels: Iterable[Label]) -> dict[Label, Derivation]:
         return {tuple(l): self.flow(tuple(l)) for l in labels}
 
-    def _compensate(self, label: FlowLabel, x: LoopElement):
+    def _compensate(self, label: Label, x: LoopElement):
         """(theta, psi, chars): psi = [x + theta, L_can] is V-valued.
 
         psi = [x + theta, Lambda + q_u] - d(x + theta), read as
@@ -228,7 +202,7 @@ class DSHierarchy:
                 for a, m in enumerate(real.exponents[:max_a], 1)}
 
     def omega_table(self, max_a: int | None = None,
-                    max_k: int | None = None) -> OmegaTable:
+                    max_k: int | None = None) -> Table:
         """Tau-structure table for labels (a, k), a in 1..max_a, k in 0..max_k.
 
         Read off the resolvents of ``table_resolvents`` for the canonical-form
@@ -258,7 +232,7 @@ class DSHierarchy:
             return got
         n_tw = real.twist_order
         resolvents = self.table_resolvents(max_a, max_k)
-        entries: dict[tuple[FlowLabel, FlowLabel], DiffPoly] = {}
+        table: dict[tuple[Label, Label], DiffPoly] = {}
         for a, ra in resolvents.items():
             for k1 in range(max_k + 1):
                 shift = k1 * n_tw
@@ -268,13 +242,12 @@ class DSHierarchy:
                 for b, rb in resolvents.items():
                     row = w.pair(rb.element, -max_k * n_tw)
                     for k2 in range(max_k + 1):
-                        entries[((a, k1), (b, k2))] = row.get(-k2 * n_tw, DiffPoly.zero())
-        for (i, j), val in entries.items():
-            if val != entries[(j, i)]:
+                        table[((a, k1), (b, k2))] = row.get(-k2 * n_tw, DiffPoly.zero())
+        for (i, j), val in table.items():
+            if val != table[(j, i)]:
                 raise RuntimeError(
                     f"tau-structure symmetry broken at {(i, j)}; engine bug")
-        table = OmegaTable(entries, max_a, max_k)
-        if not table.has_nonconstant_entry():
+        if all(val.dx().is_zero() for val in table.values()):
             raise RuntimeError(
                 "tau-structure is degenerate: every entry is constant")
         self._omega[key] = table
@@ -283,8 +256,7 @@ class DSHierarchy:
 
 # -- gauge invariance of the table ---------------------------------------------
 
-def verify_gauge_invariance(hierarchy: DSHierarchy,
-                            omega: OmegaTable) -> list[dict]:
+def verify_gauge_invariance(hierarchy: DSHierarchy, omega: Table) -> list[dict]:
     """f(Omega) = Omega in the extended (q, S) ring, entry by entry.
 
     Every entry is a polynomial in the u-jets, and f is a differential ring
@@ -301,7 +273,7 @@ def verify_gauge_invariance(hierarchy: DSHierarchy,
     hom = hierarchy.gauge_homomorphism()
     jets = hierarchy.canform.jets
     used: set = set()
-    for val in omega.entries.values():
+    for val in omega.values():
         used |= val.variables()
     moved = {}  # a -> f(u_a) - u_a, for each generator f does not fix
     for a in sorted({a for a, _ in used}):
@@ -313,4 +285,4 @@ def verify_gauge_invariance(hierarchy: DSHierarchy,
         "check": "omega_gauge_invariance",
         "pair": [list(i), list(j)],
         "residual_zero": all(fixed[v] for v in val.variables()),
-    } for (i, j), val in sorted(omega.entries.items())]
+    } for (i, j), val in sorted(omega.items())]

@@ -35,9 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .certify import verify_integrability
+from .certify import ONE, Label, Table, labels, verify_integrability
 from .diffalg import Derivation, DiffPoly, EpsSeries, JetMap
-from .hierarchy import FlowLabel, OmegaTable
 from .ratfunc import RatFunc
 
 TIndex = tuple[int, ...]
@@ -68,7 +67,7 @@ class FormalSolution:
     that over I!.
     """
 
-    def __init__(self, flows: Mapping[FlowLabel, Derivation], initial: Sequence[RatFunc],
+    def __init__(self, flows: Mapping[Label, Derivation], initial: Sequence[RatFunc],
                  T: int, K: int):
         self.labels = tuple(flows)
         self.T = T
@@ -108,7 +107,7 @@ class FormalSolution:
                 for exps, s in polys.items()}
 
 
-def integrate_formal(flows: Mapping[FlowLabel, Derivation], initial: Sequence[RatFunc],
+def integrate_formal(flows: Mapping[Label, Derivation], initial: Sequence[RatFunc],
                      t_degree: int, eps_order: int) -> FormalSolution:
     """Iterated-flow Taylor solution with the given initial data at t = 0.
 
@@ -126,28 +125,33 @@ def integrate_formal(flows: Mapping[FlowLabel, Derivation], initial: Sequence[Ra
     return FormalSolution(flows, initial, t_degree, eps_order)
 
 
-def two_point_functions(sol: FormalSolution, omega: OmegaTable,
-                        one: FlowLabel = (1, 0)) -> dict:
+def two_point_functions(sol: FormalSolution, omega: Table) -> dict:
     """Two-point values along the solution plus the compatibility report.
 
     ``values[(i, j)]`` maps (I, q) to the nonzero coefficient of t^I eps^q in
     Omega_{i;j}(u(t)), the entry regraded at shift 0.  The report checks, for
     |I| <= T-1, that D^{I+e_i} Omega_{one;j} equals D^{I+e_j} Omega_{one;i}
-    at t = 0: d_{t_i} of the value of Omega_{one;j} equals d_{t_j} of the
-    value of Omega_{one;i}, the closedness needed for the second
-    log-derivatives to integrate to a tau-function.
+    at t = 0, with one = ``certify.ONE``: d_{t_i} of the value of
+    Omega_{one;j} equals d_{t_j} of the value of Omega_{one;i}, the
+    closedness needed for the second log-derivatives to integrate to a
+    tau-function.  The table must have a row for every label of the solution.
     """
-    if one not in sol.labels:
-        raise ValueError(f"two-point functions need the flow {one} among the "
+    if ONE not in sol.labels:
+        raise ValueError(f"two-point functions need the flow {ONE} among the "
                          f"solution's flows, got {list(sol.labels)}")
+    rows = labels(omega)
+    for label in sol.labels:
+        if label not in rows:
+            raise ValueError(f"two-point functions need a table row for the flow "
+                             f"{label}; the table has rows {rows}")
     # memoised on the entry: Omega is symmetric, so (i, j) and (j, i) share one
     # value, and a corrupted entry never shares its transpose's
     evaluated: dict[DiffPoly, tuple[dict, dict]] = {}
-    derivatives: dict[tuple[FlowLabel, FlowLabel], dict] = {}
-    values: dict[tuple[FlowLabel, FlowLabel], dict] = {}
+    derivatives: dict[tuple[Label, Label], dict] = {}
+    values: dict[tuple[Label, Label], dict] = {}
     for i in sol.labels:
         for j in sol.labels:
-            entry = omega.entry(i, j)
+            entry = omega[i, j]
             got = evaluated.get(entry)
             if got is None:
                 taylor = sol.taylor(EpsSeries.regrade(entry, sol.K), sol.T)
@@ -158,11 +162,11 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
                                   for q, v in enumerate(per_eps) if not v.is_zero())
                 got = evaluated[entry] = (taylor, scaled)
             derivatives[(i, j)], values[(i, j)] = got
-    lower = [exps for exps in derivatives[(one, one)] if sum(exps) < sol.T]
+    lower = [exps for exps in derivatives[(ONE, ONE)] if sum(exps) < sol.T]
     report = []
     for a, i in enumerate(sol.labels):
         for b, j in enumerate(sol.labels):
-            lhs, rhs = derivatives[(one, j)], derivatives[(one, i)]
+            lhs, rhs = derivatives[(ONE, j)], derivatives[(ONE, i)]
             report.append({
                 "check": "two_point_cross_derivative",
                 "pair": [list(i), list(j)],
@@ -173,7 +177,7 @@ def two_point_functions(sol: FormalSolution, omega: OmegaTable,
 
 
 def flow_equation_report(sol: FormalSolution,
-                         flows: Mapping[FlowLabel, Derivation]) -> list[dict]:
+                         flows: Mapping[Label, Derivation]) -> list[dict]:
     """d u / d t_j equals the flow characteristic along the solution (to T-1).
 
     For |I| <= T-1 the coefficient D^{I+e_j} u_alpha is compared with D^I of

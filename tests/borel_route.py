@@ -64,4 +64,4 @@ def omega_entries(h: DSHierarchy, max_a: int, max_k: int) -> dict:
     borel._omega = {}
     table = borel.omega_table(max_a, max_k)
     return {key: to_invariant_coordinates(h.canform, val)
-            for key, val in table.entries.items()}
+            for key, val in table.items()}

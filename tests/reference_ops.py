@@ -357,7 +357,7 @@ class Recording(Derivation):
     """A flow that appends (its label, p) to ``seen`` for every p it is applied to."""
 
     def __init__(self, label, flow: Derivation, seen: list):
-        super().__init__(flow.chars)
+        super().__init__(flow.chars, flow.kind)
         self.label, self.seen = label, seen
 
     def __call__(self, p):
@@ -432,14 +432,14 @@ def gauge_invariance_per_jet(hierarchy, omega) -> list[dict]:
     hom = hierarchy.gauge_homomorphism()
     jets = hierarchy.canform.jets
     used: set = set()
-    for val in omega.entries.values():
+    for val in omega.values():
         used |= val.variables()
     fixed = {v: hom.is_invariant(jets(*v)) for v in sorted(used)}
     return [{
         "check": "omega_gauge_invariance",
         "pair": [list(i), list(j)],
         "residual_zero": all(fixed[v] for v in val.variables()),
-    } for (i, j), val in sorted(omega.entries.items())]
+    } for (i, j), val in sorted(omega.items())]
 
 
 # -- miura ---------------------------------------------------------------------

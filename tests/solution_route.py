@@ -153,7 +153,7 @@ def two_point(sol, omega, one=(1, 0)):
     returns.
     """
     jets = solution_jets(sol)
-    values = {(i, j): evaluate_graded(omega.entry(i, j), sol, jets, 0)
+    values = {(i, j): evaluate_graded(omega[i, j], sol, jets, 0)
               for i in sol.labels for j in sol.labels}
     report = []
     for a, i in enumerate(sol.labels):

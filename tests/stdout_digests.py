@@ -4,13 +4,15 @@ Usage, from the root of a checkout::
 
     python3 tests/stdout_digests.py            # re-run every command, name each mismatch
     python3 tests/stdout_digests.py --quick    # only the commands marked quick
-    python3 tests/stdout_digests.py --record   # write the digests of this tree
+    python3 tests/stdout_digests.py --record   # add the digests of commands with none
 
 Each command runs as ``python -m dshierarchy.cli`` on this checkout's ``src``
 with ``PYTHONHASHSEED=0``; the sha1 of its stdout and its exit code are
 compared with ``tests/data/stdout_digests.json``.  The exit status is the
-number of mismatches.  The file is a plain script: pytest does not collect it,
-and ``tests/test_cli.py`` runs the quick commands.
+number of mismatches.  ``--record`` runs only the commands that have no
+record and appends theirs; a recorded digest is never rewritten.  The file
+is a plain script: pytest does not collect it, and ``tests/test_cli.py``
+runs the quick commands.
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ def _commands() -> list[tuple[tuple[str, ...], bool]]:
     # the second basic resolvent, dumped from its sparse loop elements
     out += [(("resolvent", "--type", name, "--exponent", "2"), True)
             for name in ("a2_1", "a2_2")]
+    # a --flows label outside the table is refused (exit 2, no stdout)
+    out.append((("verify", "--type", "a2_2", "--max-a", "1", "--max-k", "1",
+                 "--flows", "1:0,2:0"), True))
     return out
 
 
@@ -132,7 +137,10 @@ def mismatches(quick_only: bool = False) -> list[str]:
 
 
 def record() -> None:
-    items = [{"argv": list(argv), **run(argv)} for argv, _ in COMMANDS]
+    """Append a digest for each command that has none, after the recorded ones."""
+    items = json.loads(DIGESTS.read_text())
+    recorded = {tuple(item["argv"]) for item in items}
+    items += [{"argv": list(argv), **run(argv)} for argv, _ in COMMANDS if argv not in recorded]
     DIGESTS.write_text(json.dumps(items, indent=1) + "\n")
 
 

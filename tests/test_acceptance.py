@@ -14,8 +14,8 @@ import pytest
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries
 from dshierarchy.discrete import (DifferenceRing, embed_differential,
                                   invert_discrete_miura)
-from dshierarchy.certify import (tau_coordinate_check, verify_integrability, verify_symmetry,
-                                 verify_tau_symmetry)
+from dshierarchy.certify import (labels, tau_coordinate_check, verify_integrability,
+                                 verify_symmetry, verify_tau_symmetry)
 from dshierarchy.hierarchy import DSHierarchy, verify_gauge_invariance
 from dshierarchy.miura import MiuraTuple, invert_miura
 from dshierarchy.solution import (flow_equation_report, gbgw_initial,
@@ -69,7 +69,7 @@ def test_criterion_03_omega_symmetry(sl2, sl3):
     ok = True
     for h, max_k in ((sl2, 2), (sl3, 1)):
         table = h.omega_table(h.real.n, max_k)
-        ok = ok and all(r["residual_zero"] for r in verify_symmetry(table.entries))
+        ok = ok and all(r["residual_zero"] for r in verify_symmetry(table))
     _report(3, ok, "Omega_(a,k1;b,k2) = Omega_(b,k2;a,k1) exactly, "
             "every computed entry", t0)
 
@@ -81,7 +81,7 @@ def test_criterion_04_tau_symmetry(sl2, sl3):
         table = h.omega_table(h.real.n, 1)
         labels = [(a, k) for a in range(1, h.real.n + 1) for k in (0, 1)]
         flows = h.flows(labels)
-        rep = verify_tau_symmetry(flows, table.entries, verify_integrability(flows))
+        rep = verify_tau_symmetry(flows, table, verify_integrability(flows))
         ok = ok and all(r["residual_zero"] for r in rep) and len(rep) == len(labels) ** 3
     _report(4, ok, "tau-symmetry D_i(Omega_jk) = D_k(Omega_ij) for all "
             "triples with k <= 1, zero residual", t0)
@@ -122,7 +122,7 @@ def test_criterion_07_miura_property_and_reconstruction(sl2, sl3):
     ok = True
     for h in (sl2, sl3):
         table = h.omega_table(h.real.n, 1)
-        rep = tau_coordinate_check(h.flows(table.labels()), table.entries, h.ell,
+        rep = tau_coordinate_check(h.flows(labels(table)), table, h.ell,
                                    eps_order=2, jet_depth=6, check_labels=[(1, 1)])
         ok = ok and rep["miura_type"] and rep["residual_zero"]
         ok = ok and rep["inverse_jet_depth"] <= 6
@@ -156,7 +156,7 @@ def test_criterion_09_twisted_case(a22):
     ok = ok and list(f.chars) == [-u(1, 1)]
     # criterion 3 at reduced depth (k <= 1)
     table = a22.omega_table(2, 1)
-    ok = ok and all(r["residual_zero"] for r in verify_symmetry(table.entries))
+    ok = ok and all(r["residual_zero"] for r in verify_symmetry(table))
     # criterion 6 at reduced depth
     need = real.exponents[-1] + 2 * 1 * real.twist_order
     rs = {a: a22.lax_u.resolvent(a, need + 1) for a in (1, 2)}

@@ -25,6 +25,7 @@ from dshierarchy import certify
 from dshierarchy.certify import (tau_coordinate_check, verify_integrability, verify_symmetry,
                                  verify_tau_symmetry)
 from dshierarchy.diffalg import Derivation, DiffPoly
+from dshierarchy.discrete import DifferenceRing
 from reference_ops import Recording, tau_symmetry_direct
 
 u = DiffPoly.var
@@ -54,6 +55,9 @@ def test_the_hand_written_data_are_a_tau_structure():
 def test_every_certificate_passes_on_the_riemann_hierarchy():
     direct, table = riemann_flows(), riemann_table()
     called = set()
+
+    assert certify.labels(table) == LABELS
+    called.add("labels")
 
     symmetry = verify_symmetry(table)
     called.add("verify_symmetry")
@@ -125,6 +129,33 @@ def test_a_pair_of_flows_that_does_not_commute():
     rep = tau_coordinate_check(flows, table, 1, eps_order=2, jet_depth=4,
                                check_labels=LABELS)
     assert rep["reconstruction_matches"] == {str(list(l)): l != (1, 2) for l in LABELS}
+
+
+def test_minus_u_x_over_the_shift_ring_is_not_minus_d():
+    # over the shift jet map the characteristic -u_{1,1} is -S, not -d, so the
+    # d-lift does not apply: every triple is computed directly.  The family
+    # T_(1,0) = -S, T_(1,k) = S^k - 1 on Omega_{i;j} = T_i T_j u is
+    # tau-symmetric, and every premise of the lift holds but that one.
+    ring = DifferenceRing(1, (-12, 12))
+    v = DiffPoly.dvar
+    direct = {ONE: Derivation((-v(1, 1),), ring.jet_map)}
+    direct.update({(1, k): Derivation((v(1, k) - v(1, 0),), ring.jet_map) for k in (1, 2)})
+    rows = sorted(direct)
+    table = {(i, j): direct[i](direct[j].chars[0]) for i in rows for j in rows}
+    assert direct[ONE].chars == riemann_flows()[ONE].chars
+    assert riemann_flows()[ONE].is_minus_d() and not direct[ONE].is_minus_d()
+    assert all(r["residual_zero"] for r in verify_symmetry(table))
+    seen: list = []
+    flows = {l: Recording(l, f, seen) for l, f in direct.items()}
+    commutators = verify_integrability(flows)
+    assert all(r["residual_zero"] for r in commutators)
+    seen.clear()
+    got = verify_tau_symmetry(flows, table, commutators)
+    assert got == tau_symmetry_direct(direct, table)
+    assert len(got) == len(rows) ** 3 and all(r["residual_zero"] for r in got)
+    # one call per distinct (flow, entry) of the direct route, none fewer
+    want = {(i, table[j, k]) for i in rows for j in rows for k in rows}
+    assert len(seen) == len(set(seen)) == len(want) and set(seen) == want
 
 
 def test_certify_loads_no_drinfeld_sokolov_module():

@@ -91,10 +91,10 @@ def test_verify_corrupts_a_copy_of_the_cached_table(capsys, monkeypatch):
     failed = {c["check"] for c in json.loads(out)["checks"]
               if not c["residual_zero"]}
     assert "tau_symmetry" in failed
-    (cached,) = built[0]._omega.values()
+    ((key, cached),) = built[0]._omega.items()
     fresh = DSHierarchy("a1_1", max_flow_k=1, omega_max_k=1).omega_table(1, 1)
-    assert cached.entries == fresh.entries
-    assert (cached.max_a, cached.max_k) == (fresh.max_a, fresh.max_k)
+    assert cached == fresh
+    assert key == (1, 1)
 
 
 def test_verify_checks_each_resolvent_down_to_the_table_floor(capsys, monkeypatch):
@@ -531,14 +531,13 @@ def test_omega_subcommand(capsys):
 def test_omega_output_formats_an_asymmetric_entry_on_its_own():
     # the output reuses a transpose's forms only when the two entries are equal
     from dshierarchy.commands.omega import _omega_objs
-    from dshierarchy.hierarchy import OmegaTable
     from dshierarchy.render import default_names, render_poly
     from dshierarchy.serialize import poly_to_obj
     u = DiffPoly.var(1)
     i, j = (1, 0), (1, 1)
     entries = {(i, i): u, (i, j): u * u, (j, i): u * u + DiffPoly.var(1, 2),
                (j, j): u * u}
-    objs = _omega_objs(1, OmegaTable(entries, 1, 1))
+    objs = _omega_objs(1, entries)
     assert [(tuple(o["i"]), tuple(o["j"])) for o in objs] == sorted(entries)
     for o in objs:
         val = entries[(tuple(o["i"]), tuple(o["j"]))]
@@ -741,14 +740,13 @@ def test_traced_proof_is_the_one_its_callers_call(monkeypatch, name):
         assert getattr(importlib.import_module(f"dshierarchy.{caller}"), name) is proof, caller
 
 
-def test_verify_reconstructs_a_flow_the_table_has_a_row_for(capsys):
-    # flow (2, 0) lies outside a table with max-a 1: the tau-coordinate check
-    # rebuilds (1, 0), which the table holds, and names no missing entry
-    code, out, err = run(capsys, "verify", "--type", "a2_2", "--max-a", "1", "--max-k", "1",
-                         "--flows", "1:0,2:0")
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    assert payload["all_pass"] is True and len(payload["checks"]) == 17
-    tau = payload["checks"][-1]
-    assert tau["check"] == "tau_coordinates"
-    assert tau["reconstruction_matches"] == {"[1, 0]": True}
+def test_verify_refuses_a_flow_the_table_has_no_row_for(capsys, monkeypatch):
+    # flow (2, 0) lies outside a table with max-a 1: no tau-symmetry triple and
+    # no reconstruction would read it, so it is refused before any table is built
+    monkeypatch.setattr(DSHierarchy, "omega_table", None)
+    for flows, label in (("1:0,2:0", "2:0"), ("1:2", "1:2")):
+        code, out, err = run(capsys, "verify", "--type", "a2_2", "--max-a", "1",
+                             "--max-k", "1", "--flows", flows)
+        assert (code, out) == (2, "")
+        assert err == (f"error: flow {label} (--flows) has no row in the table of labels "
+                       "a:k with a in 1..1 (--max-a) and k in 0..1 (--max-k)\n")

@@ -5,6 +5,7 @@ import pytest
 
 import discrete_route as ref
 from dshierarchy import discrete
+from dshierarchy.commands.discrete import _toy_checks, _toy_family
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries
 from dshierarchy.discrete import (DifferenceRing, ShiftJetMap, ShiftWindowError,
                                   embed_differential, invert_discrete_miura)
@@ -195,6 +196,26 @@ def test_toy_translation_family_tau_structure():
                 rhs = fam[k](omega[(i, j)])
                 assert (lhs - rhs).is_zero()
             assert not omega[(i, j)].is_constant()
+
+
+@pytest.mark.parametrize("stand_in", ["shipped", "non-commuting-member", "corrupted-entry"])
+def test_toy_family_verdicts_match_the_hand_written_loops(stand_in):
+    # dshier discrete checks its toy family through certify; the loops it
+    # replaced are the reference, on the family and on two stand-ins
+    ring = DifferenceRing(1, (-12, 12))
+    flows, table = _toy_family(ring, 3)
+    assert set(flows) == {(1, 1), (1, 2), (1, 3)} and len(table) == 9
+    if stand_in == "non-commuting-member":
+        # [D_(1,1), D_(1,2)](u) = -(u_1 - u_0)^2
+        flows[(1, 2)] = Derivation([v(1, 2) - v(1, 0) + v(1, 0) ** 2], ring.jet_map)
+    elif stand_in == "corrupted-entry":
+        # off by u_1 apart from its transpose
+        table[(1, 1), (1, 2)] = table[(1, 1), (1, 2)] + v(1, 1)
+    got = _toy_checks(flows, table)
+    assert got == ref.toy_checks(flows, table)
+    verdicts = [r["residual_zero"] for r in got]
+    assert verdicts == {"shipped": [True, True], "non-commuting-member": [False, False],
+                        "corrupted-entry": [True, False]}[stand_in]
 
 
 # -- the shared route against the separate difference-ring route ------------

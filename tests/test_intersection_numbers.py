@@ -78,7 +78,7 @@ def correlator(hierarchy):
 
     def read(i: int, j: int, g: int) -> dict[int, Fraction]:
         """{n: <tau_0^n tau_i tau_j>_g} for every n with a nonzero number."""
-        return numbers(table.entry((1, i), (1, j)), 2 * g, (i, j))
+        return numbers(table[(1, i), (1, j)], 2 * g, (i, j))
 
     return read
 
@@ -89,7 +89,7 @@ def three_point(hierarchy):
 
     def read(i: int, j: int, k: int, g: int) -> dict[int, Fraction]:
         """{n: <tau_0^n tau_i tau_j tau_k>_g}, from d/dt_k = -D_(1,k) on Omega_{i;j}."""
-        third = hierarchy.flow((1, k))(table.entry((1, i), (1, j)))
+        third = hierarchy.flow((1, k))(table[(1, i), (1, j)])
         return {n: -c for n, c in numbers(third, 2 * g + 1, (i, j, k)).items()}
 
     return read
@@ -110,7 +110,7 @@ def four_point_values(hierarchy):
     for i, j, k, l in [*product(range(FOUR_POINT_K + 1), repeat=4),
                        *((0, j, 2, 5) for j in range(3))]:
         if (i, j, k) not in once:
-            once[(i, j, k)] = hierarchy.flow((1, k))(table.entry((1, i), (1, j)))
+            once[(i, j, k)] = hierarchy.flow((1, k))(table[(1, i), (1, j)])
         twice = hierarchy.flow((1, l))(once[(i, j, k)])
         for g in range(4):
             got = numbers(twice, 2 * g + 2, (i, j, k, l))

@@ -1,6 +1,10 @@
+import ast
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,7 +12,6 @@ from hypothesis import strategies as st
 
 import solution_route as ref
 from dshierarchy.diffalg import Derivation, DiffPoly, EpsSeries, JetMap
-from dshierarchy.hierarchy import OmegaTable
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.solution import (FormalSolution, NonCommutingFlowsError,
                                   flow_equation_report, gbgw_initial,
@@ -200,9 +203,8 @@ def test_each_distinct_entry_is_evaluated_once(bench_solve, monkeypatch):
 def test_a_corrupted_entry_is_evaluated_apart_from_its_transpose(bench_solve, monkeypatch):
     sol, table = bench_solve
     i, j = (1, 0), (1, 2)
-    entries = dict(table.entries)
-    entries[(i, j)] = entries[(i, j)] + u(1)
-    bad = OmegaTable(entries, table.max_a, table.max_k)
+    bad = dict(table)
+    bad[(i, j)] = bad[(i, j)] + u(1)
     calls = _recorded_taylor(monkeypatch)
     tp = two_point_functions(sol, bad)
     assert len(calls) == 7
@@ -211,6 +213,27 @@ def test_a_corrupted_entry_is_evaluated_apart_from_its_transpose(bench_solve, mo
     values, report = ref.two_point(sol, bad)
     assert tp["values"] == values and tp["cross_derivatives"] == report
     assert not all(r["residual_zero"] for r in report)
+
+
+def test_a_table_without_a_row_for_a_flow_is_refused(bench_solve):
+    sol, table = bench_solve
+    short = {(i, j): val for (i, j), val in table.items() if (1, 2) not in (i, j)}
+    with pytest.raises(ValueError, match=r"need a table row for the flow \(1, 2\); "
+                                         r"the table has rows \[\(1, 0\), \(1, 1\)\]$"):
+        two_point_functions(sol, short)
+
+
+def test_solution_loads_no_drinfeld_sokolov_module():
+    src = Path(__file__).parents[1] / "src"
+    code = ("import sys, dshierarchy.solution; "
+            "print(sorted(m for m in sys.modules if m.startswith('dshierarchy')))")
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "dshierarchy.solution" in loaded
+    assert not loaded & {f"dshierarchy.{m}" for m in ("hierarchy", "kacmoody", "resolvent",
+                                                      "gauge")}
 
 
 def test_solve_output_leaves_the_shared_values_unchanged(monkeypatch, capsys):
@@ -339,9 +362,8 @@ def test_values_and_reports_match_the_series_route(name, request):
     table = h.omega_table(h.real.n, max(k for _, k in labels))
     # stand-ins: an entry off by u_1 apart from its transpose, and flow (1, 1)
     # off by 2 u_x in its first component
-    entries = dict(table.entries)
-    entries[((1, 0), labels[-1])] = entries[((1, 0), labels[-1])] + u(1)
-    corrupted = OmegaTable(entries, table.max_a, table.max_k)
+    corrupted = dict(table)
+    corrupted[((1, 0), labels[-1])] = corrupted[((1, 0), labels[-1])] + u(1)
     wrong = {l: Derivation((f.chars[0] + 2 * u(1, 1),) + f.chars[1:])
              if l == (1, 1) else f for l, f in flows.items()}
     for omega in (table, corrupted):

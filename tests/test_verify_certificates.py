@@ -14,10 +14,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from dshierarchy.certify import verify_integrability, verify_tau_symmetry
+from dshierarchy.certify import labels, verify_integrability, verify_tau_symmetry
 from dshierarchy.diffalg import Derivation, DiffPoly, JetMap
 from dshierarchy.gauge import GaugeHomomorphism
-from dshierarchy.hierarchy import OmegaTable, verify_gauge_invariance
+from dshierarchy.hierarchy import verify_gauge_invariance
 from reference_ops import Recording, gauge_invariance_per_jet, tau_symmetry_direct
 
 u = DiffPoly.var
@@ -58,23 +58,23 @@ def _synthetic(chars, entries):
 def test_tau_symmetry_certificate_matches_direct(request, name, max_k):
     h = request.getfixturevalue(name)
     table = h.omega_table(h.real.n, max_k)
-    direct = h.flows(table.labels())
+    direct = h.flows(labels(table))
     seen: list = []
     flows = {l: Recording(l, f, seen) for l, f in direct.items()}
     commutators = verify_integrability(flows)
     seen.clear()
-    got = verify_tau_symmetry(flows, table.entries, commutators=commutators)
-    assert got == tau_symmetry_direct(direct, table.entries)
-    assert len(got) == len(table.labels()) ** 3
+    got = verify_tau_symmetry(flows, table, commutators=commutators)
+    assert got == tau_symmetry_direct(direct, table)
+    assert len(got) == len(labels(table)) ** 3
     assert all(r["residual_zero"] for r in got)
     # every premise holds, so flows are applied only in the triples P(i, j):
     # D_i to the densities h_j, D_(1,0) to the entries
     assert seen and {p for f, p in seen if f != ONE} <= \
-        {table.entry(j, ONE) for j in table.labels()}
+        {table[j, ONE] for j in labels(table)}
 
 
 def _corrupt(table, keys, delta):
-    entries = dict(table.entries)
+    entries = dict(table)
     for key in keys:
         entries[key] = entries[key] + delta
     return entries
@@ -93,17 +93,17 @@ def _corrupt(table, keys, delta):
                          ids=["u1_x", "u2", "u1*u2_x"])
 def test_tau_symmetry_corrupted_entry_matches_direct(sl3, keys, delta):
     table = sl3.omega_table(2, 1)
-    got, want = _both(sl3.flows(table.labels()), _corrupt(table, keys, delta))
+    got, want = _both(sl3.flows(labels(table)), _corrupt(table, keys, delta))
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
 
 def test_tau_symmetry_stand_in_flow_whose_commutator_fails(sl3):
     table = sl3.omega_table(2, 1)
-    flows = sl3.flows(table.labels())
+    flows = sl3.flows(labels(table))
     flows[(2, 1)] = Derivation(tuple(w + u(1, 0) ** 2 for w in flows[(2, 1)].chars))
     assert not all(r["residual_zero"] for r in verify_integrability(flows))
-    got, want = _both(flows, table.entries)
+    got, want = _both(flows, table)
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -111,10 +111,10 @@ def test_tau_symmetry_stand_in_flow_whose_commutator_fails(sl3):
 def test_tau_symmetry_commutator_premise_is_read_from_the_records(sl3):
     # records that report every commutator failed: every triple is direct
     table = sl3.omega_table(2, 1)
-    flows = sl3.flows(table.labels())
+    flows = sl3.flows(labels(table))
     failed = [{**r, "residual_zero": False} for r in verify_integrability(flows)]
-    got = verify_tau_symmetry(flows, table.entries, commutators=failed)
-    assert got == tau_symmetry_direct(flows, table.entries)
+    got = verify_tau_symmetry(flows, table, commutators=failed)
+    assert got == tau_symmetry_direct(flows, table)
 
 
 def test_tau_symmetry_noncommuting_flows_with_every_other_premise():
@@ -151,10 +151,10 @@ def test_tau_symmetry_nonzero_vacuum_term():
 
 def test_tau_symmetry_stand_in_characteristic_with_a_constant_term(sl3):
     table = sl3.omega_table(2, 1)
-    flows = sl3.flows(table.labels())
+    flows = sl3.flows(labels(table))
     flows[(1, 1)] = Derivation((flows[(1, 1)].chars[0] + Fraction(3, 2),)
                                + flows[(1, 1)].chars[1:])
-    got, want = _both(flows, table.entries)
+    got, want = _both(flows, table)
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -162,9 +162,9 @@ def test_tau_symmetry_stand_in_characteristic_with_a_constant_term(sl3):
 def test_tau_symmetry_stand_in_translation_flow(sl3):
     # D_(1,0) = -2d: the lift premise fails, and every triple is direct
     table = sl3.omega_table(2, 1)
-    flows = sl3.flows(table.labels())
+    flows = sl3.flows(labels(table))
     flows[ONE] = Derivation(tuple(w + w for w in flows[ONE].chars))
-    got, want = _both(flows, table.entries)
+    got, want = _both(flows, table)
     assert got == want
     assert not all(r["residual_zero"] for r in want)
 
@@ -196,7 +196,7 @@ def test_gauge_certificate_matches_per_jet(request, monkeypatch, name, max_k):
     assert verify_gauge_invariance(h, table) == want
     assert all(r["residual_zero"] for r in want)
     # one call per generator the table uses, not one per jet
-    assert len(calls) == len({a for val in table.entries.values()
+    assert len(calls) == len({a for val in table.values()
                               for a, _ in val.variables()})
 
 
@@ -227,11 +227,10 @@ def test_gauge_stand_in_shift(c):
     labels = [(1, k) for k in range(len(values))]
     entries = {(i, j): values[(i[1] + j[1]) % len(values)]
                for i in labels for j in labels}
-    table = OmegaTable(entries, 1, len(values) - 1)
-    got = verify_gauge_invariance(stand_in, table)
-    assert got == gauge_invariance_per_jet(stand_in, table)
+    got = verify_gauge_invariance(stand_in, entries)
+    assert got == gauge_invariance_per_jet(stand_in, entries)
     for r in got:
-        jets = table.entry(*(tuple(l) for l in r["pair"])).variables()
+        jets = entries[tuple(tuple(l) for l in r["pair"])].variables()
         moved = {(1, 0)} if c.is_constant() else {v for v in jets if v[0] == 1}
         assert r["residual_zero"] is not (jets & moved)
     assert 0 < sum(r["residual_zero"] for r in got) < len(got)
