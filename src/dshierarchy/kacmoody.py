@@ -114,15 +114,12 @@ class SimpleLieAlgebra:
         self.dim = len(self.matrices)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.size = size = len(self.matrices[0])
-        # Coordinate solver: columns are the flattened basis matrices.
-        rows = []
-        for r in range(size):
-            for c in range(size):
-                rows.append([self.matrices[i][r][c] for i in range(self.dim)])
-        self._coords = LinearSolver(rows)
-        if self._coords.rank != self.dim:
+        # Coordinate solver: row r * size + c holds the (r, c) entries of the basis.
+        coords = LinearSolver([{i: m for i, mat in enumerate(self.matrices) if (m := mat[r][c])}
+                               for r in range(size) for c in range(size)], self.dim)
+        if coords.rank != self.dim:
             raise ValueError(f"{name}: the {self.dim} basis matrices have rank "
-                             f"{self._coords.rank}; they must be linearly independent")
+                             f"{coords.rank}; they must be linearly independent")
         # Structure constants from matrix commutators over the nonzero matrix
         # entries, nonzero[i][r] listing (c, m) for each entry m at (r, c):
         # one commutator and solve per pair i < j, [x_j, x_i] the negated row.
@@ -131,18 +128,19 @@ class SimpleLieAlgebra:
         upper = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                flat = [0] * (size * size)
+                flat: dict[int, int | Fraction] = {}
                 for a, b, sign in ((i, j, 1), (j, i, -1)):
                     for r, row in enumerate(nonzero[a]):
                         for c, m in row:
                             for s, n in nonzero[b][c]:
-                                flat[r * size + s] += sign * m * n
-                if any(flat):
+                                flat[r * size + s] = flat.get(r * size + s, 0) + sign * m * n
+                if flat:
                     try:
-                        coords = self._coords.solve(flat, zero=0)
-                    except InconsistentSystemError as exc:
-                        raise ValueError("matrix not in the span of the basis") from exc
-                    upper[(i, j)] = tuple((k, integral(c)) for k, c in enumerate(coords) if c)
+                        solved = coords.solve(flat)
+                    except InconsistentSystemError:
+                        raise ValueError(f"{name}: [{self.labels[i]}, {self.labels[j]}] is "
+                                         f"not in the span of the basis matrices") from None
+                    upper[(i, j)] = tuple((k, integral(c)) for k, c in solved.items())
         self.bracket_table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
         for i in range(self.dim):
             for j in range(self.dim):
@@ -322,21 +320,22 @@ class _SliceSplitter:
         # ad Lambda images of the previous slice basis, from the sparse
         # structure constants [x_a, x_i] of the Lambda terms c lambda^lk x_a.
         lam = [(lk, a, c.constant_term()) for (lk, a), c in real.cyclic.coeffs.items()]
-        rows = [[Fraction(0)] * len(self.basis_prev) for _ in self.index_d]
+        rows: list[dict[int, Fraction]] = [{} for _ in self.index_d]
         for pos, (k, i) in enumerate(self.basis_prev):
             for lk, a, c in lam:
                 for t, b in real.alg.bracket_table.get((a, i), ()):
-                    rows[self.index_d[(lk + k, t)]][pos] += c * b
+                    row = rows[self.index_d[(lk + k, t)]]
+                    row[pos] = row.get(pos, 0) + c * b
         dual = real.heisenberg_at(1 - d)   # exists exactly where H_{d-1} does
         if dual is not None:
             gram = real.alg.gram
-            rows.append([sum(gram[i][j] * c.constant_term()
-                             for (p, j), c in dual.coeffs.items() if p == -k)
-                         for k, i in self.basis_prev])
-        self.solver = LinearSolver(rows)
+            rows.append({pos: v for pos, (k, i) in enumerate(self.basis_prev)
+                         if (v := sum(gram[i][j] * c.constant_term()
+                                      for (p, j), c in dual.coeffs.items() if p == -k))})
+        self.solver = LinearSolver(rows, len(self.basis_prev))
 
-    def coords(self, elt: LoopElement) -> list[DiffPoly]:
-        col = [_ZERO_P] * self.solver.nrows
+    def coords(self, elt: LoopElement) -> dict[int, DiffPoly]:
+        col = {}
         for (k, i), c in elt.coeffs.items():
             pos = self.index_d.get((k, i))
             if pos is None:
@@ -348,8 +347,8 @@ class _SliceSplitter:
     def preimage(self, elt: LoopElement) -> LoopElement:
         """The y in im ad Lambda with [Lambda, y] = elt; raises InconsistentSystemError
         when elt has a Heisenberg part."""
-        y = self.solver.solve(self.coords(elt), zero=_ZERO_P)
-        return LoopElement(self.real, dict(zip(self.basis_prev, y)))
+        y = self.solver.solve(self.coords(elt))
+        return LoopElement(self.real, {self.basis_prev[pos]: c for pos, c in y.items()})
 
 
 class LoopRealization:
@@ -471,12 +470,13 @@ class LoopRealization:
         remaining ones are the coefficients of [e, p_j].  Raises
         ``InconsistentSystemError`` off b, on a lambda^k part with k != 0 too.
         """
-        col = [_ZERO_P] * len(self._borel_rows)
+        col = {}
         for (k, i), c in elt.coeffs.items():
             if (k, i) not in self._borel_rows:
                 raise InconsistentSystemError(f"lambda^{k} {self.alg.labels[i]} is not in b")
             col[self._borel_rows[(k, i)]] = c
-        return self._borel_solver.solve(col, zero=_ZERO_P)
+        x = self._borel_solver.solve(col)
+        return [x.get(j, _ZERO_P) for j in range(self._borel_solver.ncols)]
 
     def v_valued(self, residual) -> LoopElement:
         """The n-valued x that makes residual(x) V-valued, degree by degree.
@@ -604,8 +604,9 @@ class LoopRealization:
                 raise ValueError(f"Borel frame vector {c} is not in b")
         if len(cols) != len(b):
             raise ValueError("dim V + dim [e,n] != dim b")
-        self._borel_solver = LinearSolver([[v.coeffs.get(key, _ZERO_P).constant_term()
-                                            for v in cols] for key in b])
+        self._borel_solver = LinearSolver([{j: v.coeffs[key].constant_term()
+                                            for j, v in enumerate(cols) if key in v.coeffs}
+                                           for key in b], len(cols))
         if self._borel_solver.rank != len(b):
             raise ValueError("V does not complement [e, n] in the Borel")
         # V degrees are minus the exponents of the zero-mode subalgebra

@@ -2,17 +2,19 @@
 
 The splitting operations (Heisenberg projection, gauge splitting, Borel
 coordinates) all reduce to solving A x = b where A is a fixed rational matrix
-and b has entries in a commutative ring (Fraction or DiffPoly).  The solver
-precomputes a row reduction of A once and then applies the recorded
-transformation to each right-hand side; inconsistent systems raise.  The
-transformation is kept as the nonzero entries of each row, integral ones as
-``int``, so a solve touches only the coefficients that contribute.
+and b has entries in a commutative ring (Fraction or DiffPoly).  A row of A
+is a sparse map {column: value}, b is the map {row: value} of its nonzero
+entries, and the solution is the map {column: value} of its nonzero entries,
+so no caller fills or reads a zero.  The solver row-reduces [A | I] once over
+the nonzero entries only and keeps the transformation as the nonzero entries
+of each row, integral ones as ``int``; a solve then touches only the
+coefficients that contribute, and an inconsistent system raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class InconsistentSystemError(ValueError):
@@ -25,66 +27,63 @@ def integral(c: int | Fraction) -> int | Fraction:
 
 
 class LinearSolver:
-    """Solves A x = b exactly; free variables are set to zero.
+    """Solves A x = b exactly for the sparse rows of A; free variables are set to zero.
 
     The solution returned is the unique one supported on pivot columns; for
     injective A it is the unique solution.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        a = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if a else 0
-        # Row-reduce [A | I] to get R = T A in RREF together with T.
-        t = [[Fraction(int(i == j)) for j in range(self.nrows)] for i in range(self.nrows)]
-        r = [row[:] for row in a]
+    def __init__(self, rows: Sequence[Mapping[int, int | Fraction]], ncols: int):
+        nrows = self.nrows = len(rows)
+        self.ncols = ncols
+        # Row-reduce [A | I] to R = T A in RREF, the identity block stored as
+        # columns ncols + i, so that each row carries its row of T along.
+        r = []
+        for i, row in enumerate(rows):
+            if any(not 0 <= j < ncols for j in row):
+                raise ValueError(f"row {i} has a column outside range({ncols})")
+            r.append({**{j: Fraction(x) for j, x in row.items() if x}, ncols + i: Fraction(1)})
         pivots: list[tuple[int, int]] = []
-        row = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(row, self.nrows):
-                if r[i][col]:
-                    sel = i
-                    break
+        for col in range(ncols):
+            row = len(pivots)
+            sel = next((i for i in range(row, nrows) if col in r[i]), None)
             if sel is None:
                 continue
             r[row], r[sel] = r[sel], r[row]
-            t[row], t[sel] = t[sel], t[row]
             inv = 1 / r[row][col]
-            r[row] = [x * inv for x in r[row]]
-            t[row] = [x * inv for x in t[row]]
-            for i in range(self.nrows):
-                if i != row and r[i][col]:
-                    f = r[i][col]
-                    r[i] = [x - f * y for x, y in zip(r[i], r[row])]
-                    t[i] = [x - f * y for x, y in zip(t[i], t[row])]
+            pivot = r[row] = {j: x * inv for j, x in r[row].items()}
+            for i, other in enumerate(r):
+                f = other.get(col)
+                if f and i != row:
+                    for j, y in pivot.items():
+                        x = other.get(j, 0) - f * y
+                        if x:
+                            other[j] = x
+                        else:
+                            del other[j]
             pivots.append((row, col))
-            row += 1
-        self.transform = t
-        self._rows = [tuple((j, integral(x)) for j, x in enumerate(tr) if x)
-                      for tr in t]
+        self._rows = [tuple((j - ncols, integral(x)) for j, x in sorted(t.items()) if j >= ncols)
+                      for t in r]
         self.pivots = pivots
         self.rank = len(pivots)
 
-    def solve(self, b: Sequence, zero=Fraction(0)):
-        """Return x with A x = b, or raise InconsistentSystemError.
+    def solve(self, b: Mapping) -> dict:
+        """Return x with A x = b as {column: value}, or raise InconsistentSystemError.
 
-        ``zero`` supplies the ring zero used for free variables and for
-        testing residuals (e.g. ``DiffPoly.zero()``).
+        ``b`` maps row indices to ring elements (Fraction, int or DiffPoly);
+        a missing row is zero, and a zero entry of x is left out.
         """
-        if len(b) != self.nrows:
-            raise ValueError(f"rhs length {len(b)} != {self.nrows}")
-        c = []
-        for row in self._rows:
-            acc = zero
+        if any(not 0 <= j < self.nrows for j in b):
+            raise ValueError(f"rhs has a row outside range({self.nrows})")
+        x = {}
+        for i, row in enumerate(self._rows):
+            acc = None
             for j, coef in row:
-                if b[j]:
-                    acc = acc + b[j] * coef
-            c.append(acc)
-        for i in range(self.rank, self.nrows):
-            if c[i] != zero:
-                raise InconsistentSystemError(f"row {i} residual nonzero")
-        x = [zero] * self.ncols
-        for (row, col) in self.pivots:
-            x[col] = c[row]
+                v = b.get(j)
+                if v:
+                    acc = v * coef if acc is None else acc + v * coef
+            if acc:
+                if i >= self.rank:
+                    raise InconsistentSystemError(f"row {i} residual nonzero")
+                x[self.pivots[i][1]] = acc
         return x

@@ -123,8 +123,8 @@ def invert_miura(tup: MiuraTuple, jet_depth: int | None = None) -> MiuraPair:
     """
     ell = tup.arity
     order = tup.order
-    lin = [[Fraction(0)] * ell for _ in range(ell)]
-    const = [Fraction(0)] * ell
+    lin: list[dict[int, Fraction]] = [{} for _ in range(ell)]
+    const: dict[int, Fraction] = {}
     for i, v in enumerate(tup.values):
         lead = v.component(0)
         for mono, c in lead.terms.items():
@@ -136,18 +136,17 @@ def invert_miura(tup: MiuraTuple, jet_depth: int | None = None) -> MiuraPair:
                 raise LeadingMapError(
                     "leading map not invertible over coefficient field: "
                     "dispersionless part is not affine-linear")
-    solver = LinearSolver(lin)
+    solver = LinearSolver(lin, ell)
     if solver.rank != ell:
         raise LeadingMapError(
             "leading map not invertible over coefficient field: "
             "singular dispersionless Jacobian")
-    # columns of the inverse matrix: ainv[j][i] = A^{-1}[i][j]
-    ainv = [solver.solve([Fraction(int(i == j)) for i in range(ell)])
-            for j in range(ell)]
+    # columns of the inverse matrix: ainv[g] = {beta: A^{-1}[beta][g]}
+    ainv = [solver.solve({g: 1}) for g in range(ell)]
     # u_{beta,m} -> the m-th jet of sum_g A^{-1}[beta][g] (v_g - c_g)
     lin_inverse = tup.kind([
-        sum(((DiffPoly.var(g + 1) - const[g]) * ainv[g][beta]
-             for g in range(ell) if ainv[g][beta]), DiffPoly.zero())
+        sum(((DiffPoly.var(g + 1) - const.get(g, 0)) * col[beta]
+             for g, col in enumerate(ainv) if beta in col), DiffPoly.zero())
         for beta in range(ell)])
 
     inverse = [EpsSeries.zero(order) for _ in range(ell)]

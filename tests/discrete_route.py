@@ -23,9 +23,9 @@ from typing import Sequence
 
 from dshierarchy.diffalg import ArityMismatchError, DiffPoly, EpsSeries
 from dshierarchy.discrete import DifferenceRing
-from dshierarchy.linalg import LinearSolver
 from dshierarchy.miura import LeadingMapError
 from jet_images import FunctionJets
+from reference_ops import DenseLinearSolver
 
 
 class DiscreteDerivation:
@@ -116,7 +116,7 @@ def invert_discrete_miura(ring_u: DifferenceRing,
                 raise LeadingMapError(
                     "leading part of the discrete tuple is not affine-linear "
                     "in the unshifted generators")
-    solver = LinearSolver(lin)
+    solver = DenseLinearSolver(lin)
     if solver.rank != ell:
         raise LeadingMapError("degenerate leading slice")
     ainv = [solver.solve([Fraction(int(i == j)) for i in range(ell)])

@@ -18,7 +18,7 @@ from weakref import WeakKeyDictionary
 from dshierarchy.diffalg import ArityMismatchError, Derivation, DiffPoly, EpsSeries
 from dshierarchy.gauge import CanonicalForm, _gauge_q
 from dshierarchy.kacmoody import LoopElement, LoopRealization
-from dshierarchy.linalg import InconsistentSystemError, LinearSolver
+from dshierarchy.linalg import InconsistentSystemError, integral
 from dshierarchy.miura import MiuraPair
 from dshierarchy.ratfunc import RatFunc
 from dshierarchy.resolvent import DepthError, LaxOperator, Resolvent
@@ -59,6 +59,63 @@ def exp_dx_sum(s: EpsSeries) -> EpsSeries:
             comps[i + j] = comps[i + j] + jet * Fraction(1, factorial(j))
             jet = jet.dx()
     return EpsSeries(comps, s.order)
+
+
+# -- linalg --------------------------------------------------------------------
+
+class DenseLinearSolver:
+    """A x = b by a row reduction of the dense [A | I], the route ``LinearSolver`` replaced.
+
+    ``rows`` are dense rows of A, ``solve`` takes the dense b and returns the
+    dense x, free variables zero, with ``zero`` the ring zero of b.  ``_rows``
+    holds the nonzero entries of each row of the transformation T, R = T A in
+    reduced row echelon form, in the form ``LinearSolver._rows`` has.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]]):
+        a = [[Fraction(x) for x in row] for row in rows]
+        self.nrows = len(a)
+        self.ncols = len(a[0]) if a else 0
+        t = [[Fraction(int(i == j)) for j in range(self.nrows)] for i in range(self.nrows)]
+        r = [row[:] for row in a]
+        pivots: list[tuple[int, int]] = []
+        row = 0
+        for col in range(self.ncols):
+            sel = next((i for i in range(row, self.nrows) if r[i][col]), None)
+            if sel is None:
+                continue
+            r[row], r[sel] = r[sel], r[row]
+            t[row], t[sel] = t[sel], t[row]
+            inv = 1 / r[row][col]
+            r[row] = [x * inv for x in r[row]]
+            t[row] = [x * inv for x in t[row]]
+            for i in range(self.nrows):
+                if i != row and r[i][col]:
+                    f = r[i][col]
+                    r[i] = [x - f * y for x, y in zip(r[i], r[row])]
+                    t[i] = [x - f * y for x, y in zip(t[i], t[row])]
+            pivots.append((row, col))
+            row += 1
+        self.transform = t
+        self._rows = [tuple((j, integral(x)) for j, x in enumerate(tr) if x) for tr in t]
+        self.pivots = pivots
+        self.rank = len(pivots)
+
+    def solve(self, b: Sequence, zero=Fraction(0)) -> list:
+        if len(b) != self.nrows:
+            raise ValueError(f"rhs length {len(b)} != {self.nrows}")
+        c = []
+        for row in self.transform:
+            acc = zero
+            for j, coef in enumerate(row):
+                acc = acc + b[j] * coef
+            c.append(acc)
+        if any(ci != zero for ci in c[self.rank:]):
+            raise InconsistentSystemError("reference residual nonzero")
+        x = [zero] * self.ncols
+        for row, col in self.pivots:
+            x[col] = c[row]
+        return x
 
 
 # -- kacmoody ------------------------------------------------------------------
@@ -206,7 +263,8 @@ class HColumnSplit:
             for k, i in self.basis_prev]
         cols = [[c.constant_term() for c in self.coords(x)]
                 for x in ([self.h_elt] if self.h_elt is not None else []) + images]
-        self.solver = LinearSolver([[col[r] for col in cols] for r in range(len(self.index_d))])
+        self.solver = DenseLinearSolver([[col[r] for col in cols]
+                                         for r in range(len(self.index_d))])
 
     def coords(self, elt: LoopElement) -> list[DiffPoly]:
         col = [DiffPoly.zero()] * len(self.index_d)
@@ -335,7 +393,7 @@ def nilpotent_coords(real: LoopRealization, x: LoopElement) -> list[DiffPoly]:
     cols = [vector_at(p) for p in real.nilpotent_basis]
     rows = [[col[r].constant_term() for col in cols] for r in range(real.alg.dim)]
     try:
-        return LinearSolver(rows).solve(list(vector_at(x)), zero=DiffPoly.zero())
+        return DenseLinearSolver(rows).solve(list(vector_at(x)), zero=DiffPoly.zero())
     except InconsistentSystemError as exc:
         raise ValueError("element is not nilpotent-valued") from exc
 

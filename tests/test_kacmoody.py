@@ -7,8 +7,8 @@ from conftest import random_poly
 
 from dshierarchy import supported_types
 from dshierarchy.diffalg import DiffPoly
-from dshierarchy.kacmoody import (LoopElement, LoopRealization, UnsupportedTypeError,
-                                  build_algebra, load_table)
+from dshierarchy.kacmoody import (LoopElement, LoopRealization, SimpleLieAlgebra,
+                                  UnsupportedTypeError, build_algebra, load_table)
 from dshierarchy.linalg import InconsistentSystemError
 from dshierarchy.resolvent import LaxOperator
 from reference_ops import (bracket_vec, dense_add, dense_bracket, dense_check_twist,
@@ -320,6 +320,53 @@ def test_dependent_basis_fails_to_load(name, label):
                                          rf"matrices have rank {dim - 1}; they must be "
                                          rf"linearly independent$"):
         LoopRealization(data)
+
+
+def test_bracket_outside_the_span_names_the_pair():
+    # E_12 and E_21 are independent, but [E_12, E_21] = diag(1, -1) is in neither's span
+    with pytest.raises(ValueError, match=r"^stand-in: \[e, f\] is not in the span of the "
+                                         r"basis matrices$"):
+        SimpleLieAlgebra("stand-in", [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], ["e", "f"])
+
+
+def _unit(n, r, c, sign=1):
+    return [[sign * int((i, j) == (r, c)) for j in range(n)] for i in range(n)]
+
+
+def _matrix_sum(*ms):
+    return [[sum(col) for col in zip(*rows)] for rows in zip(*ms)]
+
+
+def _sl(n):
+    """sl_n from matrix units: E_ij for i != j, and E_ii - E_{i+1,i+1}."""
+    pairs = [(f"E{i}{j}", _unit(n, i, j)) for i in range(n) for j in range(n) if i != j]
+    pairs += [(f"H{i}", _matrix_sum(_unit(n, i, i), _unit(n, i + 1, i + 1, -1)))
+              for i in range(n - 1)]
+    return pairs
+
+
+def _so(n):
+    """so(n) from matrix units: E_ij - E_ji for i < j."""
+    return [(f"L{i}{j}", _matrix_sum(_unit(n, i, j), _unit(n, j, i, -1)))
+            for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("name, pairs, dim", [("sl_4", _sl(4), 15), ("so_8", _so(8), 28)])
+def test_larger_algebras_load_with_the_matrix_commutator(name, pairs, dim):
+    alg = SimpleLieAlgebra(name, [m for _, m in pairs], [lab for lab, _ in pairs])
+    assert alg.dim == dim
+    mats, n = alg.matrices, alg.size
+
+    def mul(a, b):
+        return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+    for i in range(dim):
+        for j in range(dim):
+            ab, ba = mul(mats[i], mats[j]), mul(mats[j], mats[i])
+            got = [[sum(c * mats[k][r][s] for k, c in alg.bracket_table.get((i, j), ()))
+                    for s in range(n)] for r in range(n)]
+            assert got == [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)], \
+                (alg.labels[i], alg.labels[j])
 
 
 # -- the sparse coefficient map against the dense reference ----------------------
