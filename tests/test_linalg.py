@@ -92,12 +92,18 @@ def _dense(x: dict, n: int, zero) -> list:
     return [x.get(j, zero) for j in range(n)]
 
 
-def test_sparse_elimination_matches_the_dense_reference(rng):
-    seen = {"deficient": 0, "over": 0, "under": 0, "out_of_span": 0, "fraction": 0}
-    for case in range(80):
+def _systems(rng, count: int = 80):
+    """Random sparse systems, each with its sparse solver and the dense reference."""
+    for case in range(count):
         rows = _random_system(rng, case)
+        ncols = len(rows[0])
+        yield rows, LinearSolver([_sparse(row) for row in rows], ncols), DenseLinearSolver(rows)
+
+
+def test_sparse_elimination_matches_the_dense_reference(rng):
+    seen = {"deficient": 0, "over": 0, "under": 0, "fraction": 0}
+    for rows, s, ref in _systems(rng):
         nrows, ncols = len(rows), len(rows[0])
-        s, ref = LinearSolver([_sparse(row) for row in rows], ncols), DenseLinearSolver(rows)
         assert (s.nrows, s.ncols) == (ref.nrows, ref.ncols)
         assert s._rows == ref._rows
         assert s.pivots == ref.pivots
@@ -106,7 +112,13 @@ def test_sparse_elimination_matches_the_dense_reference(rng):
         seen["over"] += nrows > ncols
         seen["under"] += nrows < ncols
         seen["fraction"] += any(isinstance(x, Fraction) for row in rows for x in row)
-        # right-hand sides in the column span, rational and polynomial
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sparse_solve_matches_dense_transform(rng):
+    # right-hand sides in the column span, rational and polynomial
+    for rows, s, ref in _systems(rng):
+        ncols = s.ncols
         xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
         xp = [random_poly(rng) for _ in range(ncols)]
         for x, zero in ((xs, Fraction(0)), (xp, DiffPoly.zero())):
@@ -116,15 +128,21 @@ def test_sparse_elimination_matches_the_dense_reference(rng):
             dense = _dense(got, ncols, zero)
             assert dense == ref.solve(b, zero=zero)
             assert [sum((xj * a for a, xj in zip(row, dense)), zero) for row in rows] == b
-        # a row of T below the rank annihilates the column span, and it pairs
-        # with itself to a positive number, so it is no A x
-        if s.rank < nrows:
-            y = ref.transform[s.rank]
-            u = DiffPoly.var(1)
-            for b, zero in ((list(y), Fraction(0)), ([u * c for c in y], DiffPoly.zero())):
-                with pytest.raises(InconsistentSystemError):
-                    ref.solve(b, zero=zero)
-                with pytest.raises(InconsistentSystemError):
-                    s.solve(_sparse(b))
-            seen["out_of_span"] += 1
-    assert min(seen.values()) >= 10, seen
+
+
+def test_sparse_solve_rejects_out_of_span_rhs(rng):
+    u = DiffPoly.var(1)
+    seen = 0
+    for rows, s, ref in _systems(rng):
+        if s.rank == len(rows):
+            continue
+        # a row of the reference's transform below the rank annihilates the
+        # column span, and it pairs with itself to a positive number, so it is no A x
+        y = ref.transform[s.rank]
+        for b, zero in ((list(y), Fraction(0)), ([u * c for c in y], DiffPoly.zero())):
+            with pytest.raises(InconsistentSystemError):
+                ref.solve(b, zero=zero)
+            with pytest.raises(InconsistentSystemError):
+                s.solve(_sparse(b))
+        seen += 1
+    assert seen >= 10, seen
