@@ -134,7 +134,7 @@ class SimpleLieAlgebra:
                         for c, m in row:
                             for s, n in nonzero[b][c]:
                                 flat[r * size + s] = flat.get(r * size + s, 0) + sign * m * n
-                if flat:
+                if any(flat.values()):
                     try:
                         solved = coords.solve(flat)
                     except InconsistentSystemError:

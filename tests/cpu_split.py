@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tests/cpu_split.py [--repeats N]
+    python3 tests/cpu_split.py
 
 The jobs are those of ``perfbench/run.py``.  The launcher pins itself to one
 vCPU, so every child runs there too, and reads each child's CPU time (user +
@@ -25,7 +25,6 @@ The script is a plain tool; pytest does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import compileall
 import os
 import shutil
@@ -39,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS, workload_jobs  # noqa: E402
 
+REPEATS = 15
+
 
 def cpu_s(cmd: list[str], env: dict) -> float:
     proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, env=env)
@@ -48,10 +49,7 @@ def cpu_s(cmd: list[str], env: dict) -> float:
     return ru.ru_utime + ru.ru_stime
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeats", type=int, default=15)
-    args = ap.parse_args(argv)
+def main() -> int:
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     py = sys.executable
     with tempfile.TemporaryDirectory() as tmp:
@@ -71,7 +69,7 @@ def main(argv=None) -> int:
             variants[name] = (cmd, "bytecode")
             variants[name + "_src"] = (cmd, "source")
         samples: dict[str, list[float]] = {v: [] for v in variants}
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for v, (cmd, kind) in variants.items():
                 samples[v].append(cpu_s(cmd, envs[kind]))
     ms = {v: 1e3 * statistics.median(s) for v, s in samples.items()}
